@@ -63,6 +63,14 @@ def regenerate():
                      "--out", os.path.join(tmp, "divz")]) == 0
         shutil.copy(os.path.join(tmp, "divz", "divergence.csv"),
                     os.path.join(HERE, "divergence_z.csv"))
+        assert main(["divergence", "--group", "z^2", "--nmax", "12", "--seed", "7",
+                     "--out", os.path.join(tmp, "divz2")]) == 0
+        shutil.copy(os.path.join(tmp, "divz2", "divergence.csv"),
+                    os.path.join(HERE, "divergence_z2.csv"))
+        assert main(["divergence", "--group", "heisenberg", "--nmax", "4",
+                     "--seed", "7", "--out", os.path.join(tmp, "divh")]) == 0
+        shutil.copy(os.path.join(tmp, "divh", "divergence.csv"),
+                    os.path.join(HERE, "divergence_heisenberg.csv"))
         assert main(["cocycle", "untwist", "--group", "z^2",
                      "--spec", SPEC_RELPATH, "--seed", "3", "--samples", "10",
                      "--sample-radius", "5", "--sample-cells", "3",

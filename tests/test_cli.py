@@ -137,12 +137,18 @@ def test_untwist_corrupted_spec_exits_1(tmp_path, monkeypatch):
 def run_reference_artifacts(base):
     inv = base / "inv"
     divz = base / "divz"
+    divz2 = base / "divz2"
+    divh = base / "divh"
     report = base / "untwist_report.json"
     assert main(["invariants", "--group", "heisenberg", "--element", "z",
                  "--radius", "8", "--sdt-base", "0.5", "--sdt-terms", "16",
                  "--out", str(inv)]) == 0
     assert main(["divergence", "--group", "z", "--nmax", "14", "--seed", "7",
                  "--out", str(divz)]) == 0
+    assert main(["divergence", "--group", "z^2", "--nmax", "12", "--seed", "7",
+                 "--out", str(divz2)]) == 0
+    assert main(["divergence", "--group", "heisenberg", "--nmax", "4",
+                 "--seed", "7", "--out", str(divh)]) == 0
     assert main(["cocycle", "untwist", "--group", "z^2",
                  "--spec", SPEC_RELPATH, "--seed", "3", "--samples", "10",
                  "--sample-radius", "5", "--sample-cells", "3",
@@ -151,6 +157,8 @@ def run_reference_artifacts(base):
         "heisenberg_z_powers.csv": read(inv / "powers.csv"),
         "heisenberg_z_report.json": read(inv / "report.json"),
         "divergence_z.csv": read(divz / "divergence.csv"),
+        "divergence_z2.csv": read(divz2 / "divergence.csv"),
+        "divergence_heisenberg.csv": read(divh / "divergence.csv"),
         "untwist_report.json": read(report),
     }
 
