@@ -38,12 +38,10 @@ from .shifts import (
     FullShift,
     GoldenMean,
     background_configuration,
-    cone_membership,
     default_specification_constants,
     glue,
-    homoclinic_N,
+    homoclinic_agreement_radius,
     membership_check,
-    shift_act,
 )
 from .targets import (
     FiniteGroup,
@@ -60,7 +58,6 @@ from .cocycles import (
     HolonomyCertificate,
     TransferTable,
     VerificationError,
-    build_transfer,
     coboundary_cocycle,
     cocycle_spec_from_jsonable,
     cocycle_spec_to_jsonable,

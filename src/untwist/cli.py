@@ -11,6 +11,7 @@ significant digits, no timestamps).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -47,6 +48,22 @@ from .shifts import (
     glue,
     membership_check,
 )
+from .targets import TargetError
+
+
+class InputError(ValueError):
+    """A task, spec or config file the run cannot use."""
+
+
+@contextlib.contextmanager
+def _decoding(path):
+    """Yield the JSON object in path; a key the block misses is bad input."""
+    with open(path, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    try:
+        yield obj
+    except KeyError as exc:
+        raise InputError(f"{path}: missing key {exc.args[0]!r}") from None
 
 
 def _echo(args, fields):
@@ -204,24 +221,22 @@ def _load_subshift(group, obj):
 
 def cmd_subshift(args) -> int:
     group = parse_group(args.group)
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec_obj = json.load(fh)
+    with _decoding(args.spec) as spec_obj:
+        shift = _load_subshift(group, spec_obj["subshift"])
+        x = Configuration.from_jsonable(group, spec_obj["x"])
+        if args.mode == "glue":
+            anchor = group.parse_elem(spec_obj["anchor"])
+            radius_R = int(spec_obj["R"])
+            x_prime = Configuration.from_jsonable(group, spec_obj["x_prime"])
     metric = WordMetric(group)
     config = _echo(args, ("group", "spec", "mode"))
     if args.mode == "check":
-        shift = _load_subshift(group, spec_obj["subshift"])
-        x = Configuration.from_jsonable(group, spec_obj["x"])
         member = membership_check(x, shift)
         write_json(args.out, {"config": config, "member": member})
         return 0
-    shift = _load_subshift(group, spec_obj["subshift"])
-    anchor = group.parse_elem(spec_obj["anchor"])
-    radius_R = int(spec_obj["R"])
     s_prime, t_prime = default_specification_constants(shift, metric)
     s_prime = float(spec_obj.get("s_prime", s_prime))
     t_prime = float(spec_obj.get("t_prime", t_prime))
-    x = Configuration.from_jsonable(group, spec_obj["x"])
-    x_prime = Configuration.from_jsonable(group, spec_obj["x_prime"])
     params = ConeParams.create(
         group, anchor, radius_R, s_prime, t_prime, metric,
         max_query_length=int(spec_obj.get("max_query_length", 64)),
@@ -251,9 +266,8 @@ def cmd_subshift(args) -> int:
 
 def cmd_cocycle(args) -> int:
     group = parse_group(args.group)
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec_obj = json.load(fh)
-    spec = cocycle_spec_from_jsonable(spec_obj, group)
+    with _decoding(args.spec) as spec_obj:
+        spec = cocycle_spec_from_jsonable(spec_obj, group)
     rng = seeded_rng(args.seed)
     metric = spec.metric
     samples = [
@@ -324,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-elements", type=int, default=None,
                        dest="max_elements")
         p.add_argument("--out", required=True)
+        p.set_defaults(subparser=p)
 
     p = sub.add_parser("ball", help="export a ball table as CSV")
     common(p)
@@ -366,18 +381,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _apply_config(args):
+    """Override parsed flags with the keys of the JSON file args.config; each
+    key must be an argument of the chosen subcommand, of that argument's type."""
+    with open(args.config, "r", encoding="utf-8") as fh:
+        overrides = json.load(fh)
+    types = {a.dest: a.type or str for a in args.subparser._actions}
+    for key, value in overrides.items():
+        if key not in types or key == "help":
+            raise InputError(f"{args.config}: unknown key {key!r} for {args.command}")
+        expected = types[key]
+        allowed = (int, float) if expected is float else expected
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise InputError(f"{args.config}: key {key!r} needs a "
+                             f"{expected.__name__}, got {value!r}")
+        setattr(args, key, value)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
-        for key, value in overrides.items():
-            setattr(args, key, value)
     try:
+        if args.config:
+            _apply_config(args)
         return args.func(args)
-    except (GroupError, ContractError, CocycleError, OutOfRange,
-            ResourceLimit, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (GroupError, ContractError, CocycleError, TargetError, InputError,
+            OutOfRange, ResourceLimit, FileNotFoundError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

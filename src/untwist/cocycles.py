@@ -16,7 +16,7 @@ import statistics
 from dataclasses import dataclass
 
 from .groups import Group, WordMetric, parse_group
-from .shifts import Configuration, glue, homoclinic_N
+from .shifts import Configuration, glue, homoclinic_agreement_radius
 from .targets import TargetGroup, describe_target, target_from_description
 
 
@@ -136,9 +136,6 @@ class CocycleSpec:
     def background_config(self) -> Configuration:
         return self._background_config
 
-    def generator_value(self, label: str, x: Configuration):
-        return self.maps[label].value(x)
-
     def holder_constants(self, g):
         """(C_g, r) with d(c(g,x), c(g,y)) <= C_g * r**n for agreement on B(n)."""
         k = self.metric.length(g)
@@ -152,7 +149,7 @@ class CocycleSpec:
         factors = []
         state = x
         for lab in reversed(labels):
-            factors.append(self.generator_value(lab, state))
+            factors.append(self.maps[lab].value(state))
             state = state.translate(group.gen(lab))
         acc = target.identity
         for h in reversed(factors):
@@ -264,7 +261,7 @@ def holonomy(spec: CocycleSpec, g, x: Configuration, y: Configuration,
         cert = HolonomyCertificate(fmt, sign, 0, 0.0, 0, 0.0, spec.rate,
                                    bound.describe(), epsilon)
         return spec.target.identity, cert
-    agreement = homoclinic_N(x, y, spec.metric)
+    agreement = homoclinic_agreement_radius(x, y, spec.metric)
     C_g, r = spec.holder_constants(g)
     if C_g == 0.0:
         value = partial_product(spec, g, x, y, 1, sign)
@@ -397,12 +394,6 @@ class TransferTable:
         result = holonomy(self.spec, self.anchor, x, self.base, self.epsilon)
         self.cache[x] = result
         return result
-
-
-def build_transfer(spec: CocycleSpec, anchor, x: Configuration,
-                   epsilon: float = 1e-8, table: TransferTable | None = None):
-    table = table or TransferTable(spec, anchor, epsilon)
-    return table.value(x)
 
 
 @dataclass

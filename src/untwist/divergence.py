@@ -90,10 +90,15 @@ def avoidant_shortest_path(query: DivergenceQuery,
         if length is None or length > window:
             raise GroupError("query points must lie inside the window ball")
 
+    # The open ball c*B(r-1) translates the head of the table, which lists
+    # elements layer by layer; make_query keeps r <= window - 2.
+    if query.forbidden_radius > table.radius + 1:
+        raise GroupError("forbidden ball reaches outside the window table")
     forbidden = set()
-    if query.forbidden_radius >= 1:
-        inner = enumerate_ball(group, query.forbidden_radius - 1, max_elements)
-        forbidden = {group.mul(query.c, u) for u in inner.order}
+    for u, length in table.lengths.items():
+        if length >= query.forbidden_radius:
+            break
+        forbidden.add(group.mul(query.c, u))
     if query.a in forbidden or query.b in forbidden:
         raise GroupError("endpoint inside the forbidden ball; radius formula violated")
 

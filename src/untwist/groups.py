@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class GroupError(ValueError):
@@ -317,7 +317,6 @@ class IntegerLattice(Group):
             raise GroupError(f"cannot parse {s!r} as an integer vector") from None
 
     def exact_length(self, a):
-        self.validate(a)
         if not self.diagonal:
             return sum(abs(v) for v in a)
         # One diagonal pair: k net diagonal steps plus axis corrections.
@@ -512,7 +511,6 @@ class FreeGroup(Group):
         return word
 
     def exact_length(self, a):
-        self.validate(a)
         return len(a)
 
     def compression_lower_bound(self, g):
@@ -684,10 +682,13 @@ class BallTable:
 
     group: Group
     radius: int
-    lengths: dict
-    parents: dict  # element -> (parent element, generator label)
-    order: list = field(default_factory=list)  # deterministic discovery order
-    complete: bool = True
+    lengths: dict  # element -> word length, inserted in BFS discovery order
+    parents: dict  # element -> label of the last generator on its BFS path
+
+    @property
+    def order(self):
+        """Elements in deterministic BFS discovery order, layer by layer."""
+        return self.lengths.keys()
 
     def __len__(self):
         return len(self.lengths)
@@ -700,12 +701,14 @@ class BallTable:
         """Labels t1..tk with t1*...*tk = g and k = l(g); canonical per table."""
         if g not in self.lengths:
             raise OutOfRange(f"{self.group.format_elem(g)} is outside radius {self.radius}")
+        group = self.group
+        back = {label: group.inv(s) for label, s in group.gens}
         word = []
         cur = g
-        while cur != self.group.identity:
-            parent, label = self.parents[cur]
+        while cur != group.identity:
+            label = self.parents[cur]
             word.append(label)
-            cur = parent
+            cur = group.mul(cur, back[label])
         word.reverse()
         return word
 
@@ -720,7 +723,6 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
     e = group.identity
     lengths = {e: 0}
     parents = {}
-    order = [e]
     frontier = [e]
     for layer in range(radius):
         nxt = []
@@ -729,8 +731,7 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
                 h = group.mul(g, s)
                 if h not in lengths:
                     lengths[h] = layer + 1
-                    parents[h] = (g, label)
-                    order.append(h)
+                    parents[h] = label
                     nxt.append(h)
                     if max_elements is not None and len(lengths) > max_elements:
                         raise ResourceLimit(
@@ -741,7 +742,7 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
         frontier = nxt
         if not frontier:
             break
-    return BallTable(group, radius, lengths, parents, order)
+    return BallTable(group, radius, lengths, parents)
 
 
 DEFAULT_METRIC_BUDGET = 5_000_000

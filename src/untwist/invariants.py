@@ -87,7 +87,6 @@ class CompressionProfile:
         self.g = table.g
         self.radius = table.radius
         self.j_max = table.j_max
-        self._length_of = dict(table.entries)
         # Suffix minima over the recorded powers: powers missing from the
         # table have length > radius and can never achieve the minimum.
         self._rho = {}
@@ -107,11 +106,6 @@ class CompressionProfile:
                 )
 
     # -- exact invariants ---------------------------------------------------
-
-    def power_length(self, j: int) -> int:
-        if j in self._length_of:
-            return self._length_of[j]
-        raise OutOfRange(f"power {j} exceeds radius {self.radius}")
 
     def distortion(self, x) -> int:
         """Largest j >= 0 with l(g^j) <= x (exact for x <= radius)."""

@@ -36,12 +36,21 @@ class Configuration:
                 raise ContractError(f"symbol {symbol!r} is not in the alphabet")
             if symbol != background:
                 reduced[cell] = symbol
+        self._fill(group, alphabet, background, reduced)
+
+    def _fill(self, group, alphabet, background, support):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "background", background)
-        object.__setattr__(self, "support", reduced)
+        object.__setattr__(self, "support", support)
         object.__setattr__(self, "_hash",
-                           hash((alphabet, background, frozenset(reduced.items()))))
+                           hash((alphabet, background, frozenset(support.items()))))
+
+    def _derive(self, support) -> "Configuration":
+        """Same shift space, with a support already checked and reduced."""
+        derived = object.__new__(Configuration)
+        derived._fill(self.group, self.alphabet, self.background, support)
+        return derived
 
     def __setattr__(self, *_):
         raise AttributeError("Configuration is immutable")
@@ -51,12 +60,8 @@ class Configuration:
 
     def translate(self, h) -> "Configuration":
         """Left shift: the new value at k is the old value at h^-1 k."""
-        group = self.group
-        moved = {group.mul(h, cell): sym for cell, sym in self.support.items()}
-        return Configuration(group, self.alphabet, self.background, moved)
-
-    def pattern(self, cells) -> tuple:
-        return tuple(self.symbol_at(c) for c in cells)
+        mul = self.group.mul
+        return self._derive({mul(h, cell): sym for cell, sym in self.support.items()})
 
     def differing_cells(self, other: "Configuration"):
         if (self.alphabet, self.background) != (other.alphabet, other.background):
@@ -104,10 +109,6 @@ def background_configuration(group: Group, alphabet, background=0) -> Configurat
     return Configuration(group, alphabet, background, {})
 
 
-def shift_act(h, x: Configuration) -> Configuration:
-    return x.translate(h)
-
-
 def homoclinic_agreement_radius(x: Configuration, y: Configuration,
                                 metric: WordMetric) -> int:
     """Least N with x = y outside the ball of radius N (0 when equal)."""
@@ -115,16 +116,6 @@ def homoclinic_agreement_radius(x: Configuration, y: Configuration,
     if not cells:
         return 0
     return max(metric.length(c) for c in cells)
-
-
-# Backwards-friendly alias used throughout the cocycle layer.
-homoclinic_N = homoclinic_agreement_radius
-
-
-def agree_on_ball(x: Configuration, y: Configuration, radius: int,
-                  metric: WordMetric) -> bool:
-    """Whether x and y coincide on the closed ball of the given radius."""
-    return all(metric.length(c) > radius for c in x.differing_cells(y))
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +293,6 @@ class ConeParams:
                          + 2 * self.R + self.t_prime)
 
 
-def cone_membership(k, params: ConeParams, sign: str) -> bool:
-    """Function form of ConeParams.cone_contains."""
-    return params.cone_contains(k, sign)
-
-
 @dataclass(frozen=True)
 class GlueResult:
     y: Configuration
@@ -347,7 +333,7 @@ def glue(x: Configuration, x_prime: Configuration, params: ConeParams,
                     "the specification constants s', t' are too small"
                 )
             support[cell] = sym
-    y = Configuration(x.group, x.alphabet, x.background, support)
+    y = x._derive(support)
     plus_ok = minus_ok = True
     if check:
         plus_ok = all(not params.cone_contains(c, "+") for c in x.differing_cells(y))

@@ -45,12 +45,6 @@ class TargetGroup(ABC):
     def validate(self, a) -> None:
         ...
 
-    def product(self, items):
-        acc = self.identity
-        for h in items:
-            acc = self.mul(acc, h)
-        return acc
-
     def to_jsonable_elem(self, a):
         return list(a) if isinstance(a, tuple) else a
 

@@ -31,6 +31,42 @@ def heisenberg_lengths(radius):
     return dist
 
 
+def heisenberg_inv(p):
+    x, y, z = p
+    return (-x, -y, -z + x * y)
+
+
+def heisenberg_avoidant_length(a, b, c, forbidden_radius, window):
+    """Shortest path from a to b in the Heisenberg Cayley graph within the
+    word-length ball of radius window, avoiding the open ball of the given
+    radius around c.  None when disconnected."""
+    lengths = heisenberg_lengths(max(window, forbidden_radius))
+    c_inv = heisenberg_inv(c)
+
+    def forbidden(p):
+        d = lengths.get(heisenberg_mul(c_inv, p))
+        return d is not None and d < forbidden_radius
+
+    def inside(p):
+        d = lengths.get(p)
+        return d is not None and d <= window
+
+    if forbidden(a) or forbidden(b):
+        return None
+    dist = {a: 0}
+    frontier = deque([a])
+    while frontier:
+        p = frontier.popleft()
+        if p == b:
+            return dist[p]
+        for s in HEISENBERG_GENS:
+            nb = heisenberg_mul(p, s)
+            if nb not in dist and inside(nb) and not forbidden(nb):
+                dist[nb] = dist[p] + 1
+                frontier.append(nb)
+    return None
+
+
 def heisenberg_power(g, j):
     acc = (0, 0, 0)
     for _ in range(j):

@@ -119,6 +119,60 @@ def test_config_file_overrides_flags(tmp_path):
     assert len(lines) == 2 + 13  # radius 2 ball, not radius 9
 
 
+@pytest.mark.parametrize("overrides", [{"radus": 99}, {"radius": "6"},
+                                       {"radius": True}])
+def test_config_file_rejects_unknown_key_or_type(tmp_path, capsys, overrides):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    out = tmp_path / "ball.csv"
+    assert main(["--config", str(cfg), "ball", "--group", "z^2",
+                 "--radius", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(next(iter(overrides))) in err
+    assert not out.exists()
+
+
+def test_glue_task_without_anchor_exits_2(tmp_path, capsys):
+    task = {
+        "R": 0,
+        "subshift": {"kind": "full", "alphabet": [0, 1]},
+        "x": {"alphabet": [0, 1], "background": 0, "support": []},
+        "x_prime": {"alphabet": [0, 1], "background": 0, "support": []},
+    }
+    spec = tmp_path / "task.json"
+    spec.write_text(json.dumps(task))
+    assert main(["subshift", "glue", "--group", "z^2", "--spec", str(spec),
+                 "--out", str(tmp_path / "glue.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'anchor'" in err and str(spec) in err
+
+
+def _edited_spec(tmp_path, edit):
+    with open(os.path.join(ROOT, SPEC_RELPATH), "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    edit(payload)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_cocycle_generator_without_window_exits_2(tmp_path, capsys):
+    spec = _edited_spec(tmp_path, lambda p: p["generators"][0].pop("window"))
+    assert main(["cocycle", "untwist", "--group", "z^2", "--spec", str(spec),
+                 "--out", str(tmp_path / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'window'" in err and str(spec) in err
+
+
+def test_cocycle_unknown_target_exits_2(tmp_path, capsys):
+    spec = _edited_spec(tmp_path,
+                        lambda p: p.update(target={"kind": "quaternion"}))
+    assert main(["cocycle", "untwist", "--group", "z^2", "--spec", str(spec),
+                 "--out", str(tmp_path / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "quaternion" in err
+
+
 def test_untwist_corrupted_spec_exits_1(tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
     with open(SPEC_RELPATH, "r", encoding="utf-8") as fh:

@@ -14,7 +14,6 @@ from untwist import (
     VerificationError,
     WordMetric,
     background_configuration,
-    build_transfer,
     coboundary_cocycle,
     cocycle_spec_from_jsonable,
     cocycle_spec_to_jsonable,
@@ -409,7 +408,7 @@ def test_transfer_orientation_single_cell_potential():
     spec = coboundary_cocycle(Z2, R1, {"x1+": (0.0,), "x2+": (0.0,)},
                               potential, A, metric=METRIC)
     x = Configuration(Z2, A, 0, {(0, 0): 1})
-    value, cert = build_transfer(spec, (1, 0), x, EPS)
+    value, cert = TransferTable(spec, (1, 0), EPS).value(x)
     assert abs(value[0] - (-1.0)) <= cert.tail_bound + EPS
     assert abs(value[0]) == pytest.approx(1.0, abs=1e-7)
 

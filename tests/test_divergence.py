@@ -4,6 +4,7 @@ import random
 import pytest
 
 from untwist import (
+    DiscreteHeisenberg,
     GroupError,
     InfiniteCyclic,
     IntegerLattice,
@@ -23,7 +24,7 @@ from untwist.divergence import (
 )
 from untwist.groups import enumerate_ball
 
-from oracles import grid_avoidant_length
+from oracles import grid_avoidant_length, heisenberg_avoidant_length
 
 Z2 = IntegerLattice(2)
 Z = InfiniteCyclic()
@@ -122,6 +123,38 @@ def test_obstacle_monotonicity():
         q = DivergenceQuery(Z2, (-8, 0), (8, 0), (0, 0), 32, radius)
         lengths.append(avoidant_shortest_path(q).length)
     assert lengths == sorted(lengths)
+
+
+@pytest.mark.parametrize("window", [8, 10])
+def test_heisenberg_avoidant_paths_match_oracle(window):
+    group = DiscreteHeisenberg()
+    metric = WordMetric(group)
+    table = enumerate_ball(group, window)
+    pool = list(table.order)
+    rng = random.Random(window)
+    checked = 0
+    for _ in range(200):
+        a, b, c = (pool[rng.randrange(len(pool))] for _ in range(3))
+        if c in (a, b):
+            continue
+        q = make_query(group, a, b, c, window, metric)
+        if q.forbidden_radius < 2:
+            continue
+        result = avoidant_shortest_path(q, table)
+        oracle = heisenberg_avoidant_length(a, b, c, q.forbidden_radius, window)
+        assert result.length == oracle
+        checked += 1
+        if checked == 4:
+            break
+    assert checked == 4
+
+
+def test_forbidden_ball_beyond_window_table_is_refused():
+    from untwist.divergence import DivergenceQuery
+
+    q = DivergenceQuery(Z2, (-10, 0), (0, 10), (10, 0), 10, 12)
+    with pytest.raises(GroupError):
+        avoidant_shortest_path(q)
 
 
 def test_window_monotonicity():

@@ -228,6 +228,21 @@ def test_word_metric_grows_and_matches_table():
     assert len(word) == 4
 
 
+@pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
+def test_word_metric_length_validates_once(group, monkeypatch):
+    calls = []
+    validate = group.validate
+
+    def counting(a):
+        calls.append(a)
+        validate(a)
+
+    g = group.eval_word([lab for lab, _ in group.gens[:3]])
+    monkeypatch.setattr(group, "validate", counting)
+    WordMetric(group).length(g)
+    assert calls == [g]
+
+
 def test_word_metric_budget():
     metric = WordMetric(DiscreteHeisenberg(), max_elements=30)
     with pytest.raises(ResourceLimit):

@@ -14,11 +14,11 @@ from untwist import (
     background_configuration,
     default_specification_constants,
     glue,
-    homoclinic_N,
+    homoclinic_agreement_radius,
     membership_check,
-    shift_act,
+    parse_group,
 )
-from untwist.sampling import pair_agreeing_on_ball, seeded_rng
+from untwist.sampling import pair_agreeing_on_ball, random_configuration, seeded_rng
 
 Z2 = IntegerLattice(2)
 METRIC = WordMetric(Z2)
@@ -47,16 +47,16 @@ def test_symbols_validated():
 
 def test_shift_by_identity_and_background_fixed():
     x = cfg({(0, 0): 1, (3, -1): 1})
-    assert shift_act((0, 0), x) == x
+    assert x.translate((0, 0)) == x
     xbar = background_configuration(Z2, A)
-    assert shift_act((5, 7), xbar) == xbar
+    assert xbar.translate((5, 7)) == xbar
 
 
 def test_shift_convention():
     x = cfg({(0, 0): 1})
-    assert shift_act((1, 0), x).support == {(1, 0): 1}
+    assert x.translate((1, 0)).support == {(1, 0): 1}
     # value at k after shifting by h is the value at h^-1 k
-    y = shift_act((2, 3), x)
+    y = x.translate((2, 3))
     assert y.symbol_at((2, 3)) == 1
     assert y.symbol_at((0, 0)) == 0
 
@@ -64,28 +64,50 @@ def test_shift_convention():
 def test_homoclinic_radius():
     x = cfg({(2, 3): 1})
     y = cfg({})
-    assert homoclinic_N(x, y, METRIC) == 5
-    assert homoclinic_N(x, x, METRIC) == 0
+    assert homoclinic_agreement_radius(x, y, METRIC) == 5
+    assert homoclinic_agreement_radius(x, x, METRIC) == 0
     z = cfg({(2, 3): 1, (7, 0): 1})
-    assert homoclinic_N(x, z, METRIC) == 7
+    assert homoclinic_agreement_radius(x, z, METRIC) == 7
 
 
 def test_homoclinic_radius_differing_symbols_on_shared_cell():
     x = Configuration(Z2, A3, 0, {(1, 1): 1})
     y = Configuration(Z2, A3, 0, {(1, 1): 2})
-    assert homoclinic_N(x, y, METRIC) == 2
+    assert homoclinic_agreement_radius(x, y, METRIC) == 2
+
+
+@pytest.mark.parametrize("descriptor", ["z^2", "heisenberg", "free:2"])
+def test_translate_matches_checked_construction(descriptor, monkeypatch):
+    group = parse_group(descriptor)
+    metric = WordMetric(group)
+    rng = seeded_rng(13)
+    shifts = list(metric.ball(3).order)
+
+    def refuse(a):
+        raise AssertionError("translate re-validated a cell")
+
+    for _ in range(8):
+        x = random_configuration(group, metric, A3, rng, 4, 5)
+        h = shifts[rng.randrange(len(shifts))]
+        expected = Configuration(group, x.alphabet, x.background,
+                                 {group.mul(h, c): s for c, s in x.support.items()})
+        with monkeypatch.context() as patch:
+            patch.setattr(group, "validate", refuse)
+            y = x.translate(h)
+        assert y == expected and hash(y) == hash(expected)
+        with pytest.raises(AttributeError):
+            y.support = {}
 
 
 def test_shift_equivariance_inequality():
     rng = seeded_rng(4)
-    from untwist.sampling import random_configuration
 
     for _ in range(30):
         x = random_configuration(Z2, METRIC, A, rng, 6, 3)
         y = random_configuration(Z2, METRIC, A, rng, 6, 3)
         h = (rng.randrange(-3, 4), rng.randrange(-3, 4))
-        lhs = homoclinic_N(shift_act(h, x), shift_act(h, y), METRIC)
-        assert lhs <= homoclinic_N(x, y, METRIC) + METRIC.length(h)
+        lhs = homoclinic_agreement_radius(x.translate(h), y.translate(h), METRIC)
+        assert lhs <= homoclinic_agreement_radius(x, y, METRIC) + METRIC.length(h)
 
 
 def test_any_pattern_on_ball_realizable():
