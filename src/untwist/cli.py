@@ -28,6 +28,7 @@ from .cocycles import (
     TransferTable,
 )
 from .groups import (
+    DEFAULT_METRIC_BUDGET,
     GroupError,
     OutOfRange,
     ResourceLimit,
@@ -57,13 +58,18 @@ class InputError(ValueError):
 
 @contextlib.contextmanager
 def _decoding(path):
-    """Yield the JSON object in path; a key the block misses is bad input."""
+    """Yield the JSON object in path; a key the block misses, or a value of the
+    wrong type, is bad input.  The package's own errors keep their messages."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     try:
         yield obj
+    except (GroupError, ContractError, CocycleError, TargetError):
+        raise
     except KeyError as exc:
         raise InputError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: bad value: {exc}") from None
 
 
 def _echo(args, fields):
@@ -221,6 +227,7 @@ def _load_subshift(group, obj):
 
 def cmd_subshift(args) -> int:
     group = parse_group(args.group)
+    metric = WordMetric(group)
     with _decoding(args.spec) as spec_obj:
         shift = _load_subshift(group, spec_obj["subshift"])
         x = Configuration.from_jsonable(group, spec_obj["x"])
@@ -228,18 +235,18 @@ def cmd_subshift(args) -> int:
             anchor = group.parse_elem(spec_obj["anchor"])
             radius_R = int(spec_obj["R"])
             x_prime = Configuration.from_jsonable(group, spec_obj["x_prime"])
-    metric = WordMetric(group)
+            s_prime, t_prime = default_specification_constants(shift, metric)
+            s_prime = float(spec_obj.get("s_prime", s_prime))
+            t_prime = float(spec_obj.get("t_prime", t_prime))
+            max_query_length = int(spec_obj.get("max_query_length", 64))
     config = _echo(args, ("group", "spec", "mode"))
     if args.mode == "check":
         member = membership_check(x, shift)
         write_json(args.out, {"config": config, "member": member})
         return 0
-    s_prime, t_prime = default_specification_constants(shift, metric)
-    s_prime = float(spec_obj.get("s_prime", s_prime))
-    t_prime = float(spec_obj.get("t_prime", t_prime))
     params = ConeParams.create(
         group, anchor, radius_R, s_prime, t_prime, metric,
-        max_query_length=int(spec_obj.get("max_query_length", 64)),
+        max_query_length=max_query_length,
     )
     payload = {"config": config, "n_spec": params.specification_ball_radius(),
                "overlap_bound": params.overlap_window_bound()}
@@ -335,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--group", required=True)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-elements", type=int, default=None,
+        p.add_argument("--max-elements", type=int, default=DEFAULT_METRIC_BUDGET,
                        dest="max_elements")
         p.add_argument("--out", required=True)
         p.set_defaults(subparser=p)
@@ -386,6 +393,9 @@ def _apply_config(args):
     key must be an argument of the chosen subcommand, of that argument's type."""
     with open(args.config, "r", encoding="utf-8") as fh:
         overrides = json.load(fh)
+    if not isinstance(overrides, dict):
+        raise InputError(f"{args.config}: top level must be a JSON object, "
+                         f"got {type(overrides).__name__}")
     types = {a.dest: a.type or str for a in args.subparser._actions}
     for key, value in overrides.items():
         if key not in types or key == "help":

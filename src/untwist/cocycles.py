@@ -37,7 +37,7 @@ def canonical_cells(metric: WordMetric, window: int):
     ball = metric.ball(window)
     fmt = metric.group.format_elem
     return tuple(sorted(
-        (g for g, length in ball.lengths.items() if length <= window),
+        ball.within(window),
         key=lambda g: (ball.lengths[g], fmt(g)),
     ))
 

@@ -17,12 +17,12 @@ from collections import deque
 from dataclasses import dataclass
 
 from .groups import (
+    DEFAULT_METRIC_BUDGET,
     BallTable,
     Group,
     GroupError,
     IntegerLattice,
     WordMetric,
-    enumerate_ball,
 )
 
 FINITE = "finite"
@@ -78,13 +78,11 @@ def _certified_disconnection(query: DivergenceQuery) -> bool:
 
 
 def avoidant_shortest_path(query: DivergenceQuery,
-                           table: BallTable | None = None,
-                           max_elements: int | None = None) -> PathSearchResult:
+                           metric: WordMetric | None = None) -> PathSearchResult:
     """Exact shortest path from a to b inside the window, off the obstacle."""
     group = query.group
-    if table is None or table.radius < query.window_radius:
-        table = enumerate_ball(group, query.window_radius, max_elements)
     window = query.window_radius
+    table = (metric or WordMetric(group)).table(window)
     for x in (query.a, query.b, query.c):
         length = table.length(x)
         if length is None or length > window:
@@ -92,13 +90,9 @@ def avoidant_shortest_path(query: DivergenceQuery,
 
     # The open ball c*B(r-1) translates the head of the table, which lists
     # elements layer by layer; make_query keeps r <= window - 2.
-    if query.forbidden_radius > table.radius + 1:
+    if query.forbidden_radius > window + 1:
         raise GroupError("forbidden ball reaches outside the window table")
-    forbidden = set()
-    for u, length in table.lengths.items():
-        if length >= query.forbidden_radius:
-            break
-        forbidden.add(group.mul(query.c, u))
+    forbidden = {group.mul(query.c, u) for u in table.within(query.forbidden_radius - 1)}
     if query.a in forbidden or query.b in forbidden:
         raise GroupError("endpoint inside the forbidden ball; radius formula violated")
 
@@ -144,13 +138,9 @@ class PairDivergence:
 
 
 def div_pair(group: Group, a, b, obstacles, window_radius: int,
-             table: BallTable | None = None,
-             metric: WordMetric | None = None,
-             max_elements: int | None = None) -> PairDivergence:
+             metric: WordMetric | None = None) -> PairDivergence:
     """Maximise the avoidant distance over the sampled obstacle set."""
     metric = metric or WordMetric(group)
-    if table is None:
-        table = enumerate_ball(group, window_radius, max_elements)
     best = -1
     witness = None
     window_cuts = 0
@@ -158,7 +148,7 @@ def div_pair(group: Group, a, b, obstacles, window_radius: int,
         if c == a or c == b:
             continue
         query = make_query(group, a, b, c, window_radius, metric)
-        result = avoidant_shortest_path(query, table)
+        result = avoidant_shortest_path(query, metric)
         if result.outcome == INFINITE:
             return PairDivergence(a, b, math.inf, c, window_radius, window_cuts)
         if result.outcome == WINDOW_DISCONNECTED:
@@ -183,11 +173,12 @@ def geodesic_points(group: Group, a, b, metric: WordMetric):
     return points
 
 
-def default_obstacles(group: Group, a, b, table: BallTable, rng,
+def default_obstacles(group: Group, a, b, window_radius: int, rng,
                       metric: WordMetric, sample_budget: int = 10):
     """Obstacles on a geodesic between the endpoints plus seeded window samples."""
     obstacles = [p for p in geodesic_points(group, a, b, metric) if p not in (a, b)]
-    pool = [g for g in table.order if g not in (a, b)]
+    pool = [g for g in metric.table(window_radius).within(window_radius)
+            if g not in (a, b)]
     for _ in range(sample_budget):
         if not pool:
             break
@@ -214,7 +205,7 @@ class DivergenceRow:
 def div_function(group: Group, n_max: int, *, window_factor: int = 4,
                  sample_budget: int = 10, pairs_per_n: int = 2, seed: int = 0,
                  n_min: int = 2, rng=None,
-                 max_elements: int | None = None):
+                 max_elements: int = DEFAULT_METRIC_BUDGET):
     """Sampled divergence function: for each n, the best pair with d(a,b) <= n.
 
     Rows are cumulative maxima (pairs at distance <= n include all smaller
@@ -224,19 +215,20 @@ def div_function(group: Group, n_max: int, *, window_factor: int = 4,
 
     if rng is None:
         rng = random.Random(seed)
-    metric = WordMetric(group)
+    metric = WordMetric(group, max_elements)
     rows = []
     best_so_far = None
     for n in range(n_min, n_max + 1):
         window_radius = window_factor * n
-        table = enumerate_ball(group, window_radius, max_elements)
+        table = metric.table(window_radius)
         pairs = [_axis_pair(group, n)]
         for _ in range(max(0, pairs_per_n - 1)):
             pairs.append(_random_pair(group, n, table, rng))
         best_row = None
         for a, b in pairs:
-            obstacles = default_obstacles(group, a, b, table, rng, metric, sample_budget)
-            pair = div_pair(group, a, b, obstacles, window_radius, table, metric)
+            obstacles = default_obstacles(group, a, b, window_radius, rng, metric,
+                                          sample_budget)
+            pair = div_pair(group, a, b, obstacles, window_radius, metric)
             if best_row is None or pair.value > best_row.value:
                 best_row = DivergenceRow(n, pair.value, a, b, pair.witness_c,
                                          window_radius)

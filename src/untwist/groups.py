@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import takewhile
 
 
 class GroupError(ValueError):
@@ -678,7 +679,11 @@ def parse_group(descriptor: str) -> Group:
 
 @dataclass
 class BallTable:
-    """Complete ball of a given radius with exact lengths and BFS parents."""
+    """Ball of a given radius with exact lengths and BFS parents.
+
+    `lengths` holds complete BFS layers up to some R >= radius (a metric grows
+    its table in place), and readers restrict to their own radius.
+    """
 
     group: Group
     radius: int
@@ -694,11 +699,16 @@ class BallTable:
         return len(self.lengths)
 
     def length(self, g) -> int | None:
-        """Exact word length, or None when g is outside the ball."""
+        """Exact word length, or None when g is outside the table."""
         return self.lengths.get(g)
 
+    def within(self, radius):
+        """Elements of length <= radius in BFS order; stops at the first longer one."""
+        return (g for g, _ in
+                takewhile(lambda item: item[1] <= radius, self.lengths.items()))
+
     def geodesic_word(self, g):
-        """Labels t1..tk with t1*...*tk = g and k = l(g); canonical per table."""
+        """Labels t1..tk with t1*...*tk = g and k = l(g); canonical per group."""
         if g not in self.lengths:
             raise OutOfRange(f"{self.group.format_elem(g)} is outside radius {self.radius}")
         group = self.group
@@ -713,18 +723,27 @@ class BallTable:
         return word
 
     def elements_of_length(self, k):
-        return [g for g in self.order if self.lengths[g] == k]
+        return [g for g in self.within(k) if self.lengths[g] == k]
 
 
-def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -> BallTable:
-    """Breadth-first enumeration of every element of word length <= radius."""
+def enumerate_ball(group: Group, radius: int, max_elements: int | None = None,
+                   start: BallTable | None = None) -> BallTable:
+    """Breadth-first enumeration of every element of word length <= radius.
+
+    Given start, resumes from its last layer and extends its lengths and
+    parents in place; BFS order does not depend on where the search resumed.
+    ResourceLimit first removes the partial layer, so layers stay complete.
+    """
     if radius < 0:
         raise GroupError("ball radius must be >= 0")
-    e = group.identity
-    lengths = {e: 0}
-    parents = {}
-    frontier = [e]
-    for layer in range(radius):
+    if start is None:
+        start = BallTable(group, 0, {group.identity: 0}, {})
+    lengths, parents = start.lengths, start.parents
+    # The last layer is the tail of the BFS order.
+    top = lengths[next(reversed(lengths))]
+    tail = takewhile(lambda item: item[1] == top, reversed(lengths.items()))
+    frontier = [g for g, _ in tail][::-1]
+    for layer in range(top, radius):
         nxt = []
         for g in frontier:
             for label, s in group.gens:
@@ -734,6 +753,8 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -
                     parents[h] = label
                     nxt.append(h)
                     if max_elements is not None and len(lengths) > max_elements:
+                        for partial in nxt:
+                            del lengths[partial], parents[partial]
                         raise ResourceLimit(
                             f"ball enumeration for {group.name} exceeded "
                             f"{max_elements} elements; last complete radius {layer}",
@@ -751,8 +772,9 @@ DEFAULT_METRIC_BUDGET = 5_000_000
 class WordMetric:
     """Exact word lengths, distances and canonical geodesics for one model.
 
-    Keeps a single lazily grown ball table; growth doubles the radius, so
-    geodesics are stable (BFS layer order does not depend on the radius).
+    Keeps a single ball table, grown in place one BFS layer at a time and only
+    as far as a query needs; geodesics are stable because BFS order does not
+    depend on where the search resumed.
     """
 
     def __init__(self, group: Group, max_elements: int = DEFAULT_METRIC_BUDGET):
@@ -762,7 +784,8 @@ class WordMetric:
 
     def table(self, radius: int) -> BallTable:
         if self._table is None or self._table.radius < radius:
-            self._table = enumerate_ball(self.group, radius, self.max_elements)
+            self._table = enumerate_ball(self.group, radius, self.max_elements,
+                                         start=self._table)
         return self._table
 
     def length(self, g) -> int:
@@ -770,21 +793,16 @@ class WordMetric:
         exact = self.group.exact_length(g)
         if exact is not None:
             return exact
-        radius = self._table.radius if self._table is not None else 0
-        while True:
-            if self._table is not None:
-                found = self._table.length(g)
-                if found is not None:
-                    return found
-            radius = max(4, 2 * radius)
-            self.table(radius)
+        table = self.table(0)
+        while (found := table.length(g)) is None:
+            table = self.table(table.radius + 1)
+        return found
 
     def distance(self, g, h) -> int:
         return self.length(self.group.mul(self.group.inv(g), h))
 
     def geodesic_word(self, g):
-        n = self.length(g)
-        return self.table(max(n, self._table.radius if self._table else 0)).geodesic_word(g)
+        return self.table(self.length(g)).geodesic_word(g)
 
     def ball(self, radius: int) -> BallTable:
         return self.table(radius)

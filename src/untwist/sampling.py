@@ -18,7 +18,7 @@ def seeded_rng(seed: int) -> random.Random:
 
 def _cells_by_length(metric: WordMetric, lo: int, hi: int):
     table = metric.ball(hi)
-    return [g for g in table.order if lo <= table.lengths[g] <= hi]
+    return [g for g in table.within(hi) if table.lengths[g] >= lo]
 
 
 def random_configuration(group: Group, metric: WordMetric, alphabet, rng,

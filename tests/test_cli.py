@@ -173,6 +173,87 @@ def test_cocycle_unknown_target_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "quaternion" in err
 
 
+GLUE_TASK = {
+    "anchor": "(1,0)", "R": 2,
+    "subshift": {"kind": "golden_mean", "alphabet": [0, 1],
+                 "families": [["(0,0)", "(1,0)"], ["(0,0)", "(0,1)"]]},
+    "x": {"alphabet": [0, 1], "background": 0, "support": [["(15,0)", 1]]},
+    "x_prime": {"alphabet": [0, 1], "background": 0, "support": [["(-15,0)", 1]]},
+}
+
+
+def _edited_task(tmp_path, edit):
+    payload = json.loads(json.dumps(GLUE_TASK))
+    edit(payload)
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("command, edit", [
+    ("glue", lambda t: t.update(R="x")),
+    ("glue", lambda t: t.update(x=[])),
+    ("glue", lambda t: t["x"].update(support=[["(1,0)"]])),
+    ("glue", lambda t: t.update(anchor=5)),
+    ("glue", lambda t: t.update(subshift=[])),
+    ("glue", lambda t: t.update(s_prime="x")),
+    ("glue", lambda t: t.update(max_query_length=[])),
+    ("cocycle", lambda p: p.update(rate="x")),
+    ("cocycle", lambda p: p["generators"][0].update(window="w")),
+    ("cocycle", lambda p: p.update(generators=5)),
+], ids=["R", "x", "support-entry", "anchor", "subshift", "s_prime",
+        "max_query_length", "rate", "window", "generators"])
+def test_wrongly_typed_input_value_exits_2(tmp_path, capsys, command, edit):
+    out = str(tmp_path / "out.json")
+    if command == "glue":
+        spec = _edited_task(tmp_path, edit)
+        argv = ["subshift", "glue", "--group", "z^2", "--spec", str(spec), "--out", out]
+    else:
+        spec = _edited_spec(tmp_path, edit)
+        argv = ["cocycle", "untwist", "--group", "z^2", "--spec", str(spec), "--out", out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(spec) in err
+    assert not os.path.exists(out)
+
+
+def test_bad_element_in_task_keeps_group_error_message(tmp_path, capsys):
+    spec = _edited_task(tmp_path, lambda t: t.update(anchor="(1,0,0)"))
+    assert main(["subshift", "glue", "--group", "z^2", "--spec", str(spec),
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == "error: expected 2 coordinates in '(1,0,0)'\n"
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    out = tmp_path / "ball.csv"
+    assert main(["--config", str(cfg), "ball", "--group", "z^2",
+                 "--radius", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(cfg) in err
+    assert not out.exists()
+
+
+def test_max_elements_defaults_to_the_metric_budget():
+    from untwist.cli import build_parser
+    from untwist.groups import DEFAULT_METRIC_BUDGET
+
+    for argv in (["ball", "--group", "z", "--radius", "1", "--out", "b.csv"],
+                 ["divergence", "--group", "z", "--nmax", "4", "--out", "d"]):
+        assert build_parser().parse_args(argv).max_elements == DEFAULT_METRIC_BUDGET
+
+
+def test_divergence_heisenberg_nmax_8_within_a_million_elements(tmp_path):
+    out = tmp_path / "divh"
+    assert main(["divergence", "--group", "heisenberg", "--nmax", "8", "--seed", "7",
+                 "--max-elements", "1000000", "--out", str(out)]) == 0
+    rows = read(out / "divergence.csv").splitlines()[2:]
+    golden = read(os.path.join(GOLDEN, "divergence_heisenberg.csv")).splitlines()[2:]
+    assert [row.split(",")[0] for row in rows] == [str(n) for n in range(2, 9)]
+    assert rows[:len(golden)] == golden
+
+
 def test_untwist_corrupted_spec_exits_1(tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
     with open(SPEC_RELPATH, "r", encoding="utf-8") as fh:

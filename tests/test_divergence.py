@@ -140,7 +140,7 @@ def test_heisenberg_avoidant_paths_match_oracle(window):
         q = make_query(group, a, b, c, window, metric)
         if q.forbidden_radius < 2:
             continue
-        result = avoidant_shortest_path(q, table)
+        result = avoidant_shortest_path(q, metric)
         oracle = heisenberg_avoidant_length(a, b, c, q.forbidden_radius, window)
         assert result.length == oracle
         checked += 1
@@ -171,10 +171,9 @@ def test_window_monotonicity():
 
 def test_div_pair_adjacent_points():
     metric = WordMetric(Z2)
-    table = enumerate_ball(Z2, 12)
     rng = random.Random(0)
-    obstacles = default_obstacles(Z2, (0, 0), (1, 0), table, rng, metric, 6)
-    pair = div_pair(Z2, (0, 0), (1, 0), obstacles, 12, table, metric)
+    obstacles = default_obstacles(Z2, (0, 0), (1, 0), 12, rng, metric, 6)
+    pair = div_pair(Z2, (0, 0), (1, 0), obstacles, 12, metric)
     assert pair.value == 1.0
 
 
@@ -183,9 +182,8 @@ def test_div_pair_axis_values_in_band():
     rng = random.Random(7)
     for n in (6, 9, 12, 14):
         a, b = (-n, 0), (n, 0)
-        table = enumerate_ball(Z2, 4 * n)
-        obstacles = default_obstacles(Z2, a, b, table, rng, metric, 10)
-        pair = div_pair(Z2, a, b, obstacles, 4 * n, table, metric)
+        obstacles = default_obstacles(Z2, a, b, 4 * n, rng, metric, 10)
+        pair = div_pair(Z2, a, b, obstacles, 4 * n, metric)
         assert 3 * n - 8 <= pair.value <= 3 * n + 8
         assert pair.witness_c is not None
 
@@ -218,6 +216,42 @@ def test_div_function_heisenberg_small_scale_finite():
     rows = div_function(DiscreteHeisenberg(), 4, window_factor=3, seed=5,
                         sample_budget=4, pairs_per_n=1)
     assert rows and all(math.isfinite(r.value) for r in rows)
+
+
+def test_div_function_enumerates_from_scratch_once(monkeypatch):
+    import untwist.groups as groups
+
+    enumerate_ball = groups.enumerate_ball
+    starts = []
+
+    def counting(group, radius, max_elements=None, start=None):
+        starts.append(start)
+        return enumerate_ball(group, radius, max_elements, start)
+
+    monkeypatch.setattr(groups, "enumerate_ball", counting)
+    div_function(Z2, 12, seed=7)
+    assert sum(start is None for start in starts) == 1
+
+
+def test_div_function_metric_grows_only_as_far_as_asked(monkeypatch):
+    import untwist.groups as groups
+
+    enumerate_ball = groups.enumerate_ball
+    length = groups.WordMetric.length
+    radii, answers = [], [0]
+
+    def recording_ball(group, radius, max_elements=None, start=None):
+        radii.append(radius)
+        return enumerate_ball(group, radius, max_elements, start)
+
+    def recording_length(self, g):
+        answers.append(length(self, g))
+        return answers[-1]
+
+    monkeypatch.setattr(groups, "enumerate_ball", recording_ball)
+    monkeypatch.setattr(groups.WordMetric, "length", recording_length)
+    rows = div_function(DiscreteHeisenberg(), 4, seed=7)
+    assert max(radii) == max(max(r.window_radius for r in rows), max(answers))
 
 
 def test_classify_growth_synthetic():

@@ -167,6 +167,52 @@ def test_resource_limit_reports_last_radius():
     assert 0 <= info.value.last_complete_radius < 50
 
 
+@pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
+def test_resumed_enumeration_equals_fresh(group):
+    radius = 6 if isinstance(group, DiscreteHeisenberg) else 5
+    fresh = enumerate_ball(group, radius)
+    for split in range(radius + 1):
+        start = enumerate_ball(group, split)
+        resumed = enumerate_ball(group, radius, start=start)
+        assert resumed is not start and resumed.radius == radius
+        assert resumed.lengths is start.lengths  # extended in place
+        assert list(resumed.lengths.items()) == list(fresh.lengths.items())
+        assert resumed.parents == fresh.parents
+    if isinstance(group, DiscreteHeisenberg):
+        assert fresh.lengths == heisenberg_lengths(radius)
+
+
+def test_resource_limit_in_resumed_growth_keeps_complete_layers():
+    heis = DiscreteHeisenberg()
+    metric = WordMetric(heis, max_elements=len(enumerate_ball(heis, 7)) + 10)
+    assert metric.length((0, 0, 1)) == 4
+    with pytest.raises(ResourceLimit) as info:
+        metric.table(9)
+    assert info.value.last_complete_radius == 7
+    fresh = enumerate_ball(heis, 7)
+    table = metric.table(4)
+    assert list(table.lengths.items()) == list(fresh.lengths.items())
+    assert table.parents == fresh.parents
+    for g, length in heisenberg_lengths(7).items():
+        assert metric.length(g) == length
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 9])
+def test_word_metric_grows_exactly_to_the_length_asked(k):
+    metric = WordMetric(DiscreteHeisenberg())
+    length = metric.length((0, 0, k))
+    assert length == heisenberg_lengths(length)[(0, 0, k)]
+    assert metric.table(0).radius == length
+    assert max(metric.table(0).lengths.values()) == length
+
+
+def test_within_stops_at_the_first_longer_element():
+    table = enumerate_ball(IntegerLattice(2), 6)
+    for radius in range(7):
+        assert list(table.within(radius)) == [g for g, length in table.lengths.items()
+                                              if length <= radius]
+
+
 def test_product_length_is_sum():
     group = DirectProduct(IntegerLattice(2), InfiniteCyclic())
     table = enumerate_ball(group, 4)
