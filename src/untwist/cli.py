@@ -33,7 +33,6 @@ from .groups import (
     OutOfRange,
     ResourceLimit,
     WordMetric,
-    enumerate_ball,
     parse_group,
 )
 from .invariants import build_profile, sdt_partial_sum
@@ -90,7 +89,7 @@ def _ensure_dir(path):
 
 def cmd_ball(args) -> int:
     group = parse_group(args.group)
-    table = enumerate_ball(group, args.radius, args.max_elements)
+    table = WordMetric(group, args.max_elements).table(args.radius)
     config = _echo(args, ("group", "radius"))
     rows = sorted(
         ((group.format_elem(g), length) for g, length in table.lengths.items()),
@@ -103,7 +102,7 @@ def cmd_ball(args) -> int:
 def cmd_invariants(args) -> int:
     group = parse_group(args.group)
     g = group.parse_elem(args.element)
-    profile = build_profile(group, g, args.radius, args.max_elements)
+    profile = build_profile(WordMetric(group, args.max_elements), g, args.radius)
     out = _ensure_dir(args.out)
     config = _echo(args, ("group", "element", "radius"))
     config["generating_set"] = group.generating_set_description()
@@ -227,7 +226,7 @@ def _load_subshift(group, obj):
 
 def cmd_subshift(args) -> int:
     group = parse_group(args.group)
-    metric = WordMetric(group)
+    metric = WordMetric(group, args.max_elements)
     with _decoding(args.spec) as spec_obj:
         shift = _load_subshift(group, spec_obj["subshift"])
         x = Configuration.from_jsonable(group, spec_obj["x"])
@@ -274,7 +273,8 @@ def cmd_subshift(args) -> int:
 def cmd_cocycle(args) -> int:
     group = parse_group(args.group)
     with _decoding(args.spec) as spec_obj:
-        spec = cocycle_spec_from_jsonable(spec_obj, group)
+        spec = cocycle_spec_from_jsonable(spec_obj, group,
+                                          WordMetric(group, args.max_elements))
     rng = seeded_rng(args.seed)
     metric = spec.metric
     samples = [

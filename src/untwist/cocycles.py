@@ -14,6 +14,7 @@ import itertools
 import math
 import statistics
 from dataclasses import dataclass
+from functools import reduce
 
 from .groups import Group, WordMetric, parse_group
 from .shifts import Configuration, glue, homoclinic_agreement_radius
@@ -145,16 +146,13 @@ class CocycleSpec:
 
     def evaluate_word(self, labels, x: Configuration):
         """Cocycle value along an explicit generator word (left-to-right)."""
-        group, target = self.group, self.target
         factors = []
         state = x
-        for lab in reversed(labels):
-            factors.append(self.maps[lab].value(state))
-            state = state.translate(group.gen(lab))
-        acc = target.identity
-        for h in reversed(factors):
-            acc = target.mul(acc, h)
-        return acc
+        for k in range(len(labels) - 1, -1, -1):
+            factors.append(self.maps[labels[k]].value(state))
+            if k:
+                state = state.translate(self.group.gen(labels[k]))
+        return reduce(self.target.mul, reversed(factors), self.target.identity)
 
     def evaluate(self, g, x: Configuration):
         """Cocycle value at g along the canonical geodesic word."""
@@ -230,22 +228,20 @@ def partial_product(spec: CocycleSpec, g, x: Configuration, y: Configuration,
     px = target.identity
     py = target.identity
     cx, cy = x, y
-    if start == 1:
-        cx, cy = cx.translate(step), cy.translate(step)
-    for _ in range(count):
+    for j in range(start, start + count):
+        if j:
+            cx, cy = cx.translate(step), cy.translate(step)
         fx = spec.evaluate(g, cx)
         fy = spec.evaluate(g, cy)
         if invert:
             fx, fy = target.inv(fx), target.inv(fy)
         px = target.mul(px, fx)
         py = target.mul(py, fy)
-        cx, cy = cx.translate(step), cy.translate(step)
     return target.mul(px, target.inv(py))
 
 
 def holonomy(spec: CocycleSpec, g, x: Configuration, y: Configuration,
-             epsilon: float = 1e-8, sign: str = "+",
-             max_factors: int = 1_000_000):
+             epsilon: float = 1e-8, sign: str = "+"):
     """Holonomy limit between homoclinic points, with a certified tail.
 
     Returns (value, certificate); the certificate's tail bound dominates the
@@ -272,7 +268,7 @@ def holonomy(spec: CocycleSpec, g, x: Configuration, y: Configuration,
     n = 1
     while c_prime * bound.tail(r, n) >= epsilon:
         n *= 2
-        if n > max_factors:
+        if n > 1_000_000:
             raise CocycleError(
                 "tail cannot be certified below epsilon within the factor budget"
             )
@@ -540,8 +536,8 @@ def homomorphism_cocycle(group: Group, target: TargetGroup, values: dict,
 
 def coboundary_cocycle(group: Group, target: TargetGroup, values: dict,
                        potential: BlockMap, alphabet, background=0,
-                       rate: float = 0.5, metric: WordMetric | None = None,
-                       tabulate_limit: int = 16384) -> CocycleSpec:
+                       rate: float = 0.5,
+                       metric: WordMetric | None = None) -> CocycleSpec:
     """Twist of a homomorphism by a potential:
     c(s, x) = b(s.x)^-1 * phi(s) * b(x), a cocycle for any block map b."""
     metric = metric or WordMetric(group)
@@ -570,8 +566,8 @@ def coboundary_cocycle(group: Group, target: TargetGroup, values: dict,
 
         bm = BlockMap(target, cells, window, fn=fn,
                       diameter_bound=2.0 * potential.diameter_bound)
-        if len(alphabet) ** len(cells) <= tabulate_limit:
-            bm = bm.tabulated(alphabet, tabulate_limit)
+        if len(alphabet) ** len(cells) <= 16384:
+            bm = bm.tabulated(alphabet)
         maps[label] = bm
     return CocycleSpec(group, target, alphabet, background, maps, rate, metric)
 
@@ -650,10 +646,10 @@ def corrupted_spec(spec: CocycleSpec, label: str, pattern_index: int,
 # Serialisation
 # ---------------------------------------------------------------------------
 
-def cocycle_spec_to_jsonable(spec: CocycleSpec, tabulate_limit: int = 65536) -> dict:
+def cocycle_spec_to_jsonable(spec: CocycleSpec) -> dict:
     generators = []
     for label, _ in spec.group.gens:
-        bm = spec.maps[label].tabulated(spec.alphabet, tabulate_limit)
+        bm = spec.maps[label].tabulated(spec.alphabet)
         generators.append({
             "label": label,
             "window": bm.window,

@@ -204,7 +204,6 @@ class DivergenceRow:
 
 def div_function(group: Group, n_max: int, *, window_factor: int = 4,
                  sample_budget: int = 10, pairs_per_n: int = 2, seed: int = 0,
-                 n_min: int = 2, rng=None,
                  max_elements: int = DEFAULT_METRIC_BUDGET):
     """Sampled divergence function: for each n, the best pair with d(a,b) <= n.
 
@@ -213,12 +212,11 @@ def div_function(group: Group, n_max: int, *, window_factor: int = 4,
     """
     import random
 
-    if rng is None:
-        rng = random.Random(seed)
+    rng = random.Random(seed)
     metric = WordMetric(group, max_elements)
     rows = []
     best_so_far = None
-    for n in range(n_min, n_max + 1):
+    for n in range(2, n_max + 1):
         window_radius = window_factor * n
         table = metric.table(window_radius)
         pairs = [_axis_pair(group, n)]

@@ -772,9 +772,9 @@ DEFAULT_METRIC_BUDGET = 5_000_000
 class WordMetric:
     """Exact word lengths, distances and canonical geodesics for one model.
 
-    Keeps a single ball table, grown in place one BFS layer at a time and only
-    as far as a query needs; geodesics are stable because BFS order does not
-    depend on where the search resumed.
+    The package's only owner of ball tables: keeps a single one, grown in
+    place one BFS layer at a time and only as far as a query needs; geodesics
+    are stable because BFS order does not depend on where the search resumed.
     """
 
     def __init__(self, group: Group, max_elements: int = DEFAULT_METRIC_BUDGET):
@@ -788,15 +788,18 @@ class WordMetric:
                                          start=self._table)
         return self._table
 
-    def length(self, g) -> int:
+    def length(self, g, limit: int | None = None) -> int | None:
+        """Exact word length, or None when it exceeds limit.  Without a closed
+        form the table grows a layer at a time, never past limit."""
         self.group.validate(g)
-        exact = self.group.exact_length(g)
-        if exact is not None:
-            return exact
-        table = self.table(0)
-        while (found := table.length(g)) is None:
-            table = self.table(table.radius + 1)
-        return found
+        found = self.group.exact_length(g)
+        if found is None:
+            table = self.table(0)
+            while (found := table.length(g)) is None:
+                if limit is not None and table.radius >= limit:
+                    return None
+                table = self.table(table.radius + 1)
+        return found if limit is None or found <= limit else None
 
     def distance(self, g, h) -> int:
         return self.length(self.group.mul(self.group.inv(g), h))

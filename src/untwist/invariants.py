@@ -1,8 +1,8 @@
 """Distortion and compression profiles of cyclic subgroups, translation
 numbers, and geometric-series summability of compressions.
 
-All values are exact on a certified range derived from a complete ball
-table; outside that range the API raises OutOfRange instead of
+All values are exact on a certified range derived from exact word lengths
+up to a radius; outside that range the API raises OutOfRange instead of
 extrapolating.  Real arguments use the conventions forced by the
 definitions: distortion is constant on [n, n+1), compression on (n-1, n].
 """
@@ -18,7 +18,6 @@ from .groups import (
     LengthLowerBound,
     OutOfRange,
     WordMetric,
-    enumerate_ball,
 )
 
 
@@ -44,21 +43,20 @@ class PowerLengthTable:
         return self.entries[-1][0]
 
 
-def power_lengths(group: Group, g, radius: int,
-                  max_elements: int | None = None) -> PowerLengthTable:
+def power_lengths(metric: WordMetric, g, radius: int) -> PowerLengthTable:
     """Mark the powers of g inside the ball of the given radius.
 
     The scan over exponents stops once the certified lower bound exceeds the
     radius, which guarantees that *every* power of length <= radius is found.
     """
+    group = metric.group
     require_infinite_order(group, g)
     bound = group.compression_lower_bound(g)
-    table = enumerate_ball(group, radius, max_elements)
     entries = []
     j = 1
     p = g
     while bound.value(j) <= radius:
-        length = table.length(p)
+        length = metric.length(p, radius)
         if length is not None:
             entries.append((j, length))
         j += 1
@@ -89,15 +87,12 @@ class CompressionProfile:
         self.j_max = table.j_max
         # Suffix minima over the recorded powers: powers missing from the
         # table have length > radius and can never achieve the minimum.
+        lengths = dict(table.entries)
         self._rho = {}
-        best = None
-        for j, length in reversed(table.entries):
-            best = length if best is None else min(best, length)
-            self._rho[j] = best
-        for i in range(1, self.j_max + 1):
-            if i not in self._rho:
-                nxt = min(j for j in self._rho if j >= i)
-                self._rho[i] = self._rho[nxt]
+        best = math.inf
+        for i in range(self.j_max, 0, -1):
+            best = min(best, lengths.get(i, math.inf))
+            self._rho[i] = best
         for i in range(1, self.j_max + 1):
             if lower_bound.value(i) > self._rho[i]:
                 raise GroupError(
@@ -154,10 +149,9 @@ class CompressionProfile:
         return translation_number(self.table, self.lower_bound)
 
 
-def build_profile(group: Group, g, radius: int,
-                  max_elements: int | None = None) -> CompressionProfile:
-    table = power_lengths(group, g, radius, max_elements)
-    return CompressionProfile(table, group.compression_lower_bound(g))
+def build_profile(metric: WordMetric, g, radius: int) -> CompressionProfile:
+    table = power_lengths(metric, g, radius)
+    return CompressionProfile(table, metric.group.compression_lower_bound(g))
 
 
 @dataclass(frozen=True)
@@ -252,14 +246,15 @@ class ConjugationCheck:
         return self.min_slack >= 0
 
 
-def conjugation_compression_check(group: Group, g, t, radius: int,
-                                  max_elements: int | None = None) -> ConjugationCheck:
+def conjugation_compression_check(metric: WordMetric, g, t,
+                                  radius: int) -> ConjugationCheck:
+    group = metric.group
     require_infinite_order(group, g)
     group.validate(t)
     conj = group.mul(group.mul(t, g), group.inv(t))
-    prof_g = build_profile(group, g, radius, max_elements)
-    prof_c = build_profile(group, conj, radius, max_elements)
-    t_length = WordMetric(group).length(t)
+    prof_g = build_profile(metric, g, radius)
+    prof_c = build_profile(metric, conj, radius)
+    t_length = metric.length(t)
     top = min(prof_g.j_max, prof_c.j_max)
     if top < 1:
         raise OutOfRange("radius too small for a shared exact range")

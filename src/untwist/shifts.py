@@ -213,8 +213,8 @@ class ConeParams:
     """
 
     def __init__(self, group: Group, anchor, radius_R: int,
-                 profile: CompressionProfile, s_prime: float = 1.0,
-                 t_prime: float = 0.0, metric: WordMetric | None = None):
+                 profile: CompressionProfile, s_prime: float, t_prime: float,
+                 metric: WordMetric):
         if radius_R < 0:
             raise ContractError("cone radius parameter must be >= 0")
         if s_prime < 1.0 or t_prime < 0.0:
@@ -226,7 +226,7 @@ class ConeParams:
         self.profile = profile
         self.s_prime = s_prime
         self.t_prime = t_prime
-        self.metric = metric or WordMetric(group)
+        self.metric = metric
         self.anchor_length = self.metric.length(anchor)
         self.lower_bound = profile.lower_bound
         self._powers = {0: group.identity}
@@ -252,7 +252,7 @@ class ConeParams:
             deepest = (4 * (max_query_length + radius_R)) // (3 * slope) + 2
             profile_radius = max(4 * radius_R + 2 * anchor_length,
                                  anchor_length * deepest, 4)
-        profile = build_profile(group, anchor, profile_radius)
+        profile = build_profile(metric, anchor, profile_radius)
         return cls(group, anchor, radius_R, profile, s_prime, t_prime, metric)
 
     def _power(self, j: int):
@@ -301,8 +301,7 @@ class GlueResult:
     minus_agrees: bool  # y matches x' on the whole - cone
 
 
-def glue(x: Configuration, x_prime: Configuration, params: ConeParams,
-         check: bool = True) -> GlueResult:
+def glue(x: Configuration, x_prime: Configuration, params: ConeParams) -> GlueResult:
     """Splice two homoclinic configurations along the anchor cones.
 
     The output copies x on the + cone, x' on the - cone, and is background
@@ -334,13 +333,11 @@ def glue(x: Configuration, x_prime: Configuration, params: ConeParams,
                 )
             support[cell] = sym
     y = x._derive(support)
-    plus_ok = minus_ok = True
-    if check:
-        plus_ok = all(not params.cone_contains(c, "+") for c in x.differing_cells(y))
-        minus_ok = all(not params.cone_contains(c, "-") for c in x_prime.differing_cells(y))
-        if not (plus_ok and minus_ok):
-            raise AssertionError(
-                "glued configuration fails a cone agreement check; "
-                "the specification constants s', t' are too small"
-            )
+    plus_ok = all(not params.cone_contains(c, "+") for c in x.differing_cells(y))
+    minus_ok = all(not params.cone_contains(c, "-") for c in x_prime.differing_cells(y))
+    if not (plus_ok and minus_ok):
+        raise AssertionError(
+            "glued configuration fails a cone agreement check; "
+            "the specification constants s', t' are too small"
+        )
     return GlueResult(y, params.specification_ball_radius(), plus_ok, minus_ok)

@@ -244,6 +244,63 @@ def test_max_elements_defaults_to_the_metric_budget():
         assert build_parser().parse_args(argv).max_elements == DEFAULT_METRIC_BUDGET
 
 
+def test_cocycle_untwist_honours_max_elements(tmp_path, capsys):
+    from untwist import DiscreteHeisenberg, RealVector, homomorphism_cocycle
+    from untwist.cocycles import cocycle_spec_to_jsonable
+
+    spec = homomorphism_cocycle(DiscreteHeisenberg(), RealVector(2),
+                                {"a": (1.0, 0.0), "b": (0.0, 1.0)}, (0, 1))
+    path = tmp_path / "heis.json"
+    path.write_text(dumps(cocycle_spec_to_jsonable(spec)))
+    argv = ["cocycle", "untwist", "--group", "heisenberg", "--spec", str(path),
+            "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 0
+    assert main(argv + ["--max-elements", "3"]) == 2
+    assert "exceeded 3 elements" in capsys.readouterr().err
+
+
+def test_subshift_glue_honours_max_elements(tmp_path, capsys):
+    task = {
+        "anchor": "a", "R": 1, "max_query_length": 4,
+        "subshift": {"kind": "full", "alphabet": [0, 1]},
+        "x": {"alphabet": [0, 1], "background": 0, "support": [["(3,0,0)", 1]]},
+        "x_prime": {"alphabet": [0, 1], "background": 0,
+                    "support": [["(-3,0,0)", 1]]},
+    }
+    spec = tmp_path / "task.json"
+    spec.write_text(json.dumps(task))
+    assert main(["subshift", "glue", "--group", "heisenberg", "--spec", str(spec),
+                 "--max-elements", "100", "--out", str(tmp_path / "glue.json")]) == 2
+    assert "exceeded 100 elements" in capsys.readouterr().err
+
+
+def test_subshift_glue_on_z2_enumerates_no_ball(tmp_path, monkeypatch):
+    import sys
+
+    import untwist.groups as groups
+
+    original, calls = groups.enumerate_ball, []
+    # Patch every module that bound the function, not only its home.
+    modules = [m for name, m in sys.modules.items() if name.startswith("untwist")]
+    for module in modules:
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, lambda *a, **k: calls.append(a))
+    task = {
+        "anchor": "(1,0)", "R": 2,
+        "subshift": {"kind": "golden_mean", "alphabet": [0, 1],
+                     "families": [["(0,0)", "(1,0)"], ["(0,0)", "(0,1)"]]},
+        "x": {"alphabet": [0, 1], "background": 0, "support": [["(15,0)", 1]]},
+        "x_prime": {"alphabet": [0, 1], "background": 0,
+                    "support": [["(-15,0)", 1]]},
+    }
+    spec = tmp_path / "task.json"
+    spec.write_text(json.dumps(task))
+    assert main(["subshift", "glue", "--group", "z^2", "--spec", str(spec),
+                 "--out", str(tmp_path / "glue.json")]) == 0
+    assert calls == []
+
+
 def test_divergence_heisenberg_nmax_8_within_a_million_elements(tmp_path):
     out = tmp_path / "divh"
     assert main(["divergence", "--group", "heisenberg", "--nmax", "8", "--seed", "7",

@@ -206,6 +206,44 @@ def test_word_metric_grows_exactly_to_the_length_asked(k):
     assert max(metric.table(0).lengths.values()) == length
 
 
+@pytest.mark.parametrize("limit", [0, 3, 6, 8])
+def test_bounded_length_never_grows_past_its_limit(limit):
+    metric = WordMetric(DiscreteHeisenberg())
+    oracle = heisenberg_lengths(10)
+    for k in range(1, 7):
+        length = oracle[(0, 0, k)]
+        found = metric.length((0, 0, k), limit)
+        assert found == (length if length <= limit else None)
+        assert metric.table(0).radius <= limit
+    # A table grown past the limit for another caller answers within it.
+    metric.length((0, 0, 6))
+    grown = metric.table(0).radius
+    for k in range(1, 7):
+        length = oracle[(0, 0, k)]
+        assert metric.length((0, 0, k), limit) == (length if length <= limit else None)
+    assert metric.table(0).radius == grown
+
+
+@pytest.mark.parametrize("group", [m for m in MODELS
+                                   if not isinstance(m, DiscreteHeisenberg)],
+                         ids=lambda g: g.name)
+def test_closed_form_length_builds_no_table(group, monkeypatch):
+    import untwist.groups as groups
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed-form length enumerated a ball")
+
+    monkeypatch.setattr(groups, "enumerate_ball", refuse)
+    metric = WordMetric(group)
+    rng = random.Random(3)
+    for _ in range(20):
+        g = random_element(group, rng)
+        length = group.exact_length(g)
+        assert metric.length(g) == length
+        assert metric.length(g, length) == length
+        assert metric.length(g, length - 1) is None
+
+
 def test_within_stops_at_the_first_longer_element():
     table = enumerate_ball(IntegerLattice(2), 6)
     for radius in range(7):
