@@ -390,21 +390,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(args):
     """Override parsed flags with the keys of the JSON file args.config; each
-    key must be an argument of the chosen subcommand, of that argument's type."""
+    key must name an argument of the subcommand and fit its type and choices."""
     with open(args.config, "r", encoding="utf-8") as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise InputError(f"{args.config}: top level must be a JSON object, "
                          f"got {type(overrides).__name__}")
-    types = {a.dest: a.type or str for a in args.subparser._actions}
+    actions = {a.dest: a for a in args.subparser._actions}
     for key, value in overrides.items():
-        if key not in types or key == "help":
+        if key not in actions or key == "help":
             raise InputError(f"{args.config}: unknown key {key!r} for {args.command}")
-        expected = types[key]
+        expected = actions[key].type or str
         allowed = (int, float) if expected is float else expected
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise InputError(f"{args.config}: key {key!r} needs a "
                              f"{expected.__name__}, got {value!r}")
+        choices = actions[key].choices
+        if choices is not None and value not in choices:
+            raise InputError(f"{args.config}: key {key!r} must be one of "
+                             f"{', '.join(map(str, choices))}, got {value!r}")
         setattr(args, key, value)
 
 

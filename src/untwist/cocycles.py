@@ -78,18 +78,17 @@ class BlockMap:
         base = values[0]
         return 2.0 * max(self.target.dist(base, v) for v in values)
 
-    def apply(self, symbol_at):
-        """Evaluate on any cell -> symbol lookup."""
-        pattern = tuple(symbol_at(c) for c in self.cells)
-        if self.table is not None:
-            try:
-                return self.table[pattern]
-            except KeyError:
-                raise CocycleError(f"pattern {pattern!r} missing from table") from None
-        return self.fn(pattern)
+    def lookup(self, pattern):
+        """Value on a symbol tuple over self.cells."""
+        if self.table is None:
+            return self.fn(pattern)
+        try:
+            return self.table[pattern]
+        except KeyError:
+            raise CocycleError(f"pattern {pattern!r} missing from table") from None
 
     def value(self, x: Configuration):
-        return self.apply(x.symbol_at)
+        return self.lookup(tuple(x.symbol_at(c) for c in self.cells))
 
     def tabulated(self, alphabet, limit: int = 65536) -> "BlockMap":
         """Materialise an explicit table over all patterns (exact diameter)."""
@@ -546,12 +545,6 @@ def coboundary_cocycle(group: Group, target: TargetGroup, values: dict,
     cells = canonical_cells(metric, window)
     index = {c: i for i, c in enumerate(cells)}
 
-    def potential_value(pattern, positions):
-        sub = tuple(pattern[i] for i in positions)
-        if potential.table is not None:
-            return potential.table[sub]
-        return potential.fn(sub)
-
     maps = {}
     for label, s in group.gens:
         phi_s = _value_for_label(group, target, values, label)
@@ -560,8 +553,8 @@ def coboundary_cocycle(group: Group, target: TargetGroup, values: dict,
         shifted = tuple(index[group.mul(s_inv, c)] for c in potential.cells)
 
         def fn(pattern, phi_s=phi_s, here=here, shifted=shifted):
-            b_x = potential_value(pattern, here)
-            b_sx = potential_value(pattern, shifted)
+            b_x = potential.lookup(tuple(pattern[i] for i in here))
+            b_sx = potential.lookup(tuple(pattern[i] for i in shifted))
             return target.mul(target.inv(b_sx), target.mul(phi_s, b_x))
 
         bm = BlockMap(target, cells, window, fn=fn,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .groups import Group, WordMetric
+from .groups import Group, OutOfRange, WordMetric
 from .invariants import CompressionProfile, build_profile
 
 
@@ -63,9 +63,12 @@ class Configuration:
         mul = self.group.mul
         return self._derive({mul(h, cell): sym for cell, sym in self.support.items()})
 
-    def differing_cells(self, other: "Configuration"):
+    def _check_space(self, other: "Configuration"):
         if (self.alphabet, self.background) != (other.alphabet, other.background):
             raise ContractError("configurations live in different shift spaces")
+
+    def differing_cells(self, other: "Configuration"):
+        self._check_space(other)
         cells = set(self.support) | set(other.support)
         return sorted(
             (c for c in cells if self.symbol_at(c) != other.symbol_at(c)),
@@ -228,8 +231,6 @@ class ConeParams:
         self.t_prime = t_prime
         self.metric = metric
         self.anchor_length = self.metric.length(anchor)
-        self.lower_bound = profile.lower_bound
-        self._powers = {0: group.identity}
 
     @classmethod
     def create(cls, group: Group, anchor, radius_R: int,
@@ -255,32 +256,26 @@ class ConeParams:
         profile = build_profile(metric, anchor, profile_radius)
         return cls(group, anchor, radius_R, profile, s_prime, t_prime, metric)
 
-    def _power(self, j: int):
-        if j not in self._powers:
-            prev = self._power(j - 1) if j > 0 else self._power(j + 1)
-            step = self.anchor if j > 0 else self.group.inv(self.anchor)
-            self._powers[j] = self.group.mul(prev, step)
-        return self._powers[j]
-
     def piece_radius(self, j: int) -> int:
         """floor(rho(j)/4) + R for the j-th cone piece."""
         return self.profile.quarter_floor(j) + self.R
 
     def cone_contains(self, k, sign: str) -> bool:
-        """Whether k lies in the union of the signed cone pieces."""
+        """Whether k lies in the union of the signed cone pieces; walks
+        a^(-+j) k for j = 0, 1, ... by one fixed left multiplication per step."""
         if sign not in ("+", "-"):
             raise ContractError("sign must be '+' or '-'")
         group = self.group
-        length = self.metric.length(k)
+        step = group.inv(self.anchor) if sign == "+" else self.anchor
+        reach = 4 * (self.metric.length(k) + self.R)
+        point = k
         j = 0
-        while True:
-            hat = self.lower_bound.value(j)
-            if 3 * hat > 4 * (length + self.R):
-                return False
-            power = self._power(-j if sign == "+" else j)
-            if self.metric.length(group.mul(power, k)) <= self.piece_radius(j):
+        while 3 * self.profile.lower_bound.value(j) <= reach:
+            if self.metric.length(point) <= self.piece_radius(j):
                 return True
+            point = group.mul(step, point)
             j += 1
+        return False
 
     def overlap_window_bound(self) -> int:
         """Radius certified to contain the intersection of the two cones."""
@@ -310,31 +305,37 @@ def glue(x: Configuration, x_prime: Configuration, params: ConeParams) -> GlueRe
     is the certified sufficient condition, and any input pair whose
     differences avoid both cones simultaneously is accepted.
     """
-    if x.group is not params.group:
+    group = params.group
+    if x.group is not group or x_prime.group is not group:
         raise ContractError("configurations and cone data use different groups")
-    for cell in x.differing_cells(x_prime):
-        if params.cone_contains(cell, "+") and params.cone_contains(cell, "-"):
-            raise ContractError(
-                "inputs disagree at "
-                f"{params.group.format_elem(cell)} inside the cone overlap; "
-                "they must agree on the ball of radius "
-                f"{params.specification_ball_radius()}"
-            )
+    x._check_space(x_prime)
+    plus, minus = set(), set()  # x, x' and y are background off both supports
+    for cell in x.support.keys() | x_prime.support.keys():
+        try:
+            if params.cone_contains(cell, "+"):
+                plus.add(cell)
+            if params.cone_contains(cell, "-"):
+                minus.add(cell)
+        except OutOfRange as exc:
+            raise OutOfRange(
+                f"cone query at {group.format_elem(cell)} of word length "
+                f"{params.metric.length(cell)}: {exc}; raise max_query_length"
+            ) from None
+    bad = [c for c in plus & minus if x.symbol_at(c) != x_prime.symbol_at(c)]
+    if bad:
+        raise ContractError(
+            f"inputs disagree at {group.format_elem(min(bad, key=group.format_elem))} "
+            "inside the cone overlap; they must agree on the ball of radius "
+            f"{params.specification_ball_radius()}"
+        )
     support = {}
-    for cell, sym in x.support.items():
-        if params.cone_contains(cell, "+"):
-            support[cell] = sym
-    for cell, sym in x_prime.support.items():
-        if params.cone_contains(cell, "-"):
-            if cell in support and support[cell] != sym:
-                raise AssertionError(
-                    "cone overlap inconsistency after the agreement check; "
-                    "the specification constants s', t' are too small"
-                )
+    for cell in plus | minus:
+        sym = x.symbol_at(cell) if cell in plus else x_prime.symbol_at(cell)
+        if sym != x.background:
             support[cell] = sym
     y = x._derive(support)
-    plus_ok = all(not params.cone_contains(c, "+") for c in x.differing_cells(y))
-    minus_ok = all(not params.cone_contains(c, "-") for c in x_prime.differing_cells(y))
+    plus_ok = all(y.symbol_at(c) == x.symbol_at(c) for c in plus)
+    minus_ok = all(y.symbol_at(c) == x_prime.symbol_at(c) for c in minus)
     if not (plus_ok and minus_ok):
         raise AssertionError(
             "glued configuration fails a cone agreement check; "

@@ -104,3 +104,40 @@ def l1_ball_size(dimension_2_radius):
     """Closed-form count of the L1 ball in Z^2."""
     n = dimension_2_radius
     return 2 * n * n + 2 * n + 1
+
+
+def z2_mul(p, q):
+    return (p[0] + q[0], p[1] + q[1])
+
+
+def l1_length(p):
+    return abs(p[0]) + abs(p[1])
+
+
+def l1_ball(radius):
+    """Cells of Z^2 with |x| + |y| <= radius."""
+    return [(x, y) for x in range(-radius, radius + 1)
+            for y in range(abs(x) - radius, radius - abs(x) + 1)]
+
+
+def cone_cells(region, step, radius_R, j_max, mul, length, ball):
+    """Cells of region in the union over j >= 0 of step^j * B(floor(rho(j)/4) + R).
+
+    rho(j) is the suffix minimum of l(step^i) over j <= i <= j_max, exact
+    when no power past j_max is shorter than step^j_max; ball(m) lists the
+    elements of word length <= m.  A piece reaches no closer to the identity
+    than 3*rho(j)/4 - R, so the pieces past j_max miss region when the
+    assertion below holds."""
+    (identity,) = ball(0)
+    powers = [identity]
+    for _ in range(j_max):
+        powers.append(mul(powers[-1], step))
+    rho = [length(p) for p in powers]
+    for j in range(j_max - 1, -1, -1):
+        rho[j] = min(rho[j], rho[j + 1])
+    region = set(region)
+    assert 3 * rho[j_max] > 4 * (max(map(length, region)) + radius_R), "raise j_max"
+    inside = set()
+    for j in range(j_max + 1):
+        inside |= {mul(powers[j], b) for b in ball(rho[j] // 4 + radius_R)} & region
+    return inside

@@ -224,6 +224,34 @@ def test_bad_element_in_task_keeps_group_error_message(tmp_path, capsys):
     assert capsys.readouterr().err == "error: expected 2 coordinates in '(1,0,0)'\n"
 
 
+def test_config_value_outside_choices_exits_2(tmp_path, capsys):
+    spec = _edited_task(tmp_path, lambda t: None)
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out.json"
+    argv = ["--config", str(cfg), "subshift", "glue", "--group", "z^2",
+            "--spec", str(spec), "--out", str(out)]
+    cfg.write_text(json.dumps({"mode": "bogus"}))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'mode'" in err and "glue, check" in err
+    assert not out.exists()
+    cfg.write_text(json.dumps({"mode": "check"}))
+    assert main(argv) == 0
+    assert json.loads(read(out))["member"] is True
+
+
+def test_cone_query_past_the_profile_names_cell_and_setting(tmp_path, capsys):
+    spec = _edited_task(tmp_path, lambda t: t.update(
+        max_query_length=10,
+        x={"alphabet": [0, 1], "background": 0, "support": [["(40,0)", 1]]},
+        x_prime={"alphabet": [0, 1], "background": 0, "support": []}))
+    assert main(["subshift", "glue", "--group", "z^2", "--spec", str(spec),
+                 "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cone query at (40,0) of word length 40:")
+    assert "max_query_length" in err
+
+
 def test_config_file_must_hold_an_object(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from untwist import (
+    BlockMap,
     CocycleError,
     ConeParams,
     Configuration,
@@ -599,3 +600,9 @@ def test_spec_json_roundtrip_discrete():
     rng = seeded_rng(25)
     for x in sample_configs(rng, 5):
         assert rebuilt.evaluate((1, 1), x) == spec.evaluate((1, 1), x)
+
+
+def test_coboundary_of_a_table_missing_a_pattern_is_cocycle_error():
+    potential = BlockMap(R1, [(0, 0)], 0, table={(0,): (0.0,)})
+    with pytest.raises(CocycleError, match="missing from table"):
+        coboundary_cocycle(Z2, R1, PHI_R1, potential, A, metric=METRIC)

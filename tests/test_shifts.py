@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -19,6 +20,9 @@ from untwist import (
     parse_group,
 )
 from untwist.sampling import pair_agreeing_on_ball, random_configuration, seeded_rng
+
+from oracles import (cone_cells, heisenberg_inv, heisenberg_lengths, heisenberg_mul,
+                     l1_ball, l1_length, z2_mul)
 
 Z2 = IntegerLattice(2)
 METRIC = WordMetric(Z2)
@@ -170,6 +174,39 @@ def test_heisenberg_cone_needs_profile_radius():
     assert params.cone_contains((0, 0, 0), "+")
 
 
+def z2_cone_oracle(region, anchor, sign, R):
+    step = anchor if sign == "+" else (-anchor[0], -anchor[1])
+    j_max = 2 * (max(map(l1_length, region)) + R) + 2
+    return cone_cells(region, step, R, j_max, z2_mul, l1_length, l1_ball)
+
+
+@pytest.mark.parametrize("anchor", [(1, 0), (1, 1), (2, -1)])
+@pytest.mark.parametrize("R", [0, 1, 2, 4])
+def test_z2_cone_membership_matches_oracle(anchor, R):
+    region = l1_ball(10)
+    params = make_params(R, anchor=anchor, L=10)
+    for sign in "+-":
+        inside = z2_cone_oracle(region, anchor, sign, R)
+        assert {c for c in region if params.cone_contains(c, sign)} == inside
+
+
+@pytest.mark.parametrize("R", [0, 1, 2])
+def test_heisenberg_cone_membership_matches_oracle(R):
+    heis = DiscreteHeisenberg()
+    anchor = heis.parse_elem("a")
+    lengths = heisenberg_lengths(12)
+    region = [g for g, d in lengths.items() if d <= 5]
+    params = ConeParams.create(heis, anchor, R, metric=WordMetric(heis),
+                               max_query_length=5)
+
+    def ball(m):
+        return [g for g, d in lengths.items() if d <= m]
+
+    for sign, step in (("+", anchor), ("-", heisenberg_inv(anchor))):
+        inside = cone_cells(region, step, R, 12, heisenberg_mul, lengths.__getitem__, ball)
+        assert {c for c in region if params.cone_contains(c, sign)} == inside
+
+
 # -- gluing ----------------------------------------------------------------------
 
 def test_glue_identical_inputs():
@@ -223,6 +260,63 @@ def test_glue_accepts_pairs_agreeing_on_spec_ball():
                 assert not params.cone_contains(cell, "+")
             for cell in xp.differing_cells(result.y):
                 assert not params.cone_contains(cell, "-")
+
+
+def test_glue_matches_oracle_splice():
+    rng = seeded_rng(31)
+    for R in (0, 2, 4):
+        params = make_params(R, L=80)
+        N = params.specification_ball_radius()
+        for _ in range(10):
+            x, xp = pair_agreeing_on_ball(Z2, METRIC, A, rng, N, shell=6)
+            region = set(x.support) | set(xp.support)
+            plus = z2_cone_oracle(region, (1, 0), "+", R)
+            minus = z2_cone_oracle(region, (1, 0), "-", R)
+            expected = {c: x.symbol_at(c) for c in plus}
+            expected.update({c: xp.symbol_at(c) for c in minus - plus})
+            assert glue(x, xp, params).y == cfg(expected)
+
+
+def test_glue_asks_each_cone_once_per_support_cell(monkeypatch):
+    calls = []
+    original = ConeParams.cone_contains
+
+    def counted(self, k, sign):
+        calls.append((k, sign))
+        return original(self, k, sign)
+
+    monkeypatch.setattr(ConeParams, "cone_contains", counted)
+    rng = seeded_rng(5)
+    params = make_params(2, L=80)
+    for _ in range(5):
+        x, xp = pair_agreeing_on_ball(Z2, METRIC, A, rng,
+                                      params.specification_ball_radius())
+        calls.clear()
+        glue(x, xp, params)
+        assert len(calls) <= 2 * len(set(x.support) | set(xp.support))
+
+
+def test_glue_refuses_inputs_from_other_groups_or_shift_spaces():
+    params = make_params(2)
+    x = cfg({(5, 0): 1})
+    other_group = Configuration(IntegerLattice(2), A, 0, {(-5, 0): 1})
+    with pytest.raises(ContractError, match="different groups"):
+        glue(x, other_group, params)
+    with pytest.raises(ContractError, match="different groups"):
+        glue(other_group, x, params)
+    with pytest.raises(ContractError, match="different shift spaces"):
+        glue(x, cfg({(-5, 0): 1}, alphabet=A3), params)
+
+
+def test_glue_overlap_error_names_the_least_disagreeing_cell():
+    params = make_params(2)
+    cells = l1_ball(4) + [(20, 0)]
+    overlap = [c for c in cells
+               if params.cone_contains(c, "+") and params.cone_contains(c, "-")]
+    assert len(overlap) >= 2 and (20, 0) not in overlap
+    least = min(overlap, key=Z2.format_elem)
+    with pytest.raises(ContractError, match=f"disagree at {re.escape(Z2.format_elem(least))} "):
+        glue(cfg(dict.fromkeys(cells, 1)), cfg({}), params)
 
 
 def test_glue_output_is_finitely_supported_and_composed():
