@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import statistics
 from dataclasses import dataclass
 from functools import reduce
 
@@ -495,6 +494,8 @@ def holder_modulus(transfer: TransferTable, pairs_by_N: dict) -> HolderModulusRe
     points = [(row.agreement_radius, math.log(row.max_distance))
               for row in rows if row.max_distance > zero_floor]
     if len(points) >= 2:
+        import statistics  # with decimal and fractions, ~0.5 MB: load only for a fit
+
         fit = statistics.linear_regression([p[0] for p in points],
                                            [p[1] for p in points])
         rate = math.exp(fit.slope)

@@ -12,9 +12,8 @@ the whole group (currently: the rank-one lattice with an interior obstacle).
 from __future__ import annotations
 
 import math
-import statistics
-from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .groups import (
     DEFAULT_METRIC_BUDGET,
@@ -79,7 +78,13 @@ def _certified_disconnection(query: DivergenceQuery) -> bool:
 
 def avoidant_shortest_path(query: DivergenceQuery,
                            metric: WordMetric | None = None) -> PathSearchResult:
-    """Exact shortest path from a to b inside the window, off the obstacle."""
+    """Exact shortest path from a to b inside the window, off the obstacle.
+
+    A* towards b under the heuristic L(b^-1 g) of Group.length_lower_bound:
+    L <= l and one generator step moves it by at most 1, so the heuristic is
+    admissible and consistent and the first time b leaves the heap its
+    distance is the breadth-first one.
+    """
     group = query.group
     window = query.window_radius
     table = (metric or WordMetric(group)).table(window)
@@ -88,38 +93,52 @@ def avoidant_shortest_path(query: DivergenceQuery,
         if length is None or length > window:
             raise GroupError("query points must lie inside the window ball")
 
-    # The open ball c*B(r-1) translates the head of the table, which lists
-    # elements layer by layer; make_query keeps r <= window - 2.
-    if query.forbidden_radius > window + 1:
+    # h lies in the open ball c*B(r-1) iff l(c^-1 h) < r; the table holds
+    # complete layers up to the window, so an element it misses is longer
+    # than r - 1 as long as r <= window + 1 (make_query keeps r <= window - 2).
+    radius = query.forbidden_radius
+    if radius > window + 1:
         raise GroupError("forbidden ball reaches outside the window table")
-    forbidden = {group.mul(query.c, u) for u in table.within(query.forbidden_radius - 1)}
-    if query.a in forbidden or query.b in forbidden:
+    lengths = table.lengths
+    mul = group._mul
+    c_inv = group.inv(query.c)
+
+    def forbidden(h):
+        k = lengths.get(mul(c_inv, h))
+        return k is not None and k < radius
+
+    a, b = query.a, query.b
+    if forbidden(a) or forbidden(b):
         raise GroupError("endpoint inside the forbidden ball; radius formula violated")
 
-    if query.a == query.b:
-        return PathSearchResult(FINITE, 0, (query.a,))
-    dist = {query.a: 0}
+    b_inv = group.inv(b)
+    bound = group.length_lower_bound
+    gens = [s for _, s in group.gens]
+    dist = {a: 0}
     parent = {}
-    frontier = deque([query.a])
-    lengths = table.lengths
-    while frontier:
-        g = frontier.popleft()
-        for _, s in group.gens:
-            h = group.mul(g, s)
-            if h in dist or h in forbidden:
-                continue
+    heap = [(bound(mul(b_inv, a)), 0, a)]
+    while heap:
+        _, neg_d, g = heappop(heap)
+        d = -neg_d
+        if d > dist[g]:
+            continue  # a stale entry: g was reached more cheaply since
+        if g == b:
+            path = [g]
+            while path[-1] != a:
+                path.append(parent[path[-1]])
+            path.reverse()
+            return PathSearchResult(FINITE, d, tuple(path))
+        d += 1
+        for s in gens:
+            h = mul(g, s)
+            if dist.get(h, d + 1) <= d:
+                continue  # already reached at least as cheaply
             length = lengths.get(h)
-            if length is None or length > window:
+            if length is None or length > window or forbidden(h):
                 continue
-            dist[h] = dist[g] + 1
+            dist[h] = d
             parent[h] = g
-            if h == query.b:
-                path = [h]
-                while path[-1] != query.a:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return PathSearchResult(FINITE, dist[h], tuple(path))
-            frontier.append(h)
+            heappush(heap, (d + bound(mul(b_inv, h)), -d, h))
     if _certified_disconnection(query):
         return PathSearchResult(INFINITE)
     return PathSearchResult(WINDOW_DISCONNECTED)
@@ -173,16 +192,22 @@ def geodesic_points(group: Group, a, b, metric: WordMetric):
     return points
 
 
-def default_obstacles(group: Group, a, b, window_radius: int, rng,
-                      metric: WordMetric, sample_budget: int = 10):
-    """Obstacles on a geodesic between the endpoints plus seeded window samples."""
+def default_obstacles(group: Group, a, b, window, rng, metric: WordMetric,
+                      sample_budget: int = 10):
+    """Obstacles on a geodesic between the endpoints plus seeded window samples.
+
+    window lists the window ball in BFS order; each sample is drawn from it
+    with a and b left out, by stepping the drawn index past their positions.
+    """
     obstacles = [p for p in geodesic_points(group, a, b, metric) if p not in (a, b)]
-    pool = [g for g in metric.table(window_radius).within(window_radius)
-            if g not in (a, b)]
-    for _ in range(sample_budget):
-        if not pool:
-            break
-        obstacles.append(pool[rng.randrange(len(pool))])
+    skip = sorted(window.index(p) for p in {a, b} if p in window)
+    size = len(window) - len(skip)
+    for _ in range(sample_budget if size else 0):
+        i = rng.randrange(size)
+        for p in skip:
+            if i >= p:
+                i += 1
+        obstacles.append(window[i])
     seen = set()
     unique = []
     for c in obstacles:
@@ -212,6 +237,11 @@ def div_function(group: Group, n_max: int, *, window_factor: int = 4,
     """
     import random
 
+    for name, value, least in (("nmax", n_max, 2), ("window_factor", window_factor, 1),
+                               ("pairs_per_n", pairs_per_n, 1),
+                               ("sample_budget", sample_budget, 0)):
+        if value < least:
+            raise GroupError(f"{name} must be >= {least}, got {value}")
     rng = random.Random(seed)
     metric = WordMetric(group, max_elements)
     rows = []
@@ -220,12 +250,17 @@ def div_function(group: Group, n_max: int, *, window_factor: int = 4,
         window_radius = window_factor * n
         table = metric.table(window_radius)
         pairs = [_axis_pair(group, n)]
-        for _ in range(max(0, pairs_per_n - 1)):
+        for _ in range(pairs_per_n - 1):
             pairs.append(_random_pair(group, n, table, rng))
+        # All draws come before any search, which draws nothing, so the RNG
+        # sequence is the per-pair one; the window list is gone before the
+        # searches grow the metric's table.
+        window = list(table.within(window_radius))
+        obstacle_sets = [default_obstacles(group, a, b, window, rng, metric,
+                                           sample_budget) for a, b in pairs]
+        del window
         best_row = None
-        for a, b in pairs:
-            obstacles = default_obstacles(group, a, b, window_radius, rng, metric,
-                                          sample_budget)
+        for (a, b), obstacles in zip(pairs, obstacle_sets):
             pair = div_pair(group, a, b, obstacles, window_radius, metric)
             if best_row is None or pair.value > best_row.value:
                 best_row = DivergenceRow(n, pair.value, a, b, pair.witness_c,
@@ -276,6 +311,8 @@ class GrowthFit:
 
 
 def classify_growth(ns, values) -> GrowthFit:
+    import statistics  # with decimal and fractions, ~0.5 MB: load only for a fit
+
     pairs = [(n, v) for n, v in zip(ns, values)
              if math.isfinite(v) and v > 0 and n > 0]
     if len(pairs) < 4:

@@ -12,6 +12,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import takewhile
+from operator import add
 
 
 class GroupError(ValueError):
@@ -162,6 +163,11 @@ class Group(ABC):
     def mul(self, a, b):
         ...
 
+    def _mul(self, a, b):
+        """Product without the structural check of mul, for the package's own
+        loops over elements they derived themselves."""
+        return self.mul(a, b)
+
     @abstractmethod
     def inv(self, a):
         ...
@@ -186,6 +192,12 @@ class Group(ABC):
     def exact_length(self, a) -> int | None:
         """Closed-form word length, or None when only BFS can answer."""
         return None
+
+    def length_lower_bound(self, g) -> int:
+        """A bound L(g) <= l(g) that right multiplication by a generator moves
+        by at most 1; so L(b^-1 g) is a consistent A* heuristic towards b."""
+        found = self.exact_length(g)
+        return 0 if found is None else found
 
     def defining_relation_word_pairs(self):
         """Pairs of generator words with equal products (cocycle sanity checks)."""
@@ -286,7 +298,12 @@ class IntegerLattice(Group):
         d = self.dimension
         if len(a) != d or len(b) != d:
             raise GroupError("element does not belong to this lattice model")
-        return tuple(x + y for x, y in zip(a, b))
+        return self._mul(a, b)
+
+    def _mul(self, a, b):
+        if self.dimension == 2:
+            return (a[0] + b[0], a[1] + b[1])
+        return tuple(map(add, a, b))
 
     def inv(self, a):
         if len(a) != self.dimension:
@@ -382,11 +399,14 @@ class DiscreteHeisenberg(Group):
 
     def mul(self, a, b):
         try:
-            x, y, z = a
-            X, Y, Z = b
-            return (x + X, y + Y, z + Z + x * Y)
+            return self._mul(a, b)
         except (TypeError, ValueError):
             raise GroupError("element does not belong to the Heisenberg model") from None
+
+    def _mul(self, a, b):
+        x, y, z = a
+        X, Y, Z = b
+        return (x + X, y + Y, z + Z + x * Y)
 
     def inv(self, a):
         try:
@@ -397,6 +417,10 @@ class DiscreteHeisenberg(Group):
 
     def validate(self, a):
         _as_int_tuple(a, 3)
+
+    def length_lower_bound(self, g):
+        # Each generator moves x or y by one.
+        return abs(g[0]) + abs(g[1])
 
     def format_elem(self, a):
         return "(" + ",".join(str(v) for v in a) + ")"
@@ -561,6 +585,9 @@ class DirectProduct(Group):
             raise GroupError("element does not belong to this product model") from None
         return (self.left.mul(al, bl), self.right.mul(ar, br))
 
+    def _mul(self, a, b):
+        return (self.left._mul(a[0], b[0]), self.right._mul(a[1], b[1]))
+
     def inv(self, a):
         try:
             al, ar = a
@@ -592,6 +619,9 @@ class DirectProduct(Group):
                 return (self.left.parse_elem(body[:i]),
                         self.right.parse_elem(body[i + 1:]))
         raise GroupError(f"no top-level '|' separator in {s!r}")
+
+    def length_lower_bound(self, g):
+        return self.left.length_lower_bound(g[0]) + self.right.length_lower_bound(g[1])
 
     def exact_length(self, a):
         ll = self.left.exact_length(a[0])
@@ -743,11 +773,12 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None,
     top = lengths[next(reversed(lengths))]
     tail = takewhile(lambda item: item[1] == top, reversed(lengths.items()))
     frontier = [g for g, _ in tail][::-1]
+    mul, gens = group._mul, group.gens
     for layer in range(top, radius):
         nxt = []
         for g in frontier:
-            for label, s in group.gens:
-                h = group.mul(g, s)
+            for label, s in gens:
+                h = mul(g, s)
                 if h not in lengths:
                     lengths[h] = layer + 1
                     parents[h] = label

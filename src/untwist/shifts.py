@@ -273,7 +273,7 @@ class ConeParams:
         while 3 * self.profile.lower_bound.value(j) <= reach:
             if self.metric.length(point) <= self.piece_radius(j):
                 return True
-            point = group.mul(step, point)
+            point = group._mul(step, point)
             j += 1
         return False
 

@@ -160,7 +160,8 @@ def test_criterion_4_divergence():
         for n in range(6, 15):
             a, b = (-n, 0), (n, 0)
             window = 4 * n
-            obstacles = default_obstacles(Z2, a, b, window, rng, METRIC2, 10)
+            ball = list(METRIC2.table(window).within(window))
+            obstacles = default_obstacles(Z2, a, b, ball, rng, METRIC2, 10)
             pair = div_pair(Z2, a, b, obstacles, window, METRIC2)
             assert 3 * n - 8 <= pair.value <= 3 * n + 8
             assert pair.value / n <= 4.0

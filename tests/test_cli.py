@@ -65,6 +65,29 @@ def test_divergence_z_marks_infinite(tmp_path):
     assert any(line.startswith("12,inf") for line in rows)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--nmax", "1"], "nmax must be >= 2, got 1"),
+    (["--nmax", "6", "--window-factor", "0"], "window_factor must be >= 1, got 0"),
+    (["--nmax", "6", "--pairs-per-n", "0"], "pairs_per_n must be >= 1, got 0"),
+    (["--nmax", "6", "--sample-budget", "-1"], "sample_budget must be >= 0, got -1"),
+], ids=["nmax", "window_factor", "pairs_per_n", "sample_budget"])
+def test_divergence_parameter_out_of_range_exits_2(tmp_path, capsys, flags, message):
+    out = tmp_path / "div"
+    assert main(["divergence", "--group", "z^2", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_divergence_parameter_from_config_is_checked(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nmax": -2}))
+    out = tmp_path / "div"
+    assert main(["--config", str(cfg), "divergence", "--group", "z^2",
+                 "--nmax", "6", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: nmax must be >= 2, got -2\n"
+    assert not out.exists()
+
+
 def test_subshift_glue_and_check(tmp_path):
     task = {
         "anchor": "(1,0)", "R": 2,

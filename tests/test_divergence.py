@@ -172,9 +172,23 @@ def test_window_monotonicity():
 def test_div_pair_adjacent_points():
     metric = WordMetric(Z2)
     rng = random.Random(0)
-    obstacles = default_obstacles(Z2, (0, 0), (1, 0), 12, rng, metric, 6)
+    window = list(metric.table(12).within(12))
+    obstacles = default_obstacles(Z2, (0, 0), (1, 0), window, rng, metric, 6)
     pair = div_pair(Z2, (0, 0), (1, 0), obstacles, 12, metric)
     assert pair.value == 1.0
+
+
+@pytest.mark.parametrize("a, b", [((0, 0), (1, 0)), ((3, -2), (0, 0)),
+                                  ((5, 5), (0, 1)), ((2, 2), (2, 2))])
+def test_obstacle_samples_match_a_pool_without_the_endpoints(a, b):
+    metric = WordMetric(Z2)
+    window = list(metric.table(6).within(6))
+    obstacles = default_obstacles(Z2, a, b, window, random.Random(3), metric, 40)
+    rng = random.Random(3)
+    pool = [g for g in window if g not in (a, b)]
+    samples = [pool[rng.randrange(len(pool))] for _ in range(40)]
+    geodesic = [p for p in geodesic_points(Z2, a, b, metric) if p not in (a, b)]
+    assert obstacles == list(dict.fromkeys(geodesic + samples))
 
 
 def test_div_pair_axis_values_in_band():
@@ -182,10 +196,78 @@ def test_div_pair_axis_values_in_band():
     rng = random.Random(7)
     for n in (6, 9, 12, 14):
         a, b = (-n, 0), (n, 0)
-        obstacles = default_obstacles(Z2, a, b, 4 * n, rng, metric, 10)
+        window = list(metric.table(4 * n).within(4 * n))
+        obstacles = default_obstacles(Z2, a, b, window, rng, metric, 10)
         pair = div_pair(Z2, a, b, obstacles, 4 * n, metric)
         assert 3 * n - 8 <= pair.value <= 3 * n + 8
         assert pair.witness_c is not None
+
+
+def recorded_queries(monkeypatch, group, n_max, **kwargs):
+    """Every (query, result) pair the searches of one div_function run give."""
+    import untwist.divergence as divergence
+
+    search = divergence.avoidant_shortest_path
+    seen = []
+
+    def recording(query, metric=None):
+        seen.append((query, search(query, metric)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(divergence, "avoidant_shortest_path", recording)
+    div_function(group, n_max, **kwargs)
+    monkeypatch.undo()
+    return seen
+
+
+def oracle_outcome(result):
+    assert result.outcome in (FINITE, WINDOW_DISCONNECTED)
+    return result.length if result.outcome == FINITE else None
+
+
+@pytest.mark.parametrize("seed", [0, 101])
+def test_every_z2_divergence_query_matches_grid_oracle(monkeypatch, seed):
+    seen = recorded_queries(monkeypatch, Z2, 12, seed=seed)
+    assert len(seen) > 100
+    for q, result in seen:
+        expected = grid_avoidant_length(q.a, q.b, q.c, q.forbidden_radius,
+                                        q.window_radius)
+        assert oracle_outcome(result) == expected, q
+
+
+def test_every_heisenberg_divergence_query_matches_oracle(monkeypatch):
+    seen = recorded_queries(monkeypatch, DiscreteHeisenberg(), 4, window_factor=2,
+                            seed=0)
+    checked = [(q, result) for q, result in seen if q.window_radius in (6, 8)]
+    assert len(checked) > 40
+    assert any(q.forbidden_radius >= 2 for q, _ in checked)
+    for q, result in checked:
+        expected = heisenberg_avoidant_length(q.a, q.b, q.c, q.forbidden_radius,
+                                              q.window_radius)
+        assert oracle_outcome(result) == expected, q
+
+
+def test_search_takes_a_tenth_of_the_breadth_first_steps():
+    # A breadth-first search over this query takes 4,704 generator steps
+    # g*s before it reaches b; the avoidant path has length 26.
+    group = IntegerLattice(2)
+    metric = WordMetric(group)
+    query = make_query(group, (-10, 0), (10, 0), (0, 0), 40, metric)
+    metric.table(40)
+    gens = {s for _, s in group.gens}
+    steps = []
+    for name in ("mul", "_mul"):
+        product = getattr(group, name)
+
+        def counting(a, b, product=product):
+            if b in gens:
+                steps.append(a)
+            return product(a, b)
+
+        setattr(group, name, counting)
+    result = avoidant_shortest_path(query, metric)
+    assert result.length == 26
+    assert len(steps) < 4704 / 10
 
 
 def test_geodesic_points_cover_segment():

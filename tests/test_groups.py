@@ -161,6 +161,24 @@ def test_generation_witnesses(group):
         assert table.length(elem) <= rad
 
 
+@pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
+def test_unchecked_product_equals_checked(group):
+    for g in enumerate_ball(group, 4).lengths:
+        for _, s in group.gens:
+            assert group._mul(g, s) == group.mul(g, s)
+
+
+@pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
+def test_length_lower_bound_is_a_consistent_heuristic(group):
+    lengths = enumerate_ball(group, 4).lengths
+    bound = group.length_lower_bound
+    assert any(bound(g) for g in lengths)
+    for g, length in lengths.items():
+        assert 0 <= bound(g) <= length
+        for _, s in group.gens:
+            assert abs(bound(group.mul(g, s)) - bound(g)) <= 1
+
+
 def test_resource_limit_reports_last_radius():
     with pytest.raises(ResourceLimit) as info:
         enumerate_ball(IntegerLattice(2), 50, max_elements=40)
