@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .groups import Group, WordMetric, parse_group
-from .shifts import Configuration, glue, homoclinic_agreement_radius
+from .shifts import Configuration, glue
 from .targets import TargetGroup, describe_target, target_from_description
 
 
@@ -122,6 +122,15 @@ class CocycleSpec:
         missing = labels - set(self.maps)
         if missing:
             raise CocycleError(f"missing generator block maps: {sorted(missing)}")
+        # The continuity constants below and the holonomy cut-off both take a
+        # map's cells to lie in the ball of its declared window.
+        for lab, bm in self.maps.items():
+            for c in bm.cells:
+                if self.metric.length(c, limit=bm.window) is None:
+                    raise CocycleError(
+                        f"block map for generator {lab!r}: cell "
+                        f"{group.format_elem(c)} has length {self.metric.length(c)}, "
+                        f"outside its window {bm.window}")
         # Continuity constants: a window-w map moves by at most its range
         # diameter, and agreement on B(n >= w) pins it, so D * r^-w works.
         self.constant_by_label = {
@@ -131,6 +140,7 @@ class CocycleSpec:
         self.holder_constant = max(self.constant_by_label.values())
         self._background_config = Configuration(group, self.alphabet, background, {})
         self._word_cache = {}
+        self._read_cache = {}
 
     def background_config(self) -> Configuration:
         return self._background_config
@@ -152,15 +162,36 @@ class CocycleSpec:
                 state = state.translate(self.group.gen(labels[k]))
         return reduce(self.target.mul, reversed(factors), self.target.identity)
 
-    def evaluate(self, g, x: Configuration):
-        """Cocycle value at g along the canonical geodesic word."""
-        if g == self.group.identity:
-            return self.target.identity
+    def _word(self, g):
         word = self._word_cache.get(g)
         if word is None:
             word = self.metric.geodesic_word(g)
             self._word_cache[g] = word
-        return self.evaluate_word(word, x)
+        return word
+
+    def evaluate(self, g, x: Configuration):
+        """Cocycle value at g along the canonical geodesic word."""
+        if g == self.group.identity:
+            return self.target.identity
+        return self.evaluate_word(self._word(g), x)
+
+    def _read_set(self, g):
+        """(W_g, radius): the cells evaluate(g, .) reads, and their largest length.
+
+        Along the word s_1...s_m the k-th factor reads (s_{k+1}...s_m).x on
+        cells(s_k), that is x on (s_{k+1}...s_m)^-1 . cells(s_k).
+        """
+        found = self._read_cache.get(g)
+        if found is None:
+            group = self.group
+            cells = set()
+            suffix_inv = group.identity
+            for label in reversed(self._word(g)):
+                cells.update(group._mul(suffix_inv, c) for c in self.maps[label].cells)
+                suffix_inv = group._mul(suffix_inv, group.inv(group.gen(label)))
+            radius = max((self.metric.length(c) for c in cells), default=0)
+            found = self._read_cache[g] = (frozenset(cells), radius)
+        return found
 
 
 def relation_consistency(spec: CocycleSpec, samples, element_pairs=()) -> float:
@@ -238,6 +269,32 @@ def partial_product(spec: CocycleSpec, g, x: Configuration, y: Configuration,
     return target.mul(px, target.inv(py))
 
 
+def _differing_factor_count(spec: CocycleSpec, g, differing, agreement: int,
+                            bound, n: int, sign: str) -> int:
+    """Least m <= n such that the x and y factors agree at every j >= m.
+
+    Factor j reads x on step^-j . W_g (step = g for '+', g^-1 for '-'), so it
+    can differ only while step^j . D meets W_g.  Since l(step^j d) >=
+    l(g^j) - l(d) >= bound.value(j) - agreement for d in D, no later factor
+    differs once bound.value(j) > agreement + radius(W_g).
+    """
+    group = spec.group
+    read, radius = spec._read_set(g)
+    limit = agreement + radius
+    mul = group._mul
+    step = g if sign == "+" else group.inv(g)
+    points = differing
+    count = 0
+    for j in range(n):
+        if bound.value(j) > limit:
+            break
+        if j:
+            points = [mul(step, p) for p in points]
+        if not read.isdisjoint(points):
+            count = j + 1
+    return count
+
+
 def holonomy(spec: CocycleSpec, g, x: Configuration, y: Configuration,
              epsilon: float = 1e-8, sign: str = "+"):
     """Holonomy limit between homoclinic points, with a certified tail.
@@ -245,6 +302,10 @@ def holonomy(spec: CocycleSpec, g, x: Configuration, y: Configuration,
     Returns (value, certificate); the certificate's tail bound dominates the
     distance from any longer truncation (and from the limit).  Discrete
     targets with epsilon < 1/2 therefore receive the exact limit.
+
+    The value is the truncation at the certificate's n_used, evaluated only up
+    to the last factor where x and y can differ: the later factor pairs are
+    equal, so their product cancels exactly.
     """
     group = spec.group
     if g == group.identity:
@@ -255,7 +316,8 @@ def holonomy(spec: CocycleSpec, g, x: Configuration, y: Configuration,
         cert = HolonomyCertificate(fmt, sign, 0, 0.0, 0, 0.0, spec.rate,
                                    bound.describe(), epsilon)
         return spec.target.identity, cert
-    agreement = homoclinic_agreement_radius(x, y, spec.metric)
+    differing = x.differing_cells(y)
+    agreement = max(spec.metric.length(c) for c in differing)
     C_g, r = spec.holder_constants(g)
     if C_g == 0.0:
         value = partial_product(spec, g, x, y, 1, sign)
@@ -271,7 +333,8 @@ def holonomy(spec: CocycleSpec, g, x: Configuration, y: Configuration,
                 "tail cannot be certified below epsilon within the factor budget"
             )
     tail = c_prime * bound.tail(r, n)
-    value = partial_product(spec, g, x, y, n, sign)
+    count = _differing_factor_count(spec, g, differing, agreement, bound, n, sign)
+    value = partial_product(spec, g, x, y, max(1, count), sign)
     cert = HolonomyCertificate(fmt, sign, n, tail, agreement, C_g, r,
                                bound.describe(), epsilon)
     return value, cert

@@ -44,7 +44,11 @@ class LengthLowerBound(ABC):
 
     @abstractmethod
     def value(self, j: int) -> int:
-        """Certified lower bound for the compression at j >= 0."""
+        """Certified lower bound for the compression at j >= 0.
+
+        Non-decreasing in j: cone_contains and the holonomy cut-off stop at
+        the first j whose value exceeds a radius, for every later j too.
+        """
 
     @abstractmethod
     def tail(self, r: float, n: int) -> float:
@@ -336,6 +340,8 @@ class IntegerLattice(Group):
 
     def exact_length(self, a):
         if not self.diagonal:
+            if self.dimension == 2:
+                return abs(a[0]) + abs(a[1])
             return sum(abs(v) for v in a)
         # One diagonal pair: k net diagonal steps plus axis corrections.
         lo = min(0, min(a))

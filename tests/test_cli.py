@@ -187,6 +187,16 @@ def test_cocycle_generator_without_window_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "'window'" in err and str(spec) in err
 
 
+def test_cocycle_cell_outside_its_window_exits_2(tmp_path, capsys):
+    spec = _edited_spec(tmp_path, lambda p: p["generators"][0].update(window=0))
+    out = tmp_path / "report.json"
+    assert main(["cocycle", "untwist", "--group", "z^2", "--spec", str(spec),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'x1+'" in err and "window 0" in err
+    assert not out.exists()
+
+
 def test_cocycle_unknown_target_exits_2(tmp_path, capsys):
     spec = _edited_spec(tmp_path,
                         lambda p: p.update(target={"kind": "quaternion"}))

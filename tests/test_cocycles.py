@@ -5,6 +5,7 @@ import pytest
 from untwist import (
     BlockMap,
     CocycleError,
+    CocycleSpec,
     ConeParams,
     Configuration,
     DiscreteHeisenberg,
@@ -348,6 +349,108 @@ def test_holonomy_distorted_anchor_with_positive_constants():
     assert cert.n_used > 64  # sqrt tails force deep truncation
 
 
+# -- finite-window cut-off ------------------------------------------------------------
+# holonomy evaluates its truncation only up to the last factor where x and y
+# can differ; partial_product at the certificate's n_used is the full
+# truncation and stays the independent route.  Dyadic and cyclic targets make
+# the two routes equal exactly.
+
+HEIS = DiscreteHeisenberg()
+HEIS_METRIC = WordMetric(HEIS)
+
+
+def heisenberg_cyclic_spec():
+    target = cyclic_group(5)
+    weights = {(0, 0, 0): 1, (1, 0, 0): 2, (0, 1, 0): 3}
+    potential = weighted_potential(HEIS, HEIS_METRIC, target, 1, weights, A)
+    return coboundary_cocycle(HEIS, target, {"a": 2, "b": 4}, potential, A,
+                              metric=HEIS_METRIC)
+
+
+CUT_OFF_CASES = [
+    ("z2-generator", lambda: coboundary_spec(), (1, 0), EPS, 6),
+    ("z2-diagonal", lambda: coboundary_spec(), (1, 1), EPS, 6),
+    ("heisenberg-a", heisenberg_cyclic_spec, (1, 0, 0), EPS, 4),
+    ("heisenberg-centre", heisenberg_cyclic_spec, (0, 0, 1), 0.25, 2),
+]
+
+
+@pytest.mark.parametrize("make_spec, anchor, epsilon, pairs",
+                         [case[1:] for case in CUT_OFF_CASES],
+                         ids=[case[0] for case in CUT_OFF_CASES])
+def test_holonomy_equals_the_full_truncation(make_spec, anchor, epsilon, pairs):
+    spec = make_spec()
+    rng = seeded_rng(31)
+    for _ in range(pairs):
+        x, y = random_homoclinic_pair(spec.group, spec.metric, A, rng,
+                                      max_radius=5)
+        for sign in "+-":
+            value, cert = holonomy(spec, anchor, x, y, epsilon, sign)
+            full = partial_product(spec, anchor, x, y, cert.n_used, sign)
+            assert value == full
+
+
+def test_heisenberg_centre_cut_off_runs_under_a_sqrt_bound():
+    spec = heisenberg_cyclic_spec()
+    bound = HEIS.compression_lower_bound((0, 0, 1))
+    assert bound.describe() == "sqrt(scale=1)"
+    x = Configuration(HEIS, A, 0, {(1, 0, 0): 1, (0, 1, 2): 1})
+    value, cert = holonomy(spec, (0, 0, 1), x, spec.background_config(), 0.25)
+    assert cert.n_used > 64
+    assert value == partial_product(spec, (0, 0, 1), x, spec.background_config(),
+                                    cert.n_used, "+")
+
+
+def read_patterns(spec, g, x):
+    """Symbols each block map reads along g's geodesic word, by translation."""
+    patterns = []
+    state = x
+    word = spec.metric.geodesic_word(g)
+    for k in range(len(word) - 1, -1, -1):
+        patterns.append(tuple(state.symbol_at(c) for c in spec.maps[word[k]].cells))
+        state = state.translate(spec.group.gen(word[k]))
+    return patterns
+
+
+def last_differing_factor(spec, g, x, y, n, sign):
+    """Last j in the truncation at n whose x and y factors read different
+    symbols (-1 when none does), by walking both orbits to n."""
+    group = spec.group
+    step, start = (g, 0) if sign == "+" else (group.inv(g), 1)
+    last = -1
+    cx, cy = x, y
+    for j in range(n):
+        if j >= start and read_patterns(spec, g, cx) != read_patterns(spec, g, cy):
+            last = j
+        cx, cy = cx.translate(step), cy.translate(step)
+    return last
+
+
+def test_holonomy_evaluates_no_factor_past_the_last_that_can_differ(monkeypatch):
+    # A planted coboundary like the untwist benchmark's: window-0 potential.
+    target = RealVector(2)
+    potential = weighted_potential(Z2, METRIC, target, 0, {(0, 0): (0.375, -0.5)}, A)
+    spec = coboundary_cocycle(Z2, target, {"x1+": (0.25, 0.125), "x2+": (-0.75, 1.0)},
+                              potential, A, metric=METRIC)
+    calls = []
+    evaluate = spec.evaluate
+    monkeypatch.setattr(spec, "evaluate", lambda g, x: calls.append(g) or evaluate(g, x))
+    rng = seeded_rng(32)
+    background = spec.background_config()
+    saved = 0
+    for _ in range(12):
+        x, y = random_homoclinic_pair(Z2, METRIC, A, rng)
+        for g, other in (((1, 0), background), ((0, 1), y)):
+            for sign in "+-":
+                calls.clear()
+                _, cert = holonomy(spec, g, x, other, EPS, sign)
+                last = last_differing_factor(spec, g, x, other, cert.n_used, sign)
+                assert len(calls) % 2 == 0
+                assert len(calls) // 2 <= max(1, last + 1)
+                saved += 2 * cert.n_used - len(calls)
+    assert saved > 0
+
+
 # -- specification decay -------------------------------------------------------------
 
 def test_specification_decay_bound_holds():
@@ -606,3 +709,19 @@ def test_coboundary_of_a_table_missing_a_pattern_is_cocycle_error():
     potential = BlockMap(R1, [(0, 0)], 0, table={(0,): (0.0,)})
     with pytest.raises(CocycleError, match="missing from table"):
         coboundary_cocycle(Z2, R1, PHI_R1, potential, A, metric=METRIC)
+
+
+def test_cell_outside_the_declared_window_is_cocycle_error():
+    # Cells of length 1 declared as window 0 would halve the continuity
+    # constant and understate every tail bound.
+    payload = cocycle_spec_to_jsonable(coboundary_spec())
+    payload["generators"][0]["window"] = 0
+    with pytest.raises(CocycleError,
+                       match=r"'x1\+'.*cell \(-1,0\) has length 1.*window 0"):
+        cocycle_spec_from_jsonable(payload)
+    maps = dict(hom_spec().maps)
+    maps["x2-"] = BlockMap(R1, [(0, 0), (2, 1)], 2,
+                           table={(a, b): (0.0,) for a in A for b in A})
+    with pytest.raises(CocycleError,
+                       match=r"'x2-'.*cell \(2,1\) has length 3.*window 2"):
+        CocycleSpec(Z2, R1, A, 0, maps, metric=METRIC)

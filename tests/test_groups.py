@@ -179,6 +179,18 @@ def test_length_lower_bound_is_a_consistent_heuristic(group):
             assert abs(bound(group.mul(g, s)) - bound(g)) <= 1
 
 
+@pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
+def test_compression_lower_bound_never_decreases(group):
+    rng = random.Random(5)
+    anchors = [g for g in enumerate_ball(group, 4).lengths if g != group.identity]
+    sample = rng.sample(anchors, min(12, len(anchors)))
+    if isinstance(group, DiscreteHeisenberg):
+        sample += [(0, 0, 1), (0, 0, -3)]  # central anchors: sqrt bounds
+    for g in sample:
+        values = [group.compression_lower_bound(g).value(j) for j in range(201)]
+        assert all(a <= b for a, b in zip(values, values[1:]))
+
+
 def test_resource_limit_reports_last_radius():
     with pytest.raises(ResourceLimit) as info:
         enumerate_ball(IntegerLattice(2), 50, max_elements=40)
