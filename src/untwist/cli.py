@@ -419,9 +419,11 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(args)
         return args.func(args)
+    except ResourceLimit as exc:
+        print(f"error: {exc}; raise --max-elements", file=sys.stderr)
+        return 2
     except (GroupError, ContractError, CocycleError, TargetError, InputError,
-            OutOfRange, ResourceLimit, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+            OutOfRange, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

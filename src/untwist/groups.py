@@ -424,10 +424,6 @@ class DiscreteHeisenberg(Group):
     def validate(self, a):
         _as_int_tuple(a, 3)
 
-    def length_lower_bound(self, g):
-        # Each generator moves x or y by one.
-        return abs(g[0]) + abs(g[1])
-
     def format_elem(self, a):
         return "(" + ",".join(str(v) for v in a) + ")"
 
@@ -446,6 +442,26 @@ class DiscreteHeisenberg(Group):
             return tuple(int(p) for p in parts)
         except ValueError:
             raise GroupError(f"cannot parse {s!r} as a Heisenberg triple") from None
+
+    def exact_length(self, a):
+        """Blachère's closed form (Word distance on the discrete Heisenberg
+        group, Colloq. Math. 95, 2003).  A word is a lattice path from 0 to
+        (x, y) with signed area z; symmetries reduce to 0 <= x <= y, z >= 0.
+        Monotone paths, of length x + y, reach every area up to x*y; a larger
+        area costs a box of width h >= y and height ceil(z/h) around it."""
+        x, y, z = a
+        if x < 0:  # a <-> A
+            x, z = -x, -z
+        if y < 0:  # b <-> B
+            y, z = -y, -z
+        if z < 0:  # g -> rot_pi(g^-1), which keeps the length
+            z = x * y - z
+        if x > y:  # a <-> b composed with the line above
+            x, y = y, x
+        if z <= x * y:
+            return x + y
+        h = max(y, math.isqrt(z - 1) + 1)  # max(y, ceil(sqrt(z)))
+        return 2 * (h - (-z // h)) - x - y
 
     def compression_lower_bound(self, g):
         self.validate(g)
@@ -626,9 +642,6 @@ class DirectProduct(Group):
                         self.right.parse_elem(body[i + 1:]))
         raise GroupError(f"no top-level '|' separator in {s!r}")
 
-    def length_lower_bound(self, g):
-        return self.left.length_lower_bound(g[0]) + self.right.length_lower_bound(g[1])
-
     def exact_length(self, a):
         ll = self.left.exact_length(a[0])
         rl = self.right.exact_length(a[1])
@@ -740,8 +753,11 @@ class BallTable:
 
     def within(self, radius):
         """Elements of length <= radius in BFS order; stops at the first longer one."""
+        lengths = self.lengths
+        if lengths[next(reversed(lengths))] <= radius:
+            return iter(lengths)
         return (g for g, _ in
-                takewhile(lambda item: item[1] <= radius, self.lengths.items()))
+                takewhile(lambda item: item[1] <= radius, lengths.items()))
 
     def geodesic_word(self, g):
         """Labels t1..tk with t1*...*tk = g and k = l(g); canonical per group."""

@@ -1,0 +1,10 @@
+"""A Heisenberg model that hides its closed-form word length, so every
+length comes from the word metric's BFS table.  Tests of how far a metric
+grows its one table use it; the real model answers lengths without one."""
+
+from untwist import DiscreteHeisenberg
+
+
+class TabledHeisenberg(DiscreteHeisenberg):
+    def exact_length(self, a):
+        return None

@@ -320,22 +320,15 @@ def test_cocycle_untwist_honours_max_elements(tmp_path, capsys):
     assert "exceeded 3 elements" in capsys.readouterr().err
 
 
-def test_subshift_glue_honours_max_elements(tmp_path, capsys):
-    task = {
-        "anchor": "a", "R": 1, "max_query_length": 4,
-        "subshift": {"kind": "full", "alphabet": [0, 1]},
-        "x": {"alphabet": [0, 1], "background": 0, "support": [["(3,0,0)", 1]]},
-        "x_prime": {"alphabet": [0, 1], "background": 0,
-                    "support": [["(-3,0,0)", 1]]},
-    }
-    spec = tmp_path / "task.json"
-    spec.write_text(json.dumps(task))
-    assert main(["subshift", "glue", "--group", "heisenberg", "--spec", str(spec),
-                 "--max-elements", "100", "--out", str(tmp_path / "glue.json")]) == 2
-    assert "exceeded 100 elements" in capsys.readouterr().err
+def test_ball_honours_max_elements(tmp_path, capsys):
+    assert main(["ball", "--group", "heisenberg", "--radius", "6",
+                 "--max-elements", "100", "--out", str(tmp_path / "b.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "exceeded 100 elements" in err and "--max-elements" in err
 
 
-def test_subshift_glue_on_z2_enumerates_no_ball(tmp_path, monkeypatch):
+def refuse_ball_enumeration(monkeypatch):
+    """Record, instead of running, every enumerate_ball call of the package."""
     import sys
 
     import untwist.groups as groups
@@ -347,6 +340,27 @@ def test_subshift_glue_on_z2_enumerates_no_ball(tmp_path, monkeypatch):
         for key, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, key, lambda *a, **k: calls.append(a))
+    return calls
+
+
+def test_subshift_glue_on_heisenberg_enumerates_no_ball(tmp_path, monkeypatch):
+    calls = refuse_ball_enumeration(monkeypatch)
+    task = {
+        "anchor": "a", "R": 1, "max_query_length": 4,
+        "subshift": {"kind": "full", "alphabet": [0, 1]},
+        "x": {"alphabet": [0, 1], "background": 0, "support": [["(3,0,0)", 1]]},
+        "x_prime": {"alphabet": [0, 1], "background": 0,
+                    "support": [["(-3,0,0)", 1]]},
+    }
+    spec = tmp_path / "task.json"
+    spec.write_text(json.dumps(task))
+    assert main(["subshift", "glue", "--group", "heisenberg", "--spec", str(spec),
+                 "--max-elements", "100", "--out", str(tmp_path / "glue.json")]) == 0
+    assert calls == []
+
+
+def test_subshift_glue_on_z2_enumerates_no_ball(tmp_path, monkeypatch):
+    calls = refuse_ball_enumeration(monkeypatch)
     task = {
         "anchor": "(1,0)", "R": 2,
         "subshift": {"kind": "golden_mean", "alphabet": [0, 1],

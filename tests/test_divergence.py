@@ -25,6 +25,7 @@ from untwist.divergence import (
 from untwist.groups import enumerate_ball
 
 from oracles import grid_avoidant_length, heisenberg_avoidant_length
+from tabled_heisenberg import TabledHeisenberg
 
 Z2 = IntegerLattice(2)
 Z = InfiniteCyclic()
@@ -315,25 +316,39 @@ def test_div_function_enumerates_from_scratch_once(monkeypatch):
     assert sum(start is None for start in starts) == 1
 
 
-def test_div_function_metric_grows_only_as_far_as_asked(monkeypatch):
+def recording_ball_radii(monkeypatch):
     import untwist.groups as groups
 
     enumerate_ball = groups.enumerate_ball
-    length = groups.WordMetric.length
-    radii, answers = [], [0]
+    radii = []
 
     def recording_ball(group, radius, max_elements=None, start=None):
         radii.append(radius)
         return enumerate_ball(group, radius, max_elements, start)
 
+    monkeypatch.setattr(groups, "enumerate_ball", recording_ball)
+    return radii
+
+
+def test_div_function_metric_grows_only_as_far_as_asked(monkeypatch):
+    import untwist.groups as groups
+
+    length = groups.WordMetric.length
+    radii, answers = recording_ball_radii(monkeypatch), [0]
+
     def recording_length(self, g):
         answers.append(length(self, g))
         return answers[-1]
 
-    monkeypatch.setattr(groups, "enumerate_ball", recording_ball)
     monkeypatch.setattr(groups.WordMetric, "length", recording_length)
-    rows = div_function(DiscreteHeisenberg(), 4, seed=7)
+    rows = div_function(TabledHeisenberg(), 4, seed=7)
     assert max(radii) == max(max(r.window_radius for r in rows), max(answers))
+
+
+def test_heisenberg_div_function_grows_its_metric_to_the_window_only(monkeypatch):
+    radii = recording_ball_radii(monkeypatch)
+    rows = div_function(DiscreteHeisenberg(), 4, seed=7)
+    assert max(radii) == max(r.window_radius for r in rows)
 
 
 def test_classify_growth_synthetic():

@@ -15,7 +15,8 @@ from untwist import (
     parse_group,
 )
 
-from oracles import heisenberg_lengths, l1_ball_size
+from oracles import heisenberg_lengths, heisenberg_mul, l1_ball_size
+from tabled_heisenberg import TabledHeisenberg
 
 MODELS = [
     IntegerLattice(2),
@@ -213,7 +214,7 @@ def test_resumed_enumeration_equals_fresh(group):
 
 
 def test_resource_limit_in_resumed_growth_keeps_complete_layers():
-    heis = DiscreteHeisenberg()
+    heis = TabledHeisenberg()
     metric = WordMetric(heis, max_elements=len(enumerate_ball(heis, 7)) + 10)
     assert metric.length((0, 0, 1)) == 4
     with pytest.raises(ResourceLimit) as info:
@@ -229,7 +230,7 @@ def test_resource_limit_in_resumed_growth_keeps_complete_layers():
 
 @pytest.mark.parametrize("k", [1, 2, 4, 9])
 def test_word_metric_grows_exactly_to_the_length_asked(k):
-    metric = WordMetric(DiscreteHeisenberg())
+    metric = WordMetric(TabledHeisenberg())
     length = metric.length((0, 0, k))
     assert length == heisenberg_lengths(length)[(0, 0, k)]
     assert metric.table(0).radius == length
@@ -238,7 +239,7 @@ def test_word_metric_grows_exactly_to_the_length_asked(k):
 
 @pytest.mark.parametrize("limit", [0, 3, 6, 8])
 def test_bounded_length_never_grows_past_its_limit(limit):
-    metric = WordMetric(DiscreteHeisenberg())
+    metric = WordMetric(TabledHeisenberg())
     oracle = heisenberg_lengths(10)
     for k in range(1, 7):
         length = oracle[(0, 0, k)]
@@ -254,9 +255,7 @@ def test_bounded_length_never_grows_past_its_limit(limit):
     assert metric.table(0).radius == grown
 
 
-@pytest.mark.parametrize("group", [m for m in MODELS
-                                   if not isinstance(m, DiscreteHeisenberg)],
-                         ids=lambda g: g.name)
+@pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
 def test_closed_form_length_builds_no_table(group, monkeypatch):
     import untwist.groups as groups
 
@@ -272,6 +271,48 @@ def test_closed_form_length_builds_no_table(group, monkeypatch):
         assert metric.length(g) == length
         assert metric.length(g, length) == length
         assert metric.length(g, length - 1) is None
+
+
+# -- the closed-form Heisenberg length ----------------------------------------
+
+HEIS = DiscreteHeisenberg()
+
+
+def test_heisenberg_closed_form_equals_bfs_to_radius_20():
+    radius = 20
+    oracle = heisenberg_lengths(radius)
+    for g, length in oracle.items():
+        assert HEIS.exact_length(g) == length
+    # A word of length <= R has k <= R steps along a, R - k along b, and each
+    # b step moves z by |x| <= k: so |z| <= R^2/4 and the box below holds
+    # the ball.  Nothing in it outside the ball may get a formula <= R.
+    side, height = radius + 1, radius * radius // 4 + radius
+    for x in range(-side, side + 1):
+        for y in range(-side, side + 1):
+            for z in range(-height, height + 1):
+                g = (x, y, z)
+                if g not in oracle:
+                    assert HEIS.exact_length(g) > radius, g
+
+
+def test_heisenberg_closed_form_equals_enumerate_ball_to_radius_28():
+    for g, length in enumerate_ball(HEIS, 28).lengths.items():
+        assert HEIS.exact_length(g) == length
+
+
+def test_heisenberg_closed_form_satisfies_the_bellman_equation():
+    # f(e) = 0 and f(g) = 1 + min_s f(g*s) for g != e make f the word length
+    # (induct on f), so this checks the formula far beyond any BFS.
+    f = HEIS.exact_length
+    rng = random.Random(8)
+    points = [(rng.randint(-10**3, 10**3), rng.randint(-10**3, 10**3),
+               rng.randint(-10**6, 10**6)) for _ in range(5000)]
+    points += [(x, y, z) for x in range(-6, 7) for y in range(-6, 7)
+               for z in range(-30, 31)]
+    assert f((0, 0, 0)) == 0
+    for g in points:
+        if g != (0, 0, 0):
+            assert f(g) == 1 + min(f(heisenberg_mul(g, s)) for _, s in HEIS.gens), g
 
 
 def test_within_stops_at_the_first_longer_element():
@@ -358,6 +399,6 @@ def test_word_metric_length_validates_once(group, monkeypatch):
 
 
 def test_word_metric_budget():
-    metric = WordMetric(DiscreteHeisenberg(), max_elements=30)
+    metric = WordMetric(TabledHeisenberg(), max_elements=30)
     with pytest.raises(ResourceLimit):
         metric.length((0, 0, 5))

@@ -17,6 +17,7 @@ from untwist import (
 )
 
 from oracles import heisenberg_lengths, heisenberg_power
+from tabled_heisenberg import TabledHeisenberg
 
 Z2 = IntegerLattice(2)
 HEIS = DiscreteHeisenberg()
@@ -54,10 +55,10 @@ def test_heisenberg_central_power_lengths_match_oracle():
 
 
 def test_power_lengths_ignore_a_table_grown_past_the_radius():
-    grown = WordMetric(HEIS)
+    grown = WordMetric(TabledHeisenberg())
     grown.table(12)
     for g in [(0, 0, 1), (1, 0, 0), (1, 1, 0), (0, 1, 2)]:
-        fresh = power_lengths(WordMetric(HEIS), g, 8)
+        fresh = power_lengths(WordMetric(TabledHeisenberg()), g, 8)
         assert power_lengths(grown, g, 8).entries == fresh.entries
 
 
@@ -331,7 +332,7 @@ def test_conjugation_heisenberg():
     assert check.min_slack >= 0
 
 
-def test_conjugation_check_enumerates_from_scratch_once(monkeypatch):
+def recording_ball_starts(monkeypatch):
     import untwist.groups as groups
 
     enumerate_ball = groups.enumerate_ball
@@ -342,5 +343,17 @@ def test_conjugation_check_enumerates_from_scratch_once(monkeypatch):
         return enumerate_ball(group, radius, max_elements, start)
 
     monkeypatch.setattr(groups, "enumerate_ball", counting)
-    assert conjugation_compression_check(WordMetric(HEIS), (1, 0, 0), (0, 1, 0), 8).holds
+    return starts
+
+
+def test_conjugation_check_enumerates_from_scratch_once(monkeypatch):
+    starts = recording_ball_starts(monkeypatch)
+    metric = WordMetric(TabledHeisenberg())
+    assert conjugation_compression_check(metric, (1, 0, 0), (0, 1, 0), 8).holds
     assert sum(start is None for start in starts) == 1
+
+
+def test_heisenberg_conjugation_check_enumerates_no_ball(monkeypatch):
+    starts = recording_ball_starts(monkeypatch)
+    assert conjugation_compression_check(WordMetric(HEIS), (1, 0, 0), (0, 1, 0), 8).holds
+    assert starts == []
