@@ -17,7 +17,6 @@ from heapq import heappop, heappush
 
 from .groups import (
     DEFAULT_METRIC_BUDGET,
-    BallTable,
     Group,
     GroupError,
     IntegerLattice,
@@ -251,7 +250,7 @@ def div_function(group: Group, n_max: int, *, window_factor: int = 4,
         table = metric.table(window_radius)
         pairs = [_axis_pair(group, n)]
         for _ in range(pairs_per_n - 1):
-            pairs.append(_random_pair(group, n, table, rng))
+            pairs.append(_random_pair(group, n, metric, rng))
         # All draws come before any search, which draws nothing, so the RNG
         # sequence is the per-pair one; the window list is gone before the
         # searches grow the metric's table.
@@ -287,13 +286,14 @@ def _axis_pair(group: Group, n: int):
     return group.power(g, -(n // 2)), group.power(g, n - n // 2)
 
 
-def _random_pair(group: Group, n: int, table: BallTable, rng):
+def _random_pair(group: Group, n: int, metric: WordMetric, rng):
     """Seeded pair at distance close to n, balanced around the identity."""
+    table = metric.table(n)
     for distance in range(n, 1, -1):
         sphere = table.elements_of_length(distance)
         if sphere:
             w = sphere[rng.randrange(len(sphere))]
-            word = table.geodesic_word(w)
+            word = metric.geodesic_word(w)
             mid = len(word) // 2
             prefix = group.eval_word(word[:mid])
             suffix = group.eval_word(word[mid:])

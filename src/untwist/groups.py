@@ -172,6 +172,11 @@ class Group(ABC):
         loops over elements they derived themselves."""
         return self.mul(a, b)
 
+    def _steps(self, g):
+        """g*s for every generator s, in gens order; unchecked like _mul."""
+        mul = self._mul
+        return [mul(g, s) for _, s in self.gens]
+
     @abstractmethod
     def inv(self, a):
         ...
@@ -309,6 +314,15 @@ class IntegerLattice(Group):
             return (a[0] + b[0], a[1] + b[1])
         return tuple(map(add, a, b))
 
+    def _steps(self, g):
+        if self.dimension == 2:
+            x, y = g
+            steps = [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
+            if self.diagonal:
+                steps += [(x + 1, y + 1), (x - 1, y - 1)]
+            return steps
+        return [tuple(map(add, g, s)) for _, s in self._gens]
+
     def inv(self, a):
         if len(a) != self.dimension:
             raise GroupError("element does not belong to this lattice model")
@@ -413,6 +427,10 @@ class DiscreteHeisenberg(Group):
         x, y, z = a
         X, Y, Z = b
         return (x + X, y + Y, z + Z + x * Y)
+
+    def _steps(self, g):
+        x, y, z = g
+        return [(x + 1, y, z), (x - 1, y, z), (x, y + 1, z + x), (x, y - 1, z - x)]
 
     def inv(self, a):
         try:
@@ -728,16 +746,15 @@ def parse_group(descriptor: str) -> Group:
 
 @dataclass
 class BallTable:
-    """Ball of a given radius with exact lengths and BFS parents.
+    """Ball of a given radius with exact word lengths, in BFS order.
 
     `lengths` holds complete BFS layers up to some R >= radius (a metric grows
-    its table in place), and readers restrict to their own radius.
+    its table in place), and readers restrict to their own radius.  Geodesic
+    words are not stored: WordMetric.geodesic_word recovers them from lengths.
     """
 
-    group: Group
     radius: int
     lengths: dict  # element -> word length, inserted in BFS discovery order
-    parents: dict  # element -> label of the last generator on its BFS path
 
     @property
     def order(self):
@@ -759,21 +776,6 @@ class BallTable:
         return (g for g, _ in
                 takewhile(lambda item: item[1] <= radius, lengths.items()))
 
-    def geodesic_word(self, g):
-        """Labels t1..tk with t1*...*tk = g and k = l(g); canonical per group."""
-        if g not in self.lengths:
-            raise OutOfRange(f"{self.group.format_elem(g)} is outside radius {self.radius}")
-        group = self.group
-        back = {label: group.inv(s) for label, s in group.gens}
-        word = []
-        cur = g
-        while cur != group.identity:
-            label = self.parents[cur]
-            word.append(label)
-            cur = group.mul(cur, back[label])
-        word.reverse()
-        return word
-
     def elements_of_length(self, k):
         return [g for g in self.within(k) if self.lengths[g] == k]
 
@@ -782,41 +784,40 @@ def enumerate_ball(group: Group, radius: int, max_elements: int | None = None,
                    start: BallTable | None = None) -> BallTable:
     """Breadth-first enumeration of every element of word length <= radius.
 
-    Given start, resumes from its last layer and extends its lengths and
-    parents in place; BFS order does not depend on where the search resumed.
+    Given start, resumes from its last layer and extends its lengths in
+    place; BFS order does not depend on where the search resumed.
     ResourceLimit first removes the partial layer, so layers stay complete.
     """
     if radius < 0:
         raise GroupError("ball radius must be >= 0")
     if start is None:
-        start = BallTable(group, 0, {group.identity: 0}, {})
-    lengths, parents = start.lengths, start.parents
+        start = BallTable(0, {group.identity: 0})
+    lengths = start.lengths
     # The last layer is the tail of the BFS order.
     top = lengths[next(reversed(lengths))]
     tail = takewhile(lambda item: item[1] == top, reversed(lengths.items()))
     frontier = [g for g, _ in tail][::-1]
-    mul, gens = group._mul, group.gens
+    steps = group._steps
     for layer in range(top, radius):
         nxt = []
+        k = layer + 1
         for g in frontier:
-            for label, s in gens:
-                h = mul(g, s)
+            for h in steps(g):
                 if h not in lengths:
-                    lengths[h] = layer + 1
-                    parents[h] = label
+                    lengths[h] = k
                     nxt.append(h)
-                    if max_elements is not None and len(lengths) > max_elements:
-                        for partial in nxt:
-                            del lengths[partial], parents[partial]
-                        raise ResourceLimit(
-                            f"ball enumeration for {group.name} exceeded "
-                            f"{max_elements} elements; last complete radius {layer}",
-                            last_complete_radius=layer,
-                        )
+            if max_elements is not None and len(lengths) > max_elements:
+                for partial in nxt:
+                    del lengths[partial]
+                raise ResourceLimit(
+                    f"ball enumeration for {group.name} exceeded "
+                    f"{max_elements} elements; last complete radius {layer}",
+                    last_complete_radius=layer,
+                )
         frontier = nxt
         if not frontier:
             break
-    return BallTable(group, radius, lengths, parents)
+    return BallTable(radius, lengths)
 
 
 DEFAULT_METRIC_BUDGET = 5_000_000
@@ -825,9 +826,10 @@ DEFAULT_METRIC_BUDGET = 5_000_000
 class WordMetric:
     """Exact word lengths, distances and canonical geodesics for one model.
 
-    The package's only owner of ball tables: keeps a single one, grown in
-    place one BFS layer at a time and only as far as a query needs; geodesics
-    are stable because BFS order does not depend on where the search resumed.
+    The package's only owner of ball tables: keeps a single one, holding
+    lengths only, grown in place one BFS layer at a time and only as far as
+    a query needs.  The canonical geodesic of g is its shortlex-least one,
+    read off lengths by descent, and is the word of the BFS tree.
     """
 
     def __init__(self, group: Group, max_elements: int = DEFAULT_METRIC_BUDGET):
@@ -845,6 +847,11 @@ class WordMetric:
         """Exact word length, or None when it exceeds limit.  Without a closed
         form the table grows a layer at a time, never past limit."""
         self.group.validate(g)
+        return self._length(g, limit)
+
+    def _length(self, g, limit: int | None = None) -> int | None:
+        """length without the structural check, for elements the package
+        derived itself from validated ones."""
         found = self.group.exact_length(g)
         if found is None:
             table = self.table(0)
@@ -858,7 +865,32 @@ class WordMetric:
         return self.length(self.group.mul(self.group.inv(g), h))
 
     def geodesic_word(self, g):
-        return self.table(self.length(g)).geodesic_word(g)
+        """Labels t1..tk with t1*...*tk = g and k = l(g), least in gens order
+        letter by letter (shortlex).
+
+        t1 is the first generator s with l(s^-1 g) = k - 1, and the descent
+        repeats on s^-1 g.  BFS reaches each element first along this word,
+        so it is the word of the BFS tree (Epstein et al., Word Processing
+        in Groups, 1992).  Lengths come from the closed form, or else from
+        the table grown to l(g).
+        """
+        group = self.group
+        k = self.length(g)
+        length = group.exact_length
+        if length(g) is None:
+            length = self.table(k).lengths.get
+        mul = group._mul
+        back = [(label, group.inv(s)) for label, s in group.gens]
+        word = []
+        while k:
+            k -= 1
+            for label, s_inv in back:
+                h = mul(s_inv, g)
+                if length(h) == k:
+                    break
+            word.append(label)
+            g = h
+        return word
 
     def ball(self, radius: int) -> BallTable:
         return self.table(radius)

@@ -262,16 +262,18 @@ class ConeParams:
 
     def cone_contains(self, k, sign: str) -> bool:
         """Whether k lies in the union of the signed cone pieces; walks
-        a^(-+j) k for j = 0, 1, ... by one fixed left multiplication per step."""
+        a^(-+j) k for j = 0, 1, ... by one fixed left multiplication per step.
+        k is validated once; the walk's points are trusted products."""
         if sign not in ("+", "-"):
             raise ContractError("sign must be '+' or '-'")
         group = self.group
         step = group.inv(self.anchor) if sign == "+" else self.anchor
         reach = 4 * (self.metric.length(k) + self.R)
+        length = self.metric._length
         point = k
         j = 0
         while 3 * self.profile.lower_bound.value(j) <= reach:
-            if self.metric.length(point) <= self.piece_radius(j):
+            if length(point) <= self.piece_radius(j):
                 return True
             point = group._mul(step, point)
             j += 1

@@ -31,6 +31,33 @@ def heisenberg_lengths(radius):
     return dist
 
 
+def bfs_tree_words(identity, gens, mul, radius):
+    """Word of the BFS tree for every element of the ball of the given radius.
+
+    gens is a sequence of (label, element) pairs.  Each element records the
+    element it was first reached from and the label of that last generator;
+    its word is read by walking those records back to the identity."""
+    last = {identity: None}  # element -> (previous element, generator label)
+    frontier = deque([(identity, 0)])
+    while frontier:
+        g, d = frontier.popleft()
+        if d == radius:
+            continue
+        for label, s in gens:
+            h = mul(g, s)
+            if h not in last:
+                last[h] = (g, label)
+                frontier.append((h, d + 1))
+    words = {}
+    for g in last:
+        word, cur = [], g
+        while last[cur] is not None:
+            cur, label = last[cur]
+            word.append(label)
+        words[g] = word[::-1]
+    return words
+
+
 def heisenberg_inv(p):
     x, y, z = p
     return (-x, -y, -z + x * y)

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from untwist import (
     parse_group,
 )
 
-from oracles import heisenberg_lengths, heisenberg_mul, l1_ball_size
+from oracles import bfs_tree_words, heisenberg_lengths, heisenberg_mul, l1_ball_size
 from tabled_heisenberg import TabledHeisenberg
 
 MODELS = [
@@ -139,16 +140,28 @@ def test_diagonal_lattice_exact_length():
 
 @pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
 def test_geodesic_words_are_valid(group):
-    table = enumerate_ball(group, 4)
-    for g, length in table.lengths.items():
-        word = table.geodesic_word(g)
+    metric = WordMetric(group)
+    for g, length in enumerate_ball(group, 4).lengths.items():
+        word = metric.geodesic_word(g)
         assert len(word) == length
         assert group.eval_word(word) == g
 
 
 def test_geodesic_of_identity_is_empty():
-    table = enumerate_ball(IntegerLattice(2), 2)
-    assert table.geodesic_word((0, 0)) == []
+    assert WordMetric(IntegerLattice(2)).geodesic_word((0, 0)) == []
+
+
+@pytest.mark.parametrize("group", MODELS + [TabledHeisenberg()],
+                         ids=lambda g: type(g).__name__ + ":" + g.name)
+def test_geodesic_words_equal_bfs_tree_words(group):
+    """The descent on lengths gives the raw BFS tree's word, on the closed-form
+    route and, for TabledHeisenberg, on the table route."""
+    heisenberg = isinstance(group, DiscreteHeisenberg)
+    mul = heisenberg_mul if heisenberg else group.mul
+    tree = bfs_tree_words(group.identity, group.gens, mul, 10 if heisenberg else 5)
+    metric = WordMetric(group)
+    for g, word in tree.items():
+        assert metric.geodesic_word(g) == word
 
 
 @pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
@@ -167,6 +180,7 @@ def test_unchecked_product_equals_checked(group):
     for g in enumerate_ball(group, 4).lengths:
         for _, s in group.gens:
             assert group._mul(g, s) == group.mul(g, s)
+        assert group._steps(g) == [group._mul(g, s) for _, s in group.gens]
 
 
 @pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
@@ -198,6 +212,16 @@ def test_resource_limit_reports_last_radius():
     assert 0 <= info.value.last_complete_radius < 50
 
 
+def table_words(group, table):
+    """Geodesic word of every element of table, with lengths read from the
+    table alone: the model's closed form is hidden."""
+    group = copy.copy(group)
+    group.exact_length = lambda a: None
+    metric = WordMetric(group)
+    metric._table = table
+    return [metric.geodesic_word(g) for g in table.lengths]
+
+
 @pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
 def test_resumed_enumeration_equals_fresh(group):
     radius = 6 if isinstance(group, DiscreteHeisenberg) else 5
@@ -208,7 +232,7 @@ def test_resumed_enumeration_equals_fresh(group):
         assert resumed is not start and resumed.radius == radius
         assert resumed.lengths is start.lengths  # extended in place
         assert list(resumed.lengths.items()) == list(fresh.lengths.items())
-        assert resumed.parents == fresh.parents
+        assert table_words(group, resumed) == table_words(group, fresh)
     if isinstance(group, DiscreteHeisenberg):
         assert fresh.lengths == heisenberg_lengths(radius)
 
@@ -223,7 +247,10 @@ def test_resource_limit_in_resumed_growth_keeps_complete_layers():
     fresh = enumerate_ball(heis, 7)
     table = metric.table(4)
     assert list(table.lengths.items()) == list(fresh.lengths.items())
-    assert table.parents == fresh.parents
+    fresh_metric = WordMetric(heis)
+    fresh_metric.table(7)
+    assert ([metric.geodesic_word(g) for g in fresh.lengths]
+            == [fresh_metric.geodesic_word(g) for g in fresh.lengths])
     for g, length in heisenberg_lengths(7).items():
         assert metric.length(g) == length
 
@@ -271,6 +298,7 @@ def test_closed_form_length_builds_no_table(group, monkeypatch):
         assert metric.length(g) == length
         assert metric.length(g, length) == length
         assert metric.length(g, length - 1) is None
+        assert len(metric.geodesic_word(g)) == length
 
 
 # -- the closed-form Heisenberg length ----------------------------------------
