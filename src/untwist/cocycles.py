@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import asdict, dataclass
 
 from .groups import Group, WordMetric, parse_group
 from .shifts import Configuration, glue
-from .targets import TargetGroup, describe_target, target_from_description
+from .targets import TargetGroup, target_from_description
 
 
 class CocycleError(ValueError):
@@ -133,13 +132,12 @@ class CocycleSpec:
                         f"outside its window {bm.window}")
         # Continuity constants: a window-w map moves by at most its range
         # diameter, and agreement on B(n >= w) pins it, so D * r^-w works.
-        self.constant_by_label = {
-            lab: bm.diameter_bound * rate ** (-bm.window)
-            for lab, bm in self.maps.items()
-        }
-        self.holder_constant = max(self.constant_by_label.values())
+        self.holder_constant = max(
+            0.0 if not bm.diameter_bound else bm.diameter_bound * _inverse_power(
+                rate, bm.window, f"block map for generator {lab!r}: window {bm.window}")
+            for lab, bm in self.maps.items())
         self._background_config = Configuration(group, self.alphabet, background, {})
-        self._word_cache = {}
+        self._plan_cache = {}
         self._read_cache = {}
 
     def background_config(self) -> Configuration:
@@ -152,46 +150,57 @@ class CocycleSpec:
         C_g = self.holder_constant * sum(r ** (-i) for i in range(k))
         return C_g, r
 
+    def _word_plan(self, labels):
+        """Read plan of the word s_1...s_m: per factor, left to right, its block
+        map and the cells of x it reads.  The k-th factor is the map of s_k on
+        (s_{k+1}...s_m).x, so it reads x on (s_{k+1}...s_m)^-1 . cells(s_k)."""
+        group = self.group
+        plan, suffix_inv = [], group.identity
+        for label in reversed(labels):
+            bm = self.maps[label]
+            plan.append((bm, tuple(group._mul(suffix_inv, c) for c in bm.cells)))
+            suffix_inv = group._mul(suffix_inv, group.inv(group.gen(label)))
+        return tuple(reversed(plan))
+
+    def _plan(self, g):
+        """Read plan of g's canonical geodesic word."""
+        plan = self._plan_cache.get(g)
+        if plan is None:
+            plan = self._plan_cache[g] = self._word_plan(self.metric.geodesic_word(g))
+        return plan
+
+    def _read(self, plan, x: Configuration, back):
+        """Value of a read plan on back^-1 . x, which reads x on back . c."""
+        mul, at, target = self.group._mul, x.symbol_at, self.target
+        value = target.identity
+        for bm, cells in plan:
+            value = target.mul(value, bm.lookup(tuple(at(mul(back, c)) for c in cells)))
+        return value
+
     def evaluate_word(self, labels, x: Configuration):
         """Cocycle value along an explicit generator word (left-to-right)."""
-        factors = []
-        state = x
-        for k in range(len(labels) - 1, -1, -1):
-            factors.append(self.maps[labels[k]].value(state))
-            if k:
-                state = state.translate(self.group.gen(labels[k]))
-        return reduce(self.target.mul, reversed(factors), self.target.identity)
-
-    def _word(self, g):
-        word = self._word_cache.get(g)
-        if word is None:
-            word = self.metric.geodesic_word(g)
-            self._word_cache[g] = word
-        return word
+        return self._read(self._word_plan(labels), x, self.group.identity)
 
     def evaluate(self, g, x: Configuration):
         """Cocycle value at g along the canonical geodesic word."""
-        if g == self.group.identity:
-            return self.target.identity
-        return self.evaluate_word(self._word(g), x)
+        return self._read(self._plan(g), x, self.group.identity)
 
     def _read_set(self, g):
-        """(W_g, radius): the cells evaluate(g, .) reads, and their largest length.
-
-        Along the word s_1...s_m the k-th factor reads (s_{k+1}...s_m).x on
-        cells(s_k), that is x on (s_{k+1}...s_m)^-1 . cells(s_k).
-        """
+        """(W_g, radius): the cells evaluate(g, .) reads, and their largest length."""
         found = self._read_cache.get(g)
         if found is None:
-            group = self.group
-            cells = set()
-            suffix_inv = group.identity
-            for label in reversed(self._word(g)):
-                cells.update(group._mul(suffix_inv, c) for c in self.maps[label].cells)
-                suffix_inv = group._mul(suffix_inv, group.inv(group.gen(label)))
+            cells = frozenset(c for _, cs in self._plan(g) for c in cs)
             radius = max((self.metric.length(c) for c in cells), default=0)
-            found = self._read_cache[g] = (frozenset(cells), radius)
+            found = self._read_cache[g] = (cells, radius)
         return found
+
+
+def _inverse_power(rate: float, k: int, what: str) -> float:
+    """rate ** -k, or a CocycleError naming `what` where that overflows a float."""
+    try:
+        return rate ** (-k)
+    except OverflowError:
+        raise CocycleError(f"{what} is too large for the geometric rate {rate}") from None
 
 
 def relation_consistency(spec: CocycleSpec, samples, element_pairs=()) -> float:
@@ -229,13 +238,7 @@ class HolonomyCertificate:
     epsilon: float
 
     def to_jsonable(self):
-        return {
-            "anchor": self.anchor, "sign": self.sign, "n_used": self.n_used,
-            "tail_bound": self.tail_bound,
-            "agreement_radius": self.agreement_radius,
-            "holder_constant": self.holder_constant, "rate": self.rate,
-            "lower_bound": self.lower_bound, "epsilon": self.epsilon,
-        }
+        return asdict(self)
 
 
 def partial_product(spec: CocycleSpec, g, x: Configuration, y: Configuration,
@@ -248,20 +251,20 @@ def partial_product(spec: CocycleSpec, g, x: Configuration, y: Configuration,
     if n < 1:
         raise CocycleError("partial products need n >= 1")
     group, target = spec.group, spec.target
+    plan = spec._plan(g)
+    # Factor j is c(g, step^j . x) with step = g for '+' and g^-1 for '-';
+    # it reads x on back . c for each plan cell c, where back = step^-j.
     if sign == "+":
-        step, start, count, invert = g, 0, n, True
+        back, back_step, count, invert = group.identity, group.inv(g), n, True
     elif sign == "-":
-        step, start, count, invert = group.inv(g), 1, n - 1, False
+        back, back_step, count, invert = g, g, n - 1, False
     else:
         raise CocycleError("sign must be '+' or '-'")
-    px = target.identity
-    py = target.identity
-    cx, cy = x, y
-    for j in range(start, start + count):
-        if j:
-            cx, cy = cx.translate(step), cy.translate(step)
-        fx = spec.evaluate(g, cx)
-        fy = spec.evaluate(g, cy)
+    px = py = target.identity
+    for _ in range(count):
+        fx = spec._read(plan, x, back)
+        fy = spec._read(plan, y, back)
+        back = group._mul(back, back_step)
         if invert:
             fx, fy = target.inv(fx), target.inv(fy)
         px = target.mul(px, fx)
@@ -324,7 +327,7 @@ def holonomy(spec: CocycleSpec, g, x: Configuration, y: Configuration,
         cert = HolonomyCertificate(fmt, sign, 1, 0.0, agreement, 0.0, r,
                                    bound.describe(), epsilon)
         return value, cert
-    c_prime = C_g * r ** (-(agreement + 1))
+    c_prime = C_g * _inverse_power(r, agreement + 1, f"agreement radius {agreement}")
     n = 1
     while c_prime * bound.tail(r, n) >= epsilon:
         n *= 2
@@ -719,7 +722,7 @@ def cocycle_spec_to_jsonable(spec: CocycleSpec) -> dict:
         "alphabet": list(spec.alphabet),
         "background": spec.background,
         "rate": spec.rate,
-        "target": describe_target(spec.target),
+        "target": spec.target.describe(),
         "generators": generators,
     }
 

@@ -152,7 +152,6 @@ class PairDivergence:
     value: float                 # math.inf when certified infinite
     witness_c: tuple | None
     window_radius: int
-    window_disconnections: int   # obstacles disconnecting within the window only
 
 
 def div_pair(group: Group, a, b, obstacles, window_radius: int,
@@ -161,23 +160,21 @@ def div_pair(group: Group, a, b, obstacles, window_radius: int,
     metric = metric or WordMetric(group)
     best = -1
     witness = None
-    window_cuts = 0
     for c in obstacles:
         if c == a or c == b:
             continue
         query = make_query(group, a, b, c, window_radius, metric)
         result = avoidant_shortest_path(query, metric)
         if result.outcome == INFINITE:
-            return PairDivergence(a, b, math.inf, c, window_radius, window_cuts)
+            return PairDivergence(a, b, math.inf, c, window_radius)
         if result.outcome == WINDOW_DISCONNECTED:
-            window_cuts += 1
             continue
         if result.length > best:
             best = result.length
             witness = c
     if witness is None:
         raise GroupError("no usable obstacle produced a finite search")
-    return PairDivergence(a, b, float(best), witness, window_radius, window_cuts)
+    return PairDivergence(a, b, float(best), witness, window_radius)
 
 
 def geodesic_points(group: Group, a, b, metric: WordMetric):

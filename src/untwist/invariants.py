@@ -206,7 +206,6 @@ class SummabilityReport:
     terms: int
     partial_sum: float
     tail_bound: float
-    exact_terms: int
 
     @property
     def total_upper_bound(self) -> float:
@@ -218,14 +217,13 @@ def sdt_partial_sum(profile: CompressionProfile, r: float, terms: int) -> Summab
         raise GroupError("base r must lie in (0, 1)")
     if terms < 1:
         raise GroupError("need at least one term")
-    exact = min(terms, profile.j_max)
     partial = 0.0
     for i in range(1, terms + 1):
-        exponent = profile.compression(i) if i <= exact else profile.lower_bound.value(i)
+        exponent = profile.compression(i) if i <= profile.j_max else profile.lower_bound.value(i)
         partial += r ** exponent
     tail = profile.lower_bound.tail(r, terms + 1)
     return SummabilityReport(r=r, terms=terms, partial_sum=partial,
-                             tail_bound=tail, exact_terms=exact)
+                             tail_bound=tail)
 
 
 @dataclass(frozen=True)

@@ -207,13 +207,20 @@ class FiniteGroup(TargetGroup):
         }
 
 
-def cyclic_group(n: int) -> FiniteGroup:
+class CyclicGroup(FiniteGroup):
+    """Integers modulo n, as built by cyclic_group; described by its order."""
+
+    def describe(self):
+        return {"kind": "cyclic", "n": len(self.elements)}
+
+
+def cyclic_group(n: int) -> CyclicGroup:
     """Integers modulo n with the discrete metric."""
     if n < 1:
         raise TargetError("cyclic order must be >= 1")
     elements = list(range(n))
     table = {(a, b): (a + b) % n for a in elements for b in elements}
-    return FiniteGroup(elements, table, 0, name=f"cyclic({n})")
+    return CyclicGroup(elements, table, 0, name=f"cyclic({n})")
 
 
 def bi_invariance_defect(target: TargetGroup, rng, trials: int = 100) -> float:
@@ -243,9 +250,3 @@ def target_from_description(obj) -> TargetGroup:
         return FiniteGroup(obj["elements"], table, obj["identity"],
                            obj.get("name", "finite"))
     raise TargetError(f"unknown target description {obj!r}")
-
-
-def describe_target(target: TargetGroup) -> dict:
-    if isinstance(target, FiniteGroup) and target.name.startswith("cyclic("):
-        return {"kind": "cyclic", "n": len(target.elements)}
-    return target.describe()

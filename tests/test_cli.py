@@ -206,6 +206,59 @@ def test_cocycle_unknown_target_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "quaternion" in err
 
 
+def _z_specs(tmp_path, window=None):
+    """A weighted coboundary spec and a homomorphism spec over z, as files;
+    a given window replaces every generator's declared one."""
+    from untwist import (InfiniteCyclic, RealVector, WordMetric, coboundary_cocycle,
+                         homomorphism_cocycle, weighted_potential)
+    from untwist.cocycles import cocycle_spec_to_jsonable
+
+    z, r1 = InfiniteCyclic(), RealVector(1)
+    metric = WordMetric(z)
+    potential = weighted_potential(z, metric, r1, 0, {(0,): (0.25,)}, (0, 1))
+    specs = {
+        "coboundary": coboundary_cocycle(z, r1, {"x1+": (0.5,)}, potential, (0, 1),
+                                         metric=metric),
+        "homomorphism": homomorphism_cocycle(z, r1, {"x1+": (0.5,)}, (0, 1),
+                                             metric=metric),
+    }
+    paths = {}
+    for name, spec in specs.items():
+        payload = cocycle_spec_to_jsonable(spec)
+        for entry in payload["generators"]:
+            entry["window"] = entry["window"] if window is None else window
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    return paths
+
+
+def test_cocycle_agreement_radius_past_float_range_exits_2(tmp_path, capsys):
+    # 0.5 ** -(agreement + 1) overflows a float once samples reach radius ~1024.
+    specs = _z_specs(tmp_path)
+    out = tmp_path / "report.json"
+    args = ["cocycle", "untwist", "--group", "z", "--samples", "4",
+            "--sample-radius", "1100", "--out", str(out)]
+    assert main(args + ["--spec", str(specs["coboundary"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "agreement radius" in err and "rate 0.5" in err
+    assert not out.exists()
+    # Constant maps have continuity constant 0 and never raise r to that power.
+    assert main(args + ["--spec", str(specs["homomorphism"])]) == 0
+
+
+def test_cocycle_window_past_float_range_exits_2(tmp_path, capsys):
+    specs = _z_specs(tmp_path, window=1100)
+    out = tmp_path / "report.json"
+    args = ["cocycle", "untwist", "--group", "z", "--samples", "4", "--out", str(out)]
+    assert main(args + ["--spec", str(specs["coboundary"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'x1+'" in err
+    assert "window 1100" in err and "rate 0.5" in err
+    assert not out.exists()
+    # A zero-diameter map keeps its constant at 0 whatever its window.
+    assert main(args + ["--spec", str(specs["homomorphism"])]) == 0
+
+
 GLUE_TASK = {
     "anchor": "(1,0)", "R": 2,
     "subshift": {"kind": "golden_mean", "alphabet": [0, 1],

@@ -9,6 +9,7 @@ from untwist import (
     ConeParams,
     Configuration,
     DiscreteHeisenberg,
+    FiniteGroup,
     IntegerLattice,
     RealVector,
     Torus,
@@ -33,7 +34,8 @@ from untwist import (
     specification_decay,
     weighted_potential,
 )
-from untwist.groups import FreeGroup
+from untwist.cocycles import canonical_cells
+from untwist.groups import DirectProduct, FreeGroup, InfiniteCyclic
 from untwist.sampling import (
     pair_agreeing_on_ball,
     random_configuration,
@@ -401,6 +403,103 @@ def test_heisenberg_centre_cut_off_runs_under_a_sqrt_bound():
                                     cert.n_used, "+")
 
 
+def chain_value(spec, labels, x):
+    """Cocycle value along a word by the translate chain: the k-th factor is
+    the map of s_k on the materialised configuration (s_{k+1}...s_m).x."""
+    factors = []
+    state = x
+    for label in reversed(labels):
+        factors.append(spec.maps[label].value(state))
+        state = state.translate(spec.group.gen(label))
+    value = spec.target.identity
+    for factor in reversed(factors):
+        value = spec.target.mul(value, factor)
+    return value
+
+
+def chain_partial_product(spec, g, x, y, n, sign):
+    """partial_product with every factor read off translated configurations."""
+    group, target = spec.group, spec.target
+    word = spec.metric.geodesic_word(g)
+    step, start = (g, 0) if sign == "+" else (group.inv(g), 1)
+    px = py = target.identity
+    cx, cy = x, y
+    for j in range(n):
+        if j >= start:
+            fx, fy = chain_value(spec, word, cx), chain_value(spec, word, cy)
+            if sign == "+":
+                fx, fy = target.inv(fx), target.inv(fy)
+            px, py = target.mul(px, fx), target.mul(py, fy)
+        cx, cy = cx.translate(step), cy.translate(step)
+    return target.mul(px, target.inv(py))
+
+
+def position_sensitive_spec(group, metric):
+    """Window-1 maps into Z/7 that weight every cell differently, so a read
+    of the wrong cell changes the value (not a cocycle; evaluation only)."""
+    target = cyclic_group(7)
+    cells = canonical_cells(metric, 1)
+    maps = {}
+    for k, (label, _) in enumerate(group.gens):
+        def fn(pattern, k=k):
+            return sum((i + k + 1) * (i + 2) * s for i, s in enumerate(pattern)) % 7
+
+        maps[label] = BlockMap(target, cells, 1, fn=fn, diameter_bound=1.0)
+    return CocycleSpec(group, target, A, 0, maps, metric=metric)
+
+
+OFFSET_GROUPS = [Z2, HEIS, DirectProduct(InfiniteCyclic(), FreeGroup(2))]
+
+
+@pytest.mark.parametrize("group", OFFSET_GROUPS, ids=lambda g: g.name)
+def test_offset_reads_equal_translated_configurations(group):
+    metric = WordMetric(group)
+    spec = position_sensitive_spec(group, metric)
+    rng = seeded_rng(41)
+    elements = canonical_cells(metric, 3)
+    for _ in range(6):
+        x = random_configuration(group, metric, A, rng, max_radius=4, n_cells=12)
+        for words in group.defining_relation_word_pairs():
+            for word in words:
+                assert spec.evaluate_word(word, x) == chain_value(spec, word, x)
+        for _ in range(10):
+            g, h = rng.choice(elements), rng.choice(elements)
+            word = metric.geodesic_word(g)
+            assert spec.evaluate(g, x) == chain_value(spec, word, x)
+            shifted = x.translate(group.inv(h))
+            offset = spec._read(spec._plan(g), x, h)
+            assert offset == spec.evaluate(g, shifted)
+            assert offset == chain_value(spec, word, shifted)
+
+
+@pytest.mark.parametrize("make_spec, anchor, epsilon, pairs",
+                         [case[1:] for case in CUT_OFF_CASES],
+                         ids=[case[0] for case in CUT_OFF_CASES])
+def test_holonomy_builds_no_translated_configuration(monkeypatch, make_spec,
+                                                      anchor, epsilon, pairs):
+    spec = make_spec()
+    rng = seeded_rng(42)
+    cases = []
+    for _ in range(pairs):
+        x, y = random_homoclinic_pair(spec.group, spec.metric, A, rng, max_radius=4)
+        for sign in "+-":
+            _, cert = holonomy(spec, anchor, x, y, epsilon, sign)
+            n = min(cert.n_used, 40)
+            cases.append((x, y, sign, cert,
+                          chain_partial_product(spec, anchor, x, y, n, sign)))
+
+    def forbidden(*_):
+        raise AssertionError("a translated configuration was built")
+
+    monkeypatch.setattr(Configuration, "translate", forbidden)
+    monkeypatch.setattr(Configuration, "_derive", forbidden)
+    for x, y, sign, cert, expected in cases:
+        value, again = holonomy(spec, anchor, x, y, epsilon, sign)
+        assert again == cert
+        assert partial_product(spec, anchor, x, y, min(cert.n_used, 40), sign) == expected
+        assert value == partial_product(spec, anchor, x, y, cert.n_used, sign)
+
+
 def read_patterns(spec, g, x):
     """Symbols each block map reads along g's geodesic word, by translation."""
     patterns = []
@@ -433,11 +532,12 @@ def test_holonomy_evaluates_no_factor_past_the_last_that_can_differ(monkeypatch)
     spec = coboundary_cocycle(Z2, target, {"x1+": (0.25, 0.125), "x2+": (-0.75, 1.0)},
                               potential, A, metric=METRIC)
     calls = []
-    evaluate = spec.evaluate
-    monkeypatch.setattr(spec, "evaluate", lambda g, x: calls.append(g) or evaluate(g, x))
+    read = spec._read
+    monkeypatch.setattr(spec, "_read",
+                        lambda plan, x, back: calls.append(back) or read(plan, x, back))
     rng = seeded_rng(32)
     background = spec.background_config()
-    saved = 0
+    saved = evaluated = 0
     for _ in range(12):
         x, y = random_homoclinic_pair(Z2, METRIC, A, rng)
         for g, other in (((1, 0), background), ((0, 1), y)):
@@ -448,7 +548,8 @@ def test_holonomy_evaluates_no_factor_past_the_last_that_can_differ(monkeypatch)
                 assert len(calls) % 2 == 0
                 assert len(calls) // 2 <= max(1, last + 1)
                 saved += 2 * cert.n_used - len(calls)
-    assert saved > 0
+                evaluated += len(calls)
+    assert saved > 0 and evaluated > 0
 
 
 # -- specification decay -------------------------------------------------------------
@@ -704,6 +805,15 @@ def test_spec_json_roundtrip_discrete():
     for x in sample_configs(rng, 5):
         assert rebuilt.evaluate((1, 1), x) == spec.evaluate((1, 1), x)
 
+
+def test_spec_json_roundtrip_keeps_a_klein_target_named_cyclic():
+    klein = FiniteGroup(range(4), {(a, b): a ^ b for a in range(4) for b in range(4)},
+                        0, name="cyclic(4)")
+    spec = homomorphism_cocycle(Z2, klein, {"x1+": 1, "x2+": 2}, A, metric=METRIC)
+    rebuilt = cocycle_spec_from_jsonable(cocycle_spec_to_jsonable(spec))
+    x = background_configuration(Z2, A)
+    assert spec.evaluate((2, 0), x) == rebuilt.evaluate((2, 0), x) == 0  # 1 * 1 in Z/2 x Z/2
+    assert rebuilt.evaluate((1, 1), x) == 3
 
 def test_coboundary_of_a_table_missing_a_pattern_is_cocycle_error():
     potential = BlockMap(R1, [(0, 0)], 0, table={(0,): (0.0,)})

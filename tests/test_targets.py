@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from untwist import (
     bi_invariance_defect,
     cyclic_group,
 )
-from untwist.targets import TargetError, describe_target, target_from_description
+from untwist.targets import TargetError, target_from_description
 
 
 def symmetric_group_3():
@@ -79,10 +80,25 @@ def test_finite_group_table_validation():
 
 def test_description_roundtrip():
     for target in (RealVector(3), Torus(2), cyclic_group(7), symmetric_group_3()):
-        rebuilt = target_from_description(describe_target(target))
+        rebuilt = target_from_description(target.describe())
         rng = random.Random(1)
         for _ in range(20):
             a = rebuilt.random_element(rng)
             b = rebuilt.random_element(rng)
             assert rebuilt.dist(rebuilt.mul(a, b), rebuilt.mul(a, b)) == 0.0
         assert rebuilt.name == target.name or rebuilt.name.startswith("cyclic")
+
+
+def test_cyclic_description_is_decided_by_type_not_name():
+    # Z/2 x Z/2 under a cyclic-looking name must reload as itself, not as Z/4.
+    klein = FiniteGroup(range(4), {(a, b): a ^ b for a in range(4) for b in range(4)},
+                        0, name="cyclic(4)")
+    assert klein.describe()["kind"] == "finite"
+    rebuilt = target_from_description(json.loads(json.dumps(klein.describe())))
+    assert rebuilt.name == "cyclic(4)"
+    assert rebuilt.mul(1, 1) == 0
+    assert all(rebuilt.mul(a, b) == klein.mul(a, b)
+               for a in klein.elements for b in klein.elements)
+    z4 = cyclic_group(4)
+    assert z4.describe() == {"kind": "cyclic", "n": 4}
+    assert target_from_description(z4.describe()).mul(1, 1) == 2
