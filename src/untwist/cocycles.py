@@ -145,10 +145,13 @@ class CocycleSpec:
 
     def holder_constants(self, g):
         """(C_g, r) with d(c(g,x), c(g,y)) <= C_g * r**n for agreement on B(n)."""
-        k = self.metric.length(g)
         r = self.rate
-        C_g = self.holder_constant * sum(r ** (-i) for i in range(k))
-        return C_g, r
+        if self.holder_constant == 0:
+            return 0.0, r
+        k = self.metric.length(g)
+        # The largest term comes last; past it the sum would overflow.
+        _inverse_power(r, k - 1, f"anchor {self.group.format_elem(g)} of length {k}")
+        return self.holder_constant * sum(r ** (-i) for i in range(k)), r
 
     def _word_plan(self, labels):
         """Read plan of the word s_1...s_m: per factor, left to right, its block

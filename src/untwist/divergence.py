@@ -79,43 +79,41 @@ def avoidant_shortest_path(query: DivergenceQuery,
                            metric: WordMetric | None = None) -> PathSearchResult:
     """Exact shortest path from a to b inside the window, off the obstacle.
 
-    A* towards b under the heuristic L(b^-1 g) of Group.length_lower_bound:
-    L <= l and one generator step moves it by at most 1, so the heuristic is
-    admissible and consistent and the first time b leaves the heap its
+    Every length comes from one reader, WordMetric.length_reader(window):
+    h is inside the window iff l(h) <= window and forbidden iff
+    l(c^-1 h) < r.  The search is A* towards b under the heuristic
+    l(b^-1 h) as read: at most l and moved by at most 1 per generator step,
+    so admissible and consistent, and the first time b leaves the heap its
     distance is the breadth-first one.
     """
     group = query.group
     window = query.window_radius
-    table = (metric or WordMetric(group)).table(window)
+    length = (metric or WordMetric(group)).length_reader(window)
     for x in (query.a, query.b, query.c):
-        length = table.length(x)
-        if length is None or length > window:
+        if length(x) > window:
             raise GroupError("query points must lie inside the window ball")
 
-    # h lies in the open ball c*B(r-1) iff l(c^-1 h) < r; the table holds
-    # complete layers up to the window, so an element it misses is longer
-    # than r - 1 as long as r <= window + 1 (make_query keeps r <= window - 2).
+    # A table reader gives min(l, R + 1) with R >= window, so it answers
+    # l(c^-1 h) < r exactly as long as r <= window + 1 (make_query keeps
+    # r <= window - 2).
     radius = query.forbidden_radius
     if radius > window + 1:
         raise GroupError("forbidden ball reaches outside the window table")
-    lengths = table.lengths
     mul = group._mul
     c_inv = group.inv(query.c)
 
     def forbidden(h):
-        k = lengths.get(mul(c_inv, h))
-        return k is not None and k < radius
+        return length(mul(c_inv, h)) < radius
 
     a, b = query.a, query.b
     if forbidden(a) or forbidden(b):
         raise GroupError("endpoint inside the forbidden ball; radius formula violated")
 
     b_inv = group.inv(b)
-    bound = group.length_lower_bound
     gens = [s for _, s in group.gens]
     dist = {a: 0}
     parent = {}
-    heap = [(bound(mul(b_inv, a)), 0, a)]
+    heap = [(length(mul(b_inv, a)), 0, a)]
     while heap:
         _, neg_d, g = heappop(heap)
         d = -neg_d
@@ -132,12 +130,11 @@ def avoidant_shortest_path(query: DivergenceQuery,
             h = mul(g, s)
             if dist.get(h, d + 1) <= d:
                 continue  # already reached at least as cheaply
-            length = lengths.get(h)
-            if length is None or length > window or forbidden(h):
+            if length(h) > window or forbidden(h):
                 continue
             dist[h] = d
             parent[h] = g
-            heappush(heap, (d + bound(mul(b_inv, h)), -d, h))
+            heappush(heap, (d + length(mul(b_inv, h)), -d, h))
     if _certified_disconnection(query):
         return PathSearchResult(INFINITE)
     return PathSearchResult(WINDOW_DISCONNECTED)
@@ -188,29 +185,48 @@ def geodesic_points(group: Group, a, b, metric: WordMetric):
     return points
 
 
-def default_obstacles(group: Group, a, b, window, rng, metric: WordMetric,
-                      sample_budget: int = 10):
-    """Obstacles on a geodesic between the endpoints plus seeded window samples.
+def _box_draw(box, rng, accept):
+    """The first point of the box that accept takes, over uniform tries: each
+    try is uniform on the box, so the result is uniform on what accept takes."""
+    while True:
+        g = tuple([lo + rng.randrange(hi - lo + 1) for lo, hi in box])
+        if accept(g):
+            return g
 
-    window lists the window ball in BFS order; each sample is drawn from it
-    with a and b left out, by stepping the drawn index past their positions.
+
+def default_obstacles(group: Group, a, b, window_radius: int, rng,
+                      metric: WordMetric, sample_budget: int = 10):
+    """Obstacles on a geodesic between the endpoints plus seeded samples,
+    uniform on the window ball with a and b left out.
+
+    A model with a ball box draws each sample from the box, redrawing until
+    the closed form puts it in the ball and it is neither a nor b.  The
+    others list the window ball in BFS order and step each drawn index past
+    the positions of a and b.
     """
     obstacles = [p for p in geodesic_points(group, a, b, metric) if p not in (a, b)]
-    skip = sorted(window.index(p) for p in {a, b} if p in window)
-    size = len(window) - len(skip)
-    for _ in range(sample_budget if size else 0):
-        i = rng.randrange(size)
-        for p in skip:
-            if i >= p:
-                i += 1
-        obstacles.append(window[i])
-    seen = set()
-    unique = []
-    for c in obstacles:
-        if c not in seen:
-            seen.add(c)
-            unique.append(c)
-    return unique
+    box = group.ball_box(window_radius)
+    if box is None:
+        window = list(metric.table(window_radius).within(window_radius))
+        skip = sorted(window.index(p) for p in {a, b} if p in window)
+        size = len(window) - len(skip)
+        for _ in range(sample_budget if size else 0):
+            i = rng.randrange(size)
+            for p in skip:
+                if i >= p:
+                    i += 1
+            obstacles.append(window[i])
+    else:
+        length = group.exact_length
+
+        def in_pool(g):
+            return g != a and g != b and length(g) <= window_radius
+
+        # B(1) has at least three elements on a model with a box, so the
+        # pool is empty exactly when it misses B(1).
+        if any(map(in_pool, [group.identity] + [s for _, s in group.gens])):
+            obstacles += [_box_draw(box, rng, in_pool) for _ in range(sample_budget)]
+    return list(dict.fromkeys(obstacles))
 
 
 @dataclass(frozen=True)
@@ -244,17 +260,13 @@ def div_function(group: Group, n_max: int, *, window_factor: int = 4,
     best_so_far = None
     for n in range(2, n_max + 1):
         window_radius = window_factor * n
-        table = metric.table(window_radius)
         pairs = [_axis_pair(group, n)]
         for _ in range(pairs_per_n - 1):
             pairs.append(_random_pair(group, n, metric, rng))
         # All draws come before any search, which draws nothing, so the RNG
-        # sequence is the per-pair one; the window list is gone before the
-        # searches grow the metric's table.
-        window = list(table.within(window_radius))
-        obstacle_sets = [default_obstacles(group, a, b, window, rng, metric,
+        # sequence is the per-pair one.
+        obstacle_sets = [default_obstacles(group, a, b, window_radius, rng, metric,
                                            sample_budget) for a, b in pairs]
-        del window
         best_row = None
         for (a, b), obstacles in zip(pairs, obstacle_sets):
             pair = div_pair(group, a, b, obstacles, window_radius, metric)
@@ -284,18 +296,19 @@ def _axis_pair(group: Group, n: int):
 
 
 def _random_pair(group: Group, n: int, metric: WordMetric, rng):
-    """Seeded pair at distance close to n, balanced around the identity."""
-    table = metric.table(n)
-    for distance in range(n, 1, -1):
-        sphere = table.elements_of_length(distance)
-        if sphere:
-            w = sphere[rng.randrange(len(sphere))]
-            word = metric.geodesic_word(w)
-            mid = len(word) // 2
-            prefix = group.eval_word(word[:mid])
-            suffix = group.eval_word(word[mid:])
-            return group.inv(prefix), suffix
-    return _axis_pair(group, n)
+    """Seeded pair at distance n, balanced around the identity: the halves
+    of the geodesic word of an element drawn uniformly from the sphere of
+    radius n, by box draws where the model has a ball box."""
+    box = group.ball_box(n)
+    if box is None:
+        sphere = metric.table(n).elements_of_length(n)
+        w = sphere[rng.randrange(len(sphere))]
+    else:
+        length = group.exact_length
+        w = _box_draw(box, rng, lambda g: length(g) == n)
+    word = metric.geodesic_word(w)
+    mid = len(word) // 2
+    return group.inv(group.eval_word(word[:mid])), group.eval_word(word[mid:])
 
 
 @dataclass(frozen=True)

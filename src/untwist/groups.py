@@ -202,11 +202,12 @@ class Group(ABC):
         """Closed-form word length, or None when only BFS can answer."""
         return None
 
-    def length_lower_bound(self, g) -> int:
-        """A bound L(g) <= l(g) that right multiplication by a generator moves
-        by at most 1; so L(b^-1 g) is a consistent A* heuristic towards b."""
-        found = self.exact_length(g)
-        return 0 if found is None else found
+    def ball_box(self, radius: int):
+        """Per-coordinate (lo, hi) bounds of the normal-form tuple that hold
+        every element of B(radius), or None.  Only models with a closed-form
+        length give one: uniform draws from the box, kept when the closed form
+        puts them in the ball, are uniform draws from the ball."""
+        return None
 
     def defining_relation_word_pairs(self):
         """Pairs of generator words with equal products (cocycle sanity checks)."""
@@ -362,6 +363,10 @@ class IntegerLattice(Group):
         hi = max(0, max(a))
         return min(abs(k) + sum(abs(v - k) for v in a) for k in range(lo, hi + 1))
 
+    def ball_box(self, radius):
+        # Each generator, a diagonal one too, moves each coordinate by at most 1.
+        return ((-radius, radius),) * self.dimension
+
     def compression_lower_bound(self, g):
         self.validate(g)
         if g == self._identity:
@@ -480,6 +485,13 @@ class DiscreteHeisenberg(Group):
             return x + y
         h = max(y, math.isqrt(z - 1) + 1)  # max(y, ceil(sqrt(z)))
         return 2 * (h - (-z // h)) - x - y
+
+    def ball_box(self, radius):
+        """|x|, |y| <= r and |z| <= r^2 on B(r): a word of length at most r
+        moves x and y by at most r, and its k-th letter, when a b-letter,
+        moves z by the current x, of size at most k - 1 < r."""
+        r2 = radius * radius
+        return ((-radius, radius), (-radius, radius), (-r2, r2))
 
     def compression_lower_bound(self, g):
         self.validate(g)
@@ -861,6 +873,18 @@ class WordMetric:
                 table = self.table(table.radius + 1)
         return found if limit is None or found <= limit else None
 
+    def length_reader(self, radius: int):
+        """A function giving l(g) without the structural check: the closed
+        form, or else the table grown to radius, which reads R + 1 for each
+        element it misses, R >= radius being its radius.  The table holds
+        complete layers, so the reading is min(l(g), R + 1) until it grows."""
+        group = self.group
+        if group.exact_length(group.identity) is not None:
+            return group.exact_length
+        table = self.table(radius)
+        get, beyond = table.lengths.get, table.radius + 1
+        return lambda g: get(g, beyond)
+
     def distance(self, g, h) -> int:
         return self.length(self.group.mul(self.group.inv(g), h))
 
@@ -871,14 +895,12 @@ class WordMetric:
         t1 is the first generator s with l(s^-1 g) = k - 1, and the descent
         repeats on s^-1 g.  BFS reaches each element first along this word,
         so it is the word of the BFS tree (Epstein et al., Word Processing
-        in Groups, 1992).  Lengths come from the closed form, or else from
-        the table grown to l(g).
+        in Groups, 1992).  Lengths come from length_reader(l(g)), exact for
+        every candidate, since none is longer than l(g) + 1.
         """
         group = self.group
         k = self.length(g)
-        length = group.exact_length
-        if length(g) is None:
-            length = self.table(k).lengths.get
+        length = self.length_reader(k)
         mul = group._mul
         back = [(label, group.inv(s)) for label, s in group.gens]
         word = []

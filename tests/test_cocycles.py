@@ -36,13 +36,9 @@ from untwist import (
 )
 from untwist.cocycles import canonical_cells
 from untwist.groups import DirectProduct, FreeGroup, InfiniteCyclic
-from untwist.sampling import (
-    pair_agreeing_on_ball,
-    random_configuration,
-    random_homoclinic_pair,
-    random_homoclinic_triple,
-    seeded_rng,
-)
+from untwist.sampling import random_configuration, seeded_rng
+
+from homoclinic import pair_agreeing_on_ball, random_homoclinic_pair, random_homoclinic_triple
 
 Z2 = IntegerLattice(2)
 METRIC = WordMetric(Z2)
@@ -159,6 +155,22 @@ def test_holder_constants_scaling():
     assert math.isclose(C2, spec.holder_constant * (1 + 1 / r))
     C0, _ = spec.holder_constants((0, 0))
     assert C0 == 0.0
+
+
+def test_holder_constants_of_an_anchor_past_float_range():
+    # 0.5 ** -1099 overflows a float.
+    z = InfiniteCyclic()
+    metric = WordMetric(z)
+    x = Configuration(z, A, 0, {(0,): 1})
+    y = Configuration(z, A, 0, {})
+    hom = homomorphism_cocycle(z, R1, {"x1+": (0.5,)}, A, metric=metric)
+    assert hom.holder_constants((1100,)) == (0.0, 0.5)
+    value, cert = holonomy(hom, (1100,), x, y, EPS)
+    assert value == R1.identity and cert.tail_bound == 0.0
+    potential = weighted_potential(z, metric, R1, 1, {(0,): (0.25,)}, A)
+    spec = coboundary_cocycle(z, R1, {"x1+": (0.5,)}, potential, A, metric=metric)
+    with pytest.raises(CocycleError, match="anchor 1100 of length 1100"):
+        holonomy(spec, (1100,), x, y, EPS)
 
 
 def test_holder_bound_observed_on_samples():

@@ -1,5 +1,7 @@
+import csv
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,13 +20,16 @@ from untwist.divergence import (
     FINITE,
     INFINITE,
     WINDOW_DISCONNECTED,
+    _box_draw,
+    _random_pair,
     avoidant_shortest_path,
     default_obstacles,
     geodesic_points,
 )
 from untwist.groups import enumerate_ball
 
-from oracles import grid_avoidant_length, heisenberg_avoidant_length
+from oracles import (grid_avoidant_length, heisenberg_avoidant_length, heisenberg_inv,
+                     heisenberg_lengths, heisenberg_mul, l1_ball, l1_length)
 from tabled_heisenberg import TabledHeisenberg
 
 Z2 = IntegerLattice(2)
@@ -173,8 +178,7 @@ def test_window_monotonicity():
 def test_div_pair_adjacent_points():
     metric = WordMetric(Z2)
     rng = random.Random(0)
-    window = list(metric.table(12).within(12))
-    obstacles = default_obstacles(Z2, (0, 0), (1, 0), window, rng, metric, 6)
+    obstacles = default_obstacles(Z2, (0, 0), (1, 0), 12, rng, metric, 6)
     pair = div_pair(Z2, (0, 0), (1, 0), obstacles, 12, metric)
     assert pair.value == 1.0
 
@@ -182,13 +186,39 @@ def test_div_pair_adjacent_points():
 @pytest.mark.parametrize("a, b", [((0, 0), (1, 0)), ((3, -2), (0, 0)),
                                   ((5, 5), (0, 1)), ((2, 2), (2, 2))])
 def test_obstacle_samples_match_a_pool_without_the_endpoints(a, b):
+    # z^2 has a ball box: each sample is the first point of [-6, 6]^2 drawn
+    # that lies in B(6) and is neither endpoint.
     metric = WordMetric(Z2)
-    window = list(metric.table(6).within(6))
-    obstacles = default_obstacles(Z2, a, b, window, random.Random(3), metric, 40)
+    obstacles = default_obstacles(Z2, a, b, 6, random.Random(3), metric, 40)
     rng = random.Random(3)
-    pool = [g for g in window if g not in (a, b)]
-    samples = [pool[rng.randrange(len(pool))] for _ in range(40)]
+    samples = []
+    while len(samples) < 40:
+        g = (rng.randint(-6, 6), rng.randint(-6, 6))
+        if abs(g[0]) + abs(g[1]) <= 6 and g not in (a, b):
+            samples.append(g)
     geodesic = [p for p in geodesic_points(Z2, a, b, metric) if p not in (a, b)]
+    assert obstacles == list(dict.fromkeys(geodesic + samples))
+
+
+@pytest.mark.parametrize("group, a, b", [(Z2, (0, 0), (1, 0)),
+                                     (DiscreteHeisenberg(), (0, 0, 0), (0, 1, 0))])
+def test_obstacle_draws_cover_the_window_ball_but_the_endpoints(group, a, b):
+    # B(2) minus {a, b} has 11 elements on z^2 and 15 on the Heisenberg group.
+    ball = set(l1_ball(2)) if group is Z2 else set(heisenberg_lengths(2))
+    obstacles = default_obstacles(group, a, b, 2, random.Random(5), WordMetric(group), 400)
+    assert set(obstacles) == ball - {a, b}
+
+
+@pytest.mark.parametrize("a, b", [((0, 0, 0), (1, 0, 0)), ((1, 1, 0), (0, 0, 0)),
+                                  ((0, 0, 5), (0, 1, 0)), ((1, 2, 1), (1, 2, 1))])
+def test_boxless_obstacle_samples_index_the_bfs_order_pool(a, b):
+    group = TabledHeisenberg()
+    metric = WordMetric(group)
+    obstacles = default_obstacles(group, a, b, 4, random.Random(3), metric, 40)
+    rng = random.Random(3)
+    pool = [g for g in enumerate_ball(group, 4).order if g not in (a, b)]
+    samples = [pool[rng.randrange(len(pool))] for _ in range(40)]
+    geodesic = [p for p in geodesic_points(group, a, b, metric) if p not in (a, b)]
     assert obstacles == list(dict.fromkeys(geodesic + samples))
 
 
@@ -197,8 +227,7 @@ def test_div_pair_axis_values_in_band():
     rng = random.Random(7)
     for n in (6, 9, 12, 14):
         a, b = (-n, 0), (n, 0)
-        window = list(metric.table(4 * n).within(4 * n))
-        obstacles = default_obstacles(Z2, a, b, window, rng, metric, 10)
+        obstacles = default_obstacles(Z2, a, b, 4 * n, rng, metric, 10)
         pair = div_pair(Z2, a, b, obstacles, 4 * n, metric)
         assert 3 * n - 8 <= pair.value <= 3 * n + 8
         assert pair.witness_c is not None
@@ -312,8 +341,11 @@ def test_div_function_enumerates_from_scratch_once(monkeypatch):
         return enumerate_ball(group, radius, max_elements, start)
 
     monkeypatch.setattr(groups, "enumerate_ball", counting)
-    div_function(Z2, 12, seed=7)
+    div_function(TabledHeisenberg(), 4, seed=7)
     assert sum(start is None for start in starts) == 1
+    starts.clear()
+    div_function(Z2, 12, seed=7)
+    assert starts == []  # closed-form lengths and box draws build no ball
 
 
 def recording_ball_radii(monkeypatch):
@@ -345,10 +377,67 @@ def test_div_function_metric_grows_only_as_far_as_asked(monkeypatch):
     assert max(radii) == max(max(r.window_radius for r in rows), max(answers))
 
 
-def test_heisenberg_div_function_grows_its_metric_to_the_window_only(monkeypatch):
+def test_heisenberg_div_function_builds_no_ball(monkeypatch):
     radii = recording_ball_radii(monkeypatch)
-    rows = div_function(DiscreteHeisenberg(), 4, seed=7)
-    assert max(radii) == max(r.window_radius for r in rows)
+    div_function(DiscreteHeisenberg(), 4, seed=7)
+    assert radii == []
+
+
+def test_box_draws_are_uniform_on_a_small_ball():
+    group = DiscreteHeisenberg()
+    a, b = (0, 0, 0), (1, 0, 0)
+    pool = set(heisenberg_lengths(2)) - {a, b}
+    rng = random.Random(11)
+    box = group.ball_box(2)
+    draws = 400 * len(pool)
+    counts = Counter(_box_draw(box, rng, lambda g: g not in (a, b)
+                               and group.exact_length(g) <= 2) for _ in range(draws))
+    assert set(counts) == pool
+    mean = draws / len(pool)
+    chi2 = sum((k - mean) ** 2 / mean for k in counts.values())
+    assert chi2 < 36.12  # the 0.999 quantile of chi-square with 14 degrees of freedom
+
+
+@pytest.mark.parametrize("group", [Z2, DiscreteHeisenberg(), TabledHeisenberg()],
+                         ids=["z^2", "heisenberg", "TabledHeisenberg"])
+def test_random_pairs_halve_draws_that_cover_the_sphere(group):
+    # a^-1 b is the drawn element; the sphere of radius 3 has 12 elements on
+    # z^2 and 36 on the Heisenberg group.
+    if group is Z2:
+        sphere = {g for g in l1_ball(3) if l1_length(g) == 3}
+        quotient = lambda a, b: (b[0] - a[0], b[1] - a[1])
+    else:
+        sphere = {g for g, k in heisenberg_lengths(3).items() if k == 3}
+        quotient = lambda a, b: heisenberg_mul(heisenberg_inv(a), b)
+    metric, rng = WordMetric(group), random.Random(9)
+    drawn = {quotient(*_random_pair(group, 3, metric, rng)) for _ in range(400)}
+    assert drawn == sphere
+
+
+def test_heisenberg_nmax_24_runs_within_a_one_element_budget(tmp_path):
+    from untwist.cli import main
+
+    out = tmp_path / "div"
+    assert main(["divergence", "--group", "heisenberg", "--nmax", "24",
+                 "--max-elements", "1", "--out", str(out)]) == 0
+    lines = (out / "divergence.csv").read_text().splitlines()
+    rows = {int(row[0]): row for row in csv.reader(lines[2:])}
+    assert sorted(rows) == list(range(2, 25))
+    assert all(float(rows[n][1]) > n for n in range(12, 25))
+    for n in (12, 16):
+        _, value, *witnesses, _ = rows[n]
+        a, b, c = (tuple(map(int, w.strip("()").split(","))) for w in witnesses)
+        value = int(float(value))
+        lengths = heisenberg_lengths(n)
+        c_inv = heisenberg_inv(c)
+        d = min(lengths.get(heisenberg_mul(c_inv, p), math.inf) for p in (a, b))
+        assert d <= n
+        # Every path of length value from a stays in B(max(l(a), l(b)) + value),
+        # which lies inside the run's window 4n, so the oracle's search in it
+        # gives the run's value exactly.
+        window = max(lengths[a], lengths[b]) + value
+        assert window <= 28
+        assert heisenberg_avoidant_length(a, b, c, max(0, d // 2 - 2), window) == value
 
 
 def test_classify_growth_synthetic():

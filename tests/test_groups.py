@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 
 import pytest
@@ -183,13 +184,19 @@ def test_unchecked_product_equals_checked(group):
         assert group._steps(g) == [group._mul(g, s) for _, s in group.gens]
 
 
-@pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
+@pytest.mark.parametrize("group", MODELS + [TabledHeisenberg()],
+                         ids=lambda g: type(g).__name__ if isinstance(g, TabledHeisenberg)
+                         else g.name)
 def test_length_lower_bound_is_a_consistent_heuristic(group):
+    # The search's heuristic is the metric's length reader; read at radius 2,
+    # a table route misses the layers 3 and 4 of the ball checked here.
     lengths = enumerate_ball(group, 4).lengths
-    bound = group.length_lower_bound
+    bound = WordMetric(group).length_reader(2)
     assert any(bound(g) for g in lengths)
     for g, length in lengths.items():
         assert 0 <= bound(g) <= length
+        if group.exact_length(g) is None:
+            assert bound(g) == min(length, 3)
         for _, s in group.gens:
             assert abs(bound(group.mul(g, s)) - bound(g)) <= 1
 
@@ -299,6 +306,33 @@ def test_closed_form_length_builds_no_table(group, monkeypatch):
         assert metric.length(g, length) == length
         assert metric.length(g, length - 1) is None
         assert len(metric.geodesic_word(g)) == length
+
+
+# -- ball boxes ----------------------------------------------------------------
+
+BOXED = [g for g in MODELS if g.ball_box(0) is not None]
+
+
+def test_boxed_models_are_the_closed_form_tuple_models():
+    assert [g.name for g in BOXED] == ["z^2", "z^3", "z^2+diag", "z", "heisenberg"]
+    assert TabledHeisenberg().ball_box(3) is None
+
+
+@pytest.mark.parametrize("group", BOXED, ids=lambda g: g.name)
+@pytest.mark.parametrize("radius", range(7))
+def test_ball_box_holds_the_raw_ball_and_the_sampler_accepts_exactly_it(group, radius):
+    # The obstacle sampler keeps a box point g iff l(g) <= radius.  The raw
+    # ball comes from BFS over raw tuples: lattices add coordinates, and the
+    # Heisenberg ball is the oracle's.
+    if isinstance(group, DiscreteHeisenberg):
+        ball = set(heisenberg_lengths(radius))
+    else:
+        ball = set(bfs_tree_words(group.identity, group.gens,
+                                  lambda p, q: tuple(u + v for u, v in zip(p, q)), radius))
+    box = group.ball_box(radius)
+    assert len(box) == len(group.identity)
+    points = itertools.product(*(range(lo, hi + 1) for lo, hi in box))
+    assert {g for g in points if group.exact_length(g) <= radius} == ball
 
 
 # -- the closed-form Heisenberg length ----------------------------------------

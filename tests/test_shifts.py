@@ -19,8 +19,9 @@ from untwist import (
     membership_check,
     parse_group,
 )
-from untwist.sampling import pair_agreeing_on_ball, random_configuration, seeded_rng
+from untwist.sampling import random_configuration, seeded_rng
 
+from homoclinic import pair_agreeing_on_ball
 from oracles import (cone_cells, heisenberg_inv, heisenberg_lengths, heisenberg_mul,
                      l1_ball, l1_length, z2_mul)
 
