@@ -9,6 +9,7 @@ the desk-scale pipeline ever evaluates.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .groups import Group, OutOfRange, WordMetric
@@ -169,13 +170,16 @@ def membership_check(x: Configuration, spec, window=None) -> bool:
     if x.background != 0:
         raise ContractError("golden-mean membership needs background 0")
     group = x.group
-    required = set()
+    mul = group._mul
     for family in spec.families:
-        for cell in x.support:
-            for f in family:
-                required.add(group.mul(cell, group.inv(f)))
+        for f in family:
+            group.validate(f)
+    inverses = [group.inv(f) for family in spec.families for f in family]
+    required = {mul(cell, f_inv) for f_inv in inverses for cell in x.support}
     if window is not None:
         window = set(window)
+        for g in window:
+            group.validate(g)
         missing = required - window
         if missing:
             raise ContractError(
@@ -184,9 +188,10 @@ def membership_check(x: Configuration, spec, window=None) -> bool:
         centers = window
     else:
         centers = required
+    symbol_at = x.symbol_at
     for g in centers:
         for family in spec.families:
-            if all(x.symbol_at(group.mul(g, f)) != 0 for f in family):
+            if all(symbol_at(mul(g, f)) != 0 for f in family):
                 return False
     return True
 
@@ -223,6 +228,12 @@ class ConeParams:
         if s_prime < 1.0 or t_prime < 0.0:
             raise ContractError("specification constants need s' >= 1, t' >= 0")
         group.validate(anchor)
+        if profile.group is not group or profile.g != anchor:
+            raise ContractError(
+                f"cone anchor {group.format_elem(anchor)} in {group.name} does "
+                f"not match the profile of {profile.group.format_elem(profile.g)} "
+                f"in {profile.group.name}"
+            )
         self.group = group
         self.anchor = anchor
         self.R = radius_R
@@ -231,6 +242,16 @@ class ConeParams:
         self.t_prime = t_prime
         self.metric = metric
         self.anchor_length = self.metric.length(anchor)
+        # Walk data for j = 0..j_max: piece j has radius _radii[j], and a walk
+        # from k reaches it only while _stops[j] = 3*L(j) <= 4*(l(k) + R).
+        # L is non-decreasing, so bisecting _stops counts the pieces a walk
+        # reaches; rho is too, so the reader built for _radii[-1] is exact at
+        # every radius it is compared with.
+        self._radii = [self.piece_radius(j) for j in range(profile.j_max + 1)]
+        self._stops = [3 * profile.lower_bound.value(j)
+                       for j in range(profile.j_max + 1)]
+        self._steps = {"+": group.inv(anchor), "-": anchor}
+        self._length = metric.length_reader(self._radii[-1])
 
     @classmethod
     def create(cls, group: Group, anchor, radius_R: int,
@@ -262,21 +283,22 @@ class ConeParams:
 
     def cone_contains(self, k, sign: str) -> bool:
         """Whether k lies in the union of the signed cone pieces; walks
-        a^(-+j) k for j = 0, 1, ... by one fixed left multiplication per step.
-        k is validated once; the walk's points are trusted products."""
+        a^(-+j) k for j = 0, 1, ... by one fixed left multiplication per step,
+        against thresholds tabulated up to profile.j_max.  k is validated
+        once; the walk's points are trusted products."""
         if sign not in ("+", "-"):
             raise ContractError("sign must be '+' or '-'")
-        group = self.group
-        step = group.inv(self.anchor) if sign == "+" else self.anchor
+        step = self._steps[sign]
         reach = 4 * (self.metric.length(k) + self.R)
-        length = self.metric._length
+        n = bisect_right(self._stops, reach)
+        mul, length = self.group._mul, self._length
         point = k
-        j = 0
-        while 3 * self.profile.lower_bound.value(j) <= reach:
-            if length(point) <= self.piece_radius(j):
+        for radius in self._radii[:n]:
+            if length(point) <= radius:
                 return True
-            point = group._mul(step, point)
-            j += 1
+            point = mul(step, point)
+        if n == len(self._stops) and 3 * self.profile.lower_bound.value(n) <= reach:
+            self.piece_radius(n)  # past the exact range: raises OutOfRange
         return False
 
     def overlap_window_bound(self) -> int:

@@ -168,3 +168,24 @@ def cone_cells(region, step, radius_R, j_max, mul, length, ball):
     for j in range(j_max + 1):
         inside |= {mul(powers[j], b) for b in ball(rho[j] // 4 + radius_R)} & region
     return inside
+
+
+def free_mul(p, q):
+    """Product of freely reduced words of signed letters, reduced again."""
+    word = list(p)
+    for letter in q:
+        if word and word[-1] == -letter:
+            word.pop()
+        else:
+            word.append(letter)
+    return tuple(word)
+
+
+def free_ball(rank, radius):
+    """Freely reduced words of length <= radius over letters +-1..+-rank."""
+    letters = [s * i for i in range(1, rank + 1) for s in (1, -1)]
+    words, layer = [()], [()]
+    for _ in range(radius):
+        layer = [w + (s,) for w in layer for s in letters if not w or w[-1] != -s]
+        words += layer
+    return words

@@ -10,7 +10,9 @@ from untwist import (
     DiscreteHeisenberg,
     FullShift,
     GoldenMean,
+    GroupError,
     IntegerLattice,
+    OutOfRange,
     WordMetric,
     background_configuration,
     default_specification_constants,
@@ -19,11 +21,13 @@ from untwist import (
     membership_check,
     parse_group,
 )
+from untwist.invariants import build_profile
 from untwist.sampling import random_configuration, seeded_rng
 
 from homoclinic import pair_agreeing_on_ball
-from oracles import (cone_cells, heisenberg_inv, heisenberg_lengths, heisenberg_mul,
-                     l1_ball, l1_length, z2_mul)
+from oracles import (cone_cells, free_ball, free_mul, heisenberg_inv, heisenberg_lengths,
+                     heisenberg_mul, l1_ball, l1_length, z2_mul)
+from tabled_heisenberg import TabledHeisenberg
 
 Z2 = IntegerLattice(2)
 METRIC = WordMetric(Z2)
@@ -208,6 +212,75 @@ def test_heisenberg_cone_membership_matches_oracle(R):
         assert {c for c in region if params.cone_contains(c, sign)} == inside
 
 
+def test_tabled_heisenberg_cone_membership_matches_oracle():
+    # No closed form: the walk reads lengths from the metric's table.
+    heis = TabledHeisenberg()
+    anchor = heis.parse_elem("a")
+    lengths = heisenberg_lengths(12)
+    region = [g for g, d in lengths.items() if d <= 5]
+
+    def ball(m):
+        return [g for g, d in lengths.items() if d <= m]
+
+    for R in (0, 2):
+        params = ConeParams.create(heis, anchor, R, metric=WordMetric(heis),
+                                   max_query_length=5)
+        for sign, step in (("+", anchor), ("-", heisenberg_inv(anchor))):
+            inside = cone_cells(region, step, R, 12, heisenberg_mul,
+                                lengths.__getitem__, ball)
+            assert {c for c in region if params.cone_contains(c, sign)} == inside
+
+
+@pytest.mark.parametrize("word", ["a", "ab"])
+@pytest.mark.parametrize("R", [0, 2])
+def test_free_group_cone_membership_matches_oracle(word, R):
+    free = parse_group("free:2")
+    anchor = free.parse_elem(word)
+    region = free_ball(2, 4)
+    params = ConeParams.create(free, anchor, R, metric=WordMetric(free),
+                               max_query_length=4)
+    for sign, step in (("+", anchor), ("-", free.inv(anchor))):
+        inside = cone_cells(region, step, R, 10, free_mul, len,
+                            lambda m: free_ball(2, m))
+        assert {c for c in region if params.cone_contains(c, sign)} == inside
+
+
+def test_cone_walk_past_the_profile_raises_unless_it_hits_a_piece_first():
+    params = make_params(0, L=10)
+    assert params.profile.j_max == 15
+    # (40,0) meets no piece up to j_max = 15 and 3*L(16) <= 4*40.
+    with pytest.raises(OutOfRange):
+        params.cone_contains((40, 0), "+")
+    # (12,1) reaches past j_max too, but a^-12*(12,1) = (0,1) lies in piece 12.
+    assert params.cone_contains((12, 1), "+")
+    assert not params.cone_contains((3, 0), "-")
+
+
+@pytest.mark.parametrize("group, region", [
+    (TabledHeisenberg(), list(heisenberg_lengths(4))),
+    (parse_group("free:2"), free_ball(2, 4)),
+], ids=["TabledHeisenberg", "free:2"])
+def test_cone_queries_grow_no_table_past_create(group, region):
+    metric = WordMetric(group)
+    params = ConeParams.create(group, group.gens[0][1], 1, metric=metric,
+                               max_query_length=4)
+    radius = metric.table(0).radius
+    for g in region:
+        params.cone_contains(g, "+")
+        params.cone_contains(g, "-")
+    assert metric.table(0).radius == radius
+
+
+def test_cone_refuses_a_profile_of_another_element_or_group():
+    profile = build_profile(METRIC, (3, 0), 40)
+    with pytest.raises(ContractError, match=r"anchor \(1,0\).*profile of \(3,0\)"):
+        ConeParams(Z2, (1, 0), 2, profile, 1.0, 0.0, METRIC)
+    other = IntegerLattice(2)
+    with pytest.raises(ContractError, match="profile"):
+        ConeParams(other, (3, 0), 2, profile, 1.0, 0.0, WordMetric(other))
+    assert ConeParams(Z2, (3, 0), 2, profile, 1.0, 0.0, METRIC).cone_contains((5, 0), "+")
+
+
 # -- gluing ----------------------------------------------------------------------
 
 def test_glue_identical_inputs():
@@ -359,6 +432,15 @@ def test_membership_window_must_cover_support():
         membership_check(x, GM, window=[(9, 9)])
     window = [Z2.mul(c, Z2.inv(f)) for c in x.support for fam in GM.families for f in fam]
     assert membership_check(x, GM, window=window) is False
+
+
+def test_membership_refuses_malformed_family_or_window_elements():
+    x = cfg({(0, 0): 1})
+    with pytest.raises(GroupError):
+        membership_check(x, GoldenMean(A, (((0, 0), (1, 0, 0)),)))
+    window = [Z2.mul(c, Z2.inv(f)) for c in x.support for fam in GM.families for f in fam]
+    with pytest.raises(GroupError):
+        membership_check(x, GM, window=window + [(9, 9, 9)])
 
 
 def test_membership_background_zero_required():
