@@ -1,78 +1,59 @@
 """Exact word-metric geometry of finitely generated groups and certified
-cocycle untwisting over full shifts."""
+cocycle untwisting over full shifts.
 
-from .groups import (
-    BallTable,
-    DirectProduct,
-    DiscreteHeisenberg,
-    FreeGroup,
-    GroupError,
-    InfiniteCyclic,
-    IntegerLattice,
-    OutOfRange,
-    ResourceLimit,
-    WordMetric,
-    enumerate_ball,
-    parse_group,
-)
-from .invariants import (
-    CompressionProfile,
-    PowerLengthTable,
-    build_profile,
-    conjugation_compression_check,
-    power_lengths,
-    sdt_partial_sum,
-    translation_number,
-)
-from .divergence import (
-    avoidant_shortest_path,
-    classify_growth,
-    div_function,
-    div_pair,
-    make_query,
-)
-from .shifts import (
-    ConeParams,
-    Configuration,
-    ContractError,
-    FullShift,
-    GoldenMean,
-    background_configuration,
-    default_specification_constants,
-    glue,
-    homoclinic_agreement_radius,
-    membership_check,
-)
-from .targets import (
-    FiniteGroup,
-    RealVector,
-    TargetGroup,
-    Torus,
-    bi_invariance_defect,
-    cyclic_group,
-)
-from .cocycles import (
-    BlockMap,
-    CocycleError,
-    CocycleSpec,
-    HolonomyCertificate,
-    TransferTable,
-    VerificationError,
-    coboundary_cocycle,
-    cocycle_spec_from_jsonable,
-    cocycle_spec_to_jsonable,
-    corrupted_spec,
-    extract_homomorphism,
-    generator_independence,
-    holder_modulus,
-    holonomy,
-    holonomy_identity_check,
-    homomorphism_cocycle,
-    partial_product,
-    plus_minus_agree,
-    relation_consistency,
-    specification_decay,
-    weighted_potential,
-)
+Each public name below is read from its module when asked for (PEP 562), so
+`import untwist` loads none of the modules, and `from untwist import X` loads
+the one that defines X, with what that one imports.
+"""
 
+import importlib
+
+_HOMES = {
+    "groups": (
+        "BallTable", "DirectProduct", "DiscreteHeisenberg", "FreeGroup",
+        "GroupError", "InfiniteCyclic", "InputError", "IntegerLattice",
+        "OutOfRange", "ResourceLimit", "WordMetric", "enumerate_ball",
+        "parse_group",
+    ),
+    "invariants": (
+        "CompressionProfile", "PowerLengthTable", "build_profile",
+        "conjugation_compression_check", "power_lengths", "sdt_partial_sum",
+        "translation_number",
+    ),
+    "divergence": (
+        "avoidant_shortest_path", "classify_growth", "div_function", "div_pair",
+        "make_query",
+    ),
+    "shifts": (
+        "ConeParams", "Configuration", "ContractError", "FullShift", "GoldenMean",
+        "background_configuration", "default_specification_constants", "glue",
+        "homoclinic_agreement_radius", "membership_check",
+    ),
+    "targets": (
+        "FiniteGroup", "RealVector", "TargetGroup", "Torus",
+        "bi_invariance_defect", "cyclic_group",
+    ),
+    "cocycles": (
+        "BlockMap", "CocycleError", "CocycleSpec", "HolonomyCertificate",
+        "TransferTable", "VerificationError", "coboundary_cocycle",
+        "cocycle_spec_from_jsonable", "cocycle_spec_to_jsonable", "corrupted_spec",
+        "extract_homomorphism", "generator_independence", "holder_modulus",
+        "holonomy", "holonomy_identity_check", "homomorphism_cocycle",
+        "partial_product", "plus_minus_agree", "relation_consistency",
+        "specification_decay", "weighted_potential",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__():
+    return sorted([*globals(), *__all__])

@@ -17,42 +17,15 @@ import math
 import os
 import sys
 
-from . import divergence as divergence_mod
-from .cocycles import (
-    CocycleError,
-    VerificationError,
-    cocycle_spec_from_jsonable,
-    extract_homomorphism,
-    generator_independence,
-    relation_consistency,
-    TransferTable,
-)
 from .groups import (
     DEFAULT_METRIC_BUDGET,
-    GroupError,
+    InputError,
     OutOfRange,
     ResourceLimit,
     WordMetric,
     parse_group,
 )
-from .invariants import build_profile, sdt_partial_sum
 from .reporting import write_csv, write_json
-from .sampling import random_configuration, seeded_rng
-from .shifts import (
-    Configuration,
-    ConeParams,
-    ContractError,
-    FullShift,
-    GoldenMean,
-    default_specification_constants,
-    glue,
-    membership_check,
-)
-from .targets import TargetError
-
-
-class InputError(ValueError):
-    """A task, spec or config file the run cannot use."""
 
 
 @contextlib.contextmanager
@@ -63,7 +36,7 @@ def _decoding(path):
         obj = json.load(fh)
     try:
         yield obj
-    except (GroupError, ContractError, CocycleError, TargetError):
+    except InputError:
         raise
     except KeyError as exc:
         raise InputError(f"{path}: missing key {exc.args[0]!r}") from None
@@ -100,6 +73,8 @@ def cmd_ball(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from .invariants import build_profile, sdt_partial_sum
+
     group = parse_group(args.group)
     g = group.parse_elem(args.element)
     profile = build_profile(WordMetric(group, args.max_elements), g, args.radius)
@@ -180,8 +155,10 @@ def _profile_checks(profile) -> dict:
 
 
 def cmd_divergence(args) -> int:
+    from .divergence import classify_growth, div_function
+
     group = parse_group(args.group)
-    rows = divergence_mod.div_function(
+    rows = div_function(
         group, args.nmax, window_factor=args.window_factor,
         sample_budget=args.sample_budget, pairs_per_n=args.pairs_per_n,
         seed=args.seed, max_elements=args.max_elements,
@@ -202,8 +179,7 @@ def cmd_divergence(args) -> int:
               "any_infinite": any(math.isinf(r.value) for r in rows)}
     finite = [(r.n, r.value) for r in rows if math.isfinite(r.value)]
     if len(finite) >= 4:
-        fit = divergence_mod.classify_growth([n for n, _ in finite],
-                                             [v for _, v in finite])
+        fit = classify_growth([n for n, _ in finite], [v for _, v in finite])
         report["growth"] = {"degree": fit.degree,
                             "subexp_statistic": fit.subexp_statistic,
                             "points_used": fit.points_used}
@@ -212,6 +188,8 @@ def cmd_divergence(args) -> int:
 
 
 def _load_subshift(group, obj):
+    from .shifts import ContractError, FullShift, GoldenMean
+
     kind = obj.get("kind")
     if kind == "full":
         return FullShift(tuple(obj["alphabet"]))
@@ -225,6 +203,9 @@ def _load_subshift(group, obj):
 
 
 def cmd_subshift(args) -> int:
+    from .shifts import (ConeParams, Configuration, ContractError, GoldenMean,
+                         default_specification_constants, glue, membership_check)
+
     group = parse_group(args.group)
     metric = WordMetric(group, args.max_elements)
     with _decoding(args.spec) as spec_obj:
@@ -271,6 +252,11 @@ def cmd_subshift(args) -> int:
 
 
 def cmd_cocycle(args) -> int:
+    from .cocycles import (TransferTable, VerificationError, cocycle_spec_from_jsonable,
+                           extract_homomorphism, generator_independence,
+                           relation_consistency)
+    from .sampling import random_configuration, seeded_rng
+
     group = parse_group(args.group)
     with _decoding(args.spec) as spec_obj:
         spec = cocycle_spec_from_jsonable(spec_obj, group,
@@ -422,8 +408,7 @@ def main(argv=None) -> int:
     except ResourceLimit as exc:
         print(f"error: {exc}; raise --max-elements", file=sys.stderr)
         return 2
-    except (GroupError, ContractError, CocycleError, TargetError, InputError,
-            OutOfRange, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InputError, OutOfRange, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

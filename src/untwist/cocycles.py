@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
-from .groups import Group, WordMetric, parse_group
+from .groups import Group, InputError, WordMetric, linear_fit, parse_group
 from .shifts import Configuration, glue
 from .targets import TargetGroup, target_from_description
 
 
-class CocycleError(ValueError):
+class CocycleError(InputError):
     """Invalid cocycle specification or unsupported request."""
 
 
@@ -228,8 +228,7 @@ def relation_consistency(spec: CocycleSpec, samples, element_pairs=()) -> float:
 # Holonomy limits with certified tails
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HolonomyCertificate:
+class HolonomyCertificate(NamedTuple):
     anchor: str
     sign: str
     n_used: int
@@ -241,7 +240,7 @@ class HolonomyCertificate:
     epsilon: float
 
     def to_jsonable(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def partial_product(spec: CocycleSpec, g, x: Configuration, y: Configuration,
@@ -390,8 +389,7 @@ def generator_independence(spec: CocycleSpec, g, h, pairs,
     return worst
 
 
-@dataclass(frozen=True)
-class DecayRow:
+class DecayRow(NamedTuple):
     R: int
     n_spec: int
     observed: float
@@ -459,8 +457,7 @@ class TransferTable:
         return result
 
 
-@dataclass
-class UntwistReport:
+class UntwistReport(NamedTuple):
     psi: dict                  # element -> extracted homomorphism value
     constancy_defect: float
     homomorphism_defect: float
@@ -520,15 +517,13 @@ def extract_homomorphism(spec: CocycleSpec, anchor, elements, samples,
     return report
 
 
-@dataclass(frozen=True)
-class HolderModulusRow:
+class HolderModulusRow(NamedTuple):
     agreement_radius: int
     max_distance: float
     pairs: int
 
 
-@dataclass(frozen=True)
-class HolderModulusReport:
+class HolderModulusReport(NamedTuple):
     rows: tuple
     fitted_rate: float
     fitted_scale: float
@@ -563,12 +558,9 @@ def holder_modulus(transfer: TransferTable, pairs_by_N: dict) -> HolderModulusRe
     points = [(row.agreement_radius, math.log(row.max_distance))
               for row in rows if row.max_distance > zero_floor]
     if len(points) >= 2:
-        import statistics  # with decimal and fractions, ~0.5 MB: load only for a fit
-
-        fit = statistics.linear_regression([p[0] for p in points],
-                                           [p[1] for p in points])
-        rate = math.exp(fit.slope)
-        scale = math.exp(fit.intercept)
+        slope, intercept = linear_fit([p[0] for p in points], [p[1] for p in points])
+        rate = math.exp(slope)
+        scale = math.exp(intercept)
     else:
         rate = 0.0
         scale = math.exp(points[0][1]) if points else 0.0

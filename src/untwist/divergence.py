@@ -12,8 +12,8 @@ the whole group (currently: the rank-one lattice with an interior obstacle).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .groups import (
     DEFAULT_METRIC_BUDGET,
@@ -21,6 +21,7 @@ from .groups import (
     GroupError,
     IntegerLattice,
     WordMetric,
+    linear_fit,
 )
 
 FINITE = "finite"
@@ -28,8 +29,7 @@ WINDOW_DISCONNECTED = "window_disconnected"
 INFINITE = "infinite"
 
 
-@dataclass(frozen=True)
-class DivergenceQuery:
+class DivergenceQuery(NamedTuple):
     group: Group
     a: tuple
     b: tuple
@@ -51,8 +51,7 @@ def make_query(group: Group, a, b, c, window_radius: int,
     return DivergenceQuery(group, a, b, c, window_radius, radius)
 
 
-@dataclass(frozen=True)
-class PathSearchResult:
+class PathSearchResult(NamedTuple):
     outcome: str                 # FINITE | WINDOW_DISCONNECTED | INFINITE
     length: int | None = None
     path: tuple | None = None    # vertex path witness for finite outcomes
@@ -140,8 +139,7 @@ def avoidant_shortest_path(query: DivergenceQuery,
     return PathSearchResult(WINDOW_DISCONNECTED)
 
 
-@dataclass(frozen=True)
-class PairDivergence:
+class PairDivergence(NamedTuple):
     """Best sampled divergence of a pair; a lower bound for the supremum."""
 
     a: tuple
@@ -229,8 +227,7 @@ def default_obstacles(group: Group, a, b, window_radius: int, rng,
     return list(dict.fromkeys(obstacles))
 
 
-@dataclass(frozen=True)
-class DivergenceRow:
+class DivergenceRow(NamedTuple):
     n: int
     value: float
     witness_a: tuple
@@ -311,8 +308,7 @@ def _random_pair(group: Group, n: int, metric: WordMetric, rng):
     return group.inv(group.eval_word(word[:mid])), group.eval_word(word[mid:])
 
 
-@dataclass(frozen=True)
-class GrowthFit:
+class GrowthFit(NamedTuple):
     """Descriptive log-log fit of a divergence sequence; no asymptotic claim."""
 
     degree: float            # least-squares slope of log(value) against log(n)
@@ -321,14 +317,12 @@ class GrowthFit:
 
 
 def classify_growth(ns, values) -> GrowthFit:
-    import statistics  # with decimal and fractions, ~0.5 MB: load only for a fit
-
     pairs = [(n, v) for n, v in zip(ns, values)
              if math.isfinite(v) and v > 0 and n > 0]
     if len(pairs) < 4:
         raise GroupError("growth fit needs at least 4 finite positive points")
     xs = [math.log(n) for n, _ in pairs]
     ys = [math.log(v) for _, v in pairs]
-    fit = statistics.linear_regression(xs, ys)
     stat = max(math.log(v) / n for n, v in pairs)
-    return GrowthFit(degree=fit.slope, subexp_statistic=stat, points_used=len(pairs))
+    return GrowthFit(degree=linear_fit(xs, ys)[0], subexp_statistic=stat,
+                     points_used=len(pairs))

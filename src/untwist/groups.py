@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from itertools import takewhile
 from operator import add
 
 
-class GroupError(ValueError):
+class InputError(ValueError):
+    """Input a run cannot use: a bad descriptor, element or description, or
+    a task, spec or config file.  The CLI exits 2 on it."""
+
+
+class GroupError(InputError):
     """Structurally invalid element or unsupported operation for a model."""
 
 
@@ -756,17 +760,20 @@ def parse_group(descriptor: str) -> Group:
 # Ball enumeration and the word metric
 # ---------------------------------------------------------------------------
 
-@dataclass
 class BallTable:
     """Ball of a given radius with exact word lengths, in BFS order.
 
-    `lengths` holds complete BFS layers up to some R >= radius (a metric grows
-    its table in place), and readers restrict to their own radius.  Geodesic
-    words are not stored: WordMetric.geodesic_word recovers them from lengths.
+    `lengths` (element -> word length, inserted in BFS discovery order) holds
+    complete BFS layers up to some R >= radius (a metric grows its table in
+    place), and readers restrict to their own radius.  Geodesic words are not
+    stored: WordMetric.geodesic_word recovers them from lengths.
     """
 
-    radius: int
-    lengths: dict  # element -> word length, inserted in BFS discovery order
+    __slots__ = ("radius", "lengths")
+
+    def __init__(self, radius: int, lengths: dict):
+        self.radius = radius
+        self.lengths = lengths
 
     @property
     def order(self):
@@ -916,3 +923,14 @@ class WordMetric:
 
     def ball(self, radius: int) -> BallTable:
         return self.table(radius)
+
+
+def linear_fit(xs, ys):
+    """(slope, intercept) of the least-squares line through the points, by
+    the arithmetic of statistics.linear_regression on Python 3.10 and 3.11:
+    every sum is an fsum, so the fit is the same bits on every version."""
+    n = len(xs)
+    xbar, ybar = math.fsum(xs) / n, math.fsum(ys) / n
+    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    slope = sxy / math.fsum((x - xbar) * (x - xbar) for x in xs)
+    return slope, ybar - slope * xbar

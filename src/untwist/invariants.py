@@ -10,7 +10,7 @@ definitions: distortion is constant on [n, n+1), compression on (n-1, n].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groups import (
     Group,
@@ -28,8 +28,7 @@ def require_infinite_order(group: Group, g) -> None:
         raise GroupError("element has finite order (identity); need infinite order")
 
 
-@dataclass(frozen=True)
-class PowerLengthTable:
+class PowerLengthTable(NamedTuple):
     """Exact word lengths of the powers g^j that fit inside a ball."""
 
     group: Group
@@ -154,8 +153,7 @@ def build_profile(metric: WordMetric, g, radius: int) -> CompressionProfile:
     return CompressionProfile(table, metric.group.compression_lower_bound(g))
 
 
-@dataclass(frozen=True)
-class TranslationData:
+class TranslationData(NamedTuple):
     """Certified upper-bound data for the translation number of g."""
 
     terms: tuple            # (n, l(g^n), l(g^n)/n) for recorded powers
@@ -193,8 +191,7 @@ def translation_number(table: PowerLengthTable,
     )
 
 
-@dataclass(frozen=True)
-class SummabilityReport:
+class SummabilityReport(NamedTuple):
     """Partial sum of r**compression(i) with a rigorous closed-form tail.
 
     Terms beyond the exact range use the certified lower bound, so both the
@@ -226,8 +223,7 @@ def sdt_partial_sum(profile: CompressionProfile, r: float, terms: int) -> Summab
                              tail_bound=tail)
 
 
-@dataclass(frozen=True)
-class ConjugationCheck:
+class ConjugationCheck(NamedTuple):
     """Compression comparison between g and t*g*t^-1.
 
     Certified inequality: compression_conj(n) >= compression(n) - 2*l(t);

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .groups import Group, OutOfRange, WordMetric
+from .groups import Group, InputError, OutOfRange, WordMetric
 from .invariants import CompressionProfile, build_profile
 
 
-class ContractError(ValueError):
+class ContractError(InputError):
     """A documented precondition of a shift-space operation was violated."""
 
 
@@ -126,29 +126,23 @@ def homoclinic_agreement_radius(x: Configuration, y: Configuration,
 # Subshift descriptions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class FullShift:
-    alphabet: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
+    def __init__(self, alphabet):
+        self.alphabet = tuple(alphabet)
 
 
-@dataclass(frozen=True)
 class GoldenMean:
-    """Configurations where every translate of each family contains a zero."""
+    """Configurations where every translate of each family contains a zero.
 
-    alphabet: tuple
-    families: tuple  # non-empty finite subsets of the group
+    families: non-empty finite subsets of the group."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        fams = tuple(tuple(f) for f in self.families)
-        if not fams or any(len(f) == 0 for f in fams):
+    def __init__(self, alphabet, families):
+        self.alphabet = tuple(alphabet)
+        self.families = tuple(tuple(f) for f in families)
+        if not self.families or any(len(f) == 0 for f in self.families):
             raise ContractError("each constraint family must be non-empty")
         if 0 not in self.alphabet:
             raise ContractError("golden-mean constraints need the symbol 0")
-        object.__setattr__(self, "families", fams)
 
 
 def membership_check(x: Configuration, spec, window=None) -> bool:
@@ -292,10 +286,19 @@ class ConeParams:
         reach = 4 * (self.metric.length(k) + self.R)
         n = bisect_right(self._stops, reach)
         mul, length = self.group._mul, self._length
+        # A step moves l by at most l(a) and the radii do not decrease, so at
+        # step j no later piece is hit once l(point) - (n - 1 - j) l(a)
+        # exceeds _radii[n - 1]; a table reader's R + 1 is at most l, so the
+        # test holds on its readings too.
+        top = self._radii[n - 1] + (n - 1) * self.anchor_length
         point = k
         for radius in self._radii[:n]:
-            if length(point) <= radius:
+            d = length(point)
+            if d <= radius:
                 return True
+            if d > top:
+                break
+            top -= self.anchor_length
             point = mul(step, point)
         if n == len(self._stops) and 3 * self.profile.lower_bound.value(n) <= reach:
             self.piece_radius(n)  # past the exact range: raises OutOfRange
@@ -312,8 +315,7 @@ class ConeParams:
                          + 2 * self.R + self.t_prime)
 
 
-@dataclass(frozen=True)
-class GlueResult:
+class GlueResult(NamedTuple):
     y: Configuration
     n_spec: int
     plus_agrees: bool   # y matches x on the whole + cone

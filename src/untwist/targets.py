@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 
+from .groups import InputError
 
-class TargetError(ValueError):
+
+class TargetError(InputError):
     """Invalid target-group element or inconsistent table."""
 
 

@@ -170,6 +170,26 @@ def cone_cells(region, step, radius_R, j_max, mul, length, ball):
     return inside
 
 
+def cone_walk(k, step_inv, radius_R, j_max, mul, length):
+    """Whether k lies in step^j * B(floor(rho(j)/4) + R) for some 0 <= j <= j_max,
+    by the full walk: step^-j * k is measured at every j, with no early stop.
+
+    rho is the suffix minimum of l(step^i) over j <= i <= j_max, as in
+    cone_cells, whose assertion also says when j_max is large enough."""
+    rho, power = [0], step_inv  # l(step^j) = l(step^-j)
+    for _ in range(j_max):
+        rho.append(length(power))
+        power = mul(step_inv, power)
+    for j in range(j_max - 1, -1, -1):
+        rho[j] = min(rho[j], rho[j + 1])
+    assert 3 * rho[j_max] > 4 * (length(k) + radius_R), "raise j_max"
+    hits, point = [], k
+    for j in range(j_max + 1):
+        hits.append(length(point) <= rho[j] // 4 + radius_R)
+        point = mul(step_inv, point)
+    return any(hits)
+
+
 def free_mul(p, q):
     """Product of freely reduced words of signed letters, reduced again."""
     word = list(p)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -310,6 +312,36 @@ def test_bad_element_in_task_keeps_group_error_message(tmp_path, capsys):
     assert capsys.readouterr().err == "error: expected 2 coordinates in '(1,0,0)'\n"
 
 
+@pytest.mark.parametrize("error", [
+    "untwist.groups.GroupError", "untwist.shifts.ContractError",
+    "untwist.cocycles.CocycleError", "untwist.targets.TargetError",
+    "untwist.cli.InputError",
+])
+def test_each_bad_input_error_exits_2_through_one_base(tmp_path, capsys, monkeypatch,
+                                                       error):
+    import importlib
+
+    import untwist.cli as cli
+    from untwist.groups import InputError
+
+    module, name = error.rsplit(".", 1)
+    cls = getattr(importlib.import_module(module), name)
+    assert issubclass(cls, InputError) and issubclass(cls, ValueError)
+
+    def raising(args):
+        raise cls("the bad input")
+
+    monkeypatch.setattr(cli, "cmd_ball", raising)
+    assert cli.main(["ball", "--group", "z", "--radius", "1",
+                     "--out", str(tmp_path / "b.csv")]) == 2
+    assert capsys.readouterr().err == "error: the bad input\n"
+    path = tmp_path / "task.json"
+    path.write_text("{}")
+    with pytest.raises(cls, match="^the bad input$"):
+        with cli._decoding(path):
+            raise cls("the bad input")
+
+
 def test_config_value_outside_choices_exits_2(tmp_path, capsys):
     spec = _edited_task(tmp_path, lambda t: None)
     cfg = tmp_path / "cfg.json"
@@ -450,6 +482,58 @@ def test_untwist_corrupted_spec_exits_1(tmp_path, monkeypatch):
     out = tmp_path / "report.json"
     assert main(["cocycle", "untwist", "--group", "z^2", "--spec", str(bad),
                  "--seed", "3", "--samples", "8", "--out", str(out)]) == 1
+
+
+# -- the modules each subcommand loads -----------------------------------------
+
+def loaded_modules(argv):
+    """(exit code, sys.modules) after cli.main(argv) in a fresh interpreter."""
+    script = ("import json, sys\n"
+              "from untwist.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(json.dumps([code, sorted(sys.modules)]))\n")
+    path = os.pathsep.join(p for p in (os.path.join(ROOT, "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=120, check=True)
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
+STDLIB_NEVER = {"dataclasses", "statistics"}
+
+
+def test_divergence_loads_only_its_modules(tmp_path):
+    out = tmp_path / "div"
+    code, modules = loaded_modules(["divergence", "--group", "z^2", "--nmax", "6",
+                                    "--seed", "1", "--out", str(out)])
+    assert code == 0
+    assert "growth" in json.loads((out / "report.json").read_text())  # the fit ran
+    assert {m for m in modules if m.startswith("untwist")} == {
+        "untwist", "untwist.cli", "untwist.groups", "untwist.divergence",
+        "untwist.reporting"}
+    assert not modules & STDLIB_NEVER
+
+
+def test_subshift_glue_loads_no_cocycle_target_or_divergence_module(tmp_path):
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(GLUE_TASK))
+    code, modules = loaded_modules(["subshift", "glue", "--group", "z^2", "--spec",
+                                    str(task), "--out", str(tmp_path / "glue.json")])
+    assert code == 0
+    assert {"untwist.shifts", "untwist.invariants"} <= modules
+    assert not modules & {"untwist.cocycles", "untwist.targets", "untwist.divergence",
+                          "untwist.sampling", *STDLIB_NEVER}
+
+
+def test_cocycle_untwist_loads_no_divergence_module(tmp_path):
+    code, modules = loaded_modules(
+        ["cocycle", "untwist", "--group", "z^2",
+         "--spec", os.path.join(ROOT, SPEC_RELPATH),
+         "--samples", "4", "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    assert not modules & {"untwist.divergence", *STDLIB_NEVER}
 
 
 # -- determinism and golden artifacts -----------------------------------------

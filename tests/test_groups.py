@@ -464,3 +464,26 @@ def test_word_metric_budget():
     metric = WordMetric(TabledHeisenberg(), max_elements=30)
     with pytest.raises(ResourceLimit):
         metric.length((0, 0, 5))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_linear_fit_is_statistics_linear_regression(seed):
+    """Bit for bit on the fsum arithmetic of Python 3.10 and 3.11; 3.12 moved
+    statistics to math.sumprod, which may round the last bit otherwise."""
+    import math
+    import statistics
+    import sys
+
+    from untwist.groups import linear_fit
+
+    rng = random.Random(seed)
+    n = rng.randint(2, 40)
+    xs = [math.log(k) for k in range(2, n + 2)] if seed % 2 else list(range(1, n + 1))
+    ys = [rng.uniform(-50.0, 50.0) + 3.7 * x for x in xs]
+    expected = statistics.linear_regression(xs, ys)
+    slope, intercept = linear_fit(xs, ys)
+    if sys.version_info < (3, 12):
+        assert (slope, intercept) == (expected.slope, expected.intercept)
+    else:
+        assert math.isclose(slope, expected.slope, rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(intercept, expected.intercept, rel_tol=1e-12, abs_tol=1e-12)

@@ -25,8 +25,8 @@ from untwist.invariants import build_profile
 from untwist.sampling import random_configuration, seeded_rng
 
 from homoclinic import pair_agreeing_on_ball
-from oracles import (cone_cells, free_ball, free_mul, heisenberg_inv, heisenberg_lengths,
-                     heisenberg_mul, l1_ball, l1_length, z2_mul)
+from oracles import (cone_cells, cone_walk, free_ball, free_mul, heisenberg_inv,
+                     heisenberg_lengths, heisenberg_mul, l1_ball, l1_length, z2_mul)
 from tabled_heisenberg import TabledHeisenberg
 
 Z2 = IntegerLattice(2)
@@ -243,6 +243,42 @@ def test_free_group_cone_membership_matches_oracle(word, R):
         inside = cone_cells(region, step, R, 10, free_mul, len,
                             lambda m: free_ball(2, m))
         assert {c for c in region if params.cone_contains(c, sign)} == inside
+
+
+@pytest.mark.parametrize("anchor", [(1, 0), (2, -1)])
+@pytest.mark.parametrize("R", [0, 3])
+def test_z2_cone_walk_matches_full_walk_on_random_cells(anchor, R):
+    """The walk may stop early; on random cells out to the query length it
+    agrees with the walk through every piece, hit or miss."""
+    rng = random.Random(31)
+    params = make_params(R, anchor=anchor, L=40)
+    j_max = 4 * (40 + R) // (3 * l1_length(anchor)) + 1
+    seen = set()
+    for _ in range(200):
+        x = rng.randint(-40, 40)
+        cell = (x, rng.randint(abs(x) - 40, 40 - abs(x)))
+        for sign, step_inv in (("+", (-anchor[0], -anchor[1])), ("-", anchor)):
+            expected = cone_walk(cell, step_inv, R, j_max, z2_mul, l1_length)
+            assert params.cone_contains(cell, sign) == expected
+            seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_tabled_heisenberg_cone_walk_matches_full_walk_on_random_cells():
+    heis = TabledHeisenberg()
+    lengths = heisenberg_lengths(14)
+    rng = random.Random(37)
+    cells = rng.sample(sorted(g for g, d in lengths.items() if d <= 5), 150)
+    for word in ("a", "b"):
+        anchor = heis.parse_elem(word)
+        for R in (0, 2):
+            params = ConeParams.create(heis, anchor, R, metric=WordMetric(heis),
+                                       max_query_length=5)
+            for sign, step_inv in (("+", heisenberg_inv(anchor)), ("-", anchor)):
+                hits = [params.cone_contains(c, sign) for c in cells]
+                assert hits == [cone_walk(c, step_inv, R, 12, heisenberg_mul,
+                                          lambda g: lengths.get(g, 15)) for c in cells]
+                assert any(hits) and not all(hits)
 
 
 def test_cone_walk_past_the_profile_raises_unless_it_hits_a_piece_first():
