@@ -1,12 +1,17 @@
 """Exact word-metric geometry of finitely generated groups and certified
 cocycle untwisting over full shifts.
 
-Each public name below is read from its module when asked for (PEP 562), so
-`import untwist` loads none of the modules, and `from untwist import X` loads
-the one that defines X, with what that one imports.
+`import untwist` puts every submodule in `sys.modules` but runs none of them:
+each runs on first use (`importlib.util.LazyLoader`), so a run loads only the
+code it calls, while code that patches the modules after `import untwist`
+still finds them all.  Each public name below is read from its module when
+asked for (PEP 562), so `from untwist import X` runs the module that defines
+X, with what that one uses.
 """
 
-import importlib
+import importlib.machinery
+import importlib.util
+import sys
 
 _HOMES = {
     "groups": (
@@ -49,10 +54,23 @@ __all__ = sorted(_HOME)
 __version__ = "0.1.0"
 
 
+def _lazy_submodule(name):
+    spec = importlib.machinery.PathFinder.find_spec(f"{__name__}.{name}", __path__)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Not cli: `python -m untwist.cli` runs it as __main__.
+for _name in (*_HOMES, "reporting", "sampling"):
+    globals()[_name] = _lazy_submodule(_name)
+
+
 def __getattr__(name):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    return getattr(globals()[_HOME[name]], name)
 
 
 def __dir__():

@@ -486,18 +486,26 @@ def test_untwist_corrupted_spec_exits_1(tmp_path, monkeypatch):
 
 # -- the modules each subcommand loads -----------------------------------------
 
-def loaded_modules(argv):
-    """(exit code, sys.modules) after cli.main(argv) in a fresh interpreter."""
-    script = ("import json, sys\n"
-              "from untwist.cli import main\n"
-              "code = main(sys.argv[1:])\n"
-              "print(json.dumps([code, sorted(sys.modules)]))\n")
+def run_fresh(script, argv):
+    """The last stdout line of script, run with argv in a fresh interpreter."""
     path = os.pathsep.join(p for p in (os.path.join(ROOT, "src"),
                                        os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path),
                           timeout=120, check=True)
-    code, modules = json.loads(done.stdout.splitlines()[-1])
+    return done.stdout.splitlines()[-1]
+
+
+def loaded_modules(argv):
+    """(exit code, modules whose code ran) after cli.main(argv) in a fresh
+    interpreter.  A lazy submodule keeps its own module class until first use."""
+    script = ("import json, sys, types\n"
+              "from untwist.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "ran = [name for name, module in sys.modules.items()\n"
+              "       if type(module) is types.ModuleType]\n"
+              "print(json.dumps([code, sorted(ran)]))\n")
+    code, modules = json.loads(run_fresh(script, argv))
     return code, set(modules)
 
 
@@ -534,6 +542,31 @@ def test_cocycle_untwist_loads_no_divergence_module(tmp_path):
          "--samples", "4", "--out", str(tmp_path / "report.json")])
     assert code == 0
     assert not modules & {"untwist.divergence", *STDLIB_NEVER}
+
+
+def test_layer_function_patched_after_import_is_called(tmp_path):
+    # A profiler imports untwist.cli, then rebinds a layer function wherever a
+    # module of the package binds it; the command's own imports must see it.
+    script = ("import sys\n"
+              "import untwist.cli\n"
+              "calls = []\n"
+              "def patch(module_name, attr):\n"
+              "    original = getattr(sys.modules[module_name], attr)\n"
+              "    def counted(*args, **kwargs):\n"
+              "        calls.append(attr)\n"
+              "        return original(*args, **kwargs)\n"
+              "    for name, module in list(sys.modules.items()):\n"
+              "        if name.startswith('untwist'):\n"
+              "            for key, bound in list(vars(module).items()):\n"
+              "                if bound is original:\n"
+              "                    setattr(module, key, counted)\n"
+              "patch('untwist.divergence', 'div_function')\n"
+              "patch('untwist.divergence', 'avoidant_shortest_path')\n"
+              "untwist.cli.main(sys.argv[1:])\n"
+              "print(sorted(set(calls)))\n")
+    argv = ["divergence", "--group", "z^2", "--nmax", "4", "--seed", "1",
+            "--out", str(tmp_path / "div")]
+    assert run_fresh(script, argv) == "['avoidant_shortest_path', 'div_function']"
 
 
 # -- determinism and golden artifacts -----------------------------------------
