@@ -7,6 +7,14 @@ window ball centred at the identity; window restriction only removes paths,
 so finite answers are window-exact upper bounds for the ambient graph and
 infinity is only certified where removing the obstacle provably disconnects
 the whole group (currently: the rank-one lattice with an interior obstacle).
+
+Most queries need no search.  With k = d(a,b), the triangle inequality
+gives every point h of a geodesic from a to b
+    l(h) <= (l(a) + l(b) + k)/2  and  d(c,h) >= (d(c,a) + d(c,b) - k)/2.
+So when l(a) + l(b) + k <= 2*window and d(c,a) + d(c,b) - k >= 2r, every
+geodesic stays inside the window and off the forbidden ball, and the
+avoidant distance is exactly k: avoidant_distance answers so, and searches
+only where this fails.
 """
 
 from __future__ import annotations
@@ -46,7 +54,9 @@ def make_query(group: Group, a, b, c, window_radius: int,
     if c == a or c == b:
         raise GroupError("obstacle must differ from both endpoints")
     metric = metric or WordMetric(group)
-    d = min(metric.distance(c, a), metric.distance(c, b))
+    # Validated above, so the lengths are read without a second check.
+    c_inv = group.inv(c)
+    d = min(metric._length(group._mul(c_inv, x)) for x in (a, b))
     radius = max(0, d // 2 - 2)
     return DivergenceQuery(group, a, b, c, window_radius, radius)
 
@@ -139,6 +149,31 @@ def avoidant_shortest_path(query: DivergenceQuery,
     return PathSearchResult(WINDOW_DISCONNECTED)
 
 
+def avoidant_distance(query: DivergenceQuery, metric: WordMetric | None = None,
+                      k: int | None = None) -> PathSearchResult:
+    """The outcome and length of avoidant_shortest_path, without its path,
+    and without a search where the triangle inequality already gives them.
+
+    k is d(a,b), passed by a caller that found l(a) + l(b) + k <= 2*window
+    for the pair, as div_pair does once per pair: every geodesic from a to
+    b then stays inside the window.  When also d(c,a) + d(c,b) - k >= 2r,
+    every geodesic stays off the forbidden ball, so the answer is k, FINITE.
+    Lengths come from metric.length_reader(window), as in the search.  A
+    table reads min(l, R + 1) with R >= window: capped reads of d(c,.) only
+    understate, so the ball clause stays sound, and a capped read of k
+    cannot pass the window clause, since k <= l(a) + l(b).  A query the
+    search would refuse (c outside the window, r > window + 1) goes to it.
+    """
+    group, window, radius = query.group, query.window_radius, query.forbidden_radius
+    if k is not None and radius <= window + 1:
+        length = (metric or WordMetric(group)).length_reader(window)
+        mul, c_inv = group._mul, group.inv(query.c)
+        if (length(mul(c_inv, query.a)) + length(mul(c_inv, query.b)) - k >= 2 * radius
+                and length(query.c) <= window):
+            return PathSearchResult(FINITE, k)
+    return avoidant_shortest_path(query, metric)
+
+
 class PairDivergence(NamedTuple):
     """Best sampled divergence of a pair; a lower bound for the supremum."""
 
@@ -151,15 +186,25 @@ class PairDivergence(NamedTuple):
 
 def div_pair(group: Group, a, b, obstacles, window_radius: int,
              metric: WordMetric | None = None) -> PairDivergence:
-    """Maximise the avoidant distance over the sampled obstacle set."""
+    """Maximise the avoidant distance over the sampled obstacle set.
+
+    k = d(a,b) and the window clause l(a) + l(b) + k <= 2*window of
+    avoidant_distance are read once for the pair, through the reader that
+    the certificate uses."""
+    for x in (a, b):  # read below, before make_query checks them
+        group.validate(x)
     metric = metric or WordMetric(group)
+    length = metric.length_reader(window_radius)
+    k = length(group._mul(group.inv(a), b))
+    if length(a) + length(b) + k > 2 * window_radius:
+        k = None
     best = -1
     witness = None
     for c in obstacles:
         if c == a or c == b:
             continue
         query = make_query(group, a, b, c, window_radius, metric)
-        result = avoidant_shortest_path(query, metric)
+        result = avoidant_distance(query, metric, k)
         if result.outcome == INFINITE:
             return PairDivergence(a, b, math.inf, c, window_radius)
         if result.outcome == WINDOW_DISCONNECTED:

@@ -561,12 +561,15 @@ def test_layer_function_patched_after_import_is_called(tmp_path):
               "                if bound is original:\n"
               "                    setattr(module, key, counted)\n"
               "patch('untwist.divergence', 'div_function')\n"
+              "patch('untwist.divergence', 'avoidant_distance')\n"
               "patch('untwist.divergence', 'avoidant_shortest_path')\n"
               "untwist.cli.main(sys.argv[1:])\n"
               "print(sorted(set(calls)))\n")
-    argv = ["divergence", "--group", "z^2", "--nmax", "4", "--seed", "1",
+    # At nmax 12 some obstacle lies near a geodesic, so a query is searched.
+    argv = ["divergence", "--group", "z^2", "--nmax", "12", "--seed", "1",
             "--out", str(tmp_path / "div")]
-    assert run_fresh(script, argv) == "['avoidant_shortest_path', 'div_function']"
+    assert run_fresh(script, argv) == (
+        "['avoidant_distance', 'avoidant_shortest_path', 'div_function']")
 
 
 # -- determinism and golden artifacts -----------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from untwist import (
     DiscreteHeisenberg,
+    FreeGroup,
     GroupError,
     InfiniteCyclic,
     IntegerLattice,
@@ -20,8 +21,10 @@ from untwist.divergence import (
     FINITE,
     INFINITE,
     WINDOW_DISCONNECTED,
+    DivergenceQuery,
     _box_draw,
     _random_pair,
+    avoidant_distance,
     avoidant_shortest_path,
     default_obstacles,
     geodesic_points,
@@ -29,7 +32,7 @@ from untwist.divergence import (
 from untwist.groups import enumerate_ball
 
 from oracles import (grid_avoidant_length, heisenberg_avoidant_length, heisenberg_inv,
-                     heisenberg_lengths, heisenberg_mul, l1_ball, l1_length)
+                     heisenberg_lengths, heisenberg_mul, l1_ball, l1_length, z2_mul)
 from tabled_heisenberg import TabledHeisenberg
 
 Z2 = IntegerLattice(2)
@@ -122,8 +125,6 @@ def test_window_disconnected_without_certificate():
 
 def test_obstacle_monotonicity():
     # enlarging the forbidden radius never shortens the path
-    from untwist.divergence import DivergenceQuery
-
     lengths = []
     for radius in (0, 1, 2, 3):
         q = DivergenceQuery(Z2, (-8, 0), (8, 0), (0, 0), 32, radius)
@@ -156,16 +157,19 @@ def test_heisenberg_avoidant_paths_match_oracle(window):
 
 
 def test_forbidden_ball_beyond_window_table_is_refused():
-    from untwist.divergence import DivergenceQuery
-
     q = DivergenceQuery(Z2, (-10, 0), (0, 10), (10, 0), 10, 12)
     with pytest.raises(GroupError):
         avoidant_shortest_path(q)
+    # Both clauses of the certificate hold on these, with k = d(a,b) = 1,
+    # but the search refuses them, so avoidant_distance does too: the
+    # first has r > window + 1, the second an obstacle outside the window.
+    for q in (DivergenceQuery(Z2, (-5, 0), (-5, 1), (10, 0), 10, 12),
+              DivergenceQuery(Z2, (0, 0), (1, 0), (11, 0), 10, 3)):
+        with pytest.raises(GroupError):
+            avoidant_distance(q, k=1)
 
 
 def test_window_monotonicity():
-    from untwist.divergence import DivergenceQuery
-
     lengths = []
     for window in (10, 12, 20, 40):
         q = DivergenceQuery(Z2, (-8, 0), (8, 0), (0, 0), window, 2)
@@ -181,6 +185,13 @@ def test_div_pair_adjacent_points():
     obstacles = default_obstacles(Z2, (0, 0), (1, 0), 12, rng, metric, 6)
     pair = div_pair(Z2, (0, 0), (1, 0), obstacles, 12, metric)
     assert pair.value == 1.0
+
+
+def test_div_pair_refuses_a_malformed_endpoint():
+    # The pair's lengths are read before any query is made, so a malformed
+    # endpoint must be refused there, not fail inside a product.
+    with pytest.raises(GroupError):
+        div_pair(Z2, "ab", (0, 0), [(1, 0)], 4)
 
 
 @pytest.mark.parametrize("a, b", [((0, 0), (1, 0)), ((3, -2), (0, 0)),
@@ -233,21 +244,37 @@ def test_div_pair_axis_values_in_band():
         assert pair.witness_c is not None
 
 
-def recorded_queries(monkeypatch, group, n_max, **kwargs):
-    """Every (query, result) pair the searches of one div_function run give."""
+def recording_answers(monkeypatch):
+    """The list of (query, k, result) that avoidant_distance fills from now
+    on, one per answered query, certified or searched."""
     import untwist.divergence as divergence
 
-    search = divergence.avoidant_shortest_path
-    seen = []
+    answer, seen = divergence.avoidant_distance, []
 
-    def recording(query, metric=None):
-        seen.append((query, search(query, metric)))
-        return seen[-1][1]
+    def recording(query, metric=None, k=None):
+        seen.append((query, k, answer(query, metric, k)))
+        return seen[-1][2]
 
-    monkeypatch.setattr(divergence, "avoidant_shortest_path", recording)
+    monkeypatch.setattr(divergence, "avoidant_distance", recording)
+    return seen
+
+
+def recorded_queries(monkeypatch, group, n_max, **kwargs):
+    """Every (query, result) pair one div_function run answers."""
+    seen = recording_answers(monkeypatch)
     div_function(group, n_max, **kwargs)
     monkeypatch.undo()
-    return seen
+    return [(query, result) for query, _, result in seen]
+
+
+def certified(result):
+    """True for an answer the certificate gave: a search returns a path."""
+    return result.outcome == FINITE and result.path is None
+
+
+def assert_both_routes(seen):
+    routes = Counter(certified(result) for _, result in seen)
+    assert routes[True] and routes[False], routes
 
 
 def oracle_outcome(result):
@@ -259,6 +286,7 @@ def oracle_outcome(result):
 def test_every_z2_divergence_query_matches_grid_oracle(monkeypatch, seed):
     seen = recorded_queries(monkeypatch, Z2, 12, seed=seed)
     assert len(seen) > 100
+    assert_both_routes(seen)
     for q, result in seen:
         expected = grid_avoidant_length(q.a, q.b, q.c, q.forbidden_radius,
                                         q.window_radius)
@@ -266,15 +294,146 @@ def test_every_z2_divergence_query_matches_grid_oracle(monkeypatch, seed):
 
 
 def test_every_heisenberg_divergence_query_matches_oracle(monkeypatch):
-    seen = recorded_queries(monkeypatch, DiscreteHeisenberg(), 4, window_factor=2,
+    # Every query of a pair at distance k < 11 is certified (see
+    # test_short_pairs_need_no_search), so searches start at n = 11.
+    seen = recorded_queries(monkeypatch, DiscreteHeisenberg(), 12, window_factor=1,
                             seed=0)
-    checked = [(q, result) for q, result in seen if q.window_radius in (6, 8)]
+    checked = [(q, result) for q, result in seen if q.window_radius in (11, 12)]
     assert len(checked) > 40
     assert any(q.forbidden_radius >= 2 for q, _ in checked)
+    assert_both_routes(checked)
     for q, result in checked:
         expected = heisenberg_avoidant_length(q.a, q.b, q.c, q.forbidden_radius,
                                               q.window_radius)
         assert oracle_outcome(result) == expected, q
+
+
+def test_short_pairs_need_no_search(monkeypatch):
+    # In div_function l(a) + l(b) <= k = d(a,b) <= n, so the window clause
+    # holds.  With d = d(c,{a,b}) and r = max(0, d//2 - 2), the ball clause
+    # d(c,a) + d(c,b) - k >= 2r holds when r = 0 (triangle inequality) and
+    # when d >= k - 4 (2d - k >= d - 4 >= 2r); r >= 1 needs d >= 6, so a
+    # search needs k >= 11.
+    import untwist.divergence as divergence
+
+    def refusing(query, metric=None):
+        raise AssertionError(f"searched {query}")
+
+    monkeypatch.setattr(divergence, "avoidant_shortest_path", refusing)
+    div_function(Z2, 10, seed=131)
+    div_function(DiscreteHeisenberg(), 10, seed=131)
+
+
+def oracle_geometry(group):
+    """(lengths of B(16), product, inverse, avoidant oracle) of z^2 or the
+    Heisenberg group, all from tests/oracles.py."""
+    if group is Z2:
+        return ({p: l1_length(p) for p in l1_ball(16)}, z2_mul,
+                lambda p: (-p[0], -p[1]), grid_avoidant_length)
+    return (heisenberg_lengths(16), heisenberg_mul, heisenberg_inv,
+            heisenberg_avoidant_length)
+
+
+@pytest.mark.parametrize("group", [Z2, DiscreteHeisenberg()], ids=["z^2", "heisenberg"])
+def test_certified_answers_match_the_oracle(monkeypatch, group):
+    # Seeded pairs, most of them near the window's edge, with obstacles
+    # from the window ball, answered through div_pair.  The certificate
+    # answers exactly when both clauses hold on oracle lengths, and every
+    # answer is the oracle's.
+    lengths, mul, inv, oracle = oracle_geometry(group)
+    seen = recording_answers(monkeypatch)
+    rng, metric = random.Random(131), WordMetric(group)
+    for _ in range(40):
+        window = rng.randint(3, 8)
+        ball = [p for p, k in lengths.items() if k <= window]
+        edge = [p for p in ball if lengths[p] >= window - 1]
+        a, b = (rng.choice(edge if rng.random() < 0.6 else ball) for _ in "ab")
+        if a != b:
+            div_pair(group, a, b, [rng.choice(ball) for _ in range(6)], window, metric)
+    assert len(seen) > 200
+
+    def d(g, h):
+        return lengths[mul(inv(g), h)]
+
+    routes = Counter()
+    for q, _, result in seen:
+        k = d(q.a, q.b)
+        inside = lengths[q.a] + lengths[q.b] + k <= 2 * q.window_radius
+        clear = d(q.c, q.a) + d(q.c, q.b) - k >= 2 * q.forbidden_radius
+        expected = oracle(q.a, q.b, q.c, q.forbidden_radius, q.window_radius)
+        assert oracle_outcome(result) == expected, q
+        assert certified(result) == (inside and clear), q
+        routes[inside, clear, expected == k] += 1
+    assert routes[True, True, True]
+    # Near the edge only the window clause decides: it fails, the ball
+    # clause holds, and the search answers.
+    assert routes[False, True, True]
+    if group is not Z2:
+        # Where every geodesic leaves the window the answer exceeds k, so
+        # the window clause is needed.
+        assert routes[False, True, False]
+
+
+def test_certificate_on_capped_reads_matches_the_search():
+    # TabledHeisenberg reads lengths off a table of radius R = window, as
+    # min(l, R + 1).  Reads of d(c,.) then often cap; a certified answer
+    # must still be the search's.
+    group = TabledHeisenberg()
+    lengths = heisenberg_lengths(16)
+    rng = random.Random(131)
+    capped = searched = 0
+    for _ in range(60):
+        window = rng.randint(3, 6)
+        ball = [p for p, k in lengths.items() if k <= window]
+        a, b, c = (rng.choice(ball) for _ in "abc")
+        if c in (a, b):
+            continue
+        k = lengths[heisenberg_mul(heisenberg_inv(a), b)]
+        inside = lengths[a] + lengths[b] + k <= 2 * window
+        d_ca, d_cb = (lengths[heisenberg_mul(heisenberg_inv(c), p)] for p in (a, b))
+        radius = max(0, min(d_ca, d_cb) // 2 - 2)
+        query = DivergenceQuery(group, a, b, c, window, radius)
+        result = avoidant_distance(query, WordMetric(group), k if inside else None)
+        search = avoidant_shortest_path(query, WordMetric(group))
+        assert (result.outcome, result.length) == (search.outcome, search.length), query
+        if certified(result):
+            capped += max(d_ca, d_cb) > window + 1
+        else:
+            searched += 1
+    assert capped and searched
+
+
+def test_capped_pair_distance_never_certifies(monkeypatch):
+    # Through a fresh table of radius 4, d(a,b) = 6 reads 5.  A capped k
+    # cannot pass the window clause, since k <= l(a) + l(b): here
+    # 3 + 3 + 5 > 8, so the search answers every obstacle.
+    group = TabledHeisenberg()
+    a, b = (-3, 0, 0), (3, 0, 0)
+    assert WordMetric(group).length_reader(4)(group.mul(group.inv(a), b)) == 5
+    seen = recording_answers(monkeypatch)
+    obstacles = [(0, 0, 0), (0, 2, 0), (0, -1, 1), (1, 1, 0)]
+    pair = div_pair(group, a, b, obstacles, 4, WordMetric(group))
+    assert [k for _, k, _ in seen] == [None] * len(obstacles)
+    lengths = heisenberg_lengths(8)
+    radii = [max(0, min(lengths[heisenberg_mul(heisenberg_inv(c), p)]
+                        for p in (a, b)) // 2 - 2) for c in obstacles]
+    assert pair.value == max(heisenberg_avoidant_length(a, b, c, r, 4)
+                             for c, r in zip(obstacles, radii))
+
+
+@pytest.mark.parametrize("group, n_max, window_factor", [
+    (Z, 14, 4), (Z2, 16, 4), (IntegerLattice(2, diagonal=True), 12, 4),
+    (DiscreteHeisenberg(), 12, 2), (FreeGroup(2), 8, 1)],
+    ids=["z", "z^2", "z^2+diag", "heisenberg", "free:2"])
+def test_rows_match_search_only_rows(monkeypatch, group, n_max, window_factor):
+    import untwist.divergence as divergence
+
+    kwargs = dict(window_factor=window_factor, seed=131)
+    rows = div_function(group, n_max, **kwargs)
+    search = divergence.avoidant_shortest_path
+    monkeypatch.setattr(divergence, "avoidant_distance",
+                        lambda query, metric=None, k=None: search(query, metric))
+    assert div_function(group, n_max, **kwargs) == rows
 
 
 def test_search_takes_a_tenth_of_the_breadth_first_steps():
@@ -365,14 +524,15 @@ def recording_ball_radii(monkeypatch):
 def test_div_function_metric_grows_only_as_far_as_asked(monkeypatch):
     import untwist.groups as groups
 
-    length = groups.WordMetric.length
+    # _length is the route of every exact length, checked (length) or not.
+    length = groups.WordMetric._length
     radii, answers = recording_ball_radii(monkeypatch), [0]
 
-    def recording_length(self, g):
-        answers.append(length(self, g))
+    def recording_length(self, g, limit=None):
+        answers.append(length(self, g, limit))
         return answers[-1]
 
-    monkeypatch.setattr(groups.WordMetric, "length", recording_length)
+    monkeypatch.setattr(groups.WordMetric, "_length", recording_length)
     rows = div_function(TabledHeisenberg(), 4, seed=7)
     assert max(radii) == max(max(r.window_radius for r in rows), max(answers))
 
