@@ -2,9 +2,9 @@
 with seeded sampling and deterministic CSV/JSON artifacts.
 
 Exit codes: 0 when every embedded assertion passes, 1 when a run-level check
-fails, 2 for unusable configuration or inputs.  A JSON file passed through
---config overrides parsed flags key by key.  Identically configured runs
-produce byte-identical artifacts (seeded Mersenne Twister, floats at 17
+fails, 2 for unusable configuration, inputs or files.  A JSON file passed
+through --config overrides parsed flags key by key.  Identically configured
+runs produce byte-identical artifacts (seeded Mersenne Twister, floats at 17
 significant digits, no timestamps).
 """
 
@@ -32,8 +32,11 @@ from .reporting import write_csv, write_json
 def _decoding(path):
     """Yield the JSON object in path; a key the block misses, or a value of the
     wrong type, is bad input.  The package's own errors keep their messages."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
     try:
         yield obj
     except InputError:
@@ -377,8 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(args):
     """Override parsed flags with the keys of the JSON file args.config; each
     key must name an argument of the subcommand and fit its type and choices."""
-    with open(args.config, "r", encoding="utf-8") as fh:
-        overrides = json.load(fh)
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            overrides = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{args.config}: not UTF-8 text: {exc}") from None
     if not isinstance(overrides, dict):
         raise InputError(f"{args.config}: top level must be a JSON object, "
                          f"got {type(overrides).__name__}")
@@ -408,7 +414,7 @@ def main(argv=None) -> int:
     except ResourceLimit as exc:
         print(f"error: {exc}; raise --max-elements", file=sys.stderr)
         return 2
-    except (InputError, OutOfRange, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InputError, OutOfRange, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

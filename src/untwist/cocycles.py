@@ -161,8 +161,8 @@ class CocycleSpec:
         plan, suffix_inv = [], group.identity
         for label in reversed(labels):
             bm = self.maps[label]
-            plan.append((bm, tuple(group._mul(suffix_inv, c) for c in bm.cells)))
-            suffix_inv = group._mul(suffix_inv, group.inv(group.gen(label)))
+            plan.append((bm, tuple(group.mul(suffix_inv, c) for c in bm.cells)))
+            suffix_inv = group.mul(suffix_inv, group.inv(group.gen(label)))
         return tuple(reversed(plan))
 
     def _plan(self, g):
@@ -174,7 +174,7 @@ class CocycleSpec:
 
     def _read(self, plan, x: Configuration, back):
         """Value of a read plan on back^-1 . x, which reads x on back . c."""
-        mul, at, target = self.group._mul, x.symbol_at, self.target
+        mul, at, target = self.group.mul, x.symbol_at, self.target
         value = target.identity
         for bm, cells in plan:
             value = target.mul(value, bm.lookup(tuple(at(mul(back, c)) for c in cells)))
@@ -266,7 +266,7 @@ def partial_product(spec: CocycleSpec, g, x: Configuration, y: Configuration,
     for _ in range(count):
         fx = spec._read(plan, x, back)
         fy = spec._read(plan, y, back)
-        back = group._mul(back, back_step)
+        back = group.mul(back, back_step)
         if invert:
             fx, fy = target.inv(fx), target.inv(fy)
         px = target.mul(px, fx)
@@ -286,7 +286,7 @@ def _differing_factor_count(spec: CocycleSpec, g, differing, agreement: int,
     group = spec.group
     read, radius = spec._read_set(g)
     limit = agreement + radius
-    mul = group._mul
+    mul = group.mul
     step = g if sign == "+" else group.inv(g)
     points = differing
     count = 0

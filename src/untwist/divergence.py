@@ -56,7 +56,7 @@ def make_query(group: Group, a, b, c, window_radius: int,
     metric = metric or WordMetric(group)
     # Validated above, so the lengths are read without a second check.
     c_inv = group.inv(c)
-    d = min(metric._length(group._mul(c_inv, x)) for x in (a, b))
+    d = min(metric._length(group.mul(c_inv, x)) for x in (a, b))
     radius = max(0, d // 2 - 2)
     return DivergenceQuery(group, a, b, c, window_radius, radius)
 
@@ -108,7 +108,7 @@ def avoidant_shortest_path(query: DivergenceQuery,
     radius = query.forbidden_radius
     if radius > window + 1:
         raise GroupError("forbidden ball reaches outside the window table")
-    mul = group._mul
+    mul = group.mul
     c_inv = group.inv(query.c)
 
     def forbidden(h):
@@ -167,7 +167,7 @@ def avoidant_distance(query: DivergenceQuery, metric: WordMetric | None = None,
     group, window, radius = query.group, query.window_radius, query.forbidden_radius
     if k is not None and radius <= window + 1:
         length = (metric or WordMetric(group)).length_reader(window)
-        mul, c_inv = group._mul, group.inv(query.c)
+        mul, c_inv = group.mul, group.inv(query.c)
         if (length(mul(c_inv, query.a)) + length(mul(c_inv, query.b)) - k >= 2 * radius
                 and length(query.c) <= window):
             return PathSearchResult(FINITE, k)
@@ -195,7 +195,7 @@ def div_pair(group: Group, a, b, obstacles, window_radius: int,
         group.validate(x)
     metric = metric or WordMetric(group)
     length = metric.length_reader(window_radius)
-    k = length(group._mul(group.inv(a), b))
+    k = length(group.mul(group.inv(a), b))
     if length(a) + length(b) + k > 2 * window_radius:
         k = None
     best = -1

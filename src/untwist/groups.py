@@ -157,28 +157,13 @@ class Group(ABC):
     ends: str = "one"  # "one" | "two" | "infinitely_many"
     subexponential_divergence: bool = False
 
-    @property
-    @abstractmethod
-    def identity(self):
-        ...
-
-    @property
-    @abstractmethod
-    def gens(self):
-        """Ordered symmetric generating set as (label, element) pairs."""
-
     @abstractmethod
     def mul(self, a, b):
         ...
 
-    def _mul(self, a, b):
-        """Product without the structural check of mul, for the package's own
-        loops over elements they derived themselves."""
-        return self.mul(a, b)
-
     def _steps(self, g):
-        """g*s for every generator s, in gens order; unchecked like _mul."""
-        mul = self._mul
+        """g*s for every generator s, in gens order."""
+        mul = self.mul
         return [mul(g, s) for _, s in self.gens]
 
     @abstractmethod
@@ -276,6 +261,19 @@ def _as_int_tuple(a, d):
     return a
 
 
+def _split_top_level(body: str, sep: str):
+    """(head, tail) around the first sep outside parentheses, or None."""
+    depth = 0
+    for i, ch in enumerate(body):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == sep and depth == 0:
+            return body[:i], body[i + 1:]
+    return None
+
+
 class IntegerLattice(Group):
     """Z^d with the standard basis generators, optionally augmented by the
     all-ones diagonal pair (a second generating set for sensitivity checks)."""
@@ -297,27 +295,19 @@ class IntegerLattice(Group):
             ones = tuple(1 for _ in range(dimension))
             gens.append(("diag+", ones))
             gens.append(("diag-", tuple(-1 for _ in range(dimension))))
-        self._gens = tuple(gens)
-        self._identity = tuple(0 for _ in range(dimension))
-
-    @property
-    def identity(self):
-        return self._identity
-
-    @property
-    def gens(self):
-        return self._gens
+        self.gens = tuple(gens)
+        self.identity = (0,) * dimension
 
     def mul(self, a, b):
-        d = self.dimension
-        if len(a) != d or len(b) != d:
-            raise GroupError("element does not belong to this lattice model")
-        return self._mul(a, b)
-
-    def _mul(self, a, b):
-        if self.dimension == 2:
-            return (a[0] + b[0], a[1] + b[1])
-        return tuple(map(add, a, b))
+        try:
+            if self.dimension == 2:
+                (x, y), (X, Y) = a, b
+                return (x + X, y + Y)
+            if len(a) == len(b) == self.dimension:
+                return tuple(map(add, a, b))
+        except (TypeError, ValueError):
+            pass
+        raise GroupError("element does not belong to this lattice model")
 
     def _steps(self, g):
         if self.dimension == 2:
@@ -326,12 +316,15 @@ class IntegerLattice(Group):
             if self.diagonal:
                 steps += [(x + 1, y + 1), (x - 1, y - 1)]
             return steps
-        return [tuple(map(add, g, s)) for _, s in self._gens]
+        return [tuple(map(add, g, s)) for _, s in self.gens]
 
     def inv(self, a):
-        if len(a) != self.dimension:
-            raise GroupError("element does not belong to this lattice model")
-        return tuple(-x for x in a)
+        try:
+            if len(a) == self.dimension:
+                return tuple(-x for x in a)
+        except TypeError:
+            pass
+        raise GroupError("element does not belong to this lattice model")
 
     def validate(self, a):
         _as_int_tuple(a, self.dimension)
@@ -373,7 +366,7 @@ class IntegerLattice(Group):
 
     def compression_lower_bound(self, g):
         self.validate(g)
-        if g == self._identity:
+        if g == self.identity:
             raise GroupError("identity has no infinite-order power data")
         if not self.diagonal:
             return LinearBound(sum(abs(v) for v in g))
@@ -382,7 +375,7 @@ class IntegerLattice(Group):
 
     def defining_relation_word_pairs(self):
         pairs = []
-        labels = [lab for lab, _ in self._gens]
+        labels = [lab for lab, _ in self.gens]
         for lab in labels:
             pairs.append(([lab, self.inverse_label(lab)], []))
         pos = self.positive_labels
@@ -392,7 +385,7 @@ class IntegerLattice(Group):
         return pairs
 
     def generation_witnesses(self):
-        return [(g, 1) for _, g in self._gens]
+        return [(g, 1) for _, g in self.gens]
 
 
 class InfiniteCyclic(IntegerLattice):
@@ -411,31 +404,20 @@ class DiscreteHeisenberg(Group):
     ends = "one"
     subexponential_divergence = True
 
-    _gens = (
+    identity = (0, 0, 0)
+    gens = (
         ("a", (1, 0, 0)),
         ("A", (-1, 0, 0)),
         ("b", (0, 1, 0)),
         ("B", (0, -1, 0)),
     )
 
-    @property
-    def identity(self):
-        return (0, 0, 0)
-
-    @property
-    def gens(self):
-        return self._gens
-
     def mul(self, a, b):
         try:
-            return self._mul(a, b)
+            (x, y, z), (X, Y, Z) = a, b
+            return (x + X, y + Y, z + Z + x * Y)
         except (TypeError, ValueError):
             raise GroupError("element does not belong to the Heisenberg model") from None
-
-    def _mul(self, a, b):
-        x, y, z = a
-        X, Y, Z = b
-        return (x + X, y + Y, z + Z + x * Y)
 
     def _steps(self, g):
         x, y, z = g
@@ -524,6 +506,8 @@ class FreeGroup(Group):
     """Free group on `rank` letters; elements are freely reduced tuples of
     signed letter indices (1-based; negative = inverse)."""
 
+    identity = ()
+
     def __init__(self, rank: int):
         if not 1 <= rank <= 26:
             raise GroupError("free group rank must be between 1 and 26")
@@ -535,15 +519,7 @@ class FreeGroup(Group):
         for i in range(rank):
             gens.append((chr(ord("a") + i), (i + 1,)))
             gens.append((chr(ord("A") + i), (-(i + 1),)))
-        self._gens = tuple(gens)
-
-    @property
-    def identity(self):
-        return ()
-
-    @property
-    def gens(self):
-        return self._gens
+        self.gens = tuple(gens)
 
     def mul(self, a, b):
         word = list(a)
@@ -605,10 +581,10 @@ class FreeGroup(Group):
         return LinearBound(max(1, len(core)))
 
     def defining_relation_word_pairs(self):
-        return [([lab, self.inverse_label(lab)], []) for lab, _ in self._gens]
+        return [([lab, self.inverse_label(lab)], []) for lab, _ in self.gens]
 
     def generation_witnesses(self):
-        return [(g, 1) for _, g in self._gens]
+        return [(g, 1) for _, g in self.gens]
 
 
 class DirectProduct(Group):
@@ -624,15 +600,8 @@ class DirectProduct(Group):
         self.subexponential_divergence = True
         gens = [(f"l:{lab}", (g, right.identity)) for lab, g in left.gens]
         gens += [(f"r:{lab}", (left.identity, g)) for lab, g in right.gens]
-        self._gens = tuple(gens)
-
-    @property
-    def identity(self):
-        return (self.left.identity, self.right.identity)
-
-    @property
-    def gens(self):
-        return self._gens
+        self.gens = tuple(gens)
+        self.identity = (left.identity, right.identity)
 
     def mul(self, a, b):
         try:
@@ -640,9 +609,6 @@ class DirectProduct(Group):
         except (TypeError, ValueError):
             raise GroupError("element does not belong to this product model") from None
         return (self.left.mul(al, bl), self.right.mul(ar, br))
-
-    def _mul(self, a, b):
-        return (self.left._mul(a[0], b[0]), self.right._mul(a[1], b[1]))
 
     def inv(self, a):
         try:
@@ -664,17 +630,10 @@ class DirectProduct(Group):
         s = s.strip()
         if not (s.startswith("(") and s.endswith(")")):
             raise GroupError(f"expected (left|right), got {s!r}")
-        body = s[1:-1]
-        depth = 0
-        for i, ch in enumerate(body):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "|" and depth == 0:
-                return (self.left.parse_elem(body[:i]),
-                        self.right.parse_elem(body[i + 1:]))
-        raise GroupError(f"no top-level '|' separator in {s!r}")
+        halves = _split_top_level(s[1:-1], "|")
+        if halves is None:
+            raise GroupError(f"no top-level '|' separator in {s!r}")
+        return (self.left.parse_elem(halves[0]), self.right.parse_elem(halves[1]))
 
     def exact_length(self, a):
         ll = self.left.exact_length(a[0])
@@ -698,7 +657,7 @@ class DirectProduct(Group):
 
     def defining_relation_word_pairs(self):
         pairs = []
-        for lab, _ in self._gens:
+        for lab, _ in self.gens:
             pairs.append(([lab, self.inverse_label(lab)], []))
         for ll in self.left.positive_labels:
             for rl in self.right.positive_labels:
@@ -743,16 +702,10 @@ def parse_group(descriptor: str) -> Group:
         except ValueError:
             raise GroupError(f"bad lattice dimension in {descriptor!r}") from None
     if s.startswith("prod(") and s.endswith(")"):
-        body = s[len("prod("):-1]
-        depth = 0
-        for i, ch in enumerate(body):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                return DirectProduct(parse_group(body[:i]), parse_group(body[i + 1:]))
-        raise GroupError(f"no top-level ',' in {descriptor!r}")
+        halves = _split_top_level(s[len("prod("):-1], ",")
+        if halves is None:
+            raise GroupError(f"no top-level ',' in {descriptor!r}")
+        return DirectProduct(parse_group(halves[0]), parse_group(halves[1]))
     raise GroupError(f"unknown group descriptor {descriptor!r}")
 
 
@@ -908,7 +861,7 @@ class WordMetric:
         group = self.group
         k = self.length(g)
         length = self.length_reader(k)
-        mul = group._mul
+        mul = group.mul
         back = [(label, group.inv(s)) for label, s in group.gens]
         word = []
         while k:

@@ -21,13 +21,6 @@ from .groups import (
 )
 
 
-def require_infinite_order(group: Group, g) -> None:
-    """All built-in models are torsion-free, so only the identity is rejected."""
-    group.validate(g)
-    if g == group.identity:
-        raise GroupError("element has finite order (identity); need infinite order")
-
-
 class PowerLengthTable(NamedTuple):
     """Exact word lengths of the powers g^j that fit inside a ball."""
 
@@ -49,8 +42,7 @@ def power_lengths(metric: WordMetric, g, radius: int) -> PowerLengthTable:
     radius, which guarantees that *every* power of length <= radius is found.
     """
     group = metric.group
-    require_infinite_order(group, g)
-    bound = group.compression_lower_bound(g)
+    bound = group.compression_lower_bound(g)  # validates g, refuses the identity
     entries = []
     j = 1
     p = g
@@ -243,10 +235,9 @@ class ConjugationCheck(NamedTuple):
 def conjugation_compression_check(metric: WordMetric, g, t,
                                   radius: int) -> ConjugationCheck:
     group = metric.group
-    require_infinite_order(group, g)
+    prof_g = build_profile(metric, g, radius)
     group.validate(t)
     conj = group.mul(group.mul(t, g), group.inv(t))
-    prof_g = build_profile(metric, g, radius)
     prof_c = build_profile(metric, conj, radius)
     t_length = metric.length(t)
     top = min(prof_g.j_max, prof_c.j_max)

@@ -164,7 +164,7 @@ def membership_check(x: Configuration, spec, window=None) -> bool:
     if x.background != 0:
         raise ContractError("golden-mean membership needs background 0")
     group = x.group
-    mul = group._mul
+    mul = group.mul
     for family in spec.families:
         for f in family:
             group.validate(f)
@@ -285,7 +285,7 @@ class ConeParams:
         step = self._steps[sign]
         reach = 4 * (self.metric.length(k) + self.R)
         n = bisect_right(self._stops, reach)
-        mul, length = self.group._mul, self._length
+        mul, length = self.group.mul, self._length
         # A step moves l by at most l(a) and the radii do not decrease, so at
         # step j no later piece is hit once l(point) - (n - 1 - j) l(a)
         # exceeds _radii[n - 1]; a table reader's R + 1 is at most l, so the

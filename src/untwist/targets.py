@@ -21,11 +21,7 @@ class TargetError(InputError):
 class TargetGroup(ABC):
     name: str = "?"
     is_discrete: bool = False
-
-    @property
-    @abstractmethod
-    def identity(self):
-        ...
+    identity: object
 
     @abstractmethod
     def mul(self, a, b):
@@ -65,10 +61,7 @@ class RealVector(TargetGroup):
             raise TargetError("dimension must be >= 1")
         self.dim = dim
         self.name = f"real_vector({dim})"
-
-    @property
-    def identity(self):
-        return tuple(0.0 for _ in range(self.dim))
+        self.identity = (0.0,) * dim
 
     def mul(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -102,10 +95,7 @@ class Torus(TargetGroup):
             raise TargetError("dimension must be >= 1")
         self.dim = dim
         self.name = f"torus({dim})"
-
-    @property
-    def identity(self):
-        return tuple(0.0 for _ in range(self.dim))
+        self.identity = (0.0,) * dim
 
     def mul(self, a, b):
         return tuple((x + y) % 1.0 for x, y in zip(a, b))
@@ -147,7 +137,7 @@ class FiniteGroup(TargetGroup):
     def __init__(self, elements, table, identity, name="finite"):
         self.elements = tuple(elements)
         self.table = dict(table)
-        self._identity = identity
+        self.identity = identity
         self.name = name
         index = set(self.elements)
         if identity not in index:
@@ -166,10 +156,6 @@ class FiniteGroup(TargetGroup):
                     break
             else:
                 raise TargetError(f"no inverse for {a}")
-
-    @property
-    def identity(self):
-        return self._identity
 
     def mul(self, a, b):
         try:
@@ -202,7 +188,7 @@ class FiniteGroup(TargetGroup):
         return {
             "kind": "finite",
             "elements": list(self.elements),
-            "identity": self._identity,
+            "identity": self.identity,
             "table": [[a, b, c] for (a, b), c in sorted(self.table.items(),
                                                         key=lambda kv: repr(kv[0]))],
             "name": self.name,

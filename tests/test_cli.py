@@ -381,6 +381,32 @@ def test_config_file_must_hold_an_object(tmp_path, capsys):
     assert not out.exists()
 
 
+BALL_ARGV = ["ball", "--group", "z^2", "--radius", "2", "--out", "{out}"]
+CHECK_ARGV = ["subshift", "check", "--group", "z^2", "--spec", "{path}", "--out", "{out}"]
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["--config", "{path}", *BALL_ARGV], None),
+    (CHECK_ARGV, None),
+    (["--config", "{path}", *BALL_ARGV], b'{"radius": "\xe9"}'),
+    (CHECK_ARGV, b'{"R": "\xe9"}'),
+    (["divergence", "--group", "z^2", "--nmax", "4", "--out", "{path}"], b""),
+], ids=["config-directory", "spec-directory", "config-not-utf8", "spec-not-utf8",
+        "divergence-out-is-a-file"])
+def test_unusable_file_exits_2_naming_it(tmp_path, capsys, argv, content):
+    # content None makes the path a directory; otherwise a file of these bytes.
+    path = tmp_path / "input.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    out = tmp_path / "out.json"
+    assert main([arg.format(path=path, out=out) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_max_elements_defaults_to_the_metric_budget():
     from untwist.cli import build_parser
     from untwist.groups import DEFAULT_METRIC_BUDGET

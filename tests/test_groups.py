@@ -68,14 +68,28 @@ def test_group_axioms_on_samples(group):
         group.validate(a)
 
 
-def test_model_mismatch_is_structural_error():
-    g = IntegerLattice(2)
+# FreeGroup.mul has no shape check: every tuple of letters multiplies, and
+# validate is what refuses a word of the wrong form.
+@pytest.mark.parametrize("group", [
+    InfiniteCyclic(), IntegerLattice(2), IntegerLattice(3),
+    IntegerLattice(2, diagonal=True), DiscreteHeisenberg(),
+    DirectProduct(InfiniteCyclic(), DiscreteHeisenberg()),
+], ids=lambda g: g.name)
+def test_model_mismatch_is_structural_error(group):
+    g = group.gens[0][1]
+    wrong_length = g + (0,) if type(group) is not DirectProduct else (g[0],)
+    for bad in (wrong_length, 5):
+        with pytest.raises(GroupError):
+            group.mul(bad, g)
+        with pytest.raises(GroupError):
+            group.mul(g, bad)
+        with pytest.raises(GroupError):
+            group.inv(bad)
+
+
+def test_free_group_refuses_an_unreduced_word():
     with pytest.raises(GroupError):
-        g.mul((1, 2, 3), (0, 0))
-    with pytest.raises(GroupError):
-        DiscreteHeisenberg().mul((1, 0), (0, 1))
-    with pytest.raises(GroupError):
-        FreeGroup(2).validate((1, -1))  # not freely reduced
+        FreeGroup(2).validate((1, -1))
 
 
 # -- ball enumeration ---------------------------------------------------------
@@ -178,10 +192,9 @@ def test_generation_witnesses(group):
 
 @pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
 def test_unchecked_product_equals_checked(group):
+    # _steps is each model's unchecked generator-step kernel of the BFS.
     for g in enumerate_ball(group, 4).lengths:
-        for _, s in group.gens:
-            assert group._mul(g, s) == group.mul(g, s)
-        assert group._steps(g) == [group._mul(g, s) for _, s in group.gens]
+        assert group._steps(g) == [group.mul(g, s) for _, s in group.gens]
 
 
 @pytest.mark.parametrize("group", MODELS + [TabledHeisenberg()],
