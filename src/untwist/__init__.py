@@ -41,7 +41,7 @@ _HOMES = {
     "cocycles": (
         "BlockMap", "CocycleError", "CocycleSpec", "HolonomyCertificate",
         "TransferTable", "VerificationError", "coboundary_cocycle",
-        "cocycle_spec_from_jsonable", "cocycle_spec_to_jsonable", "corrupted_spec",
+        "cocycle_spec_from_jsonable", "cocycle_spec_to_jsonable",
         "extract_homomorphism", "generator_independence", "holder_modulus",
         "holonomy", "holonomy_identity_check", "homomorphism_cocycle",
         "partial_product", "plus_minus_agree", "relation_consistency",

@@ -28,15 +28,22 @@ from .groups import (
 from .reporting import write_csv, write_json
 
 
+def _load_json(path):
+    """The JSON value in path; a file that is not UTF-8 JSON text is bad input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: not JSON: {exc}") from None
+
+
 @contextlib.contextmanager
 def _decoding(path):
     """Yield the JSON object in path; a key the block misses, or a value of the
     wrong type, is bad input.  The package's own errors keep their messages."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
+    obj = _load_json(path)
     try:
         yield obj
     except InputError:
@@ -380,11 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(args):
     """Override parsed flags with the keys of the JSON file args.config; each
     key must name an argument of the subcommand and fit its type and choices."""
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{args.config}: not UTF-8 text: {exc}") from None
+    overrides = _load_json(args.config)
     if not isinstance(overrides, dict):
         raise InputError(f"{args.config}: top level must be a JSON object, "
                          f"got {type(overrides).__name__}")
@@ -414,7 +417,7 @@ def main(argv=None) -> int:
     except ResourceLimit as exc:
         print(f"error: {exc}; raise --max-elements", file=sys.stderr)
         return 2
-    except (InputError, OutOfRange, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OutOfRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

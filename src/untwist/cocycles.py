@@ -139,19 +139,37 @@ class CocycleSpec:
         self._background_config = Configuration(group, self.alphabet, background, {})
         self._plan_cache = {}
         self._read_cache = {}
+        self._anchor_cache = {}
+        self._holder_cache = {}
 
     def background_config(self) -> Configuration:
         return self._background_config
 
     def holder_constants(self, g):
         """(C_g, r) with d(c(g,x), c(g,y)) <= C_g * r**n for agreement on B(n)."""
-        r = self.rate
-        if self.holder_constant == 0:
-            return 0.0, r
-        k = self.metric.length(g)
-        # The largest term comes last; past it the sum would overflow.
-        _inverse_power(r, k - 1, f"anchor {self.group.format_elem(g)} of length {k}")
-        return self.holder_constant * sum(r ** (-i) for i in range(k)), r
+        found = self._holder_cache.get(g)
+        if found is None:
+            r = self.rate
+            if self.holder_constant == 0:
+                found = 0.0, r
+            else:
+                k = self.metric.length(g)
+                # The largest term comes last; past it the sum would overflow.
+                _inverse_power(r, k - 1,
+                               f"anchor {self.group.format_elem(g)} of length {k}")
+                found = self.holder_constant * sum(r ** (-i) for i in range(k)), r
+            self._holder_cache[g] = found
+        return found
+
+    def _anchor(self, g):
+        """(bound, name, bound text) of an anchor: its certified compression
+        lower bound, its formatted element and the bound's description."""
+        found = self._anchor_cache.get(g)
+        if found is None:
+            bound = self.group.compression_lower_bound(g)
+            found = self._anchor_cache[g] = (bound, self.group.format_elem(g),
+                                             bound.describe())
+        return found
 
     def _word_plan(self, labels):
         """Read plan of the word s_1...s_m: per factor, left to right, its block
@@ -253,9 +271,13 @@ def partial_product(spec: CocycleSpec, g, x: Configuration, y: Configuration,
     if n < 1:
         raise CocycleError("partial products need n >= 1")
     group, target = spec.group, spec.target
+    mul, tmul = group.mul, target.mul
+    at_x, at_y = x.symbol_at, y.symbol_at
     plan = spec._plan(g)
     # Factor j is c(g, step^j . x) with step = g for '+' and g^-1 for '-';
     # it reads x on back . c for each plan cell c, where back = step^-j.
+    # x and y are read at the same points; where they show the same symbols
+    # the map's value is the same, so y's lookup is x's.
     if sign == "+":
         back, back_step, count, invert = group.identity, group.inv(g), n, True
     elif sign == "-":
@@ -264,14 +286,20 @@ def partial_product(spec: CocycleSpec, g, x: Configuration, y: Configuration,
         raise CocycleError("sign must be '+' or '-'")
     px = py = target.identity
     for _ in range(count):
-        fx = spec._read(plan, x, back)
-        fy = spec._read(plan, y, back)
-        back = group.mul(back, back_step)
+        fx = fy = target.identity
+        for bm, cells in plan:
+            points = [mul(back, c) for c in cells]
+            read_x = tuple(map(at_x, points))
+            read_y = tuple(map(at_y, points))
+            vx = bm.lookup(read_x)
+            fx = tmul(fx, vx)
+            fy = tmul(fy, vx if read_y == read_x else bm.lookup(read_y))
+        back = mul(back, back_step)
         if invert:
             fx, fy = target.inv(fx), target.inv(fy)
-        px = target.mul(px, fx)
-        py = target.mul(py, fy)
-    return target.mul(px, target.inv(py))
+        px = tmul(px, fx)
+        py = tmul(py, fy)
+    return tmul(px, target.inv(py))
 
 
 def _differing_factor_count(spec: CocycleSpec, g, differing, agreement: int,
@@ -312,22 +340,21 @@ def holonomy(spec: CocycleSpec, g, x: Configuration, y: Configuration,
     to the last factor where x and y can differ: the later factor pairs are
     equal, so their product cancels exactly.
     """
-    group = spec.group
-    if g == group.identity:
+    if g == spec.group.identity:
         raise CocycleError("holonomy needs an infinite-order anchor")
-    bound = group.compression_lower_bound(g)
-    fmt = group.format_elem(g)
+    bound, fmt, described = spec._anchor(g)
     if x == y:
         cert = HolonomyCertificate(fmt, sign, 0, 0.0, 0, 0.0, spec.rate,
-                                   bound.describe(), epsilon)
+                                   described, epsilon)
         return spec.target.identity, cert
     differing = x.differing_cells(y)
-    agreement = max(spec.metric.length(c) for c in differing)
+    # Configurations check their cells when built, so no read checks them.
+    agreement = max(map(spec.metric._length, differing))
     C_g, r = spec.holder_constants(g)
     if C_g == 0.0:
         value = partial_product(spec, g, x, y, 1, sign)
         cert = HolonomyCertificate(fmt, sign, 1, 0.0, agreement, 0.0, r,
-                                   bound.describe(), epsilon)
+                                   described, epsilon)
         return value, cert
     c_prime = C_g * _inverse_power(r, agreement + 1, f"agreement radius {agreement}")
     n = 1
@@ -341,7 +368,7 @@ def holonomy(spec: CocycleSpec, g, x: Configuration, y: Configuration,
     count = _differing_factor_count(spec, g, differing, agreement, bound, n, sign)
     value = partial_product(spec, g, x, y, max(1, count), sign)
     cert = HolonomyCertificate(fmt, sign, n, tail, agreement, C_g, r,
-                               bound.describe(), epsilon)
+                               described, epsilon)
     return value, cert
 
 
@@ -678,23 +705,6 @@ def weighted_potential(group: Group, metric: WordMetric, target: TargetGroup,
 
         return BlockMap(target, cells, window, fn=fn, diameter_bound=1.0)
     raise CocycleError(f"no weighted potential for target {target.name}")
-
-
-def corrupted_spec(spec: CocycleSpec, label: str, pattern_index: int,
-                   new_value) -> CocycleSpec:
-    """Copy of a cocycle specification with one table entry replaced
-    (negative control for the consistency checks)."""
-    bm = spec.maps[label].tabulated(spec.alphabet)
-    patterns = sorted(bm.table)
-    pattern = patterns[pattern_index % len(patterns)]
-    table = dict(bm.table)
-    if table[pattern] == new_value:
-        raise CocycleError("corruption must change the entry")
-    table[pattern] = new_value
-    maps = dict(spec.maps)
-    maps[label] = BlockMap(spec.target, bm.cells, bm.window, table=table)
-    return CocycleSpec(spec.group, spec.target, spec.alphabet, spec.background,
-                       maps, spec.rate, spec.metric)
 
 
 # ---------------------------------------------------------------------------

@@ -522,16 +522,22 @@ class FreeGroup(Group):
         self.gens = tuple(gens)
 
     def mul(self, a, b):
-        word = list(a)
-        for letter in b:
-            if word and word[-1] == -letter:
-                word.pop()
-            else:
-                word.append(letter)
+        try:
+            word = list(a)
+            for letter in b:
+                if word and word[-1] == -letter:
+                    word.pop()
+                else:
+                    word.append(letter)
+        except TypeError:
+            raise GroupError("element does not belong to this free-group model") from None
         return tuple(word)
 
     def inv(self, a):
-        return tuple(-x for x in reversed(a))
+        try:
+            return tuple(-x for x in reversed(a))
+        except TypeError:
+            raise GroupError("element does not belong to this free-group model") from None
 
     def validate(self, a):
         if not isinstance(a, tuple):

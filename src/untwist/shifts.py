@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .groups import Group, InputError, OutOfRange, WordMetric
-from .invariants import CompressionProfile, build_profile
+
+if TYPE_CHECKING:  # run-time use is in ConeParams.create alone
+    from .invariants import CompressionProfile
 
 
 class ContractError(InputError):
@@ -68,13 +70,11 @@ class Configuration:
         if (self.alphabet, self.background) != (other.alphabet, other.background):
             raise ContractError("configurations live in different shift spaces")
 
-    def differing_cells(self, other: "Configuration"):
+    def differing_cells(self, other: "Configuration") -> set:
+        """The cells where self and other show different symbols."""
         self._check_space(other)
-        cells = set(self.support) | set(other.support)
-        return sorted(
-            (c for c in cells if self.symbol_at(c) != other.symbol_at(c)),
-            key=self.group.format_elem,
-        )
+        return {c for c in self.support.keys() | other.support.keys()
+                if self.symbol_at(c) != other.symbol_at(c)}
 
     def __eq__(self, other):
         return (isinstance(other, Configuration)
@@ -255,6 +255,8 @@ class ConeParams:
                profile_radius: int | None = None) -> "ConeParams":
         """Build cone data with a profile sized for queries up to the given
         word length (exact compressions are needed along the whole cone)."""
+        from .invariants import build_profile
+
         metric = metric or WordMetric(group)
         bound = group.compression_lower_bound(anchor)
         anchor_length = metric.length(anchor)

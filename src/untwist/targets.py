@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from operator import add, neg
 
 from .groups import InputError
 
@@ -64,10 +65,10 @@ class RealVector(TargetGroup):
         self.identity = (0.0,) * dim
 
     def mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def inv(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(neg, a))
 
     def dist(self, a, b):
         return math.dist(a, b)

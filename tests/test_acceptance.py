@@ -21,7 +21,6 @@ from untwist import (
     classify_growth,
     coboundary_cocycle,
     conjugation_compression_check,
-    corrupted_spec,
     cyclic_group,
     default_specification_constants,
     div_pair,
@@ -47,6 +46,7 @@ from untwist.divergence import FINITE, INFINITE, avoidant_shortest_path, default
 from untwist.shifts import GoldenMean
 from untwist.sampling import random_configuration, seeded_rng
 
+from corrupted import corrupted_spec
 from homoclinic import pair_agreeing_on_ball, random_homoclinic_pair
 
 Z2 = IntegerLattice(2)

@@ -390,9 +390,11 @@ CHECK_ARGV = ["subshift", "check", "--group", "z^2", "--spec", "{path}", "--out"
     (CHECK_ARGV, None),
     (["--config", "{path}", *BALL_ARGV], b'{"radius": "\xe9"}'),
     (CHECK_ARGV, b'{"R": "\xe9"}'),
+    (["--config", "{path}", *BALL_ARGV], b'{'),
+    (CHECK_ARGV, b'{"R": 0,}'),
     (["divergence", "--group", "z^2", "--nmax", "4", "--out", "{path}"], b""),
 ], ids=["config-directory", "spec-directory", "config-not-utf8", "spec-not-utf8",
-        "divergence-out-is-a-file"])
+        "config-not-json", "spec-not-json", "divergence-out-is-a-file"])
 def test_unusable_file_exits_2_naming_it(tmp_path, capsys, argv, content):
     # content None makes the path a directory; otherwise a file of these bytes.
     path = tmp_path / "input.json"
@@ -567,7 +569,7 @@ def test_cocycle_untwist_loads_no_divergence_module(tmp_path):
          "--spec", os.path.join(ROOT, SPEC_RELPATH),
          "--samples", "4", "--out", str(tmp_path / "report.json")])
     assert code == 0
-    assert not modules & {"untwist.divergence", *STDLIB_NEVER}
+    assert not modules & {"untwist.divergence", "untwist.invariants", *STDLIB_NEVER}
 
 
 def test_layer_function_patched_after_import_is_called(tmp_path):

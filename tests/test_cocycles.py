@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -20,7 +21,6 @@ from untwist import (
     coboundary_cocycle,
     cocycle_spec_from_jsonable,
     cocycle_spec_to_jsonable,
-    corrupted_spec,
     cyclic_group,
     extract_homomorphism,
     generator_independence,
@@ -38,7 +38,9 @@ from untwist.cocycles import canonical_cells
 from untwist.groups import DirectProduct, FreeGroup, InfiniteCyclic
 from untwist.sampling import random_configuration, seeded_rng
 
+from corrupted import corrupted_spec
 from homoclinic import pair_agreeing_on_ball, random_homoclinic_pair, random_homoclinic_triple
+from test_targets import symmetric_group_3
 
 Z2 = IntegerLattice(2)
 METRIC = WordMetric(Z2)
@@ -537,16 +539,45 @@ def last_differing_factor(spec, g, x, y, n, sign):
     return last
 
 
+def record_lookups(monkeypatch, spec):
+    """A list that collects, in order, each pattern a generator map of spec
+    looks up."""
+    looked_up, lookup, maps = [], BlockMap.lookup, set(spec.maps.values())
+
+    def recording(bm, pattern):
+        if bm in maps:
+            looked_up.append(pattern)
+        return lookup(bm, pattern)
+
+    monkeypatch.setattr(BlockMap, "lookup", recording)
+    return looked_up
+
+
+def factors_looked_up(spec, g, x, y, sign, looked_up):
+    """Number of leading factors whose lookups make up looked_up, checked
+    against the translate chain: per factor and plan entry, x's pattern,
+    then y's only where it differs from x's."""
+    step = g if sign == "+" else spec.group.inv(g)
+    cx, cy = (x, y) if sign == "+" else (x.translate(step), y.translate(step))
+    expected, factors = [], 0
+    while len(expected) < len(looked_up):
+        reads = zip(reversed(read_patterns(spec, g, cx)),
+                    reversed(read_patterns(spec, g, cy)))
+        for read_x, read_y in reads:
+            expected += [read_x] if read_y == read_x else [read_x, read_y]
+        factors += 1
+        cx, cy = cx.translate(step), cy.translate(step)
+    assert looked_up == expected
+    return factors
+
+
 def test_holonomy_evaluates_no_factor_past_the_last_that_can_differ(monkeypatch):
     # A planted coboundary like the untwist benchmark's: window-0 potential.
     target = RealVector(2)
     potential = weighted_potential(Z2, METRIC, target, 0, {(0, 0): (0.375, -0.5)}, A)
     spec = coboundary_cocycle(Z2, target, {"x1+": (0.25, 0.125), "x2+": (-0.75, 1.0)},
                               potential, A, metric=METRIC)
-    calls = []
-    read = spec._read
-    monkeypatch.setattr(spec, "_read",
-                        lambda plan, x, back: calls.append(back) or read(plan, x, back))
+    looked_up = record_lookups(monkeypatch, spec)
     rng = seeded_rng(32)
     background = spec.background_config()
     saved = evaluated = 0
@@ -554,14 +585,73 @@ def test_holonomy_evaluates_no_factor_past_the_last_that_can_differ(monkeypatch)
         x, y = random_homoclinic_pair(Z2, METRIC, A, rng)
         for g, other in (((1, 0), background), ((0, 1), y)):
             for sign in "+-":
-                calls.clear()
+                looked_up.clear()
                 _, cert = holonomy(spec, g, x, other, EPS, sign)
+                factors = factors_looked_up(spec, g, x, other, sign, list(looked_up))
                 last = last_differing_factor(spec, g, x, other, cert.n_used, sign)
-                assert len(calls) % 2 == 0
-                assert len(calls) // 2 <= max(1, last + 1)
-                saved += 2 * cert.n_used - len(calls)
-                evaluated += len(calls)
+                assert factors <= max(1, last + 1)
+                saved += cert.n_used - factors
+                evaluated += factors
     assert saved > 0 and evaluated > 0
+
+
+def position_sensitive_table(target, cells, values):
+    """Tabulated map on A-patterns over cells whose value depends on which
+    cells show a 1, drawn from values (not a cocycle; evaluation only)."""
+    table = {}
+    for pattern in itertools.product(A, repeat=len(cells)):
+        code = sum((i + 1) * (i + 3) * s for i, s in enumerate(pattern))
+        table[pattern] = values[code % len(values)]
+    return BlockMap(target, cells, 1, table=table)
+
+
+def alternating_spec(target, values):
+    cells = canonical_cells(METRIC, 1)
+    maps = {label: position_sensitive_table(target, cells, values[k:] + values[:k])
+            for k, (label, _) in enumerate(Z2.gens)}
+    return CocycleSpec(Z2, target, A, 0, maps, metric=METRIC)
+
+
+SYM3 = symmetric_group_3()
+ALTERNATING_SPECS = [
+    ("sym3", lambda: alternating_spec(SYM3, list(SYM3.elements))),
+    # Dyadic values keep every product exact, whatever the grouping.
+    ("real_vector", lambda: alternating_spec(
+        RealVector(2), [(k / 8, (3 - k) / 4) for k in range(7)])),
+]
+
+
+@pytest.mark.parametrize("make_spec", [case[1] for case in ALTERNATING_SPECS],
+                         ids=[case[0] for case in ALTERNATING_SPECS])
+def test_y_is_looked_up_only_where_its_read_differs(monkeypatch, make_spec):
+    spec = make_spec()
+    looked_up = record_lookups(monkeypatch, spec)
+    rng = seeded_rng(43)
+    # Flips spaced along both axes: along each anchor's orbit the factors
+    # that read a flip alternate with factors that read none.
+    flips = [(0, 0), (4, 0), (-4, 0), (9, 1), (-9, -1), (5, 5), (-5, -5)]
+    y_lookups = y_reuses = 0
+    for _ in range(3):
+        y = random_configuration(Z2, METRIC, A, rng, max_radius=12, n_cells=20)
+        x = Configuration(Z2, A, 0, {**y.support, **{c: 1 - y.symbol_at(c)
+                                                     for c in flips}})
+        for g in ((1, 0), (1, 1)):
+            for sign in "+-":
+                looked_up.clear()
+                value, cert = holonomy(spec, g, x, y, EPS, sign)
+                factors = factors_looked_up(spec, g, x, y, sign, list(looked_up))
+                assert factors <= cert.n_used
+                reads = factors * len(spec.metric.geodesic_word(g))
+                y_lookups += len(looked_up) - reads
+                y_reuses += 2 * reads - len(looked_up)
+                assert value == chain_partial_product(spec, g, x, y, cert.n_used, sign)
+                for n in (1, 2, 7, 13):
+                    looked_up.clear()
+                    product = partial_product(spec, g, x, y, n, sign)
+                    factors = factors_looked_up(spec, g, x, y, sign, list(looked_up))
+                    assert factors == (n if sign == "+" else n - 1)
+                    assert product == chain_partial_product(spec, g, x, y, n, sign)
+    assert y_lookups > 0 and y_reuses > 0
 
 
 # -- specification decay -------------------------------------------------------------

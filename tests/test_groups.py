@@ -69,7 +69,8 @@ def test_group_axioms_on_samples(group):
 
 
 # FreeGroup.mul has no shape check: every tuple of letters multiplies, and
-# validate is what refuses a word of the wrong form.
+# validate is what refuses a word of the wrong form (see the free-group test
+# below for values that are no words at all).
 @pytest.mark.parametrize("group", [
     InfiniteCyclic(), IntegerLattice(2), IntegerLattice(3),
     IntegerLattice(2, diagonal=True), DiscreteHeisenberg(),
@@ -85,6 +86,16 @@ def test_model_mismatch_is_structural_error(group):
             group.mul(g, bad)
         with pytest.raises(GroupError):
             group.inv(bad)
+
+
+def test_free_group_refuses_a_non_word_in_mul_and_inv():
+    group = FreeGroup(2)
+    g = group.gens[0][1]
+    for call in (lambda: group.mul(5, g), lambda: group.mul(g, 5),
+                 lambda: group.mul(g, ("a",)), lambda: group.inv(5),
+                 lambda: group.inv(("a",))):
+        with pytest.raises(GroupError, match="free-group model"):
+            call()
 
 
 def test_free_group_refuses_an_unreduced_word():
