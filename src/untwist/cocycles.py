@@ -125,10 +125,10 @@ class CocycleSpec:
         # map's cells to lie in the ball of its declared window.
         for lab, bm in self.maps.items():
             for c in bm.cells:
-                if self.metric.length(c, limit=bm.window) is None:
+                if (length := self.metric.length(c)) > bm.window:
                     raise CocycleError(
                         f"block map for generator {lab!r}: cell "
-                        f"{group.format_elem(c)} has length {self.metric.length(c)}, "
+                        f"{group.format_elem(c)} has length {length}, "
                         f"outside its window {bm.window}")
         # Continuity constants: a window-w map moves by at most its range
         # diameter, and agreement on B(n >= w) pins it, so D * r^-w works.
@@ -190,21 +190,21 @@ class CocycleSpec:
             plan = self._plan_cache[g] = self._word_plan(self.metric.geodesic_word(g))
         return plan
 
-    def _read(self, plan, x: Configuration, back):
-        """Value of a read plan on back^-1 . x, which reads x on back . c."""
-        mul, at, target = self.group.mul, x.symbol_at, self.target
+    def _read(self, plan, x: Configuration):
+        """Value of a read plan on x."""
+        at, target = x.symbol_at, self.target
         value = target.identity
         for bm, cells in plan:
-            value = target.mul(value, bm.lookup(tuple(at(mul(back, c)) for c in cells)))
+            value = target.mul(value, bm.lookup(tuple(map(at, cells))))
         return value
 
     def evaluate_word(self, labels, x: Configuration):
         """Cocycle value along an explicit generator word (left-to-right)."""
-        return self._read(self._word_plan(labels), x, self.group.identity)
+        return self._read(self._word_plan(labels), x)
 
     def evaluate(self, g, x: Configuration):
         """Cocycle value at g along the canonical geodesic word."""
-        return self._read(self._plan(g), x, self.group.identity)
+        return self._read(self._plan(g), x)
 
     def _read_set(self, g):
         """(W_g, radius): the cells evaluate(g, .) reads, and their largest length."""
@@ -349,7 +349,7 @@ def holonomy(spec: CocycleSpec, g, x: Configuration, y: Configuration,
         return spec.target.identity, cert
     differing = x.differing_cells(y)
     # Configurations check their cells when built, so no read checks them.
-    agreement = max(map(spec.metric._length, differing))
+    agreement = max(map(spec.group.exact_length, differing))
     C_g, r = spec.holder_constants(g)
     if C_g == 0.0:
         value = partial_product(spec, g, x, y, 1, sign)

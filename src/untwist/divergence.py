@@ -46,17 +46,14 @@ class DivergenceQuery(NamedTuple):
     forbidden_radius: int
 
 
-def make_query(group: Group, a, b, c, window_radius: int,
-               metric: WordMetric | None = None) -> DivergenceQuery:
+def make_query(group: Group, a, b, c, window_radius: int) -> DivergenceQuery:
     """Compute the obstacle radius max(0, floor(d(c,{a,b})/2) - 2) exactly."""
     for x in (a, b, c):
         group.validate(x)
     if c == a or c == b:
         raise GroupError("obstacle must differ from both endpoints")
-    metric = metric or WordMetric(group)
-    # Validated above, so the lengths are read without a second check.
     c_inv = group.inv(c)
-    d = min(metric._length(group.mul(c_inv, x)) for x in (a, b))
+    d = min(group.exact_length(group.mul(c_inv, x)) for x in (a, b))
     radius = max(0, d // 2 - 2)
     return DivergenceQuery(group, a, b, c, window_radius, radius)
 
@@ -84,30 +81,23 @@ def _certified_disconnection(query: DivergenceQuery) -> bool:
     return min(a, b) < c < max(a, b)
 
 
-def avoidant_shortest_path(query: DivergenceQuery,
-                           metric: WordMetric | None = None) -> PathSearchResult:
+def avoidant_shortest_path(query: DivergenceQuery) -> PathSearchResult:
     """Exact shortest path from a to b inside the window, off the obstacle.
 
-    Every length comes from one reader, WordMetric.length_reader(window):
-    h is inside the window iff l(h) <= window and forbidden iff
-    l(c^-1 h) < r.  The search is A* towards b under the heuristic
-    l(b^-1 h) as read: at most l and moved by at most 1 per generator step,
-    so admissible and consistent, and the first time b leaves the heap its
-    distance is the breadth-first one.
+    Every length is the model's closed form: h is inside the window iff
+    l(h) <= window and forbidden iff l(c^-1 h) < r.  The search is A*
+    towards b under the heuristic l(b^-1 h): at most l and moved by at most
+    1 per generator step, so admissible and consistent, and the first time
+    b leaves the heap its distance is the breadth-first one.
     """
     group = query.group
     window = query.window_radius
-    length = (metric or WordMetric(group)).length_reader(window)
+    length = group.exact_length
     for x in (query.a, query.b, query.c):
         if length(x) > window:
             raise GroupError("query points must lie inside the window ball")
 
-    # A table reader gives min(l, R + 1) with R >= window, so it answers
-    # l(c^-1 h) < r exactly as long as r <= window + 1 (make_query keeps
-    # r <= window - 2).
     radius = query.forbidden_radius
-    if radius > window + 1:
-        raise GroupError("forbidden ball reaches outside the window table")
     mul = group.mul
     c_inv = group.inv(query.c)
 
@@ -149,8 +139,7 @@ def avoidant_shortest_path(query: DivergenceQuery,
     return PathSearchResult(WINDOW_DISCONNECTED)
 
 
-def avoidant_distance(query: DivergenceQuery, metric: WordMetric | None = None,
-                      k: int | None = None) -> PathSearchResult:
+def avoidant_distance(query: DivergenceQuery, k: int | None = None) -> PathSearchResult:
     """The outcome and length of avoidant_shortest_path, without its path,
     and without a search where the triangle inequality already gives them.
 
@@ -158,20 +147,15 @@ def avoidant_distance(query: DivergenceQuery, metric: WordMetric | None = None,
     for the pair, as div_pair does once per pair: every geodesic from a to
     b then stays inside the window.  When also d(c,a) + d(c,b) - k >= 2r,
     every geodesic stays off the forbidden ball, so the answer is k, FINITE.
-    Lengths come from metric.length_reader(window), as in the search.  A
-    table reads min(l, R + 1) with R >= window: capped reads of d(c,.) only
-    understate, so the ball clause stays sound, and a capped read of k
-    cannot pass the window clause, since k <= l(a) + l(b).  A query the
-    search would refuse (c outside the window, r > window + 1) goes to it.
+    A query the search would refuse (c outside the window) goes to it.
     """
     group, window, radius = query.group, query.window_radius, query.forbidden_radius
-    if k is not None and radius <= window + 1:
-        length = (metric or WordMetric(group)).length_reader(window)
-        mul, c_inv = group.mul, group.inv(query.c)
+    if k is not None:
+        length, mul, c_inv = group.exact_length, group.mul, group.inv(query.c)
         if (length(mul(c_inv, query.a)) + length(mul(c_inv, query.b)) - k >= 2 * radius
                 and length(query.c) <= window):
             return PathSearchResult(FINITE, k)
-    return avoidant_shortest_path(query, metric)
+    return avoidant_shortest_path(query)
 
 
 class PairDivergence(NamedTuple):
@@ -184,17 +168,14 @@ class PairDivergence(NamedTuple):
     window_radius: int
 
 
-def div_pair(group: Group, a, b, obstacles, window_radius: int,
-             metric: WordMetric | None = None) -> PairDivergence:
+def div_pair(group: Group, a, b, obstacles, window_radius: int) -> PairDivergence:
     """Maximise the avoidant distance over the sampled obstacle set.
 
     k = d(a,b) and the window clause l(a) + l(b) + k <= 2*window of
-    avoidant_distance are read once for the pair, through the reader that
-    the certificate uses."""
+    avoidant_distance are read once for the pair."""
     for x in (a, b):  # read below, before make_query checks them
         group.validate(x)
-    metric = metric or WordMetric(group)
-    length = metric.length_reader(window_radius)
+    length = group.exact_length
     k = length(group.mul(group.inv(a), b))
     if length(a) + length(b) + k > 2 * window_radius:
         k = None
@@ -203,8 +184,8 @@ def div_pair(group: Group, a, b, obstacles, window_radius: int,
     for c in obstacles:
         if c == a or c == b:
             continue
-        query = make_query(group, a, b, c, window_radius, metric)
-        result = avoidant_distance(query, metric, k)
+        query = make_query(group, a, b, c, window_radius)
+        result = avoidant_distance(query, k)
         if result.outcome == INFINITE:
             return PairDivergence(a, b, math.inf, c, window_radius)
         if result.outcome == WINDOW_DISCONNECTED:
@@ -311,7 +292,7 @@ def div_function(group: Group, n_max: int, *, window_factor: int = 4,
                                            sample_budget) for a, b in pairs]
         best_row = None
         for (a, b), obstacles in zip(pairs, obstacle_sets):
-            pair = div_pair(group, a, b, obstacles, window_radius, metric)
+            pair = div_pair(group, a, b, obstacles, window_radius)
             if best_row is None or pair.value > best_row.value:
                 best_row = DivergenceRow(n, pair.value, a, b, pair.witness_c,
                                          window_radius)

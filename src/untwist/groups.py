@@ -2,6 +2,7 @@
 
 Elements are plain hashable normal forms (tuples), so they double as dict
 keys in ball tables.  Every model ships a symmetric ordered generating set,
+a closed-form word length (the only route by which the package reads one),
 a certified lower bound for the compression of powers of its elements, and
 enough structural metadata (ends, divergence class) for the higher layers.
 """
@@ -187,15 +188,17 @@ class Group(ABC):
         """Certified lower bound for the compression of <g>; g must have
         infinite order (all built-ins are torsion-free, so g != identity)."""
 
-    def exact_length(self, a) -> int | None:
-        """Closed-form word length, or None when only BFS can answer."""
-        return None
+    @abstractmethod
+    def exact_length(self, a) -> int:
+        """Closed-form word length of a normal form, unchecked: callers
+        validate elements that come from outside the package."""
 
     def ball_box(self, radius: int):
         """Per-coordinate (lo, hi) bounds of the normal-form tuple that hold
-        every element of B(radius), or None.  Only models with a closed-form
-        length give one: uniform draws from the box, kept when the closed form
-        puts them in the ball, are uniform draws from the ball."""
+        every element of B(radius), or None.  Models whose normal form is an
+        integer tuple give one: uniform draws from the box, kept when the
+        closed form puts them in the ball, are uniform draws from the ball.
+        Free groups and products, whose normal forms are not, give None."""
         return None
 
     def defining_relation_word_pairs(self):
@@ -642,11 +645,7 @@ class DirectProduct(Group):
         return (self.left.parse_elem(halves[0]), self.right.parse_elem(halves[1]))
 
     def exact_length(self, a):
-        ll = self.left.exact_length(a[0])
-        rl = self.right.exact_length(a[1])
-        if ll is None or rl is None:
-            return None
-        return ll + rl
+        return self.left.exact_length(a[0]) + self.right.exact_length(a[1])
 
     def compression_lower_bound(self, g):
         self.validate(g)
@@ -695,18 +694,20 @@ def parse_group(descriptor: str) -> Group:
         return DiscreteHeisenberg()
     if s.startswith("free:"):
         try:
-            return FreeGroup(int(s[len("free:"):]))
+            rank = int(s[len("free:"):])
         except ValueError:
             raise GroupError(f"bad free-group rank in {descriptor!r}") from None
+        return FreeGroup(rank)
     if s.startswith("z^"):
         body = s[2:]
         diagonal = body.endswith("+diag")
         if diagonal:
             body = body[:-len("+diag")]
         try:
-            return IntegerLattice(int(body), diagonal=diagonal)
+            dimension = int(body)
         except ValueError:
             raise GroupError(f"bad lattice dimension in {descriptor!r}") from None
+        return IntegerLattice(dimension, diagonal=diagonal)
     if s.startswith("prod(") and s.endswith(")"):
         halves = _split_top_level(s[len("prod("):-1], ",")
         if halves is None:
@@ -725,7 +726,7 @@ class BallTable:
     `lengths` (element -> word length, inserted in BFS discovery order) holds
     complete BFS layers up to some R >= radius (a metric grows its table in
     place), and readers restrict to their own radius.  Geodesic words are not
-    stored: WordMetric.geodesic_word recovers them from lengths.
+    stored: WordMetric.geodesic_word recovers them from the closed form.
     """
 
     __slots__ = ("radius", "lengths")
@@ -804,10 +805,11 @@ DEFAULT_METRIC_BUDGET = 5_000_000
 class WordMetric:
     """Exact word lengths, distances and canonical geodesics for one model.
 
-    The package's only owner of ball tables: keeps a single one, holding
-    lengths only, grown in place one BFS layer at a time and only as far as
-    a query needs.  The canonical geodesic of g is its shortlex-least one,
-    read off lengths by descent, and is the word of the BFS tree.
+    Lengths are the model's closed form.  The package's only owner of ball
+    tables keeps a single one, holding lengths only, for what needs the ball
+    itself, grown in place one BFS layer at a time.  The canonical geodesic
+    of g is its shortlex-least one, read off lengths by descent, and is the
+    word of the BFS tree.
     """
 
     def __init__(self, group: Group, max_elements: int = DEFAULT_METRIC_BUDGET):
@@ -821,35 +823,10 @@ class WordMetric:
                                          start=self._table)
         return self._table
 
-    def length(self, g, limit: int | None = None) -> int | None:
-        """Exact word length, or None when it exceeds limit.  Without a closed
-        form the table grows a layer at a time, never past limit."""
+    def length(self, g) -> int:
+        """Exact word length of an element from outside the package."""
         self.group.validate(g)
-        return self._length(g, limit)
-
-    def _length(self, g, limit: int | None = None) -> int | None:
-        """length without the structural check, for elements the package
-        derived itself from validated ones."""
-        found = self.group.exact_length(g)
-        if found is None:
-            table = self.table(0)
-            while (found := table.length(g)) is None:
-                if limit is not None and table.radius >= limit:
-                    return None
-                table = self.table(table.radius + 1)
-        return found if limit is None or found <= limit else None
-
-    def length_reader(self, radius: int):
-        """A function giving l(g) without the structural check: the closed
-        form, or else the table grown to radius, which reads R + 1 for each
-        element it misses, R >= radius being its radius.  The table holds
-        complete layers, so the reading is min(l(g), R + 1) until it grows."""
-        group = self.group
-        if group.exact_length(group.identity) is not None:
-            return group.exact_length
-        table = self.table(radius)
-        get, beyond = table.lengths.get, table.radius + 1
-        return lambda g: get(g, beyond)
+        return self.group.exact_length(g)
 
     def distance(self, g, h) -> int:
         return self.length(self.group.mul(self.group.inv(g), h))
@@ -861,13 +838,11 @@ class WordMetric:
         t1 is the first generator s with l(s^-1 g) = k - 1, and the descent
         repeats on s^-1 g.  BFS reaches each element first along this word,
         so it is the word of the BFS tree (Epstein et al., Word Processing
-        in Groups, 1992).  Lengths come from length_reader(l(g)), exact for
-        every candidate, since none is longer than l(g) + 1.
+        in Groups, 1992).
         """
         group = self.group
         k = self.length(g)
-        length = self.length_reader(k)
-        mul = group.mul
+        length, mul = group.exact_length, group.mul
         back = [(label, group.inv(s)) for label, s in group.gens]
         word = []
         while k:

@@ -43,13 +43,13 @@ def power_lengths(metric: WordMetric, g, radius: int) -> PowerLengthTable:
     """
     group = metric.group
     bound = group.compression_lower_bound(g)  # validates g, refuses the identity
+    length = group.exact_length  # powers of a validated g need no check
     entries = []
     j = 1
     p = g
     while bound.value(j) <= radius:
-        length = metric.length(p, radius)
-        if length is not None:
-            entries.append((j, length))
+        if (k := length(p)) <= radius:
+            entries.append((j, k))
         j += 1
         p = group.mul(p, g)
     if not entries:

@@ -239,13 +239,11 @@ class ConeParams:
         # Walk data for j = 0..j_max: piece j has radius _radii[j], and a walk
         # from k reaches it only while _stops[j] = 3*L(j) <= 4*(l(k) + R).
         # L is non-decreasing, so bisecting _stops counts the pieces a walk
-        # reaches; rho is too, so the reader built for _radii[-1] is exact at
-        # every radius it is compared with.
+        # reaches.
         self._radii = [self.piece_radius(j) for j in range(profile.j_max + 1)]
         self._stops = [3 * profile.lower_bound.value(j)
                        for j in range(profile.j_max + 1)]
         self._steps = {"+": group.inv(anchor), "-": anchor}
-        self._length = metric.length_reader(self._radii[-1])
 
     @classmethod
     def create(cls, group: Group, anchor, radius_R: int,
@@ -287,11 +285,10 @@ class ConeParams:
         step = self._steps[sign]
         reach = 4 * (self.metric.length(k) + self.R)
         n = bisect_right(self._stops, reach)
-        mul, length = self.group.mul, self._length
+        mul, length = self.group.mul, self.group.exact_length
         # A step moves l by at most l(a) and the radii do not decrease, so at
         # step j no later piece is hit once l(point) - (n - 1 - j) l(a)
-        # exceeds _radii[n - 1]; a table reader's R + 1 is at most l, so the
-        # test holds on its readings too.
+        # exceeds _radii[n - 1].
         top = self._radii[n - 1] + (n - 1) * self.anchor_length
         point = k
         for radius in self._radii[:n]:

@@ -158,7 +158,7 @@ def test_criterion_4_divergence():
             a, b = (-n, 0), (n, 0)
             window = 4 * n
             obstacles = default_obstacles(Z2, a, b, window, rng, METRIC2, 10)
-            pair = div_pair(Z2, a, b, obstacles, window, METRIC2)
+            pair = div_pair(Z2, a, b, obstacles, window)
             assert 3 * n - 8 <= pair.value <= 3 * n + 8
             assert pair.value / n <= 4.0
 

@@ -16,6 +16,7 @@ from untwist import (
     div_function,
     div_pair,
     make_query,
+    parse_group,
 )
 from untwist.divergence import (
     FINITE,
@@ -33,19 +34,18 @@ from untwist.groups import enumerate_ball
 
 from oracles import (grid_avoidant_length, heisenberg_avoidant_length, heisenberg_inv,
                      heisenberg_lengths, heisenberg_mul, l1_ball, l1_length, z2_mul)
-from tabled_heisenberg import TabledHeisenberg
 
 Z2 = IntegerLattice(2)
 Z = InfiniteCyclic()
+ZZ = parse_group("prod(z,z)")
 
 
 def test_forbidden_radius_formula():
-    metric = WordMetric(Z2)
-    q = make_query(Z2, (-6, 0), (6, 0), (0, 0), 24, metric)
+    q = make_query(Z2, (-6, 0), (6, 0), (0, 0), 24)
     assert q.forbidden_radius == 1
-    q2 = make_query(Z2, (-3, 0), (3, 0), (0, 0), 12, metric)
+    q2 = make_query(Z2, (-3, 0), (3, 0), (0, 0), 12)
     assert q2.forbidden_radius == 0  # floor(3/2) - 2 clamps at zero
-    q3 = make_query(Z2, (-10, 0), (10, 0), (1, 1), 40, metric)
+    q3 = make_query(Z2, (-10, 0), (10, 0), (1, 1), 40)
     assert q3.forbidden_radius == 10 // 2 - 2  # d(c,{a,b}) = min(12, 10)
 
 
@@ -80,7 +80,7 @@ def test_zero_radius_gives_geodesic_distance():
         a, b, c = (rng.choice(elems) for _ in range(3))
         if c in (a, b):
             continue
-        q = make_query(Z2, a, b, c, 24, metric)
+        q = make_query(Z2, a, b, c, 24)
         if q.forbidden_radius != 0:
             continue
         result = avoidant_shortest_path(q)
@@ -117,8 +117,7 @@ def test_z_exterior_obstacle_finite():
 
 def test_window_disconnected_without_certificate():
     # +cone pair squeezed by a huge obstacle in z^2 with a tiny window
-    metric = WordMetric(Z2)
-    q = make_query(Z2, (-12, 0), (12, 0), (0, 0), 12, metric)
+    q = make_query(Z2, (-12, 0), (12, 0), (0, 0), 12)
     result = avoidant_shortest_path(q)
     assert result.outcome in (FINITE, WINDOW_DISCONNECTED)
 
@@ -135,7 +134,6 @@ def test_obstacle_monotonicity():
 @pytest.mark.parametrize("window", [8, 10])
 def test_heisenberg_avoidant_paths_match_oracle(window):
     group = DiscreteHeisenberg()
-    metric = WordMetric(group)
     table = enumerate_ball(group, window)
     pool = list(table.order)
     rng = random.Random(window)
@@ -144,10 +142,10 @@ def test_heisenberg_avoidant_paths_match_oracle(window):
         a, b, c = (pool[rng.randrange(len(pool))] for _ in range(3))
         if c in (a, b):
             continue
-        q = make_query(group, a, b, c, window, metric)
+        q = make_query(group, a, b, c, window)
         if q.forbidden_radius < 2:
             continue
-        result = avoidant_shortest_path(q, metric)
+        result = avoidant_shortest_path(q)
         oracle = heisenberg_avoidant_length(a, b, c, q.forbidden_radius, window)
         assert result.length == oracle
         checked += 1
@@ -156,17 +154,15 @@ def test_heisenberg_avoidant_paths_match_oracle(window):
     assert checked == 4
 
 
-def test_forbidden_ball_beyond_window_table_is_refused():
-    q = DivergenceQuery(Z2, (-10, 0), (0, 10), (10, 0), 10, 12)
+def test_obstacle_outside_the_window_is_refused():
+    # Both clauses of the certificate hold here, with k = d(a,b) = 1, but
+    # the obstacle lies outside the window, so avoidant_distance refuses it
+    # as the search does.
+    q = DivergenceQuery(Z2, (0, 0), (1, 0), (11, 0), 10, 3)
     with pytest.raises(GroupError):
         avoidant_shortest_path(q)
-    # Both clauses of the certificate hold on these, with k = d(a,b) = 1,
-    # but the search refuses them, so avoidant_distance does too: the
-    # first has r > window + 1, the second an obstacle outside the window.
-    for q in (DivergenceQuery(Z2, (-5, 0), (-5, 1), (10, 0), 10, 12),
-              DivergenceQuery(Z2, (0, 0), (1, 0), (11, 0), 10, 3)):
-        with pytest.raises(GroupError):
-            avoidant_distance(q, k=1)
+    with pytest.raises(GroupError):
+        avoidant_distance(q, k=1)
 
 
 def test_window_monotonicity():
@@ -183,7 +179,7 @@ def test_div_pair_adjacent_points():
     metric = WordMetric(Z2)
     rng = random.Random(0)
     obstacles = default_obstacles(Z2, (0, 0), (1, 0), 12, rng, metric, 6)
-    pair = div_pair(Z2, (0, 0), (1, 0), obstacles, 12, metric)
+    pair = div_pair(Z2, (0, 0), (1, 0), obstacles, 12)
     assert pair.value == 1.0
 
 
@@ -220,10 +216,10 @@ def test_obstacle_draws_cover_the_window_ball_but_the_endpoints(group, a, b):
     assert set(obstacles) == ball - {a, b}
 
 
-@pytest.mark.parametrize("a, b", [((0, 0, 0), (1, 0, 0)), ((1, 1, 0), (0, 0, 0)),
-                                  ((0, 0, 5), (0, 1, 0)), ((1, 2, 1), (1, 2, 1))])
+@pytest.mark.parametrize("a, b", [((), (1,)), ((1, 2), ()),
+                                  ((2, 2, -1), (2,)), ((1, -2, 1), (1, -2, 1))])
 def test_boxless_obstacle_samples_index_the_bfs_order_pool(a, b):
-    group = TabledHeisenberg()
+    group = FreeGroup(2)
     metric = WordMetric(group)
     obstacles = default_obstacles(group, a, b, 4, random.Random(3), metric, 40)
     rng = random.Random(3)
@@ -239,7 +235,7 @@ def test_div_pair_axis_values_in_band():
     for n in (6, 9, 12, 14):
         a, b = (-n, 0), (n, 0)
         obstacles = default_obstacles(Z2, a, b, 4 * n, rng, metric, 10)
-        pair = div_pair(Z2, a, b, obstacles, 4 * n, metric)
+        pair = div_pair(Z2, a, b, obstacles, 4 * n)
         assert 3 * n - 8 <= pair.value <= 3 * n + 8
         assert pair.witness_c is not None
 
@@ -251,8 +247,8 @@ def recording_answers(monkeypatch):
 
     answer, seen = divergence.avoidant_distance, []
 
-    def recording(query, metric=None, k=None):
-        seen.append((query, k, answer(query, metric, k)))
+    def recording(query, k=None):
+        seen.append((query, k, answer(query, k)))
         return seen[-1][2]
 
     monkeypatch.setattr(divergence, "avoidant_distance", recording)
@@ -316,7 +312,7 @@ def test_short_pairs_need_no_search(monkeypatch):
     # search needs k >= 11.
     import untwist.divergence as divergence
 
-    def refusing(query, metric=None):
+    def refusing(query):
         raise AssertionError(f"searched {query}")
 
     monkeypatch.setattr(divergence, "avoidant_shortest_path", refusing)
@@ -342,14 +338,14 @@ def test_certified_answers_match_the_oracle(monkeypatch, group):
     # answer is the oracle's.
     lengths, mul, inv, oracle = oracle_geometry(group)
     seen = recording_answers(monkeypatch)
-    rng, metric = random.Random(131), WordMetric(group)
+    rng = random.Random(131)
     for _ in range(40):
         window = rng.randint(3, 8)
         ball = [p for p, k in lengths.items() if k <= window]
         edge = [p for p in ball if lengths[p] >= window - 1]
         a, b = (rng.choice(edge if rng.random() < 0.6 else ball) for _ in "ab")
         if a != b:
-            div_pair(group, a, b, [rng.choice(ball) for _ in range(6)], window, metric)
+            div_pair(group, a, b, [rng.choice(ball) for _ in range(6)], window)
     assert len(seen) > 200
 
     def d(g, h):
@@ -374,53 +370,6 @@ def test_certified_answers_match_the_oracle(monkeypatch, group):
         assert routes[False, True, False]
 
 
-def test_certificate_on_capped_reads_matches_the_search():
-    # TabledHeisenberg reads lengths off a table of radius R = window, as
-    # min(l, R + 1).  Reads of d(c,.) then often cap; a certified answer
-    # must still be the search's.
-    group = TabledHeisenberg()
-    lengths = heisenberg_lengths(16)
-    rng = random.Random(131)
-    capped = searched = 0
-    for _ in range(60):
-        window = rng.randint(3, 6)
-        ball = [p for p, k in lengths.items() if k <= window]
-        a, b, c = (rng.choice(ball) for _ in "abc")
-        if c in (a, b):
-            continue
-        k = lengths[heisenberg_mul(heisenberg_inv(a), b)]
-        inside = lengths[a] + lengths[b] + k <= 2 * window
-        d_ca, d_cb = (lengths[heisenberg_mul(heisenberg_inv(c), p)] for p in (a, b))
-        radius = max(0, min(d_ca, d_cb) // 2 - 2)
-        query = DivergenceQuery(group, a, b, c, window, radius)
-        result = avoidant_distance(query, WordMetric(group), k if inside else None)
-        search = avoidant_shortest_path(query, WordMetric(group))
-        assert (result.outcome, result.length) == (search.outcome, search.length), query
-        if certified(result):
-            capped += max(d_ca, d_cb) > window + 1
-        else:
-            searched += 1
-    assert capped and searched
-
-
-def test_capped_pair_distance_never_certifies(monkeypatch):
-    # Through a fresh table of radius 4, d(a,b) = 6 reads 5.  A capped k
-    # cannot pass the window clause, since k <= l(a) + l(b): here
-    # 3 + 3 + 5 > 8, so the search answers every obstacle.
-    group = TabledHeisenberg()
-    a, b = (-3, 0, 0), (3, 0, 0)
-    assert WordMetric(group).length_reader(4)(group.mul(group.inv(a), b)) == 5
-    seen = recording_answers(monkeypatch)
-    obstacles = [(0, 0, 0), (0, 2, 0), (0, -1, 1), (1, 1, 0)]
-    pair = div_pair(group, a, b, obstacles, 4, WordMetric(group))
-    assert [k for _, k, _ in seen] == [None] * len(obstacles)
-    lengths = heisenberg_lengths(8)
-    radii = [max(0, min(lengths[heisenberg_mul(heisenberg_inv(c), p)]
-                        for p in (a, b)) // 2 - 2) for c in obstacles]
-    assert pair.value == max(heisenberg_avoidant_length(a, b, c, r, 4)
-                             for c, r in zip(obstacles, radii))
-
-
 @pytest.mark.parametrize("group, n_max, window_factor", [
     (Z, 14, 4), (Z2, 16, 4), (IntegerLattice(2, diagonal=True), 12, 4),
     (DiscreteHeisenberg(), 12, 2), (FreeGroup(2), 8, 1)],
@@ -432,7 +381,7 @@ def test_rows_match_search_only_rows(monkeypatch, group, n_max, window_factor):
     rows = div_function(group, n_max, **kwargs)
     search = divergence.avoidant_shortest_path
     monkeypatch.setattr(divergence, "avoidant_distance",
-                        lambda query, metric=None, k=None: search(query, metric))
+                        lambda query, k=None: search(query))
     assert div_function(group, n_max, **kwargs) == rows
 
 
@@ -440,9 +389,7 @@ def test_search_takes_a_tenth_of_the_breadth_first_steps():
     # A breadth-first search over this query takes 4,704 generator steps
     # g*s before it reaches b; the avoidant path has length 26.
     group = IntegerLattice(2)
-    metric = WordMetric(group)
-    query = make_query(group, (-10, 0), (10, 0), (0, 0), 40, metric)
-    metric.table(40)
+    query = make_query(group, (-10, 0), (10, 0), (0, 0), 40)
     gens = {s for _, s in group.gens}
     steps = []
     product = group.mul
@@ -453,7 +400,7 @@ def test_search_takes_a_tenth_of_the_breadth_first_steps():
         return product(a, b)
 
     group.mul = counting
-    result = avoidant_shortest_path(query, metric)
+    result = avoidant_shortest_path(query)
     assert result.length == 26
     assert len(steps) < 4704 / 10
 
@@ -499,7 +446,7 @@ def test_div_function_enumerates_from_scratch_once(monkeypatch):
         return enumerate_ball(group, radius, max_elements, start)
 
     monkeypatch.setattr(groups, "enumerate_ball", counting)
-    div_function(TabledHeisenberg(), 4, seed=7)
+    div_function(ZZ, 4, seed=7)
     assert sum(start is None for start in starts) == 1
     starts.clear()
     div_function(Z2, 12, seed=7)
@@ -521,19 +468,10 @@ def recording_ball_radii(monkeypatch):
 
 
 def test_div_function_metric_grows_only_as_far_as_asked(monkeypatch):
-    import untwist.groups as groups
-
-    # _length is the route of every exact length, checked (length) or not.
-    length = groups.WordMetric._length
-    radii, answers = recording_ball_radii(monkeypatch), [0]
-
-    def recording_length(self, g, limit=None):
-        answers.append(length(self, g, limit))
-        return answers[-1]
-
-    monkeypatch.setattr(groups.WordMetric, "_length", recording_length)
-    rows = div_function(TabledHeisenberg(), 4, seed=7)
-    assert max(radii) == max(max(r.window_radius for r in rows), max(answers))
+    # prod(z,z) has no ball box: its draws list the window ball.
+    radii = recording_ball_radii(monkeypatch)
+    rows = div_function(ZZ, 4, seed=7)
+    assert max(radii) == max(r.window_radius for r in rows)
 
 
 def test_heisenberg_div_function_builds_no_ball(monkeypatch):
@@ -557,14 +495,18 @@ def test_box_draws_are_uniform_on_a_small_ball():
     assert chi2 < 36.12  # the 0.999 quantile of chi-square with 14 degrees of freedom
 
 
-@pytest.mark.parametrize("group", [Z2, DiscreteHeisenberg(), TabledHeisenberg()],
-                         ids=["z^2", "heisenberg", "TabledHeisenberg"])
+@pytest.mark.parametrize("group", [Z2, DiscreteHeisenberg(), ZZ],
+                         ids=["z^2", "heisenberg", "prod(z,z)"])
 def test_random_pairs_halve_draws_that_cover_the_sphere(group):
     # a^-1 b is the drawn element; the sphere of radius 3 has 12 elements on
-    # z^2 and 36 on the Heisenberg group.
+    # z^2 and prod(z,z), and 36 on the Heisenberg group.  prod(z,z) draws
+    # from the BFS-order list of the sphere.
     if group is Z2:
         sphere = {g for g in l1_ball(3) if l1_length(g) == 3}
         quotient = lambda a, b: (b[0] - a[0], b[1] - a[1])
+    elif group is ZZ:
+        sphere = {((x,), (y,)) for x, y in l1_ball(3) if l1_length((x, y)) == 3}
+        quotient = lambda a, b: ((b[0][0] - a[0][0],), (b[1][0] - a[1][0],))
     else:
         sphere = {g for g, k in heisenberg_lengths(3).items() if k == 3}
         quotient = lambda a, b: heisenberg_mul(heisenberg_inv(a), b)

@@ -1,4 +1,3 @@
-import copy
 import itertools
 import random
 
@@ -18,7 +17,6 @@ from untwist import (
 )
 
 from oracles import bfs_tree_words, heisenberg_lengths, heisenberg_mul, l1_ball_size
-from tabled_heisenberg import TabledHeisenberg
 
 MODELS = [
     IntegerLattice(2),
@@ -164,6 +162,23 @@ def test_diagonal_lattice_exact_length():
         assert length == group.exact_length(g)
 
 
+@pytest.mark.parametrize("group", MODELS + [FreeGroup(3),
+                                            parse_group("prod(heisenberg,z^2+diag)")],
+                         ids=lambda g: g.name)
+def test_exact_length_is_the_word_length(group):
+    """The closed form is the only length route: it equals BFS on B(4), and
+    off the ball it satisfies f(e) = 0 and f(g) = 1 + min_s f(g*s) for
+    g != e, which makes f the word length (induct on f)."""
+    f = group.exact_length
+    for g, length in enumerate_ball(group, 4).lengths.items():
+        assert f(g) == length
+    rng = random.Random(12)
+    for _ in range(100):
+        g = random_element(group, rng, steps=30)
+        if g != group.identity:
+            assert f(g) == 1 + min(f(group.mul(g, s)) for _, s in group.gens), g
+
+
 @pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
 def test_geodesic_words_are_valid(group):
     metric = WordMetric(group)
@@ -177,11 +192,9 @@ def test_geodesic_of_identity_is_empty():
     assert WordMetric(IntegerLattice(2)).geodesic_word((0, 0)) == []
 
 
-@pytest.mark.parametrize("group", MODELS + [TabledHeisenberg()],
-                         ids=lambda g: type(g).__name__ + ":" + g.name)
+@pytest.mark.parametrize("group", MODELS, ids=lambda g: type(g).__name__ + ":" + g.name)
 def test_geodesic_words_equal_bfs_tree_words(group):
-    """The descent on lengths gives the raw BFS tree's word, on the closed-form
-    route and, for TabledHeisenberg, on the table route."""
+    """The descent on lengths gives the raw BFS tree's word."""
     heisenberg = isinstance(group, DiscreteHeisenberg)
     mul = heisenberg_mul if heisenberg else group.mul
     tree = bfs_tree_words(group.identity, group.gens, mul, 10 if heisenberg else 5)
@@ -208,19 +221,14 @@ def test_unchecked_product_equals_checked(group):
         assert group._steps(g) == [group.mul(g, s) for _, s in group.gens]
 
 
-@pytest.mark.parametrize("group", MODELS + [TabledHeisenberg()],
-                         ids=lambda g: type(g).__name__ if isinstance(g, TabledHeisenberg)
-                         else g.name)
+@pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
 def test_length_lower_bound_is_a_consistent_heuristic(group):
-    # The search's heuristic is the metric's length reader; read at radius 2,
-    # a table route misses the layers 3 and 4 of the ball checked here.
+    # The search's heuristic is the closed-form length.
     lengths = enumerate_ball(group, 4).lengths
-    bound = WordMetric(group).length_reader(2)
+    bound = group.exact_length
     assert any(bound(g) for g in lengths)
     for g, length in lengths.items():
         assert 0 <= bound(g) <= length
-        if group.exact_length(g) is None:
-            assert bound(g) == min(length, 3)
         for _, s in group.gens:
             assert abs(bound(group.mul(g, s)) - bound(g)) <= 1
 
@@ -243,16 +251,6 @@ def test_resource_limit_reports_last_radius():
     assert 0 <= info.value.last_complete_radius < 50
 
 
-def table_words(group, table):
-    """Geodesic word of every element of table, with lengths read from the
-    table alone: the model's closed form is hidden."""
-    group = copy.copy(group)
-    group.exact_length = lambda a: None
-    metric = WordMetric(group)
-    metric._table = table
-    return [metric.geodesic_word(g) for g in table.lengths]
-
-
 @pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
 def test_resumed_enumeration_equals_fresh(group):
     radius = 6 if isinstance(group, DiscreteHeisenberg) else 5
@@ -263,54 +261,33 @@ def test_resumed_enumeration_equals_fresh(group):
         assert resumed is not start and resumed.radius == radius
         assert resumed.lengths is start.lengths  # extended in place
         assert list(resumed.lengths.items()) == list(fresh.lengths.items())
-        assert table_words(group, resumed) == table_words(group, fresh)
     if isinstance(group, DiscreteHeisenberg):
         assert fresh.lengths == heisenberg_lengths(radius)
 
 
 def test_resource_limit_in_resumed_growth_keeps_complete_layers():
-    heis = TabledHeisenberg()
+    heis = DiscreteHeisenberg()
     metric = WordMetric(heis, max_elements=len(enumerate_ball(heis, 7)) + 10)
-    assert metric.length((0, 0, 1)) == 4
+    assert metric.table(4).radius == 4
     with pytest.raises(ResourceLimit) as info:
         metric.table(9)
     assert info.value.last_complete_radius == 7
     fresh = enumerate_ball(heis, 7)
     table = metric.table(4)
     assert list(table.lengths.items()) == list(fresh.lengths.items())
-    fresh_metric = WordMetric(heis)
-    fresh_metric.table(7)
-    assert ([metric.geodesic_word(g) for g in fresh.lengths]
-            == [fresh_metric.geodesic_word(g) for g in fresh.lengths])
-    for g, length in heisenberg_lengths(7).items():
-        assert metric.length(g) == length
+    assert table.lengths == heisenberg_lengths(7)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 9])
 def test_word_metric_grows_exactly_to_the_length_asked(k):
-    metric = WordMetric(TabledHeisenberg())
+    # The table grows to the radius asked, here l((0,0,k)), and no further.
+    metric = WordMetric(DiscreteHeisenberg())
     length = metric.length((0, 0, k))
-    assert length == heisenberg_lengths(length)[(0, 0, k)]
-    assert metric.table(0).radius == length
-    assert max(metric.table(0).lengths.values()) == length
-
-
-@pytest.mark.parametrize("limit", [0, 3, 6, 8])
-def test_bounded_length_never_grows_past_its_limit(limit):
-    metric = WordMetric(TabledHeisenberg())
-    oracle = heisenberg_lengths(10)
-    for k in range(1, 7):
-        length = oracle[(0, 0, k)]
-        found = metric.length((0, 0, k), limit)
-        assert found == (length if length <= limit else None)
-        assert metric.table(0).radius <= limit
-    # A table grown past the limit for another caller answers within it.
-    metric.length((0, 0, 6))
-    grown = metric.table(0).radius
-    for k in range(1, 7):
-        length = oracle[(0, 0, k)]
-        assert metric.length((0, 0, k), limit) == (length if length <= limit else None)
-    assert metric.table(0).radius == grown
+    metric.table(length - 1)
+    table = metric.table(length)
+    assert table.radius == length
+    assert max(table.lengths.values()) == length
+    assert table.length((0, 0, k)) == length == heisenberg_lengths(length)[(0, 0, k)]
 
 
 @pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
@@ -327,8 +304,6 @@ def test_closed_form_length_builds_no_table(group, monkeypatch):
         g = random_element(group, rng)
         length = group.exact_length(g)
         assert metric.length(g) == length
-        assert metric.length(g, length) == length
-        assert metric.length(g, length - 1) is None
         assert len(metric.geodesic_word(g)) == length
 
 
@@ -339,7 +314,6 @@ BOXED = [g for g in MODELS if g.ball_box(0) is not None]
 
 def test_boxed_models_are_the_closed_form_tuple_models():
     assert [g.name for g in BOXED] == ["z^2", "z^3", "z^2+diag", "z", "heisenberg"]
-    assert TabledHeisenberg().ball_box(3) is None
 
 
 @pytest.mark.parametrize("group", BOXED, ids=lambda g: g.name)
@@ -427,6 +401,16 @@ def test_descriptor_roundtrip(desc):
     assert again.gens == group.gens
 
 
+@pytest.mark.parametrize("desc, message", [
+    ("free:27", "between 1 and 26"), ("free:0", "between 1 and 26"),
+    ("free:x", "bad free-group rank"), ("z^0", "must be >= 1"),
+    ("z^0+diag", "must be >= 1"), ("z^x", "bad lattice dimension"),
+])
+def test_descriptor_errors_name_the_bad_value(desc, message):
+    with pytest.raises(GroupError, match=message):
+        parse_group(desc)
+
+
 def test_nested_product_descriptor_and_elements():
     group = parse_group("prod(prod(z,free:2),z^2)")
     rng = random.Random(6)
@@ -485,9 +469,11 @@ def test_word_metric_length_validates_once(group, monkeypatch):
 
 
 def test_word_metric_budget():
-    metric = WordMetric(TabledHeisenberg(), max_elements=30)
+    metric = WordMetric(DiscreteHeisenberg(), max_elements=30)
     with pytest.raises(ResourceLimit):
-        metric.length((0, 0, 5))
+        metric.table(5)
+    # Lengths need no table, so the budget does not bound them.
+    assert metric.length((0, 0, 5)) == heisenberg_lengths(10)[(0, 0, 5)]
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -17,7 +17,6 @@ from untwist import (
 )
 
 from oracles import heisenberg_lengths, heisenberg_power
-from tabled_heisenberg import TabledHeisenberg
 
 Z2 = IntegerLattice(2)
 HEIS = DiscreteHeisenberg()
@@ -55,10 +54,10 @@ def test_heisenberg_central_power_lengths_match_oracle():
 
 
 def test_power_lengths_ignore_a_table_grown_past_the_radius():
-    grown = WordMetric(TabledHeisenberg())
+    grown = WordMetric(HEIS)
     grown.table(12)
     for g in [(0, 0, 1), (1, 0, 0), (1, 1, 0), (0, 1, 2)]:
-        fresh = power_lengths(WordMetric(TabledHeisenberg()), g, 8)
+        fresh = power_lengths(WordMetric(HEIS), g, 8)
         assert power_lengths(grown, g, 8).entries == fresh.entries
 
 
@@ -344,13 +343,6 @@ def recording_ball_starts(monkeypatch):
 
     monkeypatch.setattr(groups, "enumerate_ball", counting)
     return starts
-
-
-def test_conjugation_check_enumerates_from_scratch_once(monkeypatch):
-    starts = recording_ball_starts(monkeypatch)
-    metric = WordMetric(TabledHeisenberg())
-    assert conjugation_compression_check(metric, (1, 0, 0), (0, 1, 0), 8).holds
-    assert sum(start is None for start in starts) == 1
 
 
 def test_heisenberg_conjugation_check_enumerates_no_ball(monkeypatch):

@@ -27,7 +27,6 @@ from untwist.sampling import random_configuration, seeded_rng
 from homoclinic import pair_agreeing_on_ball
 from oracles import (cone_cells, cone_walk, free_ball, free_mul, heisenberg_inv,
                      heisenberg_lengths, heisenberg_mul, l1_ball, l1_length, z2_mul)
-from tabled_heisenberg import TabledHeisenberg
 
 Z2 = IntegerLattice(2)
 METRIC = WordMetric(Z2)
@@ -212,25 +211,6 @@ def test_heisenberg_cone_membership_matches_oracle(R):
         assert {c for c in region if params.cone_contains(c, sign)} == inside
 
 
-def test_tabled_heisenberg_cone_membership_matches_oracle():
-    # No closed form: the walk reads lengths from the metric's table.
-    heis = TabledHeisenberg()
-    anchor = heis.parse_elem("a")
-    lengths = heisenberg_lengths(12)
-    region = [g for g, d in lengths.items() if d <= 5]
-
-    def ball(m):
-        return [g for g, d in lengths.items() if d <= m]
-
-    for R in (0, 2):
-        params = ConeParams.create(heis, anchor, R, metric=WordMetric(heis),
-                                   max_query_length=5)
-        for sign, step in (("+", anchor), ("-", heisenberg_inv(anchor))):
-            inside = cone_cells(region, step, R, 12, heisenberg_mul,
-                                lengths.__getitem__, ball)
-            assert {c for c in region if params.cone_contains(c, sign)} == inside
-
-
 @pytest.mark.parametrize("word", ["a", "ab"])
 @pytest.mark.parametrize("R", [0, 2])
 def test_free_group_cone_membership_matches_oracle(word, R):
@@ -264,8 +244,8 @@ def test_z2_cone_walk_matches_full_walk_on_random_cells(anchor, R):
     assert seen == {True, False}
 
 
-def test_tabled_heisenberg_cone_walk_matches_full_walk_on_random_cells():
-    heis = TabledHeisenberg()
+def test_heisenberg_cone_walk_matches_full_walk_on_random_cells():
+    heis = DiscreteHeisenberg()
     lengths = heisenberg_lengths(14)
     rng = random.Random(37)
     cells = rng.sample(sorted(g for g, d in lengths.items() if d <= 5), 150)
@@ -293,18 +273,18 @@ def test_cone_walk_past_the_profile_raises_unless_it_hits_a_piece_first():
 
 
 @pytest.mark.parametrize("group, region", [
-    (TabledHeisenberg(), list(heisenberg_lengths(4))),
+    (DiscreteHeisenberg(), list(heisenberg_lengths(4))),
     (parse_group("free:2"), free_ball(2, 4)),
-], ids=["TabledHeisenberg", "free:2"])
+], ids=["heisenberg", "free:2"])
 def test_cone_queries_grow_no_table_past_create(group, region):
+    # Profiles and walks read closed-form lengths: no table at all.
     metric = WordMetric(group)
     params = ConeParams.create(group, group.gens[0][1], 1, metric=metric,
                                max_query_length=4)
-    radius = metric.table(0).radius
     for g in region:
         params.cone_contains(g, "+")
         params.cone_contains(g, "-")
-    assert metric.table(0).radius == radius
+    assert metric._table is None
 
 
 def test_cone_refuses_a_profile_of_another_element_or_group():
