@@ -168,11 +168,9 @@ def cmd_divergence(args) -> int:
     from .divergence import classify_growth, div_function
 
     group = parse_group(args.group)
-    rows = div_function(
-        group, args.nmax, window_factor=args.window_factor,
-        sample_budget=args.sample_budget, pairs_per_n=args.pairs_per_n,
-        seed=args.seed, max_elements=args.max_elements,
-    )
+    rows = div_function(group, args.nmax, window_factor=args.window_factor,
+                        sample_budget=args.sample_budget,
+                        pairs_per_n=args.pairs_per_n, seed=args.seed)
     out = _ensure_dir(args.out)
     config = _echo(args, ("group", "nmax", "window_factor", "sample_budget",
                           "pairs_per_n", "seed"))
@@ -339,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", required=True)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-elements", type=int, default=DEFAULT_METRIC_BUDGET,
-                       dest="max_elements")
+                       dest="max_elements",
+                       help="element budget of the balls that ball and cocycle "
+                            "untwist enumerate; the other subcommands list no ball")
         p.add_argument("--out", required=True)
         p.set_defaults(subparser=p)
 

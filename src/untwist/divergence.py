@@ -6,7 +6,7 @@ The forbidden region around the obstacle c is the *open* ball
 window ball centred at the identity; window restriction only removes paths,
 so finite answers are window-exact upper bounds for the ambient graph and
 infinity is only certified where removing the obstacle provably disconnects
-the whole group (currently: the rank-one lattice with an interior obstacle).
+the whole group (currently: a forbidden geodesic vertex on z or free:r).
 
 Most queries need no search.  With k = d(a,b), the triangle inequality
 gives every point h of a geodesic from a to b
@@ -24,7 +24,7 @@ from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .groups import (
-    DEFAULT_METRIC_BUDGET,
+    FreeGroup,
     Group,
     GroupError,
     IntegerLattice,
@@ -71,14 +71,14 @@ class PathSearchResult(NamedTuple):
 
 
 def _certified_disconnection(query: DivergenceQuery) -> bool:
-    """True when removing the forbidden set provably disconnects the group."""
-    group = query.group
-    if not (isinstance(group, IntegerLattice) and group.dimension == 1):
-        return False
-    if query.forbidden_radius < 1:
-        return False
-    a, b, c = query.a[0], query.b[0], query.c[0]
-    return min(a, b) < c < max(a, b)
+    """True when removing the forbidden set provably disconnects the group:
+    the Cayley graphs of z and free:r are trees, so every path from a to b
+    passes through each vertex of their geodesic."""
+    group, c_inv = query.group, query.group.inv(query.c)
+    tree = isinstance(group, FreeGroup) or (isinstance(group, IntegerLattice)
+                                            and group.dimension == 1)
+    return tree and any(group.exact_length(group.mul(c_inv, h)) < query.forbidden_radius
+                        for h in geodesic_points(group, query.a, query.b, WordMetric(group)))
 
 
 def avoidant_shortest_path(query: DivergenceQuery) -> PathSearchResult:
@@ -88,7 +88,8 @@ def avoidant_shortest_path(query: DivergenceQuery) -> PathSearchResult:
     l(h) <= window and forbidden iff l(c^-1 h) < r.  The search is A*
     towards b under the heuristic l(b^-1 h): at most l and moved by at most
     1 per generator step, so admissible and consistent, and the first time
-    b leaves the heap its distance is the breadth-first one.
+    b leaves the heap its distance is the breadth-first one.  A certified
+    disconnection comes first: on free:r a failed search lists the window.
     """
     group = query.group
     window = query.window_radius
@@ -107,6 +108,8 @@ def avoidant_shortest_path(query: DivergenceQuery) -> PathSearchResult:
     a, b = query.a, query.b
     if forbidden(a) or forbidden(b):
         raise GroupError("endpoint inside the forbidden ball; radius formula violated")
+    if _certified_disconnection(query):
+        return PathSearchResult(INFINITE)
 
     b_inv = group.inv(b)
     gens = [s for _, s in group.gens]
@@ -134,8 +137,6 @@ def avoidant_shortest_path(query: DivergenceQuery) -> PathSearchResult:
             dist[h] = d
             parent[h] = g
             heappush(heap, (d + length(mul(b_inv, h)), -d, h))
-    if _certified_disconnection(query):
-        return PathSearchResult(INFINITE)
     return PathSearchResult(WINDOW_DISCONNECTED)
 
 
@@ -209,47 +210,22 @@ def geodesic_points(group: Group, a, b, metric: WordMetric):
     return points
 
 
-def _box_draw(box, rng, accept):
-    """The first point of the box that accept takes, over uniform tries: each
-    try is uniform on the box, so the result is uniform on what accept takes."""
-    while True:
-        g = tuple([lo + rng.randrange(hi - lo + 1) for lo, hi in box])
-        if accept(g):
-            return g
-
-
 def default_obstacles(group: Group, a, b, window_radius: int, rng,
                       metric: WordMetric, sample_budget: int = 10):
     """Obstacles on a geodesic between the endpoints plus seeded samples,
-    uniform on the window ball with a and b left out.
+    uniform on the window ball with a and b left out: each sample is a draw
+    from the ball, drawn again while it is a or b.
 
-    A model with a ball box draws each sample from the box, redrawing until
-    the closed form puts it in the ball and it is neither a nor b.  The
-    others list the window ball in BFS order and step each drawn index past
-    the positions of a and b.
+    B(1) holds a generator pair besides the identity, so the pool is empty
+    only when the window is 0 and the identity is a or b.
     """
     obstacles = [p for p in geodesic_points(group, a, b, metric) if p not in (a, b)]
-    box = group.ball_box(window_radius)
-    if box is None:
-        window = list(metric.table(window_radius).within(window_radius))
-        skip = sorted(window.index(p) for p in {a, b} if p in window)
-        size = len(window) - len(skip)
-        for _ in range(sample_budget if size else 0):
-            i = rng.randrange(size)
-            for p in skip:
-                if i >= p:
-                    i += 1
-            obstacles.append(window[i])
-    else:
-        length = group.exact_length
-
-        def in_pool(g):
-            return g != a and g != b and length(g) <= window_radius
-
-        # B(1) has at least three elements on a model with a box, so the
-        # pool is empty exactly when it misses B(1).
-        if any(map(in_pool, [group.identity] + [s for _, s in group.gens])):
-            obstacles += [_box_draw(box, rng, in_pool) for _ in range(sample_budget)]
+    if window_radius or group.identity not in (a, b):
+        for _ in range(sample_budget):
+            c = group.draw(window_radius, rng)
+            while c == a or c == b:
+                c = group.draw(window_radius, rng)
+            obstacles.append(c)
     return list(dict.fromkeys(obstacles))
 
 
@@ -263,8 +239,7 @@ class DivergenceRow(NamedTuple):
 
 
 def div_function(group: Group, n_max: int, *, window_factor: int = 4,
-                 sample_budget: int = 10, pairs_per_n: int = 2, seed: int = 0,
-                 max_elements: int = DEFAULT_METRIC_BUDGET):
+                 sample_budget: int = 10, pairs_per_n: int = 2, seed: int = 0):
     """Sampled divergence function: for each n, the best pair with d(a,b) <= n.
 
     Rows are cumulative maxima (pairs at distance <= n include all smaller
@@ -278,7 +253,7 @@ def div_function(group: Group, n_max: int, *, window_factor: int = 4,
         if value < least:
             raise GroupError(f"{name} must be >= {least}, got {value}")
     rng = random.Random(seed)
-    metric = WordMetric(group, max_elements)
+    metric = WordMetric(group)
     rows = []
     best_so_far = None
     for n in range(2, n_max + 1):
@@ -320,16 +295,8 @@ def _axis_pair(group: Group, n: int):
 
 def _random_pair(group: Group, n: int, metric: WordMetric, rng):
     """Seeded pair at distance n, balanced around the identity: the halves
-    of the geodesic word of an element drawn uniformly from the sphere of
-    radius n, by box draws where the model has a ball box."""
-    box = group.ball_box(n)
-    if box is None:
-        sphere = metric.table(n).elements_of_length(n)
-        w = sphere[rng.randrange(len(sphere))]
-    else:
-        length = group.exact_length
-        w = _box_draw(box, rng, lambda g: length(g) == n)
-    word = metric.geodesic_word(w)
+    of the geodesic word of a uniform draw from the sphere of radius n."""
+    word = metric.geodesic_word(group.draw(n, rng, sphere=True))
     mid = len(word) // 2
     return group.inv(group.eval_word(word[:mid])), group.eval_word(word[mid:])
 

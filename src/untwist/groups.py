@@ -3,8 +3,8 @@
 Elements are plain hashable normal forms (tuples), so they double as dict
 keys in ball tables.  Every model ships a symmetric ordered generating set,
 a closed-form word length (the only route by which the package reads one),
-a certified lower bound for the compression of powers of its elements, and
-enough structural metadata (ends, divergence class) for the higher layers.
+uniform draws from its balls and spheres, a certified lower bound for the
+compression of powers of its elements, and structural metadata.
 """
 
 from __future__ import annotations
@@ -193,13 +193,10 @@ class Group(ABC):
         """Closed-form word length of a normal form, unchecked: callers
         validate elements that come from outside the package."""
 
-    def ball_box(self, radius: int):
-        """Per-coordinate (lo, hi) bounds of the normal-form tuple that hold
-        every element of B(radius), or None.  Models whose normal form is an
-        integer tuple give one: uniform draws from the box, kept when the
-        closed form puts them in the ball, are uniform draws from the ball.
-        Free groups and products, whose normal forms are not, give None."""
-        return None
+    @abstractmethod
+    def draw(self, radius: int, rng, sphere: bool = False):
+        """A uniform draw, by the random.Random rng, from the ball B(radius),
+        or from the sphere S(radius) when sphere is true."""
 
     def defining_relation_word_pairs(self):
         """Pairs of generator words with equal products (cocycle sanity checks)."""
@@ -275,6 +272,23 @@ def _split_top_level(body: str, sep: str):
         elif ch == sep and depth == 0:
             return body[:i], body[i + 1:]
     return None
+
+
+# Tries per rejection draw.  A ball can fill a tiny share of the set drawn
+# from (about 1/d! of its box on z^d), and the draw must still end.
+DRAW_TRIES = 1_000_000
+
+
+def _rejection_draw(group: Group, radius: int, sphere: bool, propose):
+    """The first proposal the closed form puts in B(radius), or on S(radius)
+    when sphere: proposals uniform on a set holding it make it uniform."""
+    for _ in range(DRAW_TRIES):
+        g = propose()
+        k = group.exact_length(g)
+        if k == radius or (k < radius and not sphere):
+            return g
+    raise GroupError(f"no draw from the {'sphere' if sphere else 'ball'} of radius "
+                     f"{radius} of {group.name} in {DRAW_TRIES} tries")
 
 
 class IntegerLattice(Group):
@@ -363,9 +377,12 @@ class IntegerLattice(Group):
         hi = max(0, max(a))
         return min(abs(k) + sum(abs(v - k) for v in a) for k in range(lo, hi + 1))
 
-    def ball_box(self, radius):
-        # Each generator, a diagonal one too, moves each coordinate by at most 1.
-        return ((-radius, radius),) * self.dimension
+    def draw(self, radius, rng, sphere=False):
+        # Box rejection: each generator, a diagonal one too, moves each
+        # coordinate by at most 1, so B(radius) lies in [-radius, radius]^d.
+        span, randrange, coords = 2 * radius + 1, rng.randrange, range(self.dimension)
+        return _rejection_draw(self, radius, sphere,
+                               lambda: tuple([randrange(span) - radius for _ in coords]))
 
     def compression_lower_bound(self, g):
         self.validate(g)
@@ -475,12 +492,13 @@ class DiscreteHeisenberg(Group):
         h = max(y, math.isqrt(z - 1) + 1)  # max(y, ceil(sqrt(z)))
         return 2 * (h - (-z // h)) - x - y
 
-    def ball_box(self, radius):
-        """|x|, |y| <= r and |z| <= r^2 on B(r): a word of length at most r
-        moves x and y by at most r, and its k-th letter, when a b-letter,
-        moves z by the current x, of size at most k - 1 < r."""
-        r2 = radius * radius
-        return ((-radius, radius), (-radius, radius), (-r2, r2))
+    def draw(self, radius, rng, sphere=False):
+        # Box rejection: |x|, |y| <= r and |z| <= r^2 on B(r), since a word of
+        # length at most r moves x and y by at most r, and its k-th letter,
+        # when a b-letter, moves z by the current x, of size at most k - 1 < r.
+        r, r2, randrange = radius, radius * radius, rng.randrange
+        return _rejection_draw(self, radius, sphere, lambda: (
+            randrange(2 * r + 1) - r, randrange(2 * r + 1) - r, randrange(2 * r2 + 1) - r2))
 
     def compression_lower_bound(self, g):
         self.validate(g)
@@ -579,6 +597,27 @@ class FreeGroup(Group):
     def exact_length(self, a):
         return len(a)
 
+    def draw(self, radius, rng, sphere=False):
+        """Exact, by one randrange.  A reduced word's first letter is any of
+        the m = 2r letters and each later one any of the m - 1 that do not
+        cancel it, so |S(k)| = m(m-1)^(k-1).  A uniform index into B(radius)
+        picks k with weight |S(k)|, and its mixed-radix digits the letters."""
+        m = 2 * self.rank
+        sizes = [1] + [m * (m - 1) ** (k - 1) for k in range(1, radius + 1)]
+        i = rng.randrange(sizes[radius] if sphere else sum(sizes))
+        k = radius if sphere else 0
+        while i >= sizes[k]:
+            i -= sizes[k]
+            k += 1
+        word, j = [], None
+        for _ in range(k):
+            # gens lists each letter next to its inverse, so j ^ 1 is the one
+            # a later letter skips: the m - 1 digits count on from it.
+            i, d = divmod(i, m if j is None else m - 1)
+            j = d if j is None else ((j ^ 1) + 1 + d) % m
+            word.append(self.gens[j][1][0])
+        return tuple(word)
+
     def compression_lower_bound(self, g):
         self.validate(g)
         if not g:
@@ -646,6 +685,11 @@ class DirectProduct(Group):
 
     def exact_length(self, a):
         return self.left.exact_length(a[0]) + self.right.exact_length(a[1])
+
+    def draw(self, radius, rng, sphere=False):
+        # Lengths add, so B(radius) lies in B_left(radius) x B_right(radius).
+        return _rejection_draw(self, radius, sphere, lambda: (
+            self.left.draw(radius, rng), self.right.draw(radius, rng)))
 
     def compression_lower_bound(self, g):
         self.validate(g)
@@ -723,10 +767,9 @@ def parse_group(descriptor: str) -> Group:
 class BallTable:
     """Ball of a given radius with exact word lengths, in BFS order.
 
-    `lengths` (element -> word length, inserted in BFS discovery order) holds
-    complete BFS layers up to some R >= radius (a metric grows its table in
-    place), and readers restrict to their own radius.  Geodesic words are not
-    stored: WordMetric.geodesic_word recovers them from the closed form.
+    `lengths` maps each element of the ball to its word length, inserted in
+    BFS discovery order.  Geodesic words are not stored:
+    WordMetric.geodesic_word recovers them from the closed form.
     """
 
     __slots__ = ("radius", "lengths")
@@ -755,43 +798,29 @@ class BallTable:
         return (g for g, _ in
                 takewhile(lambda item: item[1] <= radius, lengths.items()))
 
-    def elements_of_length(self, k):
-        return [g for g in self.within(k) if self.lengths[g] == k]
 
-
-def enumerate_ball(group: Group, radius: int, max_elements: int | None = None,
-                   start: BallTable | None = None) -> BallTable:
+def enumerate_ball(group: Group, radius: int, max_elements: int | None = None) -> BallTable:
     """Breadth-first enumeration of every element of word length <= radius.
 
-    Given start, resumes from its last layer and extends its lengths in
-    place; BFS order does not depend on where the search resumed.
-    ResourceLimit first removes the partial layer, so layers stay complete.
+    Past max_elements it raises ResourceLimit with the last complete radius.
     """
     if radius < 0:
         raise GroupError("ball radius must be >= 0")
-    if start is None:
-        start = BallTable(0, {group.identity: 0})
-    lengths = start.lengths
-    # The last layer is the tail of the BFS order.
-    top = lengths[next(reversed(lengths))]
-    tail = takewhile(lambda item: item[1] == top, reversed(lengths.items()))
-    frontier = [g for g, _ in tail][::-1]
+    lengths = {group.identity: 0}
+    frontier = [group.identity]
     steps = group._steps
-    for layer in range(top, radius):
+    for k in range(1, radius + 1):
         nxt = []
-        k = layer + 1
         for g in frontier:
             for h in steps(g):
                 if h not in lengths:
                     lengths[h] = k
                     nxt.append(h)
             if max_elements is not None and len(lengths) > max_elements:
-                for partial in nxt:
-                    del lengths[partial]
                 raise ResourceLimit(
                     f"ball enumeration for {group.name} exceeded "
-                    f"{max_elements} elements; last complete radius {layer}",
-                    last_complete_radius=layer,
+                    f"{max_elements} elements; last complete radius {k - 1}",
+                    last_complete_radius=k - 1,
                 )
         frontier = nxt
         if not frontier:
@@ -806,10 +835,10 @@ class WordMetric:
     """Exact word lengths, distances and canonical geodesics for one model.
 
     Lengths are the model's closed form.  The package's only owner of ball
-    tables keeps a single one, holding lengths only, for what needs the ball
-    itself, grown in place one BFS layer at a time.  The canonical geodesic
-    of g is its shortlex-least one, read off lengths by descent, and is the
-    word of the BFS tree.
+    tables keeps a single one, holding lengths only, for what lists the ball
+    itself: `ball`, configuration sample pools and canonical cells.  The
+    canonical geodesic of g is its shortlex-least one, read off lengths by
+    descent, and is the word of the BFS tree.
     """
 
     def __init__(self, group: Group, max_elements: int = DEFAULT_METRIC_BUDGET):
@@ -818,9 +847,9 @@ class WordMetric:
         self._table: BallTable | None = None
 
     def table(self, radius: int) -> BallTable:
+        # A failed enumeration leaves the old table in place.
         if self._table is None or self._table.radius < radius:
-            self._table = enumerate_ball(self.group, radius, self.max_elements,
-                                         start=self._table)
+            self._table = enumerate_ball(self.group, radius, self.max_elements)
         return self._table
 
     def length(self, g) -> int:

@@ -26,8 +26,10 @@ def random_configuration(group: Group, metric: WordMetric, alphabet, rng,
                          background=0) -> Configuration:
     """Finite-support configuration with cells drawn from a ball."""
     alphabet = tuple(alphabet)
-    pool = _cells_by_length(metric, 0, max_radius)
     nonbg = [s for s in alphabet if s != background]
+    if not nonbg:  # the background configuration is the shift's one point
+        return Configuration(group, alphabet, background, {})
+    pool = _cells_by_length(metric, 0, max_radius)
     chosen = rng.sample(pool, min(n_cells, len(pool)))
     support = {c: nonbg[rng.randrange(len(nonbg))] for c in chosen}
     return Configuration(group, alphabet, background, support)

@@ -261,6 +261,24 @@ def test_cocycle_window_past_float_range_exits_2(tmp_path, capsys):
     assert main(args + ["--spec", str(specs["homomorphism"])]) == 0
 
 
+@pytest.mark.parametrize("extra", [[], ["--samples", "1"]])
+def test_cocycle_untwist_over_the_background_alone(tmp_path, capsys, extra):
+    # The shift over {0} has one point, the background configuration, so
+    # every sample is that point.
+    from untwist import IntegerLattice, RealVector, homomorphism_cocycle
+    from untwist.cocycles import cocycle_spec_to_jsonable
+
+    spec = homomorphism_cocycle(IntegerLattice(2), RealVector(1),
+                                {"x1+": (0.5,), "x2+": (0.25,)}, (0,))
+    path = tmp_path / "spec.json"
+    path.write_text(dumps(cocycle_spec_to_jsonable(spec)))
+    out = tmp_path / "report.json"
+    assert main(["cocycle", "untwist", "--group", "z^2", "--spec", str(path),
+                 "--out", str(out), *extra]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads(out.read_text())["ok"] is True
+
+
 GLUE_TASK = {
     "anchor": "(1,0)", "R": 2,
     "subshift": {"kind": "golden_mean", "alphabet": [0, 1],

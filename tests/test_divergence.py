@@ -1,6 +1,9 @@
 import csv
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -23,7 +26,6 @@ from untwist.divergence import (
     INFINITE,
     WINDOW_DISCONNECTED,
     DivergenceQuery,
-    _box_draw,
     _random_pair,
     avoidant_distance,
     avoidant_shortest_path,
@@ -35,6 +37,7 @@ from untwist.groups import enumerate_ball
 from oracles import (grid_avoidant_length, heisenberg_avoidant_length, heisenberg_inv,
                      heisenberg_lengths, heisenberg_mul, l1_ball, l1_length, z2_mul)
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 Z2 = IntegerLattice(2)
 Z = InfiniteCyclic()
 ZZ = parse_group("prod(z,z)")
@@ -113,6 +116,30 @@ def test_z_exterior_obstacle_finite():
     result = avoidant_shortest_path(q)
     assert result.outcome == FINITE
     assert result.length == 12
+
+
+def test_free_group_obstacles_on_and_off_the_geodesic():
+    # The Cayley graph is a tree: an obstacle ball that meets the geodesic
+    # cuts a from b in the whole group, and one that misses it leaves the
+    # geodesic as the answer.
+    F2 = FreeGroup(2)
+    a, b = (-1,) * 6, (1,) * 6
+    on = make_query(F2, a, b, (), 48)
+    assert on.forbidden_radius == 1
+    assert avoidant_shortest_path(on).outcome == INFINITE
+    off = make_query(F2, a, b, (2,) * 6, 48)
+    assert off.forbidden_radius == 4
+    result = avoidant_shortest_path(off)
+    assert (result.outcome, result.length) == (FINITE, 12)
+    assert result.path == tuple(geodesic_points(F2, a, b, WordMetric(F2)))
+
+
+def test_free_group_divergence_is_certified_infinite_once_obstacles_bite():
+    # From n = 12 the axis pair's geodesic obstacles have radius 1; a search
+    # there would list the window ball B(48) before giving up.
+    rows = div_function(FreeGroup(2), 14, seed=7)
+    assert [r.value for r in rows[:10]] == list(range(2, 12))
+    assert all(math.isinf(r.value) for r in rows[10:])
 
 
 def test_window_disconnected_without_certificate():
@@ -216,17 +243,34 @@ def test_obstacle_draws_cover_the_window_ball_but_the_endpoints(group, a, b):
     assert set(obstacles) == ball - {a, b}
 
 
-@pytest.mark.parametrize("a, b", [((), (1,)), ((1, 2), ()),
-                                  ((2, 2, -1), (2,)), ((1, -2, 1), (1, -2, 1))])
-def test_boxless_obstacle_samples_index_the_bfs_order_pool(a, b):
-    group = FreeGroup(2)
+@pytest.mark.parametrize("a, b", [((0, 0, 0), (1, 0, 0)), ((2, -1, 3), (0, 0, 0)),
+                                  ((1, 1, 1), (1, 1, 1))])
+def test_heisenberg_obstacle_samples_match_an_independent_box_rejection(a, b):
+    # Each sample is the first point of [-4, 4]^2 x [-16, 16] drawn, one
+    # coordinate at a time, that the raw BFS puts in B(4) and is neither
+    # endpoint.
+    group = DiscreteHeisenberg()
     metric = WordMetric(group)
     obstacles = default_obstacles(group, a, b, 4, random.Random(3), metric, 40)
+    ball = heisenberg_lengths(4)
     rng = random.Random(3)
-    pool = [g for g in enumerate_ball(group, 4).order if g not in (a, b)]
-    samples = [pool[rng.randrange(len(pool))] for _ in range(40)]
+    samples = []
+    while len(samples) < 40:
+        g = (rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-16, 16))
+        if g in ball and g not in (a, b):
+            samples.append(g)
     geodesic = [p for p in geodesic_points(group, a, b, metric) if p not in (a, b)]
     assert obstacles == list(dict.fromkeys(geodesic + samples))
+
+
+def test_an_empty_obstacle_pool_draws_nothing():
+    # B(0) = {e}: with e an endpoint no sample exists, else every one is e.
+    rng = random.Random(1)
+    for group in (Z2, FreeGroup(2), ZZ):
+        e, s = group.identity, group.gens[0][1]
+        assert default_obstacles(group, e, s, 0, rng, WordMetric(group)) == []
+        assert default_obstacles(group, s, group.mul(s, s), 0, rng,
+                                 WordMetric(group)) == [e]
 
 
 def test_div_pair_axis_values_in_band():
@@ -435,43 +479,26 @@ def test_div_function_heisenberg_small_scale_finite():
     assert rows and all(math.isfinite(r.value) for r in rows)
 
 
-def test_div_function_enumerates_from_scratch_once(monkeypatch):
-    import untwist.groups as groups
-
-    enumerate_ball = groups.enumerate_ball
-    starts = []
-
-    def counting(group, radius, max_elements=None, start=None):
-        starts.append(start)
-        return enumerate_ball(group, radius, max_elements, start)
-
-    monkeypatch.setattr(groups, "enumerate_ball", counting)
-    div_function(ZZ, 4, seed=7)
-    assert sum(start is None for start in starts) == 1
-    starts.clear()
-    div_function(Z2, 12, seed=7)
-    assert starts == []  # closed-form lengths and box draws build no ball
-
-
 def recording_ball_radii(monkeypatch):
     import untwist.groups as groups
 
     enumerate_ball = groups.enumerate_ball
     radii = []
 
-    def recording_ball(group, radius, max_elements=None, start=None):
+    def recording_ball(group, radius, max_elements=None):
         radii.append(radius)
-        return enumerate_ball(group, radius, max_elements, start)
+        return enumerate_ball(group, radius, max_elements)
 
     monkeypatch.setattr(groups, "enumerate_ball", recording_ball)
     return radii
 
 
-def test_div_function_metric_grows_only_as_far_as_asked(monkeypatch):
-    # prod(z,z) has no ball box: its draws list the window ball.
+@pytest.mark.parametrize("group", [ZZ, FreeGroup(2), Z2], ids=lambda g: g.name)
+def test_div_function_enumerates_no_ball(monkeypatch, group):
+    # Closed-form lengths, geodesic words and draws list no ball on any model.
     radii = recording_ball_radii(monkeypatch)
-    rows = div_function(ZZ, 4, seed=7)
-    assert max(radii) == max(r.window_radius for r in rows)
+    div_function(group, 6, seed=7)
+    assert radii == []
 
 
 def test_heisenberg_div_function_builds_no_ball(monkeypatch):
@@ -482,25 +509,22 @@ def test_heisenberg_div_function_builds_no_ball(monkeypatch):
 
 def test_box_draws_are_uniform_on_a_small_ball():
     group = DiscreteHeisenberg()
-    a, b = (0, 0, 0), (1, 0, 0)
-    pool = set(heisenberg_lengths(2)) - {a, b}
+    ball = set(heisenberg_lengths(2))
     rng = random.Random(11)
-    box = group.ball_box(2)
-    draws = 400 * len(pool)
-    counts = Counter(_box_draw(box, rng, lambda g: g not in (a, b)
-                               and group.exact_length(g) <= 2) for _ in range(draws))
-    assert set(counts) == pool
-    mean = draws / len(pool)
+    draws = 400 * len(ball)
+    counts = Counter(group.draw(2, rng) for _ in range(draws))
+    assert set(counts) == ball
+    mean = draws / len(ball)
     chi2 = sum((k - mean) ** 2 / mean for k in counts.values())
-    assert chi2 < 36.12  # the 0.999 quantile of chi-square with 14 degrees of freedom
+    assert chi2 < 39.25  # the 0.999 quantile of chi-square with 16 degrees of freedom
 
 
 @pytest.mark.parametrize("group", [Z2, DiscreteHeisenberg(), ZZ],
                          ids=["z^2", "heisenberg", "prod(z,z)"])
 def test_random_pairs_halve_draws_that_cover_the_sphere(group):
     # a^-1 b is the drawn element; the sphere of radius 3 has 12 elements on
-    # z^2 and prod(z,z), and 36 on the Heisenberg group.  prod(z,z) draws
-    # from the BFS-order list of the sphere.
+    # z^2 and prod(z,z), and 36 on the Heisenberg group.  prod(z,z) rejects
+    # over pairs of factor draws.
     if group is Z2:
         sphere = {g for g in l1_ball(3) if l1_length(g) == 3}
         quotient = lambda a, b: (b[0] - a[0], b[1] - a[1])
@@ -539,6 +563,37 @@ def test_heisenberg_nmax_24_runs_within_a_one_element_budget(tmp_path):
         window = max(lengths[a], lengths[b]) + value
         assert window <= 28
         assert heisenberg_avoidant_length(a, b, c, max(0, d // 2 - 2), window) == value
+
+
+def peak_rss_of_divergence(argv):
+    """(exit code, peak RSS in MB) of a divergence run in a fresh interpreter."""
+    path = os.pathsep.join(p for p in (os.path.join(ROOT, "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.Popen([sys.executable, "-m", "untwist.cli", "divergence", *argv],
+                             env=dict(os.environ, PYTHONPATH=path),
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024
+
+
+@pytest.mark.parametrize("group", ["prod(z,heisenberg)", "prod(free:2,z)"])
+def test_product_divergence_runs_in_bounded_memory(tmp_path, group):
+    # Listing the window ball B(32) took prod(z,heisenberg) to 1.24 GB.
+    code, peak_mb = peak_rss_of_divergence(["--group", group, "--nmax", "8",
+                                            "--seed", "7", "--out", str(tmp_path)])
+    assert code == 0 and peak_mb < 100
+
+
+def test_divergence_exits_2_when_a_draw_reaches_the_cap(tmp_path, monkeypatch, capsys):
+    import untwist.groups as groups
+    from untwist.cli import main
+
+    monkeypatch.setattr(groups, "DRAW_TRIES", 10)
+    assert main(["divergence", "--group", "z^12", "--nmax", "2",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "z^12" in err and "10 tries" in err
+    assert "Traceback" not in err and "--max-elements" not in err
 
 
 def test_classify_growth_synthetic():

@@ -1,5 +1,5 @@
-import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -251,31 +251,21 @@ def test_resource_limit_reports_last_radius():
     assert 0 <= info.value.last_complete_radius < 50
 
 
-@pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
-def test_resumed_enumeration_equals_fresh(group):
-    radius = 6 if isinstance(group, DiscreteHeisenberg) else 5
-    fresh = enumerate_ball(group, radius)
-    for split in range(radius + 1):
-        start = enumerate_ball(group, split)
-        resumed = enumerate_ball(group, radius, start=start)
-        assert resumed is not start and resumed.radius == radius
-        assert resumed.lengths is start.lengths  # extended in place
-        assert list(resumed.lengths.items()) == list(fresh.lengths.items())
-    if isinstance(group, DiscreteHeisenberg):
-        assert fresh.lengths == heisenberg_lengths(radius)
-
-
-def test_resource_limit_in_resumed_growth_keeps_complete_layers():
+def test_metric_keeps_its_table_when_growth_hits_the_budget():
     heis = DiscreteHeisenberg()
     metric = WordMetric(heis, max_elements=len(enumerate_ball(heis, 7)) + 10)
-    assert metric.table(4).radius == 4
+    table = metric.table(4)
+    assert table.radius == 4
     with pytest.raises(ResourceLimit) as info:
         metric.table(9)
     assert info.value.last_complete_radius == 7
-    fresh = enumerate_ball(heis, 7)
-    table = metric.table(4)
-    assert list(table.lengths.items()) == list(fresh.lengths.items())
-    assert table.lengths == heisenberg_lengths(7)
+    assert metric.table(4) is table
+    assert table.lengths == heisenberg_lengths(4)
+    # A larger table is enumerated afresh, in the order of a fresh enumeration.
+    grown = metric.table(7)
+    assert grown is not table and grown.lengths is not table.lengths
+    assert list(grown.lengths.items()) == list(enumerate_ball(heis, 7).lengths.items())
+    assert grown.lengths == heisenberg_lengths(7)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 9])
@@ -307,30 +297,73 @@ def test_closed_form_length_builds_no_table(group, monkeypatch):
         assert len(metric.geodesic_word(g)) == length
 
 
-# -- ball boxes ----------------------------------------------------------------
+# -- uniform draws -------------------------------------------------------------
 
-BOXED = [g for g in MODELS if g.ball_box(0) is not None]
+def assert_draws_cover(group, radius, lengths):
+    """Ball and sphere draws give exactly the BFS ball and sphere in lengths;
+    20 draws per element miss a given one with odds below e^-20."""
+    ball = set(lengths)
+    sphere = {g for g, k in lengths.items() if k == radius}
+    rng = random.Random(radius)
+    assert {group.draw(radius, rng) for _ in range(20 * len(ball))} == ball
+    assert {group.draw(radius, rng, sphere=True) for _ in range(20 * len(sphere))} == sphere
 
 
-def test_boxed_models_are_the_closed_form_tuple_models():
-    assert [g.name for g in BOXED] == ["z^2", "z^3", "z^2+diag", "z", "heisenberg"]
+BOXED = [g for g in MODELS if isinstance(g, (IntegerLattice, DiscreteHeisenberg))]
 
 
 @pytest.mark.parametrize("group", BOXED, ids=lambda g: g.name)
 @pytest.mark.parametrize("radius", range(7))
 def test_ball_box_holds_the_raw_ball_and_the_sampler_accepts_exactly_it(group, radius):
-    # The obstacle sampler keeps a box point g iff l(g) <= radius.  The raw
-    # ball comes from BFS over raw tuples: lattices add coordinates, and the
+    # Lattices and the Heisenberg group draw by box rejection: a box that
+    # missed part of B(radius), or an acceptance other than the closed
+    # form's, would make the draws differ from the raw ball.  The raw ball
+    # comes from BFS over raw tuples: lattices add coordinates, and the
     # Heisenberg ball is the oracle's.
     if isinstance(group, DiscreteHeisenberg):
-        ball = set(heisenberg_lengths(radius))
+        lengths = heisenberg_lengths(radius)
     else:
-        ball = set(bfs_tree_words(group.identity, group.gens,
-                                  lambda p, q: tuple(u + v for u, v in zip(p, q)), radius))
-    box = group.ball_box(radius)
-    assert len(box) == len(group.identity)
-    points = itertools.product(*(range(lo, hi + 1) for lo, hi in box))
-    assert {g for g in points if group.exact_length(g) <= radius} == ball
+        lengths = {g: len(word) for g, word in bfs_tree_words(
+            group.identity, group.gens,
+            lambda p, q: tuple(u + v for u, v in zip(p, q)), radius).items()}
+    assert_draws_cover(group, radius, lengths)
+
+
+@pytest.mark.parametrize("radius", range(4))
+@pytest.mark.parametrize("group", [FreeGroup(2), FreeGroup(3), parse_group("prod(z,free:2)"),
+                                   parse_group("prod(heisenberg,z^2+diag)")],
+                         ids=lambda g: g.name)
+def test_draws_cover_exactly_the_raw_ball_and_sphere(group, radius):
+    # Free groups draw exactly and products reject over factor draws.
+    assert_draws_cover(group, radius, enumerate_ball(group, radius).lengths)
+
+
+@pytest.mark.parametrize("group, radius, sphere, chi2_999", [
+    (FreeGroup(2), 3, True, 66.62),
+    (parse_group("prod(z,free:2)"), 2, False, 56.89),
+], ids=["free:2-S(3)", "prod(z,free:2)-B(2)"])
+def test_draws_are_uniform_on_small_balls_and_spheres(group, radius, sphere, chi2_999):
+    # chi2_999 is the 0.999 quantile of chi-square with |target| - 1 degrees
+    # of freedom: S(3) has 36 elements and B(2) 29.
+    rng = random.Random(11)
+    target = {g for g, k in enumerate_ball(group, radius).lengths.items()
+              if k == radius or not sphere}
+    draws = 400 * len(target)
+    counts = Counter(group.draw(radius, rng, sphere) for _ in range(draws))
+    assert set(counts) == target
+    mean = draws / len(target)
+    assert sum((k - mean) ** 2 / mean for k in counts.values()) < chi2_999
+
+
+def test_rejection_draws_stop_at_the_cap(monkeypatch):
+    import untwist.groups as groups
+
+    monkeypatch.setattr(groups, "DRAW_TRIES", 10)
+    # S(1) holds 24 of the 3^12 points of z^12's box [-1, 1]^12.
+    with pytest.raises(GroupError) as info:
+        IntegerLattice(12).draw(1, random.Random(0), sphere=True)
+    message = str(info.value)
+    assert "z^12" in message and "radius 1" in message and "10 tries" in message
 
 
 # -- the closed-form Heisenberg length ----------------------------------------
