@@ -302,24 +302,28 @@ def partial_product(spec: CocycleSpec, g, x: Configuration, y: Configuration,
     return tmul(px, target.inv(py))
 
 
-def _differing_factor_count(spec: CocycleSpec, g, differing, agreement: int,
-                            bound, n: int, sign: str) -> int:
+def _differing_factor_count(spec: CocycleSpec, g, differing, bound, n: int,
+                            sign: str) -> int:
     """Least m <= n such that the x and y factors agree at every j >= m.
 
     Factor j reads x on step^-j . W_g (step = g for '+', g^-1 for '-'), so it
     can differ only while step^j . D meets W_g.  Since l(step^j d) >=
-    l(g^j) - l(d) >= bound.value(j) - agreement for d in D, no later factor
-    differs once bound.value(j) > agreement + radius(W_g).
+    bound.value(j) - l(d) and value is non-decreasing, a cell d stops
+    mattering at the first j with bound.value(j) > l(d) + radius(W_g); the
+    count stops once no cell is left.
     """
     group = spec.group
     read, radius = spec._read_set(g)
-    limit = agreement + radius
-    mul = group.mul
+    mul, length = group.mul, group.exact_length
     step = g if sign == "+" else group.inv(g)
-    points = differing
+    points = sorted(differing, key=length, reverse=True)
+    horizons = [length(p) + radius for p in points]  # non-increasing
     count = 0
     for j in range(n):
-        if bound.value(j) > limit:
+        value = bound.value(j)
+        while points and horizons[len(points) - 1] < value:
+            points.pop()
+        if not points:
             break
         if j:
             points = [mul(step, p) for p in points]
@@ -365,7 +369,7 @@ def holonomy(spec: CocycleSpec, g, x: Configuration, y: Configuration,
                 "tail cannot be certified below epsilon within the factor budget"
             )
     tail = c_prime * bound.tail(r, n)
-    count = _differing_factor_count(spec, g, differing, agreement, bound, n, sign)
+    count = _differing_factor_count(spec, g, differing, bound, n, sign)
     value = partial_product(spec, g, x, y, max(1, count), sign)
     cert = HolonomyCertificate(fmt, sign, n, tail, agreement, C_g, r,
                                described, epsilon)

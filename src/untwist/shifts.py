@@ -9,7 +9,7 @@ the desk-scale pipeline ever evaluates.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, NamedTuple
 
 from .groups import Group, InputError, OutOfRange, WordMetric
@@ -148,10 +148,11 @@ class GoldenMean:
 def membership_check(x: Configuration, spec, window=None) -> bool:
     """Check membership of a finitely supported configuration.
 
-    Full shifts always pass.  For golden-mean constraints only the translates
-    meeting the support can fail: outside support*F^-1 every family window
-    contains a background cell, and the background is 0.  A supplied window
-    must cover that set.
+    Full shifts always pass.  A golden-mean translate g*F fails only if every
+    cell of it is in the support, since the background is 0; so only the
+    centres g in support*F[0]^-1 are checked, one family at a time, each by
+    a lookup of its remaining cells.  A supplied window must cover every
+    translate meeting the support, support*F^-1 over all family cells.
     """
     if isinstance(spec, FullShift):
         if x.alphabet != spec.alphabet:
@@ -164,28 +165,26 @@ def membership_check(x: Configuration, spec, window=None) -> bool:
     if x.background != 0:
         raise ContractError("golden-mean membership needs background 0")
     group = x.group
-    mul = group.mul
+    mul, inv = group.mul, group.inv
     for family in spec.families:
         for f in family:
             group.validate(f)
-    inverses = [group.inv(f) for family in spec.families for f in family]
-    required = {mul(cell, f_inv) for f_inv in inverses for cell in x.support}
+    support = x.support
     if window is not None:
         window = set(window)
         for g in window:
             group.validate(g)
-        missing = required - window
+        missing = {mul(cell, f_inv) for family in spec.families
+                   for f_inv in map(inv, family) for cell in support} - window
         if missing:
             raise ContractError(
                 f"window misses {len(missing)} constraint translates near the support"
             )
-        centers = window
-    else:
-        centers = required
-    symbol_at = x.symbol_at
-    for g in centers:
-        for family in spec.families:
-            if all(symbol_at(mul(g, f)) != 0 for f in family):
+    for first, *rest in spec.families:
+        first_inv = inv(first)
+        for cell in support:
+            g = mul(cell, first_inv)
+            if all(mul(g, f) in support for f in rest):
                 return False
     return True
 
@@ -239,11 +238,20 @@ class ConeParams:
         # Walk data for j = 0..j_max: piece j has radius _radii[j], and a walk
         # from k reaches it only while _stops[j] = 3*L(j) <= 4*(l(k) + R).
         # L is non-decreasing, so bisecting _stops counts the pieces a walk
-        # reaches.
+        # reaches.  A walk at step j with l(point) = d reaches piece i > j
+        # only if d + j*l(a) <= _horizons[i] = _radii[i] + i*l(a), since one
+        # step moves l by at most l(a); _horizons is non-decreasing too.
+        # _powers[sign][m] is the m-step jump a^(-+m).
         self._radii = [self.piece_radius(j) for j in range(profile.j_max + 1)]
         self._stops = [3 * profile.lower_bound.value(j)
                        for j in range(profile.j_max + 1)]
-        self._steps = {"+": group.inv(anchor), "-": anchor}
+        self._horizons = [r + j * self.anchor_length for j, r in enumerate(self._radii)]
+        self._powers = {}
+        for sign, step in (("+", group.inv(anchor)), ("-", anchor)):
+            powers = [group.identity]
+            for _ in range(profile.j_max):
+                powers.append(group.mul(step, powers[-1]))
+            self._powers[sign] = powers
 
     @classmethod
     def create(cls, group: Group, anchor, radius_R: int,
@@ -276,29 +284,30 @@ class ConeParams:
         return self.profile.quarter_floor(j) + self.R
 
     def cone_contains(self, k, sign: str) -> bool:
-        """Whether k lies in the union of the signed cone pieces; walks
-        a^(-+j) k for j = 0, 1, ... by one fixed left multiplication per step,
-        against thresholds tabulated up to profile.j_max.  k is validated
-        once; the walk's points are trusted products."""
+        """Whether k lies in the union of the signed cone pieces.
+
+        Walks a^(-+j) k against thresholds tabulated up to profile.j_max, but
+        not one step at a time: from a miss at step j it jumps, by one left
+        multiplication with a stored power, to the first piece whose horizon
+        the point can still reach, and stops once no piece is left.  k is
+        validated once; the walk's points are trusted products."""
         if sign not in ("+", "-"):
             raise ContractError("sign must be '+' or '-'")
-        step = self._steps[sign]
-        reach = 4 * (self.metric.length(k) + self.R)
+        powers = self._powers[sign]
+        d = self.metric.length(k)
+        reach = 4 * (d + self.R)
         n = bisect_right(self._stops, reach)
         mul, length = self.group.mul, self.group.exact_length
-        # A step moves l by at most l(a) and the radii do not decrease, so at
-        # step j no later piece is hit once l(point) - (n - 1 - j) l(a)
-        # exceeds _radii[n - 1].
-        top = self._radii[n - 1] + (n - 1) * self.anchor_length
-        point = k
-        for radius in self._radii[:n]:
-            d = length(point)
-            if d <= radius:
+        radii, horizons, anchor_length = self._radii, self._horizons, self.anchor_length
+        point, j = k, 0
+        while j < n:
+            if d <= radii[j]:
                 return True
-            if d > top:
+            i = bisect_left(horizons, d + j * anchor_length, j + 1, n)
+            if i == n:
                 break
-            top -= self.anchor_length
-            point = mul(step, point)
+            point = mul(powers[i - j], point)
+            j, d = i, length(point)
         if n == len(self._stops) and 3 * self.profile.lower_bound.value(n) <= reach:
             self.piece_radius(n)  # past the exact range: raises OutOfRange
         return False

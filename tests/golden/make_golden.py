@@ -20,6 +20,14 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 SPEC_RELPATH = os.path.join("tests", "golden", "coboundary_w0.json")
 
+# subshift glue goldens: (artifact stem, group, anchor, R, core radius,
+# query length, seed).  The task is written to <stem>_task.json and the
+# glue report to <stem>.json.
+GLUE_RUNS = (
+    ("glue_z2", "z^2", "(1,0)", 2, 14, 24, 11),
+    ("glue_heisenberg", "heisenberg", "(1,0,0)", 1, 8, 12, 13),
+)
+
 
 def write_cocycle_spec(path):
     from untwist import (
@@ -43,6 +51,65 @@ def write_cocycle_spec(path):
                               metric=metric)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(cocycle_spec_to_jsonable(spec)) + "\n")
+
+
+def write_glue_task(path, group_name, anchor, radius_R, core, reach, seed):
+    """Golden-mean task over the families {e, s} for the first two generator
+    letters s: x and x' share isolated 1s inside B(core), and each puts its
+    own isolated 1s in the annulus out to the query length, half of them
+    within distance 2 of the anchor's powers so that the cones catch some."""
+    import random
+
+    from untwist import WordMetric, parse_group
+    from untwist.reporting import dumps
+
+    group = parse_group(group_name)
+    ball = WordMetric(group).ball(reach)
+    steps = [group.gens[0][1], group.gens[2][1]]
+    neighbours = [s for step in steps for s in (step, group.inv(step))]
+    rng = random.Random(seed)
+
+    def add_isolated(support, cells, count):
+        cells = list(cells)
+        rng.shuffle(cells)
+        for cell in cells:
+            if count == 0:
+                break
+            if not any(group.mul(cell, s) in support for s in neighbours):
+                support[cell] = 1
+                count -= 1
+        return support
+
+    near_powers = set()
+    for step in (group.parse_elem(anchor), group.inv(group.parse_elem(anchor))):
+        power = group.identity
+        for _ in range(reach):
+            power = group.mul(power, step)
+            near_powers.update(group.mul(power, b) for b in ball.order
+                               if ball.lengths[b] <= 2)
+    inner = [g for g in ball.order if ball.lengths[g] <= core]
+    outer = [g for g in ball.order if ball.lengths[g] > core]
+    axis = [g for g in outer if g in near_powers]
+    shared = add_isolated({}, inner, 12)
+
+    def own():
+        return add_isolated(add_isolated(dict(shared), axis, 12), outer, 12)
+
+    fmt = group.format_elem
+
+    def jsonable(support):
+        return {"alphabet": [0, 1], "background": 0,
+                "support": [[fmt(c), 1] for c in sorted(support, key=fmt)]}
+
+    task = {
+        "subshift": {"kind": "golden_mean", "alphabet": [0, 1],
+                     "families": [[fmt(group.identity), fmt(s)] for s in steps]},
+        "anchor": anchor, "R": radius_R, "max_query_length": reach,
+        "x": jsonable(own()),
+        "x_prime": jsonable(own()),
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps(task) + "\n")
 
 
 def regenerate():
@@ -77,6 +144,13 @@ def regenerate():
                      "--out", os.path.join(tmp, "untwist_report.json")]) == 0
         shutil.copy(os.path.join(tmp, "untwist_report.json"),
                     os.path.join(HERE, "untwist_report.json"))
+        for stem, group, anchor, radius_R, core, reach, seed in GLUE_RUNS:
+            task = os.path.join("tests", "golden", stem + "_task.json")
+            write_glue_task(task, group, anchor, radius_R, core, reach, seed)
+            assert main(["subshift", "glue", "--group", group, "--spec", task,
+                         "--out", os.path.join(tmp, stem + ".json")]) == 0
+            shutil.copy(os.path.join(tmp, stem + ".json"),
+                        os.path.join(HERE, stem + ".json"))
     finally:
         shutil.rmtree(tmp)
 

@@ -16,19 +16,7 @@ HEISENBERG_GENS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
 
 def heisenberg_lengths(radius):
     """Exact word lengths on the Heisenberg ball via direct BFS."""
-    dist = {(0, 0, 0): 0}
-    frontier = deque([(0, 0, 0)])
-    while frontier:
-        g = frontier.popleft()
-        d = dist[g]
-        if d == radius:
-            continue
-        for s in HEISENBERG_GENS:
-            h = heisenberg_mul(g, s)
-            if h not in dist:
-                dist[h] = d + 1
-                frontier.append(h)
-    return dist
+    return ball_lengths((0, 0, 0), HEISENBERG_GENS, heisenberg_mul, radius)
 
 
 def bfs_tree_words(identity, gens, mul, radius):
@@ -209,3 +197,44 @@ def free_ball(rank, radius):
         layer = [w + (s,) for w in layer for s in letters if not w or w[-1] != -s]
         words += layer
     return words
+
+
+def free_inv(p):
+    """Inverse of a freely reduced word of signed letters."""
+    return tuple(-letter for letter in reversed(p))
+
+
+def z2_inv(p):
+    return (-p[0], -p[1])
+
+
+def ball_lengths(identity, gens, mul, radius):
+    """Word length of every element of the ball of the given radius, by BFS
+    over right multiplication with the generator elements gens."""
+    dist = {identity: 0}
+    frontier = deque([identity])
+    while frontier:
+        g = frontier.popleft()
+        if dist[g] == radius:
+            continue
+        for s in gens:
+            h = mul(g, s)
+            if h not in dist:
+                dist[h] = dist[g] + 1
+                frontier.append(h)
+    return dist
+
+
+def golden_mean_centres(support, families, mul, inv):
+    """Every g whose translate g*F meets the support for some family F:
+    support * F^-1 over all family cells, sorted."""
+    return sorted({mul(cell, inv(f)) for family in families for f in family
+                   for cell in support})
+
+
+def golden_mean_member(support, families, mul, inv):
+    """Golden-mean membership with background 0, by brute force: no centre
+    in golden_mean_centres has a family translate inside the support."""
+    return not any(all(mul(g, f) in support for f in family)
+                   for g in golden_mean_centres(support, families, mul, inv)
+                   for family in families)

@@ -639,7 +639,7 @@ def run_reference_artifacts(base):
                  "--spec", SPEC_RELPATH, "--seed", "3", "--samples", "10",
                  "--sample-radius", "5", "--sample-cells", "3",
                  "--out", str(report)]) == 0
-    return {
+    artifacts = {
         "heisenberg_z_powers.csv": read(inv / "powers.csv"),
         "heisenberg_z_report.json": read(inv / "report.json"),
         "divergence_z.csv": read(divz / "divergence.csv"),
@@ -647,6 +647,13 @@ def run_reference_artifacts(base):
         "divergence_heisenberg.csv": read(divh / "divergence.csv"),
         "untwist_report.json": read(report),
     }
+    for stem, group in (("glue_z2", "z^2"), ("glue_heisenberg", "heisenberg")):
+        out = base / (stem + ".json")
+        assert main(["subshift", "glue", "--group", group, "--spec",
+                     os.path.join("tests", "golden", stem + "_task.json"),
+                     "--out", str(out)]) == 0
+        artifacts[stem + ".json"] = read(out)
+    return artifacts
 
 
 def test_runs_are_byte_identical(tmp_path, monkeypatch):

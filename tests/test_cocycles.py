@@ -34,7 +34,7 @@ from untwist import (
     specification_decay,
     weighted_potential,
 )
-from untwist.cocycles import canonical_cells
+from untwist.cocycles import _differing_factor_count, canonical_cells
 from untwist.groups import DirectProduct, FreeGroup, InfiniteCyclic
 from untwist.sampling import random_configuration, seeded_rng
 
@@ -404,6 +404,41 @@ def test_holonomy_equals_the_full_truncation(make_spec, anchor, epsilon, pairs):
             value, cert = holonomy(spec, anchor, x, y, epsilon, sign)
             full = partial_product(spec, anchor, x, y, cert.n_used, sign)
             assert value == full
+
+
+def full_walk_factor_count(spec, g, differing, n, sign):
+    """Least m <= n such that step^j . D misses W_g at every j >= m, by
+    moving every differing cell through all n steps."""
+    read, _ = spec._read_set(g)
+    step = g if sign == "+" else spec.group.inv(g)
+    count, points = 0, list(differing)
+    for j in range(n):
+        if not read.isdisjoint(points):
+            count = j + 1
+        points = [spec.group.mul(step, p) for p in points]
+    return count
+
+
+@pytest.mark.parametrize("make_spec, anchor, epsilon, pairs",
+                         [case[1:] for case in CUT_OFF_CASES],
+                         ids=[case[0] for case in CUT_OFF_CASES])
+def test_horizon_count_equals_the_full_walk(make_spec, anchor, epsilon, pairs):
+    """Each differing cell leaves the count at its own horizon
+    l(d) + radius(W_g); the count still equals the full walk's."""
+    spec = make_spec()
+    bound = spec.group.compression_lower_bound(anchor)
+    rng = seeded_rng(33)
+    counts = set()
+    for _ in range(3 * pairs):
+        x, y = random_homoclinic_pair(spec.group, spec.metric, A, rng,
+                                      max_radius=5)
+        differing = x.differing_cells(y)
+        for sign in "+-":
+            n = holonomy(spec, anchor, x, y, epsilon, sign)[1].n_used
+            count = _differing_factor_count(spec, anchor, differing, bound, n, sign)
+            assert count == full_walk_factor_count(spec, anchor, differing, n, sign)
+            counts.add(0 < count < n)
+    assert True in counts
 
 
 def test_heisenberg_centre_cut_off_runs_under_a_sqrt_bound():

@@ -25,8 +25,10 @@ from untwist.invariants import build_profile
 from untwist.sampling import random_configuration, seeded_rng
 
 from homoclinic import pair_agreeing_on_ball
-from oracles import (cone_cells, cone_walk, free_ball, free_mul, heisenberg_inv,
-                     heisenberg_lengths, heisenberg_mul, l1_ball, l1_length, z2_mul)
+from oracles import (ball_lengths, cone_cells, cone_walk, free_ball, free_inv, free_mul,
+                     golden_mean_centres, golden_mean_member, heisenberg_inv,
+                     heisenberg_lengths, heisenberg_mul, l1_ball, l1_length, z2_inv,
+                     z2_mul)
 
 Z2 = IntegerLattice(2)
 METRIC = WordMetric(Z2)
@@ -261,6 +263,75 @@ def test_heisenberg_cone_walk_matches_full_walk_on_random_cells():
                 assert any(hits) and not all(hits)
 
 
+def walk_model(name):
+    """(anchors, mul, inv, length, cells) of a raw-tuple model of the named
+    group: cells lists the ball B(5).  Tabled lengths are exact out to the
+    powers a^j for j <= 11 and to every piece radius; a longer element reads
+    one more than the table radius, a lower bound, so it is never a hit."""
+    if name == "free:2":
+        return [(1,), (1, 2)], free_mul, free_inv, len, free_ball(2, 5)
+    if name == "z":
+        return ([(1,), (2,)], lambda p, q: (p[0] + q[0],), lambda p: (-p[0],),
+                lambda p: abs(p[0]), [(i,) for i in range(-5, 6)])
+    if name == "z^2+diag":
+        gens = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
+        lengths = ball_lengths((0, 0), gens, z2_mul, 26)
+        return ([(1, 0), (1, 1), (1, -1)], z2_mul, z2_inv,
+                lambda g: lengths.get(g, 27), [g for g, d in lengths.items() if d <= 5])
+    heis = heisenberg_lengths(14)  # prod(z,heisenberg)
+
+    def mul(p, q):
+        return (p[0][0] + q[0][0],), heisenberg_mul(p[1], q[1])
+
+    return ([((1,), (0, 0, 0)), ((0,), (1, 0, 0)), ((1,), (0, 1, 0))], mul,
+            lambda p: ((-p[0][0],), heisenberg_inv(p[1])),
+            lambda p: abs(p[0][0]) + heis.get(p[1], 15),
+            [((n,), h) for n in range(-5, 6) for h, d in heis.items() if abs(n) + d <= 5])
+
+
+@pytest.mark.parametrize("name", ["free:2", "z^2+diag", "z", "prod(z,heisenberg)"])
+def test_cone_walk_matches_full_walk_on_every_model(name):
+    """The walk jumps past pieces it cannot reach; on random cells of B(5)
+    it agrees with the raw walk through every piece, hit or miss."""
+    group = parse_group(name)
+    anchors, mul, inv, length, cells = walk_model(name)
+    rng = random.Random(43)
+    cells = rng.sample(sorted(cells), min(150, len(cells)))
+    seen = set()
+    for anchor in anchors:
+        for R in (0, 2):
+            params = ConeParams.create(group, anchor, R, metric=WordMetric(group),
+                                       max_query_length=5)
+            j_max = 4 * (5 + R) // 3 + 2
+            for sign, step_inv in (("+", inv(anchor)), ("-", anchor)):
+                hits = [params.cone_contains(c, sign) for c in cells]
+                assert hits == [cone_walk(c, step_inv, R, j_max, mul, length)
+                                for c in cells]
+                seen.update(hits)
+    assert seen == {True, False}
+
+
+def test_cone_walk_jumps_past_pieces_it_cannot_reach(monkeypatch):
+    params = make_params(4)
+    reads = []
+    exact_length = Z2.exact_length
+    monkeypatch.setattr(Z2, "exact_length", lambda g: reads.append(g) or exact_length(g))
+    # (-20,0) reads l = 20 on entry.  Pieces 1..12 lie out of reach at one
+    # unit of l per step; at step 13 the point (-33,0) is too far for every
+    # piece up to the last one the compression bound leaves, 32.  A walk one
+    # step at a time reads 15 lengths here.
+    assert not params.cone_contains((-20, 0), "+")
+    assert reads == [(-20, 0), (-33, 0)]
+    # (-10,5): the read at step 9 gives l = 24, which still leaves pieces 24
+    # and 25 in reach by that bound, so a third read settles it.
+    reads.clear()
+    assert not params.cone_contains((-10, 5), "+")
+    assert len(reads) == 3
+    reads.clear()
+    assert params.cone_contains((-10, 5), "-")  # a^9 (-10,5) = (-1,5) is in piece 9
+    assert reads == [(-10, 5), (-1, 5)]
+
+
 def test_cone_walk_past_the_profile_raises_unless_it_hits_a_piece_first():
     params = make_params(0, L=10)
     assert params.profile.j_max == 15
@@ -448,6 +519,43 @@ def test_membership_window_must_cover_support():
         membership_check(x, GM, window=[(9, 9)])
     window = [Z2.mul(c, Z2.inv(f)) for c in x.support for fam in GM.families for f in fam]
     assert membership_check(x, GM, window=window) is False
+
+
+@pytest.mark.parametrize("name, mul, inv", [
+    ("z^2", z2_mul, z2_inv),
+    ("heisenberg", heisenberg_mul, heisenberg_inv),
+    ("free:2", free_mul, free_inv),
+    ("z^2+diag", z2_mul, z2_inv),
+])
+def test_membership_matches_brute_force_oracle(name, mul, inv):
+    """membership_check checks one cell per family; the oracle checks every
+    centre in support*F^-1 over all family cells.  Windows that are exact or
+    larger give the same answer, and one that misses a centre raises."""
+    group = parse_group(name)
+    rng = random.Random(47)
+    gens = [g for _, g in group.gens]
+    near = [group.identity, *gens, *(group.mul(a, b) for a in gens for b in gens)]
+    seen, singles = set(), set()
+    for _ in range(150):
+        families = [tuple(rng.sample(near, rng.choice((1, 2, 2, 3))))
+                    for _ in range(rng.randint(1, 3))]
+        support = {group.draw(2, rng): rng.choice((1, 2))
+                   for _ in range(rng.randint(0, 8))}
+        x = Configuration(group, A3, 0, support)
+        shift = GoldenMean(A3, families)
+        expected = golden_mean_member(x.support, families, mul, inv)
+        assert membership_check(x, shift) is expected
+        window = golden_mean_centres(x.support, families, mul, inv)
+        assert membership_check(x, shift, window=window) is expected
+        larger = window + [group.draw(6, rng) for _ in range(3)]
+        assert membership_check(x, shift, window=larger) is expected
+        if window:
+            with pytest.raises(ContractError, match="window misses 1 "):
+                membership_check(x, shift, window=window[1:])
+        seen.add(expected)
+        if any(len(f) == 1 for f in families):
+            singles.add(expected)
+    assert seen == singles == {True, False}
 
 
 def test_membership_refuses_malformed_family_or_window_elements():
