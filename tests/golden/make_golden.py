@@ -21,8 +21,9 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 SPEC_RELPATH = os.path.join("tests", "golden", "coboundary_w0.json")
 
 # subshift glue goldens: (artifact stem, group, anchor, R, core radius,
-# query length, seed).  The task is written to <stem>_task.json and the
-# glue report to <stem>.json.
+# query length, seed).  The core radius is the specification ball radius of
+# the anchor and R.  The task is written to <stem>_task.json and the glue
+# report to <stem>.json.
 GLUE_RUNS = (
     ("glue_z2", "z^2", "(1,0)", 2, 14, 24, 11),
     ("glue_heisenberg", "heisenberg", "(1,0,0)", 1, 8, 12, 13),
@@ -54,10 +55,11 @@ def write_cocycle_spec(path):
 
 
 def write_glue_task(path, group_name, anchor, radius_R, core, reach, seed):
-    """Golden-mean task over the families {e, s} for the first two generator
-    letters s: x and x' share isolated 1s inside B(core), and each puts its
-    own isolated 1s in the annulus out to the query length, half of them
-    within distance 2 of the anchor's powers so that the cones catch some."""
+    """Golden-mean task over the families {e, s} for the first two positive
+    generators s (x1+ and x2+ on z^2, a and b on heisenberg): x and x' share
+    isolated 1s inside B(core), and each puts its own isolated 1s in the
+    annulus out to the query length, half of them within distance 2 of the
+    anchor's powers so that the cones catch some."""
     import random
 
     from untwist import WordMetric, parse_group
@@ -81,7 +83,8 @@ def write_glue_task(path, group_name, anchor, radius_R, core, reach, seed):
         return support
 
     near_powers = set()
-    for step in (group.parse_elem(anchor), group.inv(group.parse_elem(anchor))):
+    a = group.parse_elem(anchor)
+    for step in (a, group.inv(a)):
         power = group.identity
         for _ in range(reach):
             power = group.mul(power, step)

@@ -290,7 +290,7 @@ def walk_model(name):
 
 
 @pytest.mark.parametrize("name", ["free:2", "z^2+diag", "z", "prod(z,heisenberg)"])
-def test_cone_walk_matches_full_walk_on_every_model(name):
+def test_cone_walk_matches_full_walk_on_more_models(name):
     """The walk jumps past pieces it cannot reach; on random cells of B(5)
     it agrees with the raw walk through every piece, hit or miss."""
     group = parse_group(name)
