@@ -87,7 +87,10 @@ def cmd_invariants(args) -> int:
 
     group = parse_group(args.group)
     g = group.parse_elem(args.element)
-    profile = build_profile(WordMetric(group, args.max_elements), g, args.radius)
+    profile = build_profile(group, g, args.radius)
+    # Checked before the first write, so bad settings leave no artifact.
+    summary = (None if args.sdt_base is None
+               else sdt_partial_sum(profile, args.sdt_base, args.sdt_terms))
     out = _ensure_dir(args.out)
     config = _echo(args, ("group", "element", "radius"))
     config["generating_set"] = group.generating_set_description()
@@ -116,8 +119,7 @@ def cmd_invariants(args) -> int:
         "undistorted_witness": data.undistorted_witness,
         "checks": checks,
     }
-    if args.sdt_base is not None:
-        summary = sdt_partial_sum(profile, args.sdt_base, args.sdt_terms)
+    if summary is not None:
         report["sdt"] = {
             "r": summary.r, "T": summary.terms,
             "partial": summary.partial_sum, "tail_bound": summary.tail_bound,
@@ -267,10 +269,9 @@ def cmd_cocycle(args) -> int:
 
     group = parse_group(args.group)
     with _decoding(args.spec) as spec_obj:
-        spec = cocycle_spec_from_jsonable(spec_obj, group,
-                                          WordMetric(group, args.max_elements))
+        spec = cocycle_spec_from_jsonable(spec_obj, group)
     rng = seeded_rng(args.seed)
-    metric = spec.metric
+    metric = WordMetric(group, args.max_elements)  # the sample pool's ball
     samples = [
         random_configuration(group, metric, spec.alphabet, rng,
                              max_radius=args.sample_radius,

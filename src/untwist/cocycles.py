@@ -106,15 +106,13 @@ class CocycleSpec:
     """Generator block maps into a bi-invariant metric target group."""
 
     def __init__(self, group: Group, target: TargetGroup, alphabet,
-                 background, generator_maps: dict, rate: float = 0.5,
-                 metric: WordMetric | None = None):
+                 background, generator_maps: dict, rate: float = 0.5):
         if not 0.0 < rate < 1.0:
             raise CocycleError("geometric rate must lie in (0, 1)")
         self.group = group
         self.target = target
         self.alphabet = tuple(alphabet)
         self.background = background
-        self.metric = metric or WordMetric(group)
         self.rate = rate
         self.maps = dict(generator_maps)
         labels = {lab for lab, _ in group.gens}
@@ -125,7 +123,8 @@ class CocycleSpec:
         # map's cells to lie in the ball of its declared window.
         for lab, bm in self.maps.items():
             for c in bm.cells:
-                if (length := self.metric.length(c)) > bm.window:
+                group.validate(c)
+                if (length := group.exact_length(c)) > bm.window:
                     raise CocycleError(
                         f"block map for generator {lab!r}: cell "
                         f"{group.format_elem(c)} has length {length}, "
@@ -153,7 +152,8 @@ class CocycleSpec:
             if self.holder_constant == 0:
                 found = 0.0, r
             else:
-                k = self.metric.length(g)
+                self.group.validate(g)
+                k = self.group.exact_length(g)
                 # The largest term comes last; past it the sum would overflow.
                 _inverse_power(r, k - 1,
                                f"anchor {self.group.format_elem(g)} of length {k}")
@@ -187,7 +187,7 @@ class CocycleSpec:
         """Read plan of g's canonical geodesic word."""
         plan = self._plan_cache.get(g)
         if plan is None:
-            plan = self._plan_cache[g] = self._word_plan(self.metric.geodesic_word(g))
+            plan = self._plan_cache[g] = self._word_plan(self.group.geodesic_word(g))
         return plan
 
     def _read(self, plan, x: Configuration):
@@ -211,7 +211,7 @@ class CocycleSpec:
         found = self._read_cache.get(g)
         if found is None:
             cells = frozenset(c for _, cs in self._plan(g) for c in cs)
-            radius = max((self.metric.length(c) for c in cells), default=0)
+            radius = max(map(self.group.exact_length, cells), default=0)
             found = self._read_cache[g] = (cells, radius)
         return found
 
@@ -612,10 +612,8 @@ def _value_for_label(group: Group, target: TargetGroup, values: dict, label: str
 
 
 def homomorphism_cocycle(group: Group, target: TargetGroup, values: dict,
-                         alphabet, background=0, rate: float = 0.5,
-                         metric: WordMetric | None = None) -> CocycleSpec:
+                         alphabet, background=0, rate: float = 0.5) -> CocycleSpec:
     """Constant cocycle c(s, .) = phi(s); values given per positive label."""
-    metric = metric or WordMetric(group)
     alphabet = tuple(alphabet)
     cells = (group.identity,)
     maps = {}
@@ -623,7 +621,7 @@ def homomorphism_cocycle(group: Group, target: TargetGroup, values: dict,
         h = _value_for_label(group, target, values, label)
         table = {(sym,): h for sym in alphabet}
         maps[label] = BlockMap(target, cells, 0, table=table)
-    return CocycleSpec(group, target, alphabet, background, maps, rate, metric)
+    return CocycleSpec(group, target, alphabet, background, maps, rate)
 
 
 def coboundary_cocycle(group: Group, target: TargetGroup, values: dict,
@@ -655,7 +653,7 @@ def coboundary_cocycle(group: Group, target: TargetGroup, values: dict,
         if len(alphabet) ** len(cells) <= 16384:
             bm = bm.tabulated(alphabet)
         maps[label] = bm
-    return CocycleSpec(group, target, alphabet, background, maps, rate, metric)
+    return CocycleSpec(group, target, alphabet, background, maps, rate)
 
 
 def weighted_potential(group: Group, metric: WordMetric, target: TargetGroup,
@@ -736,8 +734,7 @@ def cocycle_spec_to_jsonable(spec: CocycleSpec) -> dict:
     }
 
 
-def cocycle_spec_from_jsonable(obj, group: Group | None = None,
-                               metric: WordMetric | None = None) -> CocycleSpec:
+def cocycle_spec_from_jsonable(obj, group: Group | None = None) -> CocycleSpec:
     group = group or parse_group(obj["group"])
     target = target_from_description(obj["target"])
     maps = {}
@@ -747,4 +744,4 @@ def cocycle_spec_from_jsonable(obj, group: Group | None = None,
         maps[entry["label"]] = BlockMap(target, cells, int(entry["window"]),
                                         table=table)
     return CocycleSpec(group, target, tuple(obj["alphabet"]), obj["background"],
-                       maps, float(obj["rate"]), metric)
+                       maps, float(obj["rate"]))

@@ -28,7 +28,6 @@ from .groups import (
     Group,
     GroupError,
     IntegerLattice,
-    WordMetric,
     linear_fit,
 )
 
@@ -78,7 +77,7 @@ def _certified_disconnection(query: DivergenceQuery) -> bool:
     tree = isinstance(group, FreeGroup) or (isinstance(group, IntegerLattice)
                                             and group.dimension == 1)
     return tree and any(group.exact_length(group.mul(c_inv, h)) < query.forbidden_radius
-                        for h in geodesic_points(group, query.a, query.b, WordMetric(group)))
+                        for h in geodesic_points(group, query.a, query.b))
 
 
 def avoidant_shortest_path(query: DivergenceQuery) -> PathSearchResult:
@@ -199,9 +198,9 @@ def div_pair(group: Group, a, b, obstacles, window_radius: int) -> PairDivergenc
     return PairDivergence(a, b, float(best), witness, window_radius)
 
 
-def geodesic_points(group: Group, a, b, metric: WordMetric):
+def geodesic_points(group: Group, a, b):
     """Vertices of a canonical geodesic from a to b, endpoints included."""
-    word = metric.geodesic_word(group.mul(group.inv(a), b))
+    word = group.geodesic_word(group.mul(group.inv(a), b))
     points = [a]
     cur = a
     for label in word:
@@ -211,7 +210,7 @@ def geodesic_points(group: Group, a, b, metric: WordMetric):
 
 
 def default_obstacles(group: Group, a, b, window_radius: int, rng,
-                      metric: WordMetric, sample_budget: int = 10):
+                      sample_budget: int = 10):
     """Obstacles on a geodesic between the endpoints plus seeded samples,
     uniform on the window ball with a and b left out: each sample is a draw
     from the ball, drawn again while it is a or b.
@@ -219,7 +218,7 @@ def default_obstacles(group: Group, a, b, window_radius: int, rng,
     B(1) holds a generator pair besides the identity, so the pool is empty
     only when the window is 0 and the identity is a or b.
     """
-    obstacles = [p for p in geodesic_points(group, a, b, metric) if p not in (a, b)]
+    obstacles = [p for p in geodesic_points(group, a, b) if p not in (a, b)]
     if window_radius or group.identity not in (a, b):
         for _ in range(sample_budget):
             c = group.draw(window_radius, rng)
@@ -253,18 +252,17 @@ def div_function(group: Group, n_max: int, *, window_factor: int = 4,
         if value < least:
             raise GroupError(f"{name} must be >= {least}, got {value}")
     rng = random.Random(seed)
-    metric = WordMetric(group)
     rows = []
     best_so_far = None
     for n in range(2, n_max + 1):
         window_radius = window_factor * n
         pairs = [_axis_pair(group, n)]
         for _ in range(pairs_per_n - 1):
-            pairs.append(_random_pair(group, n, metric, rng))
+            pairs.append(_random_pair(group, n, rng))
         # All draws come before any search, which draws nothing, so the RNG
         # sequence is the per-pair one.
-        obstacle_sets = [default_obstacles(group, a, b, window_radius, rng, metric,
-                                           sample_budget) for a, b in pairs]
+        obstacle_sets = [default_obstacles(group, a, b, window_radius, rng, sample_budget)
+                         for a, b in pairs]
         best_row = None
         for (a, b), obstacles in zip(pairs, obstacle_sets):
             pair = div_pair(group, a, b, obstacles, window_radius)
@@ -293,10 +291,10 @@ def _axis_pair(group: Group, n: int):
     return group.power(g, -(n // 2)), group.power(g, n - n // 2)
 
 
-def _random_pair(group: Group, n: int, metric: WordMetric, rng):
+def _random_pair(group: Group, n: int, rng):
     """Seeded pair at distance n, balanced around the identity: the halves
     of the geodesic word of a uniform draw from the sphere of radius n."""
-    word = metric.geodesic_word(group.draw(n, rng, sphere=True))
+    word = group.geodesic_word(group.draw(n, rng, sphere=True))
     mid = len(word) // 2
     return group.inv(group.eval_word(word[:mid])), group.eval_word(word[mid:])
 

@@ -202,10 +202,6 @@ class Group(ABC):
         """Pairs of generator words with equal products (cocycle sanity checks)."""
         return []
 
-    def generation_witnesses(self):
-        """(element, radius) pairs certifying the generators generate."""
-        return []
-
     def gen(self, label: str):
         for lab, g in self.gens:
             if lab == label:
@@ -239,6 +235,30 @@ class Group(ABC):
         for lab in labels:
             acc = self.mul(acc, self.gen(lab))
         return acc
+
+    def geodesic_word(self, g):
+        """Labels t1..tk with t1*...*tk = g and k = l(g), least in gens order
+        letter by letter (shortlex).
+
+        t1 is the first generator s with l(s^-1 g) = k - 1, and the descent
+        repeats on s^-1 g.  BFS reaches each element first along this word,
+        so it is the word of the BFS tree (Epstein et al., Word Processing
+        in Groups, 1992).
+        """
+        self.validate(g)
+        length, mul = self.exact_length, self.mul
+        k = length(g)
+        back = [(label, self.inv(s)) for label, s in self.gens]
+        word = []
+        while k:
+            k -= 1
+            for label, s_inv in back:
+                h = mul(s_inv, g)
+                if length(h) == k:
+                    break
+            word.append(label)
+            g = h
+        return word
 
     def power(self, g, n: int):
         if n < 0:
@@ -404,9 +424,6 @@ class IntegerLattice(Group):
                 pairs.append(([pos[i], pos[j]], [pos[j], pos[i]]))
         return pairs
 
-    def generation_witnesses(self):
-        return [(g, 1) for _, g in self.gens]
-
 
 class InfiniteCyclic(IntegerLattice):
     """Z with generators +-1 (two ends)."""
@@ -519,9 +536,6 @@ class DiscreteHeisenberg(Group):
         pairs.append((["b"] + zw, zw + ["b"]))
         return pairs
 
-    def generation_witnesses(self):
-        return [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 4)]
-
 
 class FreeGroup(Group):
     """Free group on `rank` letters; elements are freely reduced tuples of
@@ -631,9 +645,6 @@ class FreeGroup(Group):
     def defining_relation_word_pairs(self):
         return [([lab, self.inverse_label(lab)], []) for lab, _ in self.gens]
 
-    def generation_witnesses(self):
-        return [(g, 1) for _, g in self.gens]
-
 
 class DirectProduct(Group):
     """Direct product with the union generating set, so word length is the
@@ -717,13 +728,6 @@ class DirectProduct(Group):
             pairs.append(([f"r:{lab}" for lab in w1], [f"r:{lab}" for lab in w2]))
         return pairs
 
-    def generation_witnesses(self):
-        out = [((g, self.right.identity), rad)
-               for g, rad in self.left.generation_witnesses()]
-        out += [((self.left.identity, g), rad)
-                for g, rad in self.right.generation_witnesses()]
-        return out
-
 
 def parse_group(descriptor: str) -> Group:
     """Build a group model from a descriptor string.
@@ -769,7 +773,7 @@ class BallTable:
 
     `lengths` maps each element of the ball to its word length, inserted in
     BFS discovery order.  Geodesic words are not stored:
-    WordMetric.geodesic_word recovers them from the closed form.
+    Group.geodesic_word recovers them from the closed form.
     """
 
     __slots__ = ("radius", "lengths")
@@ -832,13 +836,11 @@ DEFAULT_METRIC_BUDGET = 5_000_000
 
 
 class WordMetric:
-    """Exact word lengths, distances and canonical geodesics for one model.
+    """A ball table under an element budget, for what lists the ball itself:
+    `ball`, configuration sample pools and canonical cells.
 
-    Lengths are the model's closed form.  The package's only owner of ball
-    tables keeps a single one, holding lengths only, for what lists the ball
-    itself: `ball`, configuration sample pools and canonical cells.  The
-    canonical geodesic of g is its shortlex-least one, read off lengths by
-    descent, and is the word of the BFS tree.
+    It keeps a single table, holding lengths only.  Lengths and geodesic
+    words belong to the group: every model reads them in closed form.
     """
 
     def __init__(self, group: Group, max_elements: int = DEFAULT_METRIC_BUDGET):
@@ -856,33 +858,6 @@ class WordMetric:
         """Exact word length of an element from outside the package."""
         self.group.validate(g)
         return self.group.exact_length(g)
-
-    def distance(self, g, h) -> int:
-        return self.length(self.group.mul(self.group.inv(g), h))
-
-    def geodesic_word(self, g):
-        """Labels t1..tk with t1*...*tk = g and k = l(g), least in gens order
-        letter by letter (shortlex).
-
-        t1 is the first generator s with l(s^-1 g) = k - 1, and the descent
-        repeats on s^-1 g.  BFS reaches each element first along this word,
-        so it is the word of the BFS tree (Epstein et al., Word Processing
-        in Groups, 1992).
-        """
-        group = self.group
-        k = self.length(g)
-        length, mul = group.exact_length, group.mul
-        back = [(label, group.inv(s)) for label, s in group.gens]
-        word = []
-        while k:
-            k -= 1
-            for label, s_inv in back:
-                h = mul(s_inv, g)
-                if length(h) == k:
-                    break
-            word.append(label)
-            g = h
-        return word
 
     def ball(self, radius: int) -> BallTable:
         return self.table(radius)

@@ -17,7 +17,6 @@ from .groups import (
     GroupError,
     LengthLowerBound,
     OutOfRange,
-    WordMetric,
 )
 
 
@@ -35,13 +34,12 @@ class PowerLengthTable(NamedTuple):
         return self.entries[-1][0]
 
 
-def power_lengths(metric: WordMetric, g, radius: int) -> PowerLengthTable:
+def power_lengths(group: Group, g, radius: int) -> PowerLengthTable:
     """Mark the powers of g inside the ball of the given radius.
 
     The scan over exponents stops once the certified lower bound exceeds the
     radius, which guarantees that *every* power of length <= radius is found.
     """
-    group = metric.group
     bound = group.compression_lower_bound(g)  # validates g, refuses the identity
     length = group.exact_length  # powers of a validated g need no check
     entries = []
@@ -140,9 +138,9 @@ class CompressionProfile:
         return translation_number(self.table, self.lower_bound)
 
 
-def build_profile(metric: WordMetric, g, radius: int) -> CompressionProfile:
-    table = power_lengths(metric, g, radius)
-    return CompressionProfile(table, metric.group.compression_lower_bound(g))
+def build_profile(group: Group, g, radius: int) -> CompressionProfile:
+    table = power_lengths(group, g, radius)
+    return CompressionProfile(table, group.compression_lower_bound(g))
 
 
 class TranslationData(NamedTuple):
@@ -232,14 +230,13 @@ class ConjugationCheck(NamedTuple):
         return self.min_slack >= 0
 
 
-def conjugation_compression_check(metric: WordMetric, g, t,
+def conjugation_compression_check(group: Group, g, t,
                                   radius: int) -> ConjugationCheck:
-    group = metric.group
-    prof_g = build_profile(metric, g, radius)
+    prof_g = build_profile(group, g, radius)
     group.validate(t)
     conj = group.mul(group.mul(t, g), group.inv(t))
-    prof_c = build_profile(metric, conj, radius)
-    t_length = metric.length(t)
+    prof_c = build_profile(group, conj, radius)
+    t_length = group.exact_length(t)
     top = min(prof_g.j_max, prof_c.j_max)
     if top < 1:
         raise OutOfRange("radius too small for a shared exact range")

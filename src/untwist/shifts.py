@@ -113,13 +113,10 @@ def background_configuration(group: Group, alphabet, background=0) -> Configurat
     return Configuration(group, alphabet, background, {})
 
 
-def homoclinic_agreement_radius(x: Configuration, y: Configuration,
-                                metric: WordMetric) -> int:
-    """Least N with x = y outside the ball of radius N (0 when equal)."""
-    cells = x.differing_cells(y)
-    if not cells:
-        return 0
-    return max(metric.length(c) for c in cells)
+def homoclinic_agreement_radius(x: Configuration, y: Configuration) -> int:
+    """Least N with x = y outside the ball of radius N (0 when equal).
+    Configurations check their cells when built, so no read checks them."""
+    return max(map(x.group.exact_length, x.differing_cells(y)), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +142,13 @@ class GoldenMean:
             raise ContractError("golden-mean constraints need the symbol 0")
 
 
-def membership_check(x: Configuration, spec, window=None) -> bool:
+def membership_check(x: Configuration, spec) -> bool:
     """Check membership of a finitely supported configuration.
 
     Full shifts always pass.  A golden-mean translate g*F fails only if every
     cell of it is in the support, since the background is 0; so only the
     centres g in support*F[0]^-1 are checked, one family at a time, each by
-    a lookup of its remaining cells.  A supplied window must cover every
-    translate meeting the support, support*F^-1 over all family cells.
+    a lookup of its remaining cells.
     """
     if isinstance(spec, FullShift):
         if x.alphabet != spec.alphabet:
@@ -170,16 +166,6 @@ def membership_check(x: Configuration, spec, window=None) -> bool:
         for f in family:
             group.validate(f)
     support = x.support
-    if window is not None:
-        window = set(window)
-        for g in window:
-            group.validate(g)
-        missing = {mul(cell, f_inv) for family in spec.families
-                   for f_inv in map(inv, family) for cell in support} - window
-        if missing:
-            raise ContractError(
-                f"window misses {len(missing)} constraint translates near the support"
-            )
     for first, *rest in spec.families:
         first_inv = inv(first)
         for cell in support:
@@ -276,7 +262,7 @@ class ConeParams:
             deepest = (4 * (max_query_length + radius_R)) // (3 * slope) + 2
             profile_radius = max(4 * radius_R + 2 * anchor_length,
                                  anchor_length * deepest, 4)
-        profile = build_profile(metric, anchor, profile_radius)
+        profile = build_profile(group, anchor, profile_radius)
         return cls(group, anchor, radius_R, profile, s_prime, t_prime, metric)
 
     def piece_radius(self, j: int) -> int:

@@ -16,4 +16,4 @@ def corrupted_spec(spec: CocycleSpec, label: str, pattern_index: int,
     maps = dict(spec.maps)
     maps[label] = BlockMap(spec.target, bm.cells, bm.window, table=table)
     return CocycleSpec(spec.group, spec.target, spec.alphabet, spec.background,
-                       maps, spec.rate, spec.metric)
+                       maps, spec.rate)

@@ -78,7 +78,7 @@ def test_criterion_1_heisenberg_distortion():
         assert table.length((0, 0, 1)) == 4
         assert table.length((0, 0, 2)) == 6
         assert table.length((0, 0, 4)) == 8
-        profile = build_profile(WordMetric(HEIS), (0, 0, 1), 8)
+        profile = build_profile(HEIS, (0, 0, 1), 8)
         for k in (1, 2):  # every k with 4k inside the exact range
             assert profile.distortion(4 * k) >= k * k
         for j in range(1, profile.j_max + 1):
@@ -88,11 +88,10 @@ def test_criterion_1_heisenberg_distortion():
 
 def test_criterion_2_translation_numbers():
     with criterion(2, "translation numbers and anchor refusal"):
-        diag = build_profile(WordMetric(Z2), (1, 1), 12).translation_data()
+        diag = build_profile(Z2, (1, 1), 12).translation_data()
         assert all(ratio == 2.0 for _, _, ratio in diag.terms)
 
-        central = build_profile(WordMetric(HEIS, 500_000), (0, 0, 1),
-                                20).translation_data()
+        central = build_profile(HEIS, (0, 0, 1), 20).translation_data()
         running = {n: central.running_min[i]
                    for i, (n, _, _) in enumerate(central.terms)}
         assert running[25] < 1.0
@@ -104,8 +103,7 @@ def test_criterion_2_translation_numbers():
         with pytest.raises(CocycleError):
             holder_modulus(TransferTable(spec, (0, 0, 1), EPS), {0: []})
         spec2 = homomorphism_cocycle(Z2, RealVector(1),
-                                     {"x1+": (1.0,), "x2+": (0.5,)}, A,
-                                     metric=METRIC2)
+                                     {"x1+": (1.0,), "x2+": (0.5,)}, A)
         for anchor in ((1, 0), (0, 1)):
             holder_modulus(TransferTable(spec2, anchor, EPS), {0: []})
 
@@ -121,7 +119,7 @@ def test_criterion_3_inequality_suite():
     with criterion(3, "distortion/compression inequality suite", budget=60):
         for group, elements, radius in PROFILES_3:
             for g in elements:
-                profile = build_profile(WordMetric(group), g, radius)
+                profile = build_profile(group, g, radius)
                 for j, length in profile.table.entries:
                     assert profile.distortion(length) >= j
                     assert profile.compression(j) <= length
@@ -143,9 +141,9 @@ def test_criterion_3_inequality_suite():
                     for y in range(1, radius - x + 1):
                         assert (profile.distortion(x + y)
                                 >= profile.distortion(x) + profile.distortion(y))
-        assert conjugation_compression_check(WordMetric(Z2), (1, 0), (3, -2), 10).holds
-        assert conjugation_compression_check(WordMetric(HEIS), (1, 0, 0), (0, 1, 0), 8).holds
-        assert conjugation_compression_check(WordMetric(HEIS), (0, 1, 0), (1, 0, 0), 8).holds
+        assert conjugation_compression_check(Z2, (1, 0), (3, -2), 10).holds
+        assert conjugation_compression_check(HEIS, (1, 0, 0), (0, 1, 0), 8).holds
+        assert conjugation_compression_check(HEIS, (0, 1, 0), (1, 0, 0), 8).holds
 
 
 def test_criterion_4_divergence():
@@ -157,7 +155,7 @@ def test_criterion_4_divergence():
         for n in range(6, 15):
             a, b = (-n, 0), (n, 0)
             window = 4 * n
-            obstacles = default_obstacles(Z2, a, b, window, rng, METRIC2, 10)
+            obstacles = default_obstacles(Z2, a, b, window, rng, 10)
             pair = div_pair(Z2, a, b, obstacles, window)
             assert 3 * n - 8 <= pair.value <= 3 * n + 8
             assert pair.value / n <= 4.0

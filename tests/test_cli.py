@@ -57,6 +57,20 @@ def test_invariants_artifacts_and_exit(tmp_path):
     assert os.path.exists(out / "translation.csv")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--sdt-base", "1.5"], "base r must lie in"),
+    (["--sdt-base", "0.5", "--sdt-terms", "0"], "at least one term"),
+], ids=["base", "terms"])
+def test_invariants_bad_sdt_setting_exits_2_writing_nothing(tmp_path, capsys, flags,
+                                                            message):
+    out = tmp_path / "inv"
+    out.mkdir()
+    assert main(["invariants", "--group", "heisenberg", "--element", "z",
+                 "--radius", "8", "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_divergence_z_marks_infinite(tmp_path):
     out = tmp_path / "div"
     assert main(["divergence", "--group", "z", "--nmax", "14", "--seed", "7",
@@ -221,8 +235,7 @@ def _z_specs(tmp_path, window=None):
     specs = {
         "coboundary": coboundary_cocycle(z, r1, {"x1+": (0.5,)}, potential, (0, 1),
                                          metric=metric),
-        "homomorphism": homomorphism_cocycle(z, r1, {"x1+": (0.5,)}, (0, 1),
-                                             metric=metric),
+        "homomorphism": homomorphism_cocycle(z, r1, {"x1+": (0.5,)}, (0, 1)),
     }
     paths = {}
     for name, spec in specs.items():

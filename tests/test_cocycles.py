@@ -68,7 +68,7 @@ def coboundary_spec(phi=PHI_R1, potential=None):
 
 
 def hom_spec(phi=PHI_R1):
-    return homomorphism_cocycle(Z2, R1, phi, A, metric=METRIC)
+    return homomorphism_cocycle(Z2, R1, phi, A)
 
 
 def phi_value(spec, phi, g):
@@ -165,7 +165,7 @@ def test_holder_constants_of_an_anchor_past_float_range():
     metric = WordMetric(z)
     x = Configuration(z, A, 0, {(0,): 1})
     y = Configuration(z, A, 0, {})
-    hom = homomorphism_cocycle(z, R1, {"x1+": (0.5,)}, A, metric=metric)
+    hom = homomorphism_cocycle(z, R1, {"x1+": (0.5,)}, A)
     assert hom.holder_constants((1100,)) == (0.0, 0.5)
     value, cert = holonomy(hom, (1100,), x, y, EPS)
     assert value == R1.identity and cert.tail_bound == 0.0
@@ -309,9 +309,7 @@ def test_plus_minus_identical_pair_exact():
 
 def test_generator_independence_refuses_many_ends():
     free = FreeGroup(2)
-    fmetric = WordMetric(free)
-    spec = homomorphism_cocycle(free, R1, {"a": (1.0,), "b": (0.0,)}, A,
-                                metric=fmetric)
+    spec = homomorphism_cocycle(free, R1, {"a": (1.0,), "b": (0.0,)}, A)
     x = background_configuration(free, A)
     with pytest.raises(CocycleError):
         generator_independence(spec, free.parse_elem("a"), free.parse_elem("b"),
@@ -320,9 +318,7 @@ def test_generator_independence_refuses_many_ends():
 
 def test_holonomy_accepts_heisenberg_center():
     heis = DiscreteHeisenberg()
-    metric = WordMetric(heis)
-    spec = homomorphism_cocycle(heis, R1, {"a": (0.25,), "b": (-0.5,)}, A,
-                                metric=metric)
+    spec = homomorphism_cocycle(heis, R1, {"a": (0.25,), "b": (-0.5,)}, A)
     x = Configuration(heis, A, 0, {(0, 0, 1): 1})
     xbar = background_configuration(heis, A)
     value, cert = holonomy(spec, (0, 0, 1), x, xbar, EPS)
@@ -398,7 +394,7 @@ def test_holonomy_equals_the_full_truncation(make_spec, anchor, epsilon, pairs):
     spec = make_spec()
     rng = seeded_rng(31)
     for _ in range(pairs):
-        x, y = random_homoclinic_pair(spec.group, spec.metric, A, rng,
+        x, y = random_homoclinic_pair(spec.group, WordMetric(spec.group), A, rng,
                                       max_radius=5)
         for sign in "+-":
             value, cert = holonomy(spec, anchor, x, y, epsilon, sign)
@@ -430,7 +426,7 @@ def test_horizon_count_equals_the_full_walk(make_spec, anchor, epsilon, pairs):
     rng = seeded_rng(33)
     counts = set()
     for _ in range(3 * pairs):
-        x, y = random_homoclinic_pair(spec.group, spec.metric, A, rng,
+        x, y = random_homoclinic_pair(spec.group, WordMetric(spec.group), A, rng,
                                       max_radius=5)
         differing = x.differing_cells(y)
         for sign in "+-":
@@ -469,7 +465,7 @@ def chain_value(spec, labels, x):
 def chain_partial_product(spec, g, x, y, n, sign):
     """partial_product with every factor read off translated configurations."""
     group, target = spec.group, spec.target
-    word = spec.metric.geodesic_word(g)
+    word = spec.group.geodesic_word(g)
     step, start = (g, 0) if sign == "+" else (group.inv(g), 1)
     px = py = target.identity
     cx, cy = x, y
@@ -494,7 +490,7 @@ def position_sensitive_spec(group, metric):
             return sum((i + k + 1) * (i + 2) * s for i, s in enumerate(pattern)) % 7
 
         maps[label] = BlockMap(target, cells, 1, fn=fn, diameter_bound=1.0)
-    return CocycleSpec(group, target, A, 0, maps, metric=metric)
+    return CocycleSpec(group, target, A, 0, maps)
 
 
 OFFSET_GROUPS = [Z2, HEIS, DirectProduct(InfiniteCyclic(), FreeGroup(2))]
@@ -513,7 +509,7 @@ def test_offset_reads_equal_translated_configurations(group):
                 assert spec.evaluate_word(word, x) == chain_value(spec, word, x)
         for _ in range(10):
             g, h = rng.choice(elements), rng.choice(elements)
-            word = metric.geodesic_word(g)
+            word = group.geodesic_word(g)
             assert spec.evaluate(g, x) == chain_value(spec, word, x)
             shifted = x.translate(group.inv(h))
             assert spec.evaluate(g, shifted) == chain_value(spec, word, shifted)
@@ -528,7 +524,8 @@ def test_holonomy_builds_no_translated_configuration(monkeypatch, make_spec,
     rng = seeded_rng(42)
     cases = []
     for _ in range(pairs):
-        x, y = random_homoclinic_pair(spec.group, spec.metric, A, rng, max_radius=4)
+        x, y = random_homoclinic_pair(spec.group, WordMetric(spec.group), A, rng,
+                                      max_radius=4)
         for sign in "+-":
             _, cert = holonomy(spec, anchor, x, y, epsilon, sign)
             n = min(cert.n_used, 40)
@@ -551,7 +548,7 @@ def read_patterns(spec, g, x):
     """Symbols each block map reads along g's geodesic word, by translation."""
     patterns = []
     state = x
-    word = spec.metric.geodesic_word(g)
+    word = spec.group.geodesic_word(g)
     for k in range(len(word) - 1, -1, -1):
         patterns.append(tuple(state.symbol_at(c) for c in spec.maps[word[k]].cells))
         state = state.translate(spec.group.gen(word[k]))
@@ -642,7 +639,7 @@ def alternating_spec(target, values):
     cells = canonical_cells(METRIC, 1)
     maps = {label: position_sensitive_table(target, cells, values[k:] + values[:k])
             for k, (label, _) in enumerate(Z2.gens)}
-    return CocycleSpec(Z2, target, A, 0, maps, metric=METRIC)
+    return CocycleSpec(Z2, target, A, 0, maps)
 
 
 SYM3 = symmetric_group_3()
@@ -674,7 +671,7 @@ def test_y_is_looked_up_only_where_its_read_differs(monkeypatch, make_spec):
                 value, cert = holonomy(spec, g, x, y, EPS, sign)
                 factors = factors_looked_up(spec, g, x, y, sign, list(looked_up))
                 assert factors <= cert.n_used
-                reads = factors * len(spec.metric.geodesic_word(g))
+                reads = factors * len(spec.group.geodesic_word(g))
                 y_lookups += len(looked_up) - reads
                 y_reuses += 2 * reads - len(looked_up)
                 assert value == chain_partial_product(spec, g, x, y, cert.n_used, sign)
@@ -862,9 +859,7 @@ def pairs_by_agreement(rng, radii, count=8, shell=3):
 
 def test_holder_modulus_refuses_distorted_anchor():
     heis = DiscreteHeisenberg()
-    metric = WordMetric(heis)
-    spec = homomorphism_cocycle(heis, R1, {"a": (1.0,), "b": (0.5,)}, A,
-                                metric=metric)
+    spec = homomorphism_cocycle(heis, R1, {"a": (1.0,), "b": (0.5,)}, A)
     transfer = TransferTable(spec, (0, 0, 1), EPS)
     with pytest.raises(CocycleError):
         holder_modulus(transfer, {0: []})
@@ -944,7 +939,7 @@ def test_spec_json_roundtrip_discrete():
 def test_spec_json_roundtrip_keeps_a_klein_target_named_cyclic():
     klein = FiniteGroup(range(4), {(a, b): a ^ b for a in range(4) for b in range(4)},
                         0, name="cyclic(4)")
-    spec = homomorphism_cocycle(Z2, klein, {"x1+": 1, "x2+": 2}, A, metric=METRIC)
+    spec = homomorphism_cocycle(Z2, klein, {"x1+": 1, "x2+": 2}, A)
     rebuilt = cocycle_spec_from_jsonable(cocycle_spec_to_jsonable(spec))
     x = background_configuration(Z2, A)
     assert spec.evaluate((2, 0), x) == rebuilt.evaluate((2, 0), x) == 0  # 1 * 1 in Z/2 x Z/2
@@ -969,4 +964,4 @@ def test_cell_outside_the_declared_window_is_cocycle_error():
                            table={(a, b): (0.0,) for a in A for b in A})
     with pytest.raises(CocycleError,
                        match=r"'x2-'.*cell \(2,1\) has length 3.*window 2"):
-        CocycleSpec(Z2, R1, A, 0, maps, metric=METRIC)
+        CocycleSpec(Z2, R1, A, 0, maps)

@@ -14,7 +14,6 @@ from untwist import (
     GroupError,
     InfiniteCyclic,
     IntegerLattice,
-    WordMetric,
     classify_growth,
     div_function,
     div_pair,
@@ -75,7 +74,6 @@ def test_axis_pairs_match_grid_oracle(n):
 
 
 def test_zero_radius_gives_geodesic_distance():
-    metric = WordMetric(Z2)
     rng = random.Random(2)
     table = enumerate_ball(Z2, 12)
     elems = list(table.lengths)
@@ -87,7 +85,7 @@ def test_zero_radius_gives_geodesic_distance():
         if q.forbidden_radius != 0:
             continue
         result = avoidant_shortest_path(q)
-        assert result.length == metric.distance(a, b)
+        assert result.length == Z2.exact_length(Z2.mul(Z2.inv(a), b))
 
 
 def test_path_witness_is_valid():
@@ -96,12 +94,11 @@ def test_path_witness_is_valid():
     path = result.path
     assert path[0] == (-6, 0) and path[-1] == (6, 0)
     assert len(path) - 1 == result.length
-    metric = WordMetric(Z2)
     for u, v in zip(path, path[1:]):
-        assert metric.distance(u, v) == 1
+        assert Z2.exact_length(Z2.mul(Z2.inv(u), v)) == 1
     for v in path:
-        assert metric.distance((0, 0), v) >= q.forbidden_radius
-        assert metric.length(v) <= q.window_radius
+        assert Z2.exact_length(Z2.mul(Z2.inv((0, 0)), v)) >= q.forbidden_radius
+        assert Z2.exact_length(v) <= q.window_radius
 
 
 def test_z_interior_obstacle_infinite():
@@ -131,7 +128,7 @@ def test_free_group_obstacles_on_and_off_the_geodesic():
     assert off.forbidden_radius == 4
     result = avoidant_shortest_path(off)
     assert (result.outcome, result.length) == (FINITE, 12)
-    assert result.path == tuple(geodesic_points(F2, a, b, WordMetric(F2)))
+    assert result.path == tuple(geodesic_points(F2, a, b))
 
 
 def test_free_group_divergence_is_certified_infinite_once_obstacles_bite():
@@ -203,9 +200,8 @@ def test_window_monotonicity():
 
 
 def test_div_pair_adjacent_points():
-    metric = WordMetric(Z2)
     rng = random.Random(0)
-    obstacles = default_obstacles(Z2, (0, 0), (1, 0), 12, rng, metric, 6)
+    obstacles = default_obstacles(Z2, (0, 0), (1, 0), 12, rng, 6)
     pair = div_pair(Z2, (0, 0), (1, 0), obstacles, 12)
     assert pair.value == 1.0
 
@@ -222,15 +218,14 @@ def test_div_pair_refuses_a_malformed_endpoint():
 def test_obstacle_samples_match_a_pool_without_the_endpoints(a, b):
     # z^2 has a ball box: each sample is the first point of [-6, 6]^2 drawn
     # that lies in B(6) and is neither endpoint.
-    metric = WordMetric(Z2)
-    obstacles = default_obstacles(Z2, a, b, 6, random.Random(3), metric, 40)
+    obstacles = default_obstacles(Z2, a, b, 6, random.Random(3), 40)
     rng = random.Random(3)
     samples = []
     while len(samples) < 40:
         g = (rng.randint(-6, 6), rng.randint(-6, 6))
         if abs(g[0]) + abs(g[1]) <= 6 and g not in (a, b):
             samples.append(g)
-    geodesic = [p for p in geodesic_points(Z2, a, b, metric) if p not in (a, b)]
+    geodesic = [p for p in geodesic_points(Z2, a, b) if p not in (a, b)]
     assert obstacles == list(dict.fromkeys(geodesic + samples))
 
 
@@ -239,7 +234,7 @@ def test_obstacle_samples_match_a_pool_without_the_endpoints(a, b):
 def test_obstacle_draws_cover_the_window_ball_but_the_endpoints(group, a, b):
     # B(2) minus {a, b} has 11 elements on z^2 and 15 on the Heisenberg group.
     ball = set(l1_ball(2)) if group is Z2 else set(heisenberg_lengths(2))
-    obstacles = default_obstacles(group, a, b, 2, random.Random(5), WordMetric(group), 400)
+    obstacles = default_obstacles(group, a, b, 2, random.Random(5), 400)
     assert set(obstacles) == ball - {a, b}
 
 
@@ -250,8 +245,7 @@ def test_heisenberg_obstacle_samples_match_an_independent_box_rejection(a, b):
     # coordinate at a time, that the raw BFS puts in B(4) and is neither
     # endpoint.
     group = DiscreteHeisenberg()
-    metric = WordMetric(group)
-    obstacles = default_obstacles(group, a, b, 4, random.Random(3), metric, 40)
+    obstacles = default_obstacles(group, a, b, 4, random.Random(3), 40)
     ball = heisenberg_lengths(4)
     rng = random.Random(3)
     samples = []
@@ -259,7 +253,7 @@ def test_heisenberg_obstacle_samples_match_an_independent_box_rejection(a, b):
         g = (rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-16, 16))
         if g in ball and g not in (a, b):
             samples.append(g)
-    geodesic = [p for p in geodesic_points(group, a, b, metric) if p not in (a, b)]
+    geodesic = [p for p in geodesic_points(group, a, b) if p not in (a, b)]
     assert obstacles == list(dict.fromkeys(geodesic + samples))
 
 
@@ -268,17 +262,15 @@ def test_an_empty_obstacle_pool_draws_nothing():
     rng = random.Random(1)
     for group in (Z2, FreeGroup(2), ZZ):
         e, s = group.identity, group.gens[0][1]
-        assert default_obstacles(group, e, s, 0, rng, WordMetric(group)) == []
-        assert default_obstacles(group, s, group.mul(s, s), 0, rng,
-                                 WordMetric(group)) == [e]
+        assert default_obstacles(group, e, s, 0, rng) == []
+        assert default_obstacles(group, s, group.mul(s, s), 0, rng) == [e]
 
 
 def test_div_pair_axis_values_in_band():
-    metric = WordMetric(Z2)
     rng = random.Random(7)
     for n in (6, 9, 12, 14):
         a, b = (-n, 0), (n, 0)
-        obstacles = default_obstacles(Z2, a, b, 4 * n, rng, metric, 10)
+        obstacles = default_obstacles(Z2, a, b, 4 * n, rng, 10)
         pair = div_pair(Z2, a, b, obstacles, 4 * n)
         assert 3 * n - 8 <= pair.value <= 3 * n + 8
         assert pair.witness_c is not None
@@ -450,8 +442,7 @@ def test_search_takes_a_tenth_of_the_breadth_first_steps():
 
 
 def test_geodesic_points_cover_segment():
-    metric = WordMetric(Z2)
-    pts = geodesic_points(Z2, (-3, 0), (3, 0), metric)
+    pts = geodesic_points(Z2, (-3, 0), (3, 0))
     assert pts[0] == (-3, 0) and pts[-1] == (3, 0)
     assert len(pts) == 7
 
@@ -534,8 +525,8 @@ def test_random_pairs_halve_draws_that_cover_the_sphere(group):
     else:
         sphere = {g for g, k in heisenberg_lengths(3).items() if k == 3}
         quotient = lambda a, b: heisenberg_mul(heisenberg_inv(a), b)
-    metric, rng = WordMetric(group), random.Random(9)
-    drawn = {quotient(*_random_pair(group, 3, metric, rng)) for _ in range(400)}
+    rng = random.Random(9)
+    drawn = {quotient(*_random_pair(group, 3, rng)) for _ in range(400)}
     assert drawn == sphere
 
 

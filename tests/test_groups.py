@@ -181,15 +181,14 @@ def test_exact_length_is_the_word_length(group):
 
 @pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
 def test_geodesic_words_are_valid(group):
-    metric = WordMetric(group)
     for g, length in enumerate_ball(group, 4).lengths.items():
-        word = metric.geodesic_word(g)
+        word = group.geodesic_word(g)
         assert len(word) == length
         assert group.eval_word(word) == g
 
 
 def test_geodesic_of_identity_is_empty():
-    assert WordMetric(IntegerLattice(2)).geodesic_word((0, 0)) == []
+    assert IntegerLattice(2).geodesic_word((0, 0)) == []
 
 
 @pytest.mark.parametrize("group", MODELS, ids=lambda g: type(g).__name__ + ":" + g.name)
@@ -198,20 +197,8 @@ def test_geodesic_words_equal_bfs_tree_words(group):
     heisenberg = isinstance(group, DiscreteHeisenberg)
     mul = heisenberg_mul if heisenberg else group.mul
     tree = bfs_tree_words(group.identity, group.gens, mul, 10 if heisenberg else 5)
-    metric = WordMetric(group)
     for g, word in tree.items():
-        assert metric.geodesic_word(g) == word
-
-
-@pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
-def test_generation_witnesses(group):
-    witnesses = group.generation_witnesses()
-    assert witnesses
-    radius = max(rad for _, rad in witnesses)
-    table = enumerate_ball(group, radius)
-    for elem, rad in witnesses:
-        assert table.length(elem) is not None
-        assert table.length(elem) <= rad
+        assert group.geodesic_word(g) == word
 
 
 @pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
@@ -294,7 +281,7 @@ def test_closed_form_length_builds_no_table(group, monkeypatch):
         g = random_element(group, rng)
         length = group.exact_length(g)
         assert metric.length(g) == length
-        assert len(metric.geodesic_word(g)) == length
+        assert len(group.geodesic_word(g)) == length
 
 
 # -- uniform draws -------------------------------------------------------------
@@ -478,11 +465,12 @@ def test_symmetric_generating_sets():
 
 
 def test_word_metric_grows_and_matches_table():
-    metric = WordMetric(DiscreteHeisenberg())
+    heis = DiscreteHeisenberg()
+    metric = WordMetric(heis)
     assert metric.length((0, 0, 1)) == 4
     assert metric.length((0, 0, 2)) == 6
-    assert metric.distance((1, 0, 0), (1, 0, 0)) == 0
-    word = metric.geodesic_word((0, 0, 1))
+    assert metric.length(heis.mul(heis.inv((1, 0, 0)), (1, 0, 0))) == 0
+    word = heis.geodesic_word((0, 0, 1))
     assert len(word) == 4
 
 
@@ -501,12 +489,57 @@ def test_word_metric_length_validates_once(group, monkeypatch):
     assert calls == [g]
 
 
+@pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
+def test_geodesic_word_validates_its_element_once(group, monkeypatch):
+    with pytest.raises(GroupError):
+        group.geodesic_word("ab")
+    calls = []
+    validate = group.validate
+
+    def counting(a):
+        calls.append(a)
+        validate(a)
+
+    g = group.eval_word([lab for lab, _ in group.gens[:3]])
+    monkeypatch.setattr(group, "validate", counting)
+    assert group.eval_word(group.geodesic_word(g)) == g
+    assert calls == [g]
+
+
 def test_word_metric_budget():
     metric = WordMetric(DiscreteHeisenberg(), max_elements=30)
     with pytest.raises(ResourceLimit):
         metric.table(5)
     # Lengths need no table, so the budget does not bound them.
     assert metric.length((0, 0, 5)) == heisenberg_lengths(10)[(0, 0, 5)]
+
+
+def test_readers_that_list_no_ball_build_no_word_metric(monkeypatch):
+    """Divergence, profiles, conjugation checks and cocycle specs read lengths
+    and geodesic words from the group, so none of them builds a WordMetric."""
+    import json
+    import math
+    import os
+
+    from untwist import (Configuration, build_profile, cocycle_spec_from_jsonable,
+                         conjugation_compression_check, div_function, holonomy)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a reader that lists no ball built a WordMetric")
+
+    monkeypatch.setattr(WordMetric, "__init__", refuse)
+    assert [row.n for row in div_function(IntegerLattice(2), 8)] == list(range(2, 9))
+    # At n = 12 a search on free:2 meets an obstacle it certifies as cutting.
+    assert div_function(FreeGroup(2), 12)[-1].value == math.inf
+    heis = DiscreteHeisenberg()
+    assert build_profile(heis, (0, 0, 1), 8).compression(4) == 8
+    assert conjugation_compression_check(heis, (1, 0, 0), (0, 1, 0), 8).holds
+    path = os.path.join(os.path.dirname(__file__), "golden", "coboundary_w0.json")
+    with open(path, encoding="utf-8") as fh:
+        spec = cocycle_spec_from_jsonable(json.load(fh))
+    x = Configuration(spec.group, spec.alphabet, spec.background, {(0, 0): 1})
+    _, cert = holonomy(spec, (1, 0), x, spec.background_config())
+    assert cert.tail_bound < cert.epsilon
 
 
 @pytest.mark.parametrize("seed", range(6))

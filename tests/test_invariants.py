@@ -26,18 +26,18 @@ Z = InfiniteCyclic()
 # -- power length tables -------------------------------------------------------
 
 def test_z2_generator_power_lengths():
-    table = power_lengths(WordMetric(Z2), (1, 0), 10)
+    table = power_lengths(Z2, (1, 0), 10)
     assert table.entries == tuple((j, j) for j in range(1, 11))
 
 
 def test_z2_diagonal_power_lengths():
-    table = power_lengths(WordMetric(Z2), (1, 1), 10)
+    table = power_lengths(Z2, (1, 1), 10)
     assert table.entries == tuple((j, 2 * j) for j in range(1, 6))
 
 
 def test_heisenberg_central_power_lengths_match_oracle():
     oracle = heisenberg_lengths(8)
-    table = power_lengths(WordMetric(HEIS), (0, 0, 1), 8)
+    table = power_lengths(HEIS, (0, 0, 1), 8)
     expected = []
     j = 1
     while True:
@@ -57,31 +57,31 @@ def test_power_lengths_ignore_a_table_grown_past_the_radius():
     grown = WordMetric(HEIS)
     grown.table(12)
     for g in [(0, 0, 1), (1, 0, 0), (1, 1, 0), (0, 1, 2)]:
-        fresh = power_lengths(WordMetric(HEIS), g, 8)
-        assert power_lengths(grown, g, 8).entries == fresh.entries
+        fresh = power_lengths(HEIS, g, 8)
+        assert power_lengths(grown.group, g, 8).entries == fresh.entries
 
 
 def test_power_lengths_rejects_identity():
     with pytest.raises(GroupError):
-        power_lengths(WordMetric(Z2), (0, 0), 5)
+        power_lengths(Z2, (0, 0), 5)
 
 
 def test_power_lengths_radius_too_small():
     with pytest.raises(OutOfRange):
-        power_lengths(WordMetric(HEIS), (0, 0, 1), 2)
+        power_lengths(HEIS, (0, 0, 1), 2)
 
 
 # -- distortion / compression ---------------------------------------------------
 
 def test_z2_distortion_is_floor():
-    profile = build_profile(WordMetric(Z2), (1, 0), 10)
+    profile = build_profile(Z2, (1, 0), 10)
     for x in range(11):
         assert profile.distortion(x) == x
     assert profile.distortion(7.9) == 7
 
 
 def test_heisenberg_distortion_facts():
-    profile = build_profile(WordMetric(HEIS), (0, 0, 1), 8)
+    profile = build_profile(HEIS, (0, 0, 1), 8)
     assert profile.distortion(8) >= 4
     assert profile.distortion(4) == 1
     with pytest.raises(OutOfRange):
@@ -89,16 +89,16 @@ def test_heisenberg_distortion_facts():
 
 
 def test_z2_compression_linear():
-    profile = build_profile(WordMetric(Z2), (1, 0), 10)
+    profile = build_profile(Z2, (1, 0), 10)
     for i in range(1, profile.j_max + 1):
         assert profile.compression(i) == i
-    profile2 = build_profile(WordMetric(Z2), (1, 1), 10)
+    profile2 = build_profile(Z2, (1, 1), 10)
     for i in range(1, profile2.j_max + 1):
         assert profile2.compression(i) == 2 * i
 
 
 def test_heisenberg_compression_values():
-    profile = build_profile(WordMetric(HEIS), (0, 0, 1), 8)
+    profile = build_profile(HEIS, (0, 0, 1), 8)
     assert profile.compression(1) == 4
     assert profile.compression(2) == 6
     # words evaluating to central elements have even length
@@ -107,10 +107,10 @@ def test_heisenberg_compression_values():
 
 
 def test_rho_inverse():
-    profile = build_profile(WordMetric(HEIS), (0, 0, 1), 8)
+    profile = build_profile(HEIS, (0, 0, 1), 8)
     assert profile.rho_inverse(4) == 1
     assert profile.rho_inverse(3) == 0
-    lattice = build_profile(WordMetric(Z2), (1, 0), 10)
+    lattice = build_profile(Z2, (1, 0), 10)
     for c in range(1, 10):
         assert lattice.rho_inverse(c) == c
     for i in range(1, lattice.j_max):
@@ -118,13 +118,13 @@ def test_rho_inverse():
 
 
 def test_rho_inverse_out_of_range_when_uncertifiable():
-    profile = build_profile(WordMetric(Z2), (1, 0), 10)
+    profile = build_profile(Z2, (1, 0), 10)
     with pytest.raises(OutOfRange):
         profile.rho_inverse(1000)
 
 
 def test_lower_bound_validation_is_hard():
-    table = power_lengths(WordMetric(HEIS), (0, 0, 1), 8)
+    table = power_lengths(HEIS, (0, 0, 1), 8)
     from untwist.groups import LinearBound
 
     with pytest.raises(GroupError):
@@ -144,7 +144,7 @@ PROFILE_CASES = [
 @pytest.mark.parametrize("group,g,radius", PROFILE_CASES,
                          ids=lambda v: str(v)[:24])
 def test_power_bound_inequalities(group, g, radius):
-    profile = build_profile(WordMetric(group), g, radius)
+    profile = build_profile(group, g, radius)
     for j, length in profile.table.entries:
         assert profile.distortion(length) >= j
         assert profile.compression(j) <= length
@@ -153,7 +153,7 @@ def test_power_bound_inequalities(group, g, radius):
 @pytest.mark.parametrize("group,g,radius", PROFILE_CASES,
                          ids=lambda v: str(v)[:24])
 def test_inverse_sandwich_inequalities(group, g, radius):
-    profile = build_profile(WordMetric(group), g, radius)
+    profile = build_profile(group, g, radius)
     for x in range(1, radius + 1):
         if x <= profile.j_max:
             rho_x = profile.compression(x)
@@ -170,7 +170,7 @@ def test_inverse_sandwich_inequalities(group, g, radius):
 @pytest.mark.parametrize("group,g,radius", PROFILE_CASES,
                          ids=lambda v: str(v)[:24])
 def test_sub_and_super_additivity(group, g, radius):
-    profile = build_profile(WordMetric(group), g, radius)
+    profile = build_profile(group, g, radius)
     for x in range(1, profile.j_max + 1):
         for y in range(1, profile.j_max - x + 1):
             assert profile.compression(x + y) <= profile.compression(x) + profile.compression(y)
@@ -182,7 +182,7 @@ def test_sub_and_super_additivity(group, g, radius):
 @pytest.mark.parametrize("group,g,radius", PROFILE_CASES,
                          ids=lambda v: str(v)[:24])
 def test_monotone_profiles(group, g, radius):
-    profile = build_profile(WordMetric(group), g, radius)
+    profile = build_profile(group, g, radius)
     rho = [profile.compression(i) for i in range(1, profile.j_max + 1)]
     assert rho == sorted(rho)
     delta = [profile.distortion(x) for x in range(radius + 1)]
@@ -192,7 +192,7 @@ def test_monotone_profiles(group, g, radius):
 @pytest.mark.parametrize("group,g,radius", PROFILE_CASES,
                          ids=lambda v: str(v)[:24])
 def test_declared_lower_bound_sound(group, g, radius):
-    profile = build_profile(WordMetric(group), g, radius)
+    profile = build_profile(group, g, radius)
     for i in range(1, profile.j_max + 1):
         assert profile.lower_bound.value(i) <= profile.compression(i)
 
@@ -200,19 +200,19 @@ def test_declared_lower_bound_sound(group, g, radius):
 # -- translation numbers ---------------------------------------------------------
 
 def test_translation_z2_diagonal():
-    data = build_profile(WordMetric(Z2), (1, 1), 12).translation_data()
+    data = build_profile(Z2, (1, 1), 12).translation_data()
     assert all(ratio == 2.0 for _, _, ratio in data.terms)
     assert data.best_upper_bound == 2.0
     assert data.undistorted_witness
 
 
 def test_translation_z_three():
-    data = translation_number(power_lengths(WordMetric(Z), (3,), 15))
+    data = translation_number(power_lengths(Z, (3,), 15))
     assert data.best_upper_bound == 3.0
 
 
 def test_translation_heisenberg_center_decays():
-    profile = build_profile(WordMetric(HEIS, 500_000), (0, 0, 1), 20)
+    profile = build_profile(HEIS, (0, 0, 1), 20)
     data = profile.translation_data()
     by_n = {n: ratio for n, _, ratio in data.terms}
     assert by_n[25] == 20 / 25
@@ -223,7 +223,7 @@ def test_translation_heisenberg_center_decays():
 
 
 def test_translation_z2_generator_witness():
-    data = build_profile(WordMetric(Z2), (1, 0), 8).translation_data()
+    data = build_profile(Z2, (1, 0), 8).translation_data()
     assert data.undistorted_witness
     assert data.lower_bound == 1.0
 
@@ -231,11 +231,11 @@ def test_translation_z2_generator_witness():
 def test_diagonal_generating_set_profile():
     # the same element measured against the augmented generating set
     diag = IntegerLattice(2, diagonal=True)
-    profile = build_profile(WordMetric(diag), (1, 1), 10)
+    profile = build_profile(diag, (1, 1), 10)
     assert [profile.compression(i) for i in range(1, profile.j_max + 1)] == \
         list(range(1, profile.j_max + 1))
     assert profile.translation_data().best_upper_bound == 1.0
-    standard = build_profile(WordMetric(Z2), (1, 1), 10)
+    standard = build_profile(Z2, (1, 1), 10)
     assert standard.translation_data().best_upper_bound == 2.0
     assert profile.table.generating_set != standard.table.generating_set
 
@@ -243,7 +243,7 @@ def test_diagonal_generating_set_profile():
 # -- summability -----------------------------------------------------------------
 
 def test_sdt_geometric_series_exact():
-    profile = build_profile(WordMetric(Z2), (1, 0), 20)
+    profile = build_profile(Z2, (1, 0), 20)
     for T in (4, 9, 16):
         report = sdt_partial_sum(profile, 0.5, T)
         assert math.isclose(report.partial_sum, 1.0 - 2.0 ** (-T), rel_tol=1e-12)
@@ -252,7 +252,7 @@ def test_sdt_geometric_series_exact():
 
 
 def test_sdt_heisenberg_center_tail():
-    profile = build_profile(WordMetric(HEIS), (0, 0, 1), 10)
+    profile = build_profile(HEIS, (0, 0, 1), 10)
     report = sdt_partial_sum(profile, 0.5, 8)
     # brute-force the lower-bound tail with many terms; closed form must dominate
     brute = sum(0.5 ** profile.lower_bound.value(i) for i in range(9, 40000))
@@ -262,14 +262,14 @@ def test_sdt_heisenberg_center_tail():
 
 
 def test_sdt_monotone_in_r():
-    profile = build_profile(WordMetric(Z2), (1, 0), 16)
+    profile = build_profile(Z2, (1, 0), 16)
     values = [sdt_partial_sum(profile, r, 10).partial_sum
               for r in (0.5, 0.25, 0.1, 0.01)]
     assert values == sorted(values, reverse=True)
 
 
 def test_sdt_rejects_bad_base():
-    profile = build_profile(WordMetric(Z2), (1, 0), 8)
+    profile = build_profile(Z2, (1, 0), 8)
     with pytest.raises(GroupError):
         sdt_partial_sum(profile, 1.5, 4)
 
@@ -303,7 +303,7 @@ def test_product_profile_uses_summed_bound():
 
     prod = DirectProduct(Z, Z)
     g = ((1,), (1,))
-    profile = build_profile(WordMetric(prod), g, 10)
+    profile = build_profile(prod, g, 10)
     assert profile.lower_bound.describe() == "sum(linear(slope=1),linear(slope=1))"
     assert profile.lower_bound.linear_slope() == 2
     for i in range(1, profile.j_max + 1):
@@ -314,19 +314,19 @@ def test_product_profile_uses_summed_bound():
 
 
 def test_conjugation_by_identity_has_zero_slack():
-    check = conjugation_compression_check(WordMetric(Z2), (1, 0), (0, 0), 8)
+    check = conjugation_compression_check(Z2, (1, 0), (0, 0), 8)
     assert check.t_length == 0
     assert all(s == 0 for s in check.slacks)
 
 
 def test_conjugation_abelian_slack_nonnegative():
-    check = conjugation_compression_check(WordMetric(Z2), (1, 0), (3, -2), 10)
+    check = conjugation_compression_check(Z2, (1, 0), (3, -2), 10)
     assert check.t_length == 5
     assert check.min_slack == 2 * 5  # conjugation is trivial in Z^2
 
 
 def test_conjugation_heisenberg():
-    check = conjugation_compression_check(WordMetric(HEIS), (1, 0, 0), (0, 1, 0), 8)
+    check = conjugation_compression_check(HEIS, (1, 0, 0), (0, 1, 0), 8)
     assert check.holds
     assert check.min_slack >= 0
 
@@ -347,5 +347,5 @@ def recording_ball_starts(monkeypatch):
 
 def test_heisenberg_conjugation_check_enumerates_no_ball(monkeypatch):
     starts = recording_ball_starts(monkeypatch)
-    assert conjugation_compression_check(WordMetric(HEIS), (1, 0, 0), (0, 1, 0), 8).holds
+    assert conjugation_compression_check(HEIS, (1, 0, 0), (0, 1, 0), 8).holds
     assert starts == []
