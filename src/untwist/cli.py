@@ -23,6 +23,7 @@ from .groups import (
     OutOfRange,
     ResourceLimit,
     WordMetric,
+    enumerate_ball,
     parse_group,
 )
 from .reporting import write_csv, write_json
@@ -50,7 +51,7 @@ def _decoding(path):
         raise
     except KeyError as exc:
         raise InputError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad value: {exc}") from None
 
 
@@ -72,7 +73,7 @@ def _ensure_dir(path):
 
 def cmd_ball(args) -> int:
     group = parse_group(args.group)
-    table = WordMetric(group, args.max_elements).table(args.radius)
+    table = enumerate_ball(group, args.radius, args.max_elements)
     config = _echo(args, ("group", "radius"))
     rows = sorted(
         ((group.format_elem(g), length) for g, length in table.lengths.items()),
@@ -217,7 +218,7 @@ def cmd_subshift(args) -> int:
                          default_specification_constants, glue, membership_check)
 
     group = parse_group(args.group)
-    metric = WordMetric(group, args.max_elements)
+    metric = WordMetric(group)
     with _decoding(args.spec) as spec_obj:
         shift = _load_subshift(group, spec_obj["subshift"])
         x = Configuration.from_jsonable(group, spec_obj["x"])
@@ -234,10 +235,11 @@ def cmd_subshift(args) -> int:
         member = membership_check(x, shift)
         write_json(args.out, {"config": config, "member": member})
         return 0
-    params = ConeParams.create(
-        group, anchor, radius_R, s_prime, t_prime, metric,
-        max_query_length=max_query_length,
-    )
+    try:
+        params = ConeParams.create(group, anchor, radius_R, s_prime, t_prime, metric,
+                                   max_query_length=max_query_length)
+    except ContractError as exc:  # each value it checks comes from the task
+        raise InputError(f"{args.spec}: {exc}") from None
     payload = {"config": config, "n_spec": params.specification_ball_radius(),
                "overlap_bound": params.overlap_window_bound()}
     try:
@@ -265,20 +267,21 @@ def cmd_cocycle(args) -> int:
     from .cocycles import (TransferTable, VerificationError, cocycle_spec_from_jsonable,
                            extract_homomorphism, generator_independence,
                            relation_consistency)
-    from .sampling import random_configuration, seeded_rng
+    import random
+
+    from .sampling import random_configuration
 
     group = parse_group(args.group)
     with _decoding(args.spec) as spec_obj:
         spec = cocycle_spec_from_jsonable(spec_obj, group)
-    rng = seeded_rng(args.seed)
-    metric = WordMetric(group, args.max_elements)  # the sample pool's ball
-    samples = [
-        random_configuration(group, metric, spec.alphabet, rng,
-                             max_radius=args.sample_radius,
-                             n_cells=args.sample_cells,
-                             background=spec.background)
-        for _ in range(args.samples)
-    ]
+    rng = random.Random(args.seed)
+    # The sample pool, B(sample_radius) in BFS order, is listed once, and only
+    # when a sample can hold a symbol besides the background.
+    cells = (list(enumerate_ball(group, args.sample_radius, args.max_elements).order)
+             if any(s != spec.background for s in spec.alphabet) else [])
+    samples = [random_configuration(group, cells, spec.alphabet, rng,
+                                    args.sample_cells, spec.background)
+               for _ in range(args.samples)]
     config = _echo(args, ("group", "spec", "mode", "epsilon", "tol", "seed",
                           "samples", "sample_radius", "sample_cells"))
     positives = group.positive_labels
@@ -334,18 +337,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file whose keys override flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=False, budgeted=False):
         p.add_argument("--group", required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-elements", type=int, default=DEFAULT_METRIC_BUDGET,
-                       dest="max_elements",
-                       help="element budget of the balls that ball and cocycle "
-                            "untwist enumerate; the other subcommands list no ball")
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
+        if budgeted:
+            p.add_argument("--max-elements", type=int, default=DEFAULT_METRIC_BUDGET,
+                           dest="max_elements",
+                           help="element budget of the ball this subcommand lists")
         p.add_argument("--out", required=True)
         p.set_defaults(subparser=p)
 
     p = sub.add_parser("ball", help="export a ball table as CSV")
-    common(p)
+    common(p, budgeted=True)
     p.add_argument("--radius", type=int, required=True)
     p.set_defaults(func=cmd_ball)
 
@@ -359,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("divergence", help="sampled divergence function")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--window-factor", type=int, default=4, dest="window_factor")
     p.add_argument("--sample-budget", type=int, default=10, dest="sample_budget")
@@ -368,13 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subshift", help="glue or membership-check configurations")
     p.add_argument("mode", choices=["glue", "check"])
-    common(p)
+    common(p, seeded=True)  # --seed is read by nothing; perfbench/workloads.py passes it
     p.add_argument("--spec", required=True, help="JSON task description")
     p.set_defaults(func=cmd_subshift)
 
     p = sub.add_parser("cocycle", help="untwist a cocycle specification")
     p.add_argument("mode", choices=["untwist"])
-    common(p)
+    common(p, seeded=True, budgeted=True)
     p.add_argument("--spec", required=True, help="cocycle spec JSON")
     p.add_argument("--epsilon", type=float, default=1e-8)
     p.add_argument("--tol", type=float, default=1e-6)

@@ -41,6 +41,9 @@ def canonical_cells(metric: WordMetric, window: int):
     ))
 
 
+TABULATION_LIMIT = 65536  # patterns BlockMap.tabulated will list
+
+
 class BlockMap:
     """Map from configurations to a target group through a finite window.
 
@@ -88,14 +91,14 @@ class BlockMap:
     def value(self, x: Configuration):
         return self.lookup(tuple(x.symbol_at(c) for c in self.cells))
 
-    def tabulated(self, alphabet, limit: int = 65536) -> "BlockMap":
+    def tabulated(self, alphabet) -> "BlockMap":
         """Materialise an explicit table over all patterns (exact diameter)."""
         if self.table is not None:
             return self
         n_patterns = len(alphabet) ** len(self.cells)
-        if n_patterns > limit:
-            raise CocycleError(
-                f"{n_patterns} patterns exceed the tabulation limit {limit}")
+        if n_patterns > TABULATION_LIMIT:
+            raise CocycleError(f"{n_patterns} patterns exceed the tabulation "
+                               f"limit {TABULATION_LIMIT}")
         table = {}
         for pattern in itertools.product(alphabet, repeat=len(self.cells)):
             table[pattern] = self.fn(pattern)
@@ -214,6 +217,11 @@ class CocycleSpec:
             radius = max(map(self.group.exact_length, cells), default=0)
             found = self._read_cache[g] = (cells, radius)
         return found
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < math.inf:  # NaN fails both comparisons
+        raise CocycleError(f"epsilon must be finite and > 0, got {epsilon}")
 
 
 def _inverse_power(rate: float, k: int, what: str) -> float:
@@ -344,6 +352,7 @@ def holonomy(spec: CocycleSpec, g, x: Configuration, y: Configuration,
     to the last factor where x and y can differ: the later factor pairs are
     equal, so their product cancels exactly.
     """
+    _check_epsilon(epsilon)
     if g == spec.group.identity:
         raise CocycleError("holonomy needs an infinite-order anchor")
     bound, fmt, described = spec._anchor(g)
@@ -472,6 +481,7 @@ class TransferTable:
     """Memoised transfer map built from holonomies against the background."""
 
     def __init__(self, spec: CocycleSpec, anchor, epsilon: float = 1e-8):
+        _check_epsilon(epsilon)
         spec.group.validate(anchor)
         self.spec = spec
         self.anchor = anchor
@@ -511,6 +521,8 @@ def extract_homomorphism(spec: CocycleSpec, anchor, elements, samples,
     defect measures its dependence on the sample, the homomorphism defect its
     failure to be multiplicative.  A constancy defect above tolerance raises.
     """
+    if not tolerance >= 0.0:  # NaN fails it too
+        raise CocycleError(f"tolerance must be >= 0, got {tolerance}")
     group, target = spec.group, spec.target
     transfer = transfer or TransferTable(spec, anchor, epsilon)
     samples = list(samples)

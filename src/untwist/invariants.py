@@ -10,6 +10,7 @@ definitions: distortion is constant on [n, n+1), compression on (n-1, n].
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import NamedTuple
 
 from .groups import (
@@ -88,6 +89,11 @@ class CompressionProfile:
                     f"declared lower bound {lower_bound.describe()} exceeds the "
                     f"exact compression at {i}: {lower_bound.value(i)} > {self._rho[i]}"
                 )
+        # _delta[x] is the largest j with l(g^j) <= x, for 0 <= x <= radius.
+        delta = [0] * (self.radius + 1)
+        for j, length in table.entries:  # j ascends, so the largest j wins
+            delta[length] = j
+        self._delta = list(accumulate(delta, max))
 
     # -- exact invariants ---------------------------------------------------
 
@@ -98,11 +104,7 @@ class CompressionProfile:
             raise OutOfRange(f"distortion is exact only up to {self.radius}")
         if xf < 0:
             return 0
-        best = 0
-        for j, length in self.table.entries:
-            if length <= xf:
-                best = j
-        return best
+        return self._delta[xf]
 
     def compression(self, i) -> int:
         """Least length of a power g^j with |j| >= i (exact for i <= j_max)."""
@@ -135,7 +137,7 @@ class CompressionProfile:
     # -- translation numbers -------------------------------------------------
 
     def translation_data(self) -> "TranslationData":
-        return translation_number(self.table, self.lower_bound)
+        return translation_number(self.table)
 
 
 def build_profile(group: Group, g, radius: int) -> CompressionProfile:
@@ -153,16 +155,13 @@ class TranslationData(NamedTuple):
     undistorted_witness: bool
 
 
-def translation_number(table: PowerLengthTable,
-                       lower_bound: LengthLowerBound | None = None) -> TranslationData:
+def translation_number(table: PowerLengthTable) -> TranslationData:
     """Upper bounds l(g^n)/n for the translation number (subadditive limit).
 
     Every term bounds the limit from above; the running minimum is the
     non-increasing certified sequence.  A declared linear lower bound
     lambda*n yields the certified positive lower bound lambda.
     """
-    if lower_bound is None:
-        lower_bound = table.group.compression_lower_bound(table.g)
     terms = []
     running = []
     best = math.inf
@@ -171,7 +170,7 @@ def translation_number(table: PowerLengthTable,
         best = min(best, ratio)
         terms.append((j, length, ratio))
         running.append(best)
-    slope = lower_bound.linear_slope()
+    slope = table.group.compression_lower_bound(table.g).linear_slope()
     return TranslationData(
         terms=tuple(terms),
         running_min=tuple(running),

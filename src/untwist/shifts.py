@@ -204,8 +204,9 @@ class ConeParams:
                  metric: WordMetric):
         if radius_R < 0:
             raise ContractError("cone radius parameter must be >= 0")
-        if s_prime < 1.0 or t_prime < 0.0:
-            raise ContractError("specification constants need s' >= 1, t' >= 0")
+        if not (1.0 <= s_prime < math.inf and 0.0 <= t_prime < math.inf):
+            raise ContractError("specification constants need finite s' >= 1 and "
+                                f"t' >= 0, got s' = {s_prime}, t' = {t_prime}")
         group.validate(anchor)
         if profile.group is not group or profile.g != anchor:
             raise ContractError(

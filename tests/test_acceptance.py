@@ -1,6 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with -s to see them) and enforcing its runtime budget."""
 
+import random
 import time
 from contextlib import contextmanager
 
@@ -44,10 +45,10 @@ from untwist.cocycles import CocycleError
 from untwist.groups import OutOfRange
 from untwist.divergence import FINITE, INFINITE, avoidant_shortest_path, default_obstacles
 from untwist.shifts import GoldenMean
-from untwist.sampling import random_configuration, seeded_rng
+from untwist.sampling import random_configuration
 
 from corrupted import corrupted_spec
-from homoclinic import pair_agreeing_on_ball, random_homoclinic_pair
+from homoclinic import cell_pool, pair_agreeing_on_ball, random_homoclinic_pair
 
 Z2 = IntegerLattice(2)
 Z = InfiniteCyclic()
@@ -151,7 +152,7 @@ def test_criterion_4_divergence():
         q = make_query(Z, (-6,), (6,), (0,), 24)
         assert avoidant_shortest_path(q).outcome == INFINITE
 
-        rng = seeded_rng(7)
+        rng = random.Random(7)
         for n in range(6, 15):
             a, b = (-n, 0), (n, 0)
             window = 4 * n
@@ -169,7 +170,7 @@ def test_criterion_4_divergence():
 
 def test_criterion_5_specification_gluing():
     with criterion(5, "specification gluing and cone containment", budget=60):
-        rng = seeded_rng(501)
+        rng = random.Random(501)
         total_pairs = 0
         for R in (0, 2, 4):
             params = ConeParams.create(Z2, (1, 0), R, metric=METRIC2,
@@ -229,7 +230,7 @@ def test_criterion_6_certificate_soundness():
         spec, _ = planted_coboundary(
             target, {"x1+": (0.5,), "x2+": (-0.25,)},
             {(0, 0): (0.25,), (1, 0): (0.0625,), (0, -1): (-0.03125,)}, 1)
-        rng = seeded_rng(601)
+        rng = random.Random(601)
         pairs = [random_homoclinic_pair(Z2, METRIC2, A, rng, 7, 4)
                  for _ in range(200)]
         anchors = ((1, 0), (0, 1))
@@ -260,9 +261,9 @@ def untwist_case(target, phi, weights, window, samples, tolerance):
 def test_criterion_7_untwisting_roundtrip():
     with criterion(7, "untwisting roundtrips over three target groups",
                    budget=180):
-        rng = seeded_rng(701)
-        samples = [random_configuration(Z2, METRIC2, A, rng, 6, 4)
-                   for _ in range(100)]
+        rng = random.Random(701)
+        cells = cell_pool(METRIC2, 6)
+        samples = [random_configuration(Z2, cells, A, rng, 4) for _ in range(100)]
 
         c5 = cyclic_group(5)
         spec5, rep5, _ = untwist_case(
@@ -304,7 +305,7 @@ def test_criterion_7_untwisting_roundtrip():
 def test_criterion_8_holder_modulus_and_decay():
     with criterion(8, "transfer-map modulus and specification decay",
                    budget=60):
-        rng = seeded_rng(801)
+        rng = random.Random(801)
         target = RealVector(1)
         window = 2
         alpha = 0.125

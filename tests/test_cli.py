@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -274,6 +276,25 @@ def test_cocycle_window_past_float_range_exits_2(tmp_path, capsys):
     assert main(args + ["--spec", str(specs["homomorphism"])]) == 0
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--epsilon", "nan"], "epsilon must be finite and > 0, got nan"),
+    (["--epsilon", "inf"], "epsilon must be finite and > 0, got inf"),
+    (["--epsilon", "0"], "epsilon must be finite and > 0, got 0.0"),
+    (["--epsilon", "-1"], "epsilon must be finite and > 0, got -1.0"),
+    (["--tol", "-1"], "tolerance must be >= 0, got -1.0"),
+    (["--tol", "nan"], "tolerance must be >= 0, got nan"),
+    (["--sample-cells", "-1"], "sample cell count n_cells must be >= 0, got -1"),
+], ids=["epsilon-nan", "epsilon-inf", "epsilon-0", "epsilon-negative", "tol-negative",
+        "tol-nan", "sample-cells"])
+def test_cocycle_bad_setting_exits_2_naming_it(tmp_path, capsys, flags, message):
+    out = tmp_path / "report.json"
+    assert main(["cocycle", "untwist", "--group", "z^2", "--samples", "4",
+                 "--spec", os.path.join(ROOT, SPEC_RELPATH), "--out", str(out),
+                 *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [[], ["--samples", "1"]])
 def test_cocycle_untwist_over_the_background_alone(tmp_path, capsys, extra):
     # The shift over {0} has one point, the background configuration, so
@@ -316,12 +337,15 @@ def _edited_task(tmp_path, edit):
     ("glue", lambda t: t.update(anchor=5)),
     ("glue", lambda t: t.update(subshift=[])),
     ("glue", lambda t: t.update(s_prime="x")),
+    ("glue", lambda t: t.update(s_prime=math.inf)),
+    ("glue", lambda t: t.update(t_prime=math.nan)),
+    ("glue", lambda t: t.update(R=math.inf)),
     ("glue", lambda t: t.update(max_query_length=[])),
     ("cocycle", lambda p: p.update(rate="x")),
     ("cocycle", lambda p: p["generators"][0].update(window="w")),
     ("cocycle", lambda p: p.update(generators=5)),
 ], ids=["R", "x", "support-entry", "anchor", "subshift", "s_prime",
-        "max_query_length", "rate", "window", "generators"])
+        "s_prime-inf", "t_prime-nan", "R-inf", "max_query_length", "rate", "window", "generators"])
 def test_wrongly_typed_input_value_exits_2(tmp_path, capsys, command, edit):
     out = str(tmp_path / "out.json")
     if command == "glue":
@@ -440,13 +464,39 @@ def test_unusable_file_exits_2_naming_it(tmp_path, capsys, argv, content):
     assert not out.exists()
 
 
-def test_max_elements_defaults_to_the_metric_budget():
+REFUSED_SETTINGS = [
+    # Only ball and cocycle untwist list a ball, so only they take a budget;
+    # ball and invariants draw nothing, so they take no seed.
+    (["ball", "--group", "z", "--radius", "1"], "--seed", "seed"),
+    (["invariants", "--group", "z", "--element", "1", "--radius", "4"],
+     "--seed", "seed"),
+    (["invariants", "--group", "z", "--element", "1", "--radius", "4"],
+     "--max-elements", "max_elements"),
+    (["divergence", "--group", "z", "--nmax", "4"], "--max-elements", "max_elements"),
+    (["subshift", "glue", "--group", "z^2", "--spec", "t.json"],
+     "--max-elements", "max_elements"),
+]
+
+
+def test_max_elements_defaults_to_the_metric_budget(tmp_path, capsys):
     from untwist.cli import build_parser
     from untwist.groups import DEFAULT_METRIC_BUDGET
 
     for argv in (["ball", "--group", "z", "--radius", "1", "--out", "b.csv"],
-                 ["divergence", "--group", "z", "--nmax", "4", "--out", "d"]):
+                 ["cocycle", "untwist", "--group", "z", "--spec", "c.json",
+                  "--out", "r.json"]):
         assert build_parser().parse_args(argv).max_elements == DEFAULT_METRIC_BUDGET
+    out = str(tmp_path / "out")
+    cfg = tmp_path / "cfg.json"
+    for argv, flag, key in REFUSED_SETTINGS:
+        with pytest.raises(SystemExit) as info:
+            main([*argv, flag, "1", "--out", out])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        cfg.write_text(json.dumps({key: 1}))
+        assert main(["--config", str(cfg), *argv, "--out", out]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_cocycle_untwist_honours_max_elements(tmp_path, capsys):
@@ -471,20 +521,38 @@ def test_ball_honours_max_elements(tmp_path, capsys):
     assert "exceeded 100 elements" in err and "--max-elements" in err
 
 
-def refuse_ball_enumeration(monkeypatch):
-    """Record, instead of running, every enumerate_ball call of the package."""
-    import sys
-
+def record_ball_enumeration(monkeypatch, run):
+    """Record every enumerate_ball call of the package; run it only if run."""
     import untwist.groups as groups
 
     original, calls = groups.enumerate_ball, []
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs) if run else None
+
     # Patch every module that bound the function, not only its home.
     modules = [m for name, m in sys.modules.items() if name.startswith("untwist")]
     for module in modules:
         for key, value in list(vars(module).items()):
             if value is original:
-                monkeypatch.setattr(module, key, lambda *a, **k: calls.append(a))
+                monkeypatch.setattr(module, key, record)
     return calls
+
+
+def refuse_ball_enumeration(monkeypatch):
+    """Record, instead of running, every enumerate_ball call of the package."""
+    return record_ball_enumeration(monkeypatch, run=False)
+
+
+def test_cocycle_untwist_lists_its_sample_pool_once(tmp_path, monkeypatch):
+    from untwist.groups import DEFAULT_METRIC_BUDGET
+
+    calls = record_ball_enumeration(monkeypatch, run=True)
+    assert main(["cocycle", "untwist", "--group", "z^2", "--samples", "20",
+                 "--spec", os.path.join(ROOT, SPEC_RELPATH), "--seed", "3",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert [args[1:] for args in calls] == [(6, DEFAULT_METRIC_BUDGET)]
 
 
 def test_subshift_glue_on_heisenberg_enumerates_no_ball(tmp_path, monkeypatch):
@@ -499,7 +567,7 @@ def test_subshift_glue_on_heisenberg_enumerates_no_ball(tmp_path, monkeypatch):
     spec = tmp_path / "task.json"
     spec.write_text(json.dumps(task))
     assert main(["subshift", "glue", "--group", "heisenberg", "--spec", str(spec),
-                 "--max-elements", "100", "--out", str(tmp_path / "glue.json")]) == 0
+                 "--out", str(tmp_path / "glue.json")]) == 0
     assert calls == []
 
 
@@ -523,11 +591,24 @@ def test_subshift_glue_on_z2_enumerates_no_ball(tmp_path, monkeypatch):
 def test_divergence_heisenberg_nmax_8_within_a_million_elements(tmp_path):
     out = tmp_path / "divh"
     assert main(["divergence", "--group", "heisenberg", "--nmax", "8", "--seed", "7",
-                 "--max-elements", "1000000", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     rows = read(out / "divergence.csv").splitlines()[2:]
     golden = read(os.path.join(GOLDEN, "divergence_heisenberg.csv")).splitlines()[2:]
     assert [row.split(",")[0] for row in rows] == [str(n) for n in range(2, 9)]
     assert rows[:len(golden)] == golden
+
+
+def test_readme_cli_commands_parse():
+    from untwist.cli import build_parser
+
+    with open(os.path.join(ROOT, "README.md"), "r", encoding="utf-8") as fh:
+        block = fh.read().split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) == 6 and all(argv[0] == "untwist" for argv in commands)
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])  # an unknown flag exits 2
 
 
 def test_untwist_corrupted_spec_exits_1(tmp_path, monkeypatch):

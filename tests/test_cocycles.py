@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -36,10 +37,11 @@ from untwist import (
 )
 from untwist.cocycles import _differing_factor_count, canonical_cells
 from untwist.groups import DirectProduct, FreeGroup, InfiniteCyclic
-from untwist.sampling import random_configuration, seeded_rng
+from untwist.sampling import random_configuration
 
 from corrupted import corrupted_spec
-from homoclinic import pair_agreeing_on_ball, random_homoclinic_pair, random_homoclinic_triple
+from homoclinic import (cell_pool, pair_agreeing_on_ball, random_homoclinic_pair,
+                        random_homoclinic_triple)
 from test_targets import symmetric_group_3
 
 Z2 = IntegerLattice(2)
@@ -83,15 +85,15 @@ def potential_value(potential, x):
 
 
 def sample_configs(rng, count, radius=6, cells=4):
-    return [random_configuration(Z2, METRIC, A, rng, radius, cells)
-            for _ in range(count)]
+    pool = cell_pool(METRIC, radius)
+    return [random_configuration(Z2, pool, A, rng, cells) for _ in range(count)]
 
 
 # -- evaluation ----------------------------------------------------------------
 
 def test_homomorphism_spec_is_constant_in_x():
     spec = hom_spec()
-    rng = seeded_rng(1)
+    rng = random.Random(1)
     for x in sample_configs(rng, 5):
         for g in ((1, 0), (2, 3), (-1, 4)):
             assert spec.evaluate(g, x) == phi_value(spec, PHI_R1, g)
@@ -106,7 +108,7 @@ def test_evaluate_identity_element():
 def test_coboundary_evaluate_closed_form():
     potential = window1_potential()
     spec = coboundary_spec(potential=potential)
-    rng = seeded_rng(2)
+    rng = random.Random(2)
     for x in sample_configs(rng, 6):
         for g in ((1, 0), (0, 1), (2, -1), (-3, 2)):
             expected = (phi_value(spec, PHI_R1, g)[0]
@@ -118,7 +120,7 @@ def test_coboundary_evaluate_closed_form():
 
 def test_evaluate_matches_composition():
     spec = coboundary_spec()
-    rng = seeded_rng(3)
+    rng = random.Random(3)
     for x in sample_configs(rng, 4):
         for g, h in (((1, 0), (0, 1)), ((2, 1), (-1, 1))):
             lhs = spec.evaluate(Z2.mul(g, h), x)
@@ -130,13 +132,13 @@ def test_evaluate_matches_composition():
 
 def test_relation_consistency_homomorphism_exact():
     spec = hom_spec()
-    rng = seeded_rng(4)
+    rng = random.Random(4)
     assert relation_consistency(spec, sample_configs(rng, 6)) == 0.0
 
 
 def test_relation_consistency_coboundary_small():
     spec = coboundary_spec()
-    rng = seeded_rng(5)
+    rng = random.Random(5)
     pairs = [((1, 0), (0, 1)), ((1, 1), (1, 0))]
     assert relation_consistency(spec, sample_configs(rng, 6), pairs) <= 1e-12
 
@@ -177,7 +179,7 @@ def test_holder_constants_of_an_anchor_past_float_range():
 
 def test_holder_bound_observed_on_samples():
     spec = coboundary_spec()
-    rng = seeded_rng(6)
+    rng = random.Random(6)
     for n in (0, 1, 2, 4):
         C_g, r = spec.holder_constants((1, 0))
         for _ in range(10):
@@ -190,7 +192,7 @@ def test_holder_bound_observed_on_samples():
 
 def test_partial_products_homomorphism_trivial():
     spec = hom_spec()
-    rng = seeded_rng(7)
+    rng = random.Random(7)
     x, y = random_homoclinic_pair(Z2, METRIC, A, rng)
     for n in (1, 2, 5, 9):
         for sign in "+-":
@@ -199,7 +201,7 @@ def test_partial_products_homomorphism_trivial():
 
 def test_partial_products_equal_points():
     spec = coboundary_spec()
-    rng = seeded_rng(8)
+    rng = random.Random(8)
     x = sample_configs(rng, 1)[0]
     for n in (1, 3, 6):
         assert partial_product(spec, (1, 0), x, x, n, "+") == R1.identity
@@ -208,7 +210,7 @@ def test_partial_products_equal_points():
 def test_partial_product_coboundary_closed_form():
     potential = window1_potential()
     spec = coboundary_spec(potential=potential)
-    rng = seeded_rng(9)
+    rng = random.Random(9)
     g = (1, 0)
     x, y = random_homoclinic_pair(Z2, METRIC, A, rng)
     for n in (1, 2, 4, 8):
@@ -226,7 +228,7 @@ def test_partial_product_coboundary_closed_form():
 
 def test_holonomy_homomorphism_immediate():
     spec = hom_spec()
-    rng = seeded_rng(10)
+    rng = random.Random(10)
     x, y = random_homoclinic_pair(Z2, METRIC, A, rng)
     value, cert = holonomy(spec, (1, 0), x, y, EPS)
     assert value == R1.identity
@@ -245,7 +247,7 @@ def test_holonomy_identical_points_exact():
 def test_holonomy_coboundary_limit():
     potential = window1_potential()
     spec = coboundary_spec(potential=potential)
-    rng = seeded_rng(11)
+    rng = random.Random(11)
     for _ in range(10):
         x, y = random_homoclinic_pair(Z2, METRIC, A, rng)
         for g in ((1, 0), (0, 1)):
@@ -255,9 +257,22 @@ def test_holonomy_coboundary_limit():
             assert cert.tail_bound < EPS
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0])
+def test_epsilon_must_be_finite_and_positive(epsilon):
+    # A NaN or infinite epsilon would certify n_used 1 against a bound that
+    # means nothing; zero or a negative one would double n up to the cap.
+    spec = coboundary_spec()
+    x, y = Configuration(Z2, A, 0, {(2, 2): 1}), Configuration(Z2, A, 0, {})
+    for build in (lambda: holonomy(spec, (1, 0), x, y, epsilon),
+                  lambda: TransferTable(spec, (1, 0), epsilon)):
+        with pytest.raises(CocycleError, match=f"epsilon must be finite and > 0, "
+                                               f"got {epsilon}"):
+            build()
+
+
 def test_certificate_soundness_longer_truncations():
     spec = coboundary_spec()
-    rng = seeded_rng(12)
+    rng = random.Random(12)
     for _ in range(8):
         x, y = random_homoclinic_pair(Z2, METRIC, A, rng)
         value, cert = holonomy(spec, (1, 0), x, y, EPS)
@@ -269,14 +284,14 @@ def test_certificate_soundness_longer_truncations():
 
 def test_holonomy_cocycle_identity():
     spec = coboundary_spec()
-    rng = seeded_rng(13)
+    rng = random.Random(13)
     triples = [random_homoclinic_triple(Z2, METRIC, A, rng) for _ in range(8)]
     assert holonomy_identity_check(spec, (1, 0), triples, EPS) <= 3 * EPS
 
 
 def test_holonomy_symmetry():
     spec = coboundary_spec()
-    rng = seeded_rng(14)
+    rng = random.Random(14)
     for _ in range(8):
         x, y = random_homoclinic_pair(Z2, METRIC, A, rng)
         hxy, _ = holonomy(spec, (1, 0), x, y, EPS)
@@ -286,7 +301,7 @@ def test_holonomy_symmetry():
 
 def test_plus_minus_agreement():
     spec = coboundary_spec()
-    rng = seeded_rng(15)
+    rng = random.Random(15)
     pairs = [random_homoclinic_pair(Z2, METRIC, A, rng) for _ in range(8)]
     assert plus_minus_agree(spec, (1, 0), pairs, EPS) <= 2 * EPS
     assert plus_minus_agree(spec, (0, 1), pairs, EPS) <= 2 * EPS
@@ -294,7 +309,7 @@ def test_plus_minus_agreement():
 
 def test_generator_independence():
     spec = coboundary_spec()
-    rng = seeded_rng(16)
+    rng = random.Random(16)
     pairs = [random_homoclinic_pair(Z2, METRIC, A, rng) for _ in range(8)]
     assert generator_independence(spec, (1, 0), (0, 1), pairs, EPS) <= 2 * EPS
     # same anchor twice is a degenerate but valid comparison
@@ -392,7 +407,7 @@ CUT_OFF_CASES = [
                          ids=[case[0] for case in CUT_OFF_CASES])
 def test_holonomy_equals_the_full_truncation(make_spec, anchor, epsilon, pairs):
     spec = make_spec()
-    rng = seeded_rng(31)
+    rng = random.Random(31)
     for _ in range(pairs):
         x, y = random_homoclinic_pair(spec.group, WordMetric(spec.group), A, rng,
                                       max_radius=5)
@@ -423,7 +438,7 @@ def test_horizon_count_equals_the_full_walk(make_spec, anchor, epsilon, pairs):
     l(d) + radius(W_g); the count still equals the full walk's."""
     spec = make_spec()
     bound = spec.group.compression_lower_bound(anchor)
-    rng = seeded_rng(33)
+    rng = random.Random(33)
     counts = set()
     for _ in range(3 * pairs):
         x, y = random_homoclinic_pair(spec.group, WordMetric(spec.group), A, rng,
@@ -500,10 +515,10 @@ OFFSET_GROUPS = [Z2, HEIS, DirectProduct(InfiniteCyclic(), FreeGroup(2))]
 def test_offset_reads_equal_translated_configurations(group):
     metric = WordMetric(group)
     spec = position_sensitive_spec(group, metric)
-    rng = seeded_rng(41)
+    rng = random.Random(41)
     elements = canonical_cells(metric, 3)
     for _ in range(6):
-        x = random_configuration(group, metric, A, rng, max_radius=4, n_cells=12)
+        x = random_configuration(group, cell_pool(metric, 4), A, rng, n_cells=12)
         for words in group.defining_relation_word_pairs():
             for word in words:
                 assert spec.evaluate_word(word, x) == chain_value(spec, word, x)
@@ -521,7 +536,7 @@ def test_offset_reads_equal_translated_configurations(group):
 def test_holonomy_builds_no_translated_configuration(monkeypatch, make_spec,
                                                       anchor, epsilon, pairs):
     spec = make_spec()
-    rng = seeded_rng(42)
+    rng = random.Random(42)
     cases = []
     for _ in range(pairs):
         x, y = random_homoclinic_pair(spec.group, WordMetric(spec.group), A, rng,
@@ -608,7 +623,7 @@ def test_holonomy_evaluates_no_factor_past_the_last_that_can_differ(monkeypatch)
     spec = coboundary_cocycle(Z2, target, {"x1+": (0.25, 0.125), "x2+": (-0.75, 1.0)},
                               potential, A, metric=METRIC)
     looked_up = record_lookups(monkeypatch, spec)
-    rng = seeded_rng(32)
+    rng = random.Random(32)
     background = spec.background_config()
     saved = evaluated = 0
     for _ in range(12):
@@ -656,13 +671,13 @@ ALTERNATING_SPECS = [
 def test_y_is_looked_up_only_where_its_read_differs(monkeypatch, make_spec):
     spec = make_spec()
     looked_up = record_lookups(monkeypatch, spec)
-    rng = seeded_rng(43)
+    rng = random.Random(43)
     # Flips spaced along both axes: along each anchor's orbit the factors
     # that read a flip alternate with factors that read none.
     flips = [(0, 0), (4, 0), (-4, 0), (9, 1), (-9, -1), (5, 5), (-5, -5)]
     y_lookups = y_reuses = 0
     for _ in range(3):
-        y = random_configuration(Z2, METRIC, A, rng, max_radius=12, n_cells=20)
+        y = random_configuration(Z2, cell_pool(METRIC, 12), A, rng, n_cells=20)
         x = Configuration(Z2, A, 0, {**y.support, **{c: 1 - y.symbol_at(c)
                                                      for c in flips}})
         for g in ((1, 0), (1, 1)):
@@ -688,7 +703,7 @@ def test_y_is_looked_up_only_where_its_read_differs(monkeypatch, make_spec):
 
 def test_specification_decay_bound_holds():
     spec = coboundary_spec()
-    rng = seeded_rng(17)
+    rng = random.Random(17)
     params_by_R = {}
     pairs_by_R = {}
     for R in (2, 4, 6, 8):
@@ -720,7 +735,7 @@ def test_specification_decay_homomorphism_zero_observed():
     spec = hom_spec()
     params = ConeParams.create(Z2, (1, 0), 2, metric=METRIC,
                                max_query_length=80)
-    rng = seeded_rng(28)
+    rng = random.Random(28)
     n_spec = params.specification_ball_radius()
     pairs = [pair_agreeing_on_ball(Z2, METRIC, A, rng, n_spec, shell=3)
              for _ in range(4)]
@@ -752,7 +767,7 @@ def test_transfer_orientation_single_cell_potential():
 
 def test_transfer_homomorphism_trivial():
     spec = hom_spec()
-    rng = seeded_rng(18)
+    rng = random.Random(18)
     table = TransferTable(spec, (1, 0), EPS)
     for x in sample_configs(rng, 5):
         value, _ = table.value(x)
@@ -783,7 +798,7 @@ def test_roundtrip_real_vector():
     }
     potential = weighted_potential(Z2, METRIC, target, 2, weights, A)
     spec = coboundary_cocycle(Z2, target, phi, potential, A, metric=METRIC)
-    rng = seeded_rng(19)
+    rng = random.Random(19)
     samples = sample_configs(rng, 12)
     report = extract_homomorphism(spec, (1, 0), untwist_elements(), samples,
                                   EPS, 1e-6)
@@ -802,7 +817,7 @@ def test_roundtrip_torus():
     weights = {(0, 0): (0.11,), (1, 0): (0.05,), (0, -1): (0.02,)}
     potential = weighted_potential(Z2, METRIC, target, 1, weights, A)
     spec = coboundary_cocycle(Z2, target, phi, potential, A, metric=METRIC)
-    rng = seeded_rng(20)
+    rng = random.Random(20)
     samples = sample_configs(rng, 10)
     report = extract_homomorphism(spec, (1, 0), untwist_elements(), samples,
                                   EPS, 1e-6)
@@ -817,7 +832,7 @@ def test_roundtrip_cyclic_exact():
     weights = {(0, 0): 1, (1, 0): 3, (0, 1): 2}
     potential = weighted_potential(Z2, METRIC, target, 1, weights, A)
     spec = coboundary_cocycle(Z2, target, phi, potential, A, metric=METRIC)
-    rng = seeded_rng(21)
+    rng = random.Random(21)
     samples = sample_configs(rng, 10)
     report = extract_homomorphism(spec, (1, 0), untwist_elements(), samples,
                                   EPS, 0.25)
@@ -829,7 +844,7 @@ def test_roundtrip_cyclic_exact():
 
 def test_roundtrip_plain_homomorphism_exact():
     spec = hom_spec()
-    rng = seeded_rng(26)
+    rng = random.Random(26)
     report = extract_homomorphism(spec, (1, 0), untwist_elements(),
                                   sample_configs(rng, 8), EPS, 1e-6)
     assert report.psi[(1, 0)] == PHI_R1["x1+"]
@@ -872,7 +887,7 @@ def test_holder_modulus_refuses_distorted_anchor():
 def test_holder_modulus_homomorphism_degenerate_fit():
     spec = hom_spec()
     transfer = TransferTable(spec, (1, 0), EPS)
-    rng = seeded_rng(27)
+    rng = random.Random(27)
     report = holder_modulus(transfer, pairs_by_agreement(rng, (0, 1, 2), count=4))
     assert all(row.max_distance == 0.0 for row in report.rows)
     assert report.fitted_rate == 0.0
@@ -882,7 +897,7 @@ def test_holder_modulus_window1_vanishes_beyond_window():
     potential = window1_potential()
     spec = coboundary_spec(potential=potential)
     transfer = TransferTable(spec, (1, 0), EPS)
-    rng = seeded_rng(22)
+    rng = random.Random(22)
     report = holder_modulus(transfer, pairs_by_agreement(rng, (0, 1, 2, 3)))
     rows = {row.agreement_radius: row.max_distance for row in report.rows}
     assert rows[0] > 1e-3
@@ -892,7 +907,7 @@ def test_holder_modulus_window1_vanishes_beyond_window():
 
 
 def test_holder_modulus_deep_potential():
-    rng = seeded_rng(23)
+    rng = random.Random(23)
     alpha = 0.25
     ball3 = METRIC.ball(3)
     weights = {}
@@ -918,7 +933,7 @@ def test_spec_json_roundtrip():
     spec = coboundary_spec()
     payload = cocycle_spec_to_jsonable(spec)
     rebuilt = cocycle_spec_from_jsonable(payload)
-    rng = seeded_rng(24)
+    rng = random.Random(24)
     for x in sample_configs(rng, 5):
         for g in ((1, 0), (0, 1), (2, -1)):
             assert R1.dist(rebuilt.evaluate(g, x), spec.evaluate(g, x)) == 0.0
@@ -931,7 +946,7 @@ def test_spec_json_roundtrip_discrete():
     spec = coboundary_cocycle(Z2, target, {"x1+": 2, "x2+": 3}, potential, A,
                               metric=METRIC)
     rebuilt = cocycle_spec_from_jsonable(cocycle_spec_to_jsonable(spec))
-    rng = seeded_rng(25)
+    rng = random.Random(25)
     for x in sample_configs(rng, 5):
         assert rebuilt.evaluate((1, 1), x) == spec.evaluate((1, 1), x)
 

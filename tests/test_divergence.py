@@ -535,7 +535,7 @@ def test_heisenberg_nmax_24_runs_within_a_one_element_budget(tmp_path):
 
     out = tmp_path / "div"
     assert main(["divergence", "--group", "heisenberg", "--nmax", "24",
-                 "--max-elements", "1", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     lines = (out / "divergence.csv").read_text().splitlines()
     rows = {int(row[0]): row for row in csv.reader(lines[2:])}
     assert sorted(rows) == list(range(2, 25))
@@ -564,7 +564,10 @@ def peak_rss_of_divergence(argv):
                              env=dict(os.environ, PYTHONPATH=path),
                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(child.pid, 0)
-    return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024
+    # Reaped here, so Popen must be told, or its __del__ warns that the child
+    # is still running.
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return child.returncode, usage.ru_maxrss / 1024
 
 
 @pytest.mark.parametrize("group", ["prod(z,heisenberg)", "prod(free:2,z)"])

@@ -11,6 +11,7 @@ from untwist import (
     WordMetric,
     build_profile,
     conjugation_compression_check,
+    parse_group,
     power_lengths,
     sdt_partial_sum,
     translation_number,
@@ -187,6 +188,19 @@ def test_monotone_profiles(group, g, radius):
     assert rho == sorted(rho)
     delta = [profile.distortion(x) for x in range(radius + 1)]
     assert delta == sorted(delta)
+
+
+@pytest.mark.parametrize("descriptor, element, radius", [
+    ("z", "3", 14), ("z^3", "(1,1,0)", 12), ("z^2+diag", "(2,1)", 12),
+    ("heisenberg", "z", 20), ("heisenberg", "(1,1,0)", 12), ("free:2", "abAB", 16),
+    ("prod(z,heisenberg)", "(0|z)", 20), ("prod(free:2,z)", "(a|2)", 12),
+])
+def test_distortion_table_matches_a_scan_of_the_powers(descriptor, element, radius):
+    group = parse_group(descriptor)
+    profile = build_profile(group, group.parse_elem(element), radius)
+    for x in range(-2, radius + 1):
+        scan = max((j for j, length in profile.table.entries if length <= x), default=0)
+        assert profile.distortion(x) == profile.distortion(x + 0.5) == scan
 
 
 @pytest.mark.parametrize("group,g,radius", PROFILE_CASES,

@@ -22,9 +22,9 @@ from untwist import (
     parse_group,
 )
 from untwist.invariants import build_profile
-from untwist.sampling import random_configuration, seeded_rng
+from untwist.sampling import random_configuration
 
-from homoclinic import pair_agreeing_on_ball
+from homoclinic import cell_pool, pair_agreeing_on_ball
 from oracles import (ball_lengths, cone_cells, cone_walk, free_ball, free_inv, free_mul,
                      golden_mean_member, heisenberg_inv, heisenberg_lengths, heisenberg_mul,
                      l1_ball, l1_length, z2_inv, z2_mul)
@@ -89,14 +89,14 @@ def test_homoclinic_radius_differing_symbols_on_shared_cell():
 def test_translate_matches_checked_construction(descriptor, monkeypatch):
     group = parse_group(descriptor)
     metric = WordMetric(group)
-    rng = seeded_rng(13)
+    rng = random.Random(13)
     shifts = list(metric.ball(3).order)
 
     def refuse(a):
         raise AssertionError("translate re-validated a cell")
 
     for _ in range(8):
-        x = random_configuration(group, metric, A3, rng, 4, 5)
+        x = random_configuration(group, cell_pool(metric, 4), A3, rng, 5)
         h = shifts[rng.randrange(len(shifts))]
         expected = Configuration(group, x.alphabet, x.background,
                                  {group.mul(h, c): s for c, s in x.support.items()})
@@ -109,11 +109,11 @@ def test_translate_matches_checked_construction(descriptor, monkeypatch):
 
 
 def test_shift_equivariance_inequality():
-    rng = seeded_rng(4)
-
+    rng = random.Random(4)
+    cells = cell_pool(METRIC, 6)
     for _ in range(30):
-        x = random_configuration(Z2, METRIC, A, rng, 6, 3)
-        y = random_configuration(Z2, METRIC, A, rng, 6, 3)
+        x = random_configuration(Z2, cells, A, rng, 3)
+        y = random_configuration(Z2, cells, A, rng, 3)
         h = (rng.randrange(-3, 4), rng.randrange(-3, 4))
         lhs = homoclinic_agreement_radius(x.translate(h), y.translate(h))
         assert lhs <= homoclinic_agreement_radius(x, y) + METRIC.length(h)
@@ -122,7 +122,7 @@ def test_shift_equivariance_inequality():
 def test_any_pattern_on_ball_realizable():
     # finite-support points are dense: any ball pattern is realised by one
     ball = METRIC.ball(2)
-    rng = seeded_rng(9)
+    rng = random.Random(9)
     cells = list(ball.order)
     for _ in range(20):
         pattern = {c: rng.choice(A) for c in cells}
@@ -409,7 +409,7 @@ def test_glue_rejects_overlap_disagreement():
 
 
 def test_glue_accepts_pairs_agreeing_on_spec_ball():
-    rng = seeded_rng(13)
+    rng = random.Random(13)
     for R in (0, 2, 4):
         params = make_params(R, L=80)
         N = params.specification_ball_radius()
@@ -423,7 +423,7 @@ def test_glue_accepts_pairs_agreeing_on_spec_ball():
 
 
 def test_glue_matches_oracle_splice():
-    rng = seeded_rng(31)
+    rng = random.Random(31)
     for R in (0, 2, 4):
         params = make_params(R, L=80)
         N = params.specification_ball_radius()
@@ -446,7 +446,7 @@ def test_glue_asks_each_cone_once_per_support_cell(monkeypatch):
         return original(self, k, sign)
 
     monkeypatch.setattr(ConeParams, "cone_contains", counted)
-    rng = seeded_rng(5)
+    rng = random.Random(5)
     params = make_params(2, L=80)
     for _ in range(5):
         x, xp = pair_agreeing_on_ball(Z2, METRIC, A, rng,
@@ -571,7 +571,7 @@ def sample_golden_mean_config(rng, cells_pool, tries=60):
 
 
 def test_gluing_preserves_golden_mean_membership():
-    rng = seeded_rng(23)
+    rng = random.Random(23)
     table = METRIC.ball(30)
     for R in (2, 4):
         s, t = default_specification_constants(GM, METRIC)
