@@ -24,6 +24,17 @@ SPEC_RELPATH = os.path.join("tests", "golden", "coboundary_w0.json")
 # query length, seed).  The core radius is the specification ball radius of
 # the anchor and R.  The task is written to <stem>_task.json and the glue
 # report to <stem>.json.
+# invariants goldens: (artifact stem, argv after "invariants").  Each run's
+# five files are copied to <stem>_<file>.
+INVARIANTS_RUNS = (
+    ("heisenberg_z", ["--group", "heisenberg", "--element", "z", "--radius", "8",
+                      "--sdt-base", "0.5", "--sdt-terms", "16"]),
+    ("z2diag_11", ["--group", "z^2+diag", "--element", "(1,1)", "--radius", "10",
+                   "--sdt-base", "0.5", "--sdt-terms", "12"]),
+)
+INVARIANTS_FILES = ("powers.csv", "compression.csv", "distortion.csv",
+                    "translation.csv", "report.json")
+
 GLUE_RUNS = (
     ("glue_z2", "z^2", "(1,0)", 2, 14, 24, 11),
     ("glue_heisenberg", "heisenberg", "(1,0,0)", 1, 8, 12, 13),
@@ -122,13 +133,11 @@ def regenerate():
     write_cocycle_spec(SPEC_RELPATH)
     tmp = tempfile.mkdtemp()
     try:
-        assert main(["invariants", "--group", "heisenberg", "--element", "z",
-                     "--radius", "8", "--sdt-base", "0.5", "--sdt-terms", "16",
-                     "--out", os.path.join(tmp, "inv")]) == 0
-        shutil.copy(os.path.join(tmp, "inv", "powers.csv"),
-                    os.path.join(HERE, "heisenberg_z_powers.csv"))
-        shutil.copy(os.path.join(tmp, "inv", "report.json"),
-                    os.path.join(HERE, "heisenberg_z_report.json"))
+        for stem, argv in INVARIANTS_RUNS:
+            assert main(["invariants", *argv, "--out", os.path.join(tmp, stem)]) == 0
+            for name in INVARIANTS_FILES:
+                shutil.copy(os.path.join(tmp, stem, name),
+                            os.path.join(HERE, f"{stem}_{name}"))
         assert main(["divergence", "--group", "z", "--nmax", "14", "--seed", "7",
                      "--out", os.path.join(tmp, "divz")]) == 0
         shutil.copy(os.path.join(tmp, "divz", "divergence.csv"),

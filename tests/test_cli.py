@@ -715,14 +715,12 @@ def test_layer_function_patched_after_import_is_called(tmp_path):
 # -- determinism and golden artifacts -----------------------------------------
 
 def run_reference_artifacts(base):
-    inv = base / "inv"
+    from golden.make_golden import INVARIANTS_FILES, INVARIANTS_RUNS
+
     divz = base / "divz"
     divz2 = base / "divz2"
     divh = base / "divh"
     report = base / "untwist_report.json"
-    assert main(["invariants", "--group", "heisenberg", "--element", "z",
-                 "--radius", "8", "--sdt-base", "0.5", "--sdt-terms", "16",
-                 "--out", str(inv)]) == 0
     assert main(["divergence", "--group", "z", "--nmax", "14", "--seed", "7",
                  "--out", str(divz)]) == 0
     assert main(["divergence", "--group", "z^2", "--nmax", "12", "--seed", "7",
@@ -734,13 +732,15 @@ def run_reference_artifacts(base):
                  "--sample-radius", "5", "--sample-cells", "3",
                  "--out", str(report)]) == 0
     artifacts = {
-        "heisenberg_z_powers.csv": read(inv / "powers.csv"),
-        "heisenberg_z_report.json": read(inv / "report.json"),
         "divergence_z.csv": read(divz / "divergence.csv"),
         "divergence_z2.csv": read(divz2 / "divergence.csv"),
         "divergence_heisenberg.csv": read(divh / "divergence.csv"),
         "untwist_report.json": read(report),
     }
+    for stem, argv in INVARIANTS_RUNS:
+        assert main(["invariants", *argv, "--out", str(base / stem)]) == 0
+        for name in INVARIANTS_FILES:
+            artifacts[f"{stem}_{name}"] = read(base / stem / name)
     for stem, group in (("glue_z2", "z^2"), ("glue_heisenberg", "heisenberg")):
         out = base / (stem + ".json")
         assert main(["subshift", "glue", "--group", group, "--spec",
