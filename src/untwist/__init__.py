@@ -21,9 +21,8 @@ _HOMES = {
         "parse_group",
     ),
     "invariants": (
-        "CompressionProfile", "PowerLengthTable", "build_profile",
-        "conjugation_compression_check", "power_lengths", "sdt_partial_sum",
-        "translation_number",
+        "CompressionProfile", "build_profile", "conjugation_compression_check",
+        "sdt_partial_sum",
     ),
     "divergence": (
         "avoidant_shortest_path", "classify_growth", "div_function", "div_pair",

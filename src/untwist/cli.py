@@ -97,7 +97,7 @@ def cmd_invariants(args) -> int:
     config["generating_set"] = group.generating_set_description()
 
     write_csv(os.path.join(out, "powers.csv"), ["j", "length"],
-              list(profile.table.entries), config)
+              list(profile.entries), config)
     write_csv(os.path.join(out, "compression.csv"), ["i", "rho"],
               [(i, profile.compression(i)) for i in range(1, profile.j_max + 1)],
               config)
@@ -134,7 +134,7 @@ def _profile_checks(profile) -> dict:
     """Exact-range inequality suite for one compression profile."""
     ok_bounds = all(
         profile.distortion(length) >= j and profile.compression(j) <= length
-        for j, length in profile.table.entries
+        for j, length in profile.entries
     )
     ok_between = True
     for x in range(1, profile.radius + 1):

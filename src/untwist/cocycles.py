@@ -438,19 +438,24 @@ class DecayRow(NamedTuple):
     pairs: int
 
 
-def specification_decay(spec: CocycleSpec, g, params_by_R: dict,
+def specification_decay(spec: CocycleSpec, params_by_R: dict,
                         pairs_by_R: dict, epsilon: float = 1e-8):
     """Holonomy decay against the agreement radius.
 
     For pairs agreeing on the gluing ball of each R, both the direct
     holonomy distance to the identity and the glued-witness decomposition
-    must stay below 2 * C_g * r**R * sum_j r**floor(rho(j)/4).
+    must stay below 2 * C_g * r**R * sum_j r**floor(rho(j)/4), where g is
+    the anchor of that R's cone data.
     """
     target = spec.target
-    C_g, r = spec.holder_constants(g)
     rows = []
     for R in sorted(params_by_R):
         params = params_by_R[R]
+        if params.group is not spec.group:
+            raise CocycleError(f"cone data for R = {R} is over {params.group.name}, "
+                               f"not the spec's group {spec.group.name}")
+        g = params.anchor
+        C_g, r = spec.holder_constants(g)
         profile = params.profile
         series = sum(r ** profile.quarter_floor(j)
                      for j in range(0, profile.j_max + 1))

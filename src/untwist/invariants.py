@@ -13,85 +13,70 @@ import math
 from itertools import accumulate
 from typing import NamedTuple
 
-from .groups import (
-    Group,
-    GroupError,
-    LengthLowerBound,
-    OutOfRange,
-)
+from .groups import Group, GroupError, OutOfRange
 
 
-class PowerLengthTable(NamedTuple):
-    """Exact word lengths of the powers g^j that fit inside a ball."""
+class TranslationData(NamedTuple):
+    """Certified upper-bound data for the translation number of g."""
 
-    group: Group
-    g: tuple
-    radius: int
-    entries: tuple  # (j, length) for every j >= 1 with length <= radius
-    generating_set: str
-
-    @property
-    def j_max(self) -> int:
-        return self.entries[-1][0]
-
-
-def power_lengths(group: Group, g, radius: int) -> PowerLengthTable:
-    """Mark the powers of g inside the ball of the given radius.
-
-    The scan over exponents stops once the certified lower bound exceeds the
-    radius, which guarantees that *every* power of length <= radius is found.
-    """
-    bound = group.compression_lower_bound(g)  # validates g, refuses the identity
-    length = group.exact_length  # powers of a validated g need no check
-    entries = []
-    j = 1
-    p = g
-    while bound.value(j) <= radius:
-        if (k := length(p)) <= radius:
-            entries.append((j, k))
-        j += 1
-        p = group.mul(p, g)
-    if not entries:
-        raise OutOfRange(
-            f"radius {radius} is too small: no power of "
-            f"{group.format_elem(g)} fits in the ball"
-        )
-    return PowerLengthTable(group, g, radius, tuple(entries),
-                            group.generating_set_description())
+    terms: tuple            # (n, l(g^n), l(g^n)/n) for recorded powers
+    running_min: tuple      # non-increasing sequence of certified upper bounds
+    best_upper_bound: float
+    lower_bound: float | None      # positive slope when declared linear
+    undistorted_witness: bool
 
 
 class CompressionProfile:
     """Distortion/compression data for <g>, exact on a certified range.
 
+    entries lists (j, l(g^j)) for every j >= 1 with l(g^j) <= radius.
     distortion(x) is exact for x <= radius; compression(i) and the floored
     quarter values are exact for 1 <= i <= j_max = distortion(radius).  The
     declared lower bound is validated against the exact data at build time.
     """
 
-    def __init__(self, table: PowerLengthTable, lower_bound: LengthLowerBound):
-        self.table = table
-        self.lower_bound = lower_bound
-        self.group = table.group
-        self.g = table.g
-        self.radius = table.radius
-        self.j_max = table.j_max
+    def __init__(self, group: Group, g, radius: int):
+        bound = group.compression_lower_bound(g)  # validates g, refuses the identity
+        # The scan over exponents stops once the certified lower bound exceeds
+        # the radius, which guarantees that *every* power of length <= radius
+        # is found.  Powers of a validated g need no check.
+        length = group.exact_length
+        entries = []
+        j = 1
+        p = g
+        while bound.value(j) <= radius:
+            if (k := length(p)) <= radius:
+                entries.append((j, k))
+            j += 1
+            p = group.mul(p, g)
+        if not entries:
+            raise OutOfRange(
+                f"radius {radius} is too small: no power of "
+                f"{group.format_elem(g)} fits in the ball"
+            )
+        self.group = group
+        self.g = g
+        self.radius = radius
+        self.entries = tuple(entries)
+        self.lower_bound = bound
+        self.j_max = entries[-1][0]
         # Suffix minima over the recorded powers: powers missing from the
         # table have length > radius and can never achieve the minimum.
-        lengths = dict(table.entries)
+        lengths = dict(entries)
         self._rho = {}
         best = math.inf
         for i in range(self.j_max, 0, -1):
             best = min(best, lengths.get(i, math.inf))
             self._rho[i] = best
         for i in range(1, self.j_max + 1):
-            if lower_bound.value(i) > self._rho[i]:
+            if bound.value(i) > self._rho[i]:
                 raise GroupError(
-                    f"declared lower bound {lower_bound.describe()} exceeds the "
-                    f"exact compression at {i}: {lower_bound.value(i)} > {self._rho[i]}"
+                    f"declared lower bound {bound.describe()} exceeds the "
+                    f"exact compression at {i}: {bound.value(i)} > {self._rho[i]}"
                 )
         # _delta[x] is the largest j with l(g^j) <= x, for 0 <= x <= radius.
-        delta = [0] * (self.radius + 1)
-        for j, length in table.entries:  # j ascends, so the largest j wins
+        delta = [0] * (radius + 1)
+        for j, length in entries:  # j ascends, so the largest j wins
             delta[length] = j
         self._delta = list(accumulate(delta, max))
 
@@ -136,48 +121,33 @@ class CompressionProfile:
 
     # -- translation numbers -------------------------------------------------
 
-    def translation_data(self) -> "TranslationData":
-        return translation_number(self.table)
+    def translation_data(self) -> TranslationData:
+        """Upper bounds l(g^n)/n for the translation number (subadditive limit).
+
+        Every term bounds the limit from above; the running minimum is the
+        non-increasing certified sequence.  A declared linear lower bound
+        lambda*n yields the certified positive lower bound lambda.
+        """
+        terms = []
+        running = []
+        best = math.inf
+        for j, length in self.entries:
+            ratio = length / j
+            best = min(best, ratio)
+            terms.append((j, length, ratio))
+            running.append(best)
+        slope = self.lower_bound.linear_slope()
+        return TranslationData(
+            terms=tuple(terms),
+            running_min=tuple(running),
+            best_upper_bound=best,
+            lower_bound=float(slope) if slope is not None else None,
+            undistorted_witness=slope is not None,
+        )
 
 
 def build_profile(group: Group, g, radius: int) -> CompressionProfile:
-    table = power_lengths(group, g, radius)
-    return CompressionProfile(table, group.compression_lower_bound(g))
-
-
-class TranslationData(NamedTuple):
-    """Certified upper-bound data for the translation number of g."""
-
-    terms: tuple            # (n, l(g^n), l(g^n)/n) for recorded powers
-    running_min: tuple      # non-increasing sequence of certified upper bounds
-    best_upper_bound: float
-    lower_bound: float | None      # positive slope when declared linear
-    undistorted_witness: bool
-
-
-def translation_number(table: PowerLengthTable) -> TranslationData:
-    """Upper bounds l(g^n)/n for the translation number (subadditive limit).
-
-    Every term bounds the limit from above; the running minimum is the
-    non-increasing certified sequence.  A declared linear lower bound
-    lambda*n yields the certified positive lower bound lambda.
-    """
-    terms = []
-    running = []
-    best = math.inf
-    for j, length in table.entries:
-        ratio = length / j
-        best = min(best, ratio)
-        terms.append((j, length, ratio))
-        running.append(best)
-    slope = table.group.compression_lower_bound(table.g).linear_slope()
-    return TranslationData(
-        terms=tuple(terms),
-        running_min=tuple(running),
-        best_upper_bound=best,
-        lower_bound=float(slope) if slope is not None else None,
-        undistorted_witness=slope is not None,
-    )
+    return CompressionProfile(group, g, radius)
 
 
 class SummabilityReport(NamedTuple):

@@ -199,23 +199,15 @@ class ConeParams:
     bound caps how far a piece of the cone can reach back toward the identity.
     """
 
-    def __init__(self, group: Group, anchor, radius_R: int,
-                 profile: CompressionProfile, s_prime: float, t_prime: float,
-                 metric: WordMetric):
+    def __init__(self, profile: CompressionProfile, radius_R: int,
+                 s_prime: float, t_prime: float, metric: WordMetric):
         if radius_R < 0:
             raise ContractError("cone radius parameter must be >= 0")
         if not (1.0 <= s_prime < math.inf and 0.0 <= t_prime < math.inf):
             raise ContractError("specification constants need finite s' >= 1 and "
                                 f"t' >= 0, got s' = {s_prime}, t' = {t_prime}")
-        group.validate(anchor)
-        if profile.group is not group or profile.g != anchor:
-            raise ContractError(
-                f"cone anchor {group.format_elem(anchor)} in {group.name} does "
-                f"not match the profile of {profile.group.format_elem(profile.g)} "
-                f"in {profile.group.name}"
-            )
-        self.group = group
-        self.anchor = anchor
+        self.group = group = profile.group
+        self.anchor = anchor = profile.g
         self.R = radius_R
         self.profile = profile
         self.s_prime = s_prime
@@ -264,7 +256,7 @@ class ConeParams:
             profile_radius = max(4 * radius_R + 2 * anchor_length,
                                  anchor_length * deepest, 4)
         profile = build_profile(group, anchor, profile_radius)
-        return cls(group, anchor, radius_R, profile, s_prime, t_prime, metric)
+        return cls(profile, radius_R, s_prime, t_prime, metric)
 
     def piece_radius(self, j: int) -> int:
         """floor(rho(j)/4) + R for the j-th cone piece."""

@@ -121,7 +121,7 @@ def test_criterion_3_inequality_suite():
         for group, elements, radius in PROFILES_3:
             for g in elements:
                 profile = build_profile(group, g, radius)
-                for j, length in profile.table.entries:
+                for j, length in profile.entries:
                     assert profile.distortion(length) >= j
                     assert profile.compression(j) <= length
                 for x in range(1, radius + 1):
@@ -352,7 +352,7 @@ def test_criterion_8_holder_modulus_and_decay():
                 pair_agreeing_on_ball(Z2, METRIC2, A, rng, n_spec, shell=3)
                 for _ in range(8)
             ]
-        rows = specification_decay(spec, (1, 0), params_by_R, pairs_by_R, EPS)
+        rows = specification_decay(spec, params_by_R, pairs_by_R, EPS)
         for row in rows:
             assert row.observed <= row.bound
             assert row.via_witness <= row.bound

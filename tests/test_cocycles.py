@@ -713,7 +713,7 @@ def test_specification_decay_bound_holds():
         N = params.specification_ball_radius()
         pairs_by_R[R] = [pair_agreeing_on_ball(Z2, METRIC, A, rng, N, shell=3)
                          for _ in range(6)]
-    rows = specification_decay(spec, (1, 0), params_by_R, pairs_by_R, EPS)
+    rows = specification_decay(spec, params_by_R, pairs_by_R, EPS)
     bounds = [row.bound for row in rows]
     assert bounds == sorted(bounds, reverse=True)
     for row in rows:
@@ -727,7 +727,7 @@ def test_specification_decay_identical_pairs_zero():
     spec = coboundary_spec()
     params = ConeParams.create(Z2, (1, 0), 2, metric=METRIC)
     x = Configuration(Z2, A, 0, {(20, 0): 1})
-    rows = specification_decay(spec, (1, 0), {2: params}, {2: [(x, x)]}, EPS)
+    rows = specification_decay(spec, {2: params}, {2: [(x, x)]}, EPS)
     assert rows[0].observed == 0.0
 
 
@@ -739,10 +739,28 @@ def test_specification_decay_homomorphism_zero_observed():
     n_spec = params.specification_ball_radius()
     pairs = [pair_agreeing_on_ball(Z2, METRIC, A, rng, n_spec, shell=3)
              for _ in range(4)]
-    rows = specification_decay(spec, (1, 0), {2: params}, {2: pairs}, EPS)
+    rows = specification_decay(spec, {2: params}, {2: pairs}, EPS)
     # constant generator maps have sharp constant 0, so both sides vanish
     assert rows[0].observed == 0.0
     assert rows[0].observed <= rows[0].bound == 0.0
+
+
+def test_specification_decay_refuses_cone_data_of_another_group():
+    spec = coboundary_spec()
+    z = InfiniteCyclic()
+    params = ConeParams.create(z, (1,), 2)
+    with pytest.raises(CocycleError, match=r"R = 2 is over z, not the spec's group z\^2"):
+        specification_decay(spec, {2: params}, {2: []}, EPS)
+
+
+def test_specification_decay_takes_each_anchor_from_its_cone_data():
+    spec = coboundary_spec()
+    x = Configuration(Z2, A, 0, {(20, 0): 1})
+    rows = [specification_decay(spec, {2: ConeParams.create(Z2, anchor, 2)},
+                                {2: [(x, x)]}, EPS)[0]
+            for anchor in ((1, 0), (1, 1))]
+    # C_g grows with the anchor's length, so the diagonal anchor's bound does.
+    assert rows[1].bound > rows[0].bound > 0
 
 
 # -- transfer maps ---------------------------------------------------------------------

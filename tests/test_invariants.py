@@ -12,9 +12,7 @@ from untwist import (
     build_profile,
     conjugation_compression_check,
     parse_group,
-    power_lengths,
     sdt_partial_sum,
-    translation_number,
 )
 
 from oracles import heisenberg_lengths, heisenberg_power
@@ -27,18 +25,18 @@ Z = InfiniteCyclic()
 # -- power length tables -------------------------------------------------------
 
 def test_z2_generator_power_lengths():
-    table = power_lengths(Z2, (1, 0), 10)
-    assert table.entries == tuple((j, j) for j in range(1, 11))
+    profile = build_profile(Z2, (1, 0), 10)
+    assert profile.entries == tuple((j, j) for j in range(1, 11))
 
 
 def test_z2_diagonal_power_lengths():
-    table = power_lengths(Z2, (1, 1), 10)
-    assert table.entries == tuple((j, 2 * j) for j in range(1, 6))
+    profile = build_profile(Z2, (1, 1), 10)
+    assert profile.entries == tuple((j, 2 * j) for j in range(1, 6))
 
 
 def test_heisenberg_central_power_lengths_match_oracle():
     oracle = heisenberg_lengths(8)
-    table = power_lengths(HEIS, (0, 0, 1), 8)
+    profile = build_profile(HEIS, (0, 0, 1), 8)
     expected = []
     j = 1
     while True:
@@ -48,28 +46,44 @@ def test_heisenberg_central_power_lengths_match_oracle():
         if length is not None:
             expected.append((j, length))
         j += 1
-    assert list(table.entries) == expected
-    assert (1, 4) in table.entries
-    assert (2, 6) in table.entries
-    assert (4, 8) in table.entries
+    assert list(profile.entries) == expected
+    assert (1, 4) in profile.entries
+    assert (2, 6) in profile.entries
+    assert (4, 8) in profile.entries
 
 
 def test_power_lengths_ignore_a_table_grown_past_the_radius():
     grown = WordMetric(HEIS)
     grown.table(12)
     for g in [(0, 0, 1), (1, 0, 0), (1, 1, 0), (0, 1, 2)]:
-        fresh = power_lengths(HEIS, g, 8)
-        assert power_lengths(grown.group, g, 8).entries == fresh.entries
+        fresh = build_profile(HEIS, g, 8)
+        assert build_profile(grown.group, g, 8).entries == fresh.entries
 
 
 def test_power_lengths_rejects_identity():
     with pytest.raises(GroupError):
-        power_lengths(Z2, (0, 0), 5)
+        build_profile(Z2, (0, 0), 5)
 
 
 def test_power_lengths_radius_too_small():
     with pytest.raises(OutOfRange):
-        power_lengths(HEIS, (0, 0, 1), 2)
+        build_profile(HEIS, (0, 0, 1), 2)
+
+
+def test_profile_reads_the_declared_bound_once(monkeypatch):
+    group = IntegerLattice(2)
+    original = group.compression_lower_bound
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(group, "compression_lower_bound", counted)
+    profile = build_profile(group, (2, 1), 12)
+    profile.translation_data()
+    assert calls == [(2, 1)]
+    assert profile.group is group and profile.g == (2, 1) and profile.radius == 12
 
 
 # -- distortion / compression ---------------------------------------------------
@@ -124,13 +138,14 @@ def test_rho_inverse_out_of_range_when_uncertifiable():
         profile.rho_inverse(1000)
 
 
-def test_lower_bound_validation_is_hard():
-    table = power_lengths(HEIS, (0, 0, 1), 8)
+def test_lower_bound_validation_is_hard(monkeypatch):
     from untwist.groups import LinearBound
 
+    heis = DiscreteHeisenberg()
+    monkeypatch.setattr(heis, "compression_lower_bound", lambda g: LinearBound(5))
     with pytest.raises(GroupError):
-        # slope-5 linear bound contradicts rho(2) = 6
-        __import__("untwist").CompressionProfile(table, LinearBound(5))
+        # slope-5 linear bound contradicts rho(1) = 4
+        build_profile(heis, (0, 0, 1), 8)
 
 
 # -- inequality suite (exact ranges) -------------------------------------------
@@ -146,7 +161,7 @@ PROFILE_CASES = [
                          ids=lambda v: str(v)[:24])
 def test_power_bound_inequalities(group, g, radius):
     profile = build_profile(group, g, radius)
-    for j, length in profile.table.entries:
+    for j, length in profile.entries:
         assert profile.distortion(length) >= j
         assert profile.compression(j) <= length
 
@@ -199,7 +214,7 @@ def test_distortion_table_matches_a_scan_of_the_powers(descriptor, element, radi
     group = parse_group(descriptor)
     profile = build_profile(group, group.parse_elem(element), radius)
     for x in range(-2, radius + 1):
-        scan = max((j for j, length in profile.table.entries if length <= x), default=0)
+        scan = max((j for j, length in profile.entries if length <= x), default=0)
         assert profile.distortion(x) == profile.distortion(x + 0.5) == scan
 
 
@@ -221,7 +236,7 @@ def test_translation_z2_diagonal():
 
 
 def test_translation_z_three():
-    data = translation_number(power_lengths(Z, (3,), 15))
+    data = build_profile(Z, (3,), 15).translation_data()
     assert data.best_upper_bound == 3.0
 
 
@@ -251,7 +266,7 @@ def test_diagonal_generating_set_profile():
     assert profile.translation_data().best_upper_bound == 1.0
     standard = build_profile(Z2, (1, 1), 10)
     assert standard.translation_data().best_upper_bound == 2.0
-    assert profile.table.generating_set != standard.table.generating_set
+    assert diag.generating_set_description() != Z2.generating_set_description()
 
 
 # -- summability -----------------------------------------------------------------

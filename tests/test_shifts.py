@@ -357,14 +357,11 @@ def test_cone_queries_grow_no_table_past_create(group, region):
     assert metric._table is None
 
 
-def test_cone_refuses_a_profile_of_another_element_or_group():
+def test_cone_reads_group_and_anchor_from_its_profile():
     profile = build_profile(Z2, (3, 0), 40)
-    with pytest.raises(ContractError, match=r"anchor \(1,0\).*profile of \(3,0\)"):
-        ConeParams(Z2, (1, 0), 2, profile, 1.0, 0.0, METRIC)
-    other = IntegerLattice(2)
-    with pytest.raises(ContractError, match="profile"):
-        ConeParams(other, (3, 0), 2, profile, 1.0, 0.0, WordMetric(other))
-    assert ConeParams(Z2, (3, 0), 2, profile, 1.0, 0.0, METRIC).cone_contains((5, 0), "+")
+    params = ConeParams(profile, 2, 1.0, 0.0, METRIC)
+    assert params.group is Z2 and params.anchor == (3, 0)
+    assert params.cone_contains((5, 0), "+")
 
 
 # -- gluing ----------------------------------------------------------------------
