@@ -24,6 +24,7 @@ from .groups import (
     ResourceLimit,
     WordMetric,
     enumerate_ball,
+    json_int,
     parse_group,
 )
 from .reporting import write_csv, write_json
@@ -224,12 +225,13 @@ def cmd_subshift(args) -> int:
         x = Configuration.from_jsonable(group, spec_obj["x"])
         if args.mode == "glue":
             anchor = group.parse_elem(spec_obj["anchor"])
-            radius_R = int(spec_obj["R"])
+            radius_R = json_int(spec_obj["R"], "R")
             x_prime = Configuration.from_jsonable(group, spec_obj["x_prime"])
             s_prime, t_prime = default_specification_constants(shift, metric)
             s_prime = float(spec_obj.get("s_prime", s_prime))
             t_prime = float(spec_obj.get("t_prime", t_prime))
-            max_query_length = int(spec_obj.get("max_query_length", 64))
+            max_query_length = json_int(spec_obj.get("max_query_length", 64),
+                                        "max_query_length")
     config = _echo(args, ("group", "spec", "mode"))
     if args.mode == "check":
         member = membership_check(x, shift)
@@ -264,16 +266,20 @@ def cmd_subshift(args) -> int:
 
 
 def cmd_cocycle(args) -> int:
-    from .cocycles import (TransferTable, VerificationError, cocycle_spec_from_jsonable,
-                           extract_homomorphism, generator_independence,
-                           relation_consistency)
+    from .cocycles import (CocycleError, TransferTable, VerificationError,
+                           cocycle_spec_from_jsonable, extract_homomorphism,
+                           generator_independence, relation_consistency)
     import random
 
     from .sampling import random_configuration
+    from .targets import TargetError
 
     group = parse_group(args.group)
     with _decoding(args.spec) as spec_obj:
-        spec = cocycle_spec_from_jsonable(spec_obj, group)
+        try:
+            spec = cocycle_spec_from_jsonable(spec_obj, group)
+        except (CocycleError, TargetError) as exc:  # each names what the spec got wrong
+            raise InputError(f"{args.spec}: {exc}") from None
     rng = random.Random(args.seed)
     # The sample pool, B(sample_radius) in BFS order, is listed once, and only
     # when a sample can hold a symbol besides the background.

@@ -14,9 +14,9 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .groups import Group, InputError, WordMetric, linear_fit, parse_group
+from .groups import Group, InputError, WordMetric, json_int, linear_fit, parse_group
 from .shifts import Configuration, glue
-from .targets import TargetGroup, target_from_description
+from .targets import TargetError, TargetGroup, target_from_description
 
 
 class CocycleError(InputError):
@@ -62,6 +62,12 @@ class BlockMap:
         self.table = dict(table) if table is not None else None
         self.fn = fn
         if self.table is not None:
+            for pattern, value in self.table.items():
+                try:
+                    target.validate(value)
+                except TargetError as exc:
+                    raise TargetError(f"table value for pattern {list(pattern)}: "
+                                      f"{exc}") from None
             self.diameter_bound = (self._table_diameter()
                                    if diameter_bound is None else diameter_bound)
         else:
@@ -122,6 +128,10 @@ class CocycleSpec:
         missing = labels - set(self.maps)
         if missing:
             raise CocycleError(f"missing generator block maps: {sorted(missing)}")
+        unknown = set(self.maps) - labels
+        if unknown:
+            raise CocycleError(f"block maps for labels {group.name} does not "
+                               f"have: {sorted(unknown)}")
         # The continuity constants below and the holonomy cut-off both take a
         # map's cells to lie in the ball of its declared window.
         for lab, bm in self.maps.items():
@@ -752,13 +762,18 @@ def cocycle_spec_to_jsonable(spec: CocycleSpec) -> dict:
 
 
 def cocycle_spec_from_jsonable(obj, group: Group | None = None) -> CocycleSpec:
-    group = group or parse_group(obj["group"])
+    """The spec obj describes; a given group must be the one obj names."""
+    named = parse_group(obj["group"])
+    if group is None:
+        group = named
+    elif named.name != group.name:
+        raise CocycleError(f"spec is over {named.name}, not {group.name}")
     target = target_from_description(obj["target"])
     maps = {}
     for entry in obj["generators"]:
         cells = tuple(group.parse_elem(c) for c in entry["cells"])
         table = {tuple(p): target.from_jsonable_elem(v) for p, v in entry["table"]}
-        maps[entry["label"]] = BlockMap(target, cells, int(entry["window"]),
+        maps[entry["label"]] = BlockMap(target, cells, json_int(entry["window"], "window"),
                                         table=table)
     return CocycleSpec(group, target, tuple(obj["alphabet"]), obj["background"],
                        maps, float(obj["rate"]))

@@ -24,6 +24,16 @@ class GroupError(InputError):
     """Structurally invalid element or unsupported operation for a model."""
 
 
+def json_int(value, key: str) -> int:
+    """A JSON number read as an integer; a fraction, a non-finite number, a
+    boolean or a non-number is refused, naming its key."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"key {key!r} needs an integral number, got {value!r}")
+
+
 class OutOfRange(LookupError):
     """Requested value lies outside the certified exact range of a table."""
 

@@ -341,11 +341,17 @@ def _edited_task(tmp_path, edit):
     ("glue", lambda t: t.update(t_prime=math.nan)),
     ("glue", lambda t: t.update(R=math.inf)),
     ("glue", lambda t: t.update(max_query_length=[])),
+    ("glue", lambda t: t.update(R=2.9)),
+    ("glue", lambda t: t.update(R=True)),
+    ("glue", lambda t: t.update(max_query_length=30.5)),
     ("cocycle", lambda p: p.update(rate="x")),
     ("cocycle", lambda p: p["generators"][0].update(window="w")),
+    ("cocycle", lambda p: p["generators"][0].update(window=1.5)),
     ("cocycle", lambda p: p.update(generators=5)),
 ], ids=["R", "x", "support-entry", "anchor", "subshift", "s_prime",
-        "s_prime-inf", "t_prime-nan", "R-inf", "max_query_length", "rate", "window", "generators"])
+        "s_prime-inf", "t_prime-nan", "R-inf", "max_query_length", "R-fraction",
+        "R-bool", "max_query_length-fraction", "rate", "window", "window-fraction",
+        "generators"])
 def test_wrongly_typed_input_value_exits_2(tmp_path, capsys, command, edit):
     out = str(tmp_path / "out.json")
     if command == "glue":
@@ -358,6 +364,58 @@ def test_wrongly_typed_input_value_exits_2(tmp_path, capsys, command, edit):
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(spec) in err
     assert not os.path.exists(out)
+
+
+def test_fractional_count_in_a_task_exits_2_naming_the_key(tmp_path, capsys):
+    spec = _edited_task(tmp_path, lambda t: t.update(R=2.9))
+    argv = ["subshift", "glue", "--group", "z^2", "--spec", str(spec),
+            "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {spec}: bad value: key 'R' needs an integral number, got 2.9\n")
+    # An integral float is an integral number.
+    _edited_task(tmp_path, lambda t: t.update(R=2.0))
+    assert main(argv) == 0
+
+
+def _set_table_values(value):
+    def edit(payload):
+        for entry in payload["generators"]:
+            for row in entry["table"]:
+                row[1] = value
+    return edit
+
+
+@pytest.mark.parametrize("value", [["nan", "nan"], [0.5, -0.25, 1.0], [0.5]],
+                         ids=["nan", "three-components", "one-component"])
+def test_cocycle_bad_table_value_exits_2_naming_the_file(tmp_path, capsys, value):
+    spec = _edited_spec(tmp_path, _set_table_values(value))
+    out = tmp_path / "report.json"
+    assert main(["cocycle", "untwist", "--group", "z^2", "--spec", str(spec),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: table value for pattern [0, 0, 0, 0, 0]")
+    assert "length-2 tuple of finite numbers" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cocycle_spec_over_another_group_exits_2_naming_both(tmp_path, capsys):
+    from untwist import RealVector, homomorphism_cocycle, parse_group
+    from untwist.cocycles import cocycle_spec_to_jsonable
+
+    spec_path = tmp_path / "spec.json"
+    group = parse_group("z^2+diag")
+    spec = homomorphism_cocycle(group, RealVector(1),
+                                {"x1+": (0.5,), "x2+": (0.25,), "diag+": (0.75,)}, (0, 1))
+    spec_path.write_text(dumps(cocycle_spec_to_jsonable(spec)))
+    out = tmp_path / "report.json"
+    argv = ["cocycle", "untwist", "--spec", str(spec_path), "--samples", "2",
+            "--out", str(out)]
+    assert main(argv + ["--group", "z^2"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {spec_path}: spec is over z^2+diag, not z^2\n")
+    assert not out.exists()
+    assert main(argv + ["--group", "z^2+diag"]) == 0
 
 
 def test_bad_element_in_task_keeps_group_error_message(tmp_path, capsys):

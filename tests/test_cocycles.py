@@ -38,6 +38,7 @@ from untwist import (
 from untwist.cocycles import _differing_factor_count, canonical_cells
 from untwist.groups import DirectProduct, FreeGroup, InfiniteCyclic
 from untwist.sampling import random_configuration
+from untwist.targets import TargetError
 
 from corrupted import corrupted_spec
 from homoclinic import (cell_pool, pair_agreeing_on_ball, random_homoclinic_pair,
@@ -982,6 +983,29 @@ def test_coboundary_of_a_table_missing_a_pattern_is_cocycle_error():
     potential = BlockMap(R1, [(0, 0)], 0, table={(0,): (0.0,)})
     with pytest.raises(CocycleError, match="missing from table"):
         coboundary_cocycle(Z2, R1, PHI_R1, potential, A, metric=METRIC)
+
+
+def test_table_values_are_validated_where_the_table_enters():
+    with pytest.raises(TargetError, match=r"pattern \[1\].*finite numbers.*nan"):
+        BlockMap(R1, [(0, 0)], 0, table={(0,): (0.0,), (1,): (math.nan,)})
+    with pytest.raises(TargetError, match=r"pattern \[0\].*length-1"):
+        BlockMap(R1, [(0, 0)], 0, table={(0,): (0.0, 1.0), (1,): (0.0,)})
+    with pytest.raises(TargetError, match=r"pattern \[0\].*7"):
+        BlockMap(cyclic_group(5), [(0, 0)], 0, table={(0,): 7})
+
+
+def test_spec_refuses_maps_for_labels_the_group_lacks():
+    maps = dict(hom_spec().maps)
+    maps["diag+"] = maps["x1+"]
+    with pytest.raises(CocycleError, match=r"z\^2 does not have: \['diag\+'\]"):
+        CocycleSpec(Z2, R1, A, 0, maps)
+
+
+def test_spec_from_jsonable_refuses_another_group():
+    payload = cocycle_spec_to_jsonable(hom_spec())
+    with pytest.raises(CocycleError, match=r"spec is over z\^2, not z\^2\+diag"):
+        cocycle_spec_from_jsonable(payload, IntegerLattice(2, diagonal=True))
+    assert cocycle_spec_from_jsonable(payload, IntegerLattice(2)).group.name == "z^2"
 
 
 def test_cell_outside_the_declared_window_is_cocycle_error():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -64,6 +65,35 @@ def test_torus_wraps():
     t = Torus(1)
     assert t.mul((0.75,), (0.5,)) == (0.25,)
     assert t.dist((0.95,), (0.05,)) == pytest.approx(0.1)
+
+
+def test_torus_keeps_coordinates_below_one():
+    # (-1e-20) % 1.0 rounds to 1.0, which lies outside [0, 1).
+    t = Torus(1)
+    for a in (t.inv((1e-20,)), t.wrap((-1e-20,))):
+        t.validate(a)
+
+
+@pytest.mark.parametrize("target, value", [
+    (RealVector(2), (math.nan, 0.0)),
+    (RealVector(2), (0.0, math.inf)),
+    (RealVector(2), (0.5, -0.25, 1.0)),
+    (RealVector(2), (0.5,)),
+    (RealVector(2), (0.5, "x")),
+    (Torus(2), (math.nan, 0.0)),
+    (Torus(2), (0.5,)),
+    (cyclic_group(5), 7),
+], ids=["nan", "inf", "three-components", "one-component", "string", "torus-nan",
+        "torus-one-component", "cyclic-outside"])
+def test_validate_refuses_non_finite_or_misdimensioned_values(target, value):
+    with pytest.raises(TargetError):
+        target.validate(value)
+
+
+def test_validate_accepts_finite_values_of_the_right_dimension():
+    RealVector(2).validate((1, -2.5))
+    Torus(2).validate((0.0, 0.75))
+    cyclic_group(5).validate(4)
 
 
 def test_cyclic_structure():
