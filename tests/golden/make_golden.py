@@ -18,7 +18,22 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-SPEC_RELPATH = os.path.join("tests", "golden", "coboundary_w0.json")
+# cocycle untwist goldens: (spec file, report file, group, phi on the
+# positive generators, potential weight at e).  Every value is dyadic, so
+# the planted psi is read back exactly.
+UNTWIST_RUNS = (
+    ("coboundary_w0.json", "untwist_report.json", "z^2",
+     {"x1+": (0.5, -0.25), "x2+": (0.125, 1.0)}, (0.25, -0.125)),
+    ("heisenberg_coboundary_w0.json", "heisenberg_untwist_report.json",
+     "heisenberg", {"a": (0.75, -0.5), "b": (0.25, 0.125)}, (-0.375, 0.5)),
+)
+
+
+def untwist_argv(group, spec_name, out):
+    return ["cocycle", "untwist", "--group", group,
+            "--spec", os.path.join("tests", "golden", spec_name), "--seed", "3",
+            "--samples", "10", "--sample-radius", "5", "--sample-cells", "3",
+            "--out", out]
 
 # subshift glue goldens: (artifact stem, group, anchor, R, core radius,
 # query length, seed).  The core radius is the specification ball radius of
@@ -41,24 +56,25 @@ GLUE_RUNS = (
 )
 
 
-def write_cocycle_spec(path):
+def write_coboundary_spec(path, group_name, phi, weight):
+    """Coboundary twist of phi by the window-0 potential b(x) = x_e * weight,
+    into R^2 over the alphabet {0, 1}."""
     from untwist import (
-        IntegerLattice,
         RealVector,
         WordMetric,
         coboundary_cocycle,
+        parse_group,
         weighted_potential,
     )
     from untwist.cocycles import cocycle_spec_to_jsonable
     from untwist.reporting import dumps
 
-    group = IntegerLattice(2)
+    group = parse_group(group_name)
     metric = WordMetric(group)
     alphabet = (0, 1)
     target = RealVector(2)
-    weights = {(0, 0): (0.25, -0.125)}
-    potential = weighted_potential(group, metric, target, 0, weights, alphabet)
-    phi = {"x1+": (0.5, -0.25), "x2+": (0.125, 1.0)}
+    potential = weighted_potential(group, metric, target, 0,
+                                   {group.identity: weight}, alphabet)
     spec = coboundary_cocycle(group, target, phi, potential, alphabet,
                               metric=metric)
     with open(path, "w", encoding="utf-8") as fh:
@@ -130,7 +146,6 @@ def regenerate():
     from untwist.cli import main
 
     os.chdir(ROOT)
-    write_cocycle_spec(SPEC_RELPATH)
     tmp = tempfile.mkdtemp()
     try:
         for stem, argv in INVARIANTS_RUNS:
@@ -150,12 +165,10 @@ def regenerate():
                      "--seed", "7", "--out", os.path.join(tmp, "divh")]) == 0
         shutil.copy(os.path.join(tmp, "divh", "divergence.csv"),
                     os.path.join(HERE, "divergence_heisenberg.csv"))
-        assert main(["cocycle", "untwist", "--group", "z^2",
-                     "--spec", SPEC_RELPATH, "--seed", "3", "--samples", "10",
-                     "--sample-radius", "5", "--sample-cells", "3",
-                     "--out", os.path.join(tmp, "untwist_report.json")]) == 0
-        shutil.copy(os.path.join(tmp, "untwist_report.json"),
-                    os.path.join(HERE, "untwist_report.json"))
+        for spec_name, report, group, phi, weight in UNTWIST_RUNS:
+            write_coboundary_spec(os.path.join(HERE, spec_name), group, phi, weight)
+            assert main(untwist_argv(group, spec_name, os.path.join(tmp, report))) == 0
+            shutil.copy(os.path.join(tmp, report), os.path.join(HERE, report))
         for stem, group, anchor, radius_R, core, reach, seed in GLUE_RUNS:
             task = os.path.join("tests", "golden", stem + "_task.json")
             write_glue_task(task, group, anchor, radius_R, core, reach, seed)

@@ -773,28 +773,26 @@ def test_layer_function_patched_after_import_is_called(tmp_path):
 # -- determinism and golden artifacts -----------------------------------------
 
 def run_reference_artifacts(base):
-    from golden.make_golden import INVARIANTS_FILES, INVARIANTS_RUNS
+    from golden.make_golden import (INVARIANTS_FILES, INVARIANTS_RUNS, UNTWIST_RUNS,
+                                    untwist_argv)
 
     divz = base / "divz"
     divz2 = base / "divz2"
     divh = base / "divh"
-    report = base / "untwist_report.json"
     assert main(["divergence", "--group", "z", "--nmax", "14", "--seed", "7",
                  "--out", str(divz)]) == 0
     assert main(["divergence", "--group", "z^2", "--nmax", "12", "--seed", "7",
                  "--out", str(divz2)]) == 0
     assert main(["divergence", "--group", "heisenberg", "--nmax", "4",
                  "--seed", "7", "--out", str(divh)]) == 0
-    assert main(["cocycle", "untwist", "--group", "z^2",
-                 "--spec", SPEC_RELPATH, "--seed", "3", "--samples", "10",
-                 "--sample-radius", "5", "--sample-cells", "3",
-                 "--out", str(report)]) == 0
     artifacts = {
         "divergence_z.csv": read(divz / "divergence.csv"),
         "divergence_z2.csv": read(divz2 / "divergence.csv"),
         "divergence_heisenberg.csv": read(divh / "divergence.csv"),
-        "untwist_report.json": read(report),
     }
+    for spec_name, report, group, _, _ in UNTWIST_RUNS:
+        assert main(untwist_argv(group, spec_name, str(base / report))) == 0
+        artifacts[report] = read(base / report)
     for stem, argv in INVARIANTS_RUNS:
         assert main(["invariants", *argv, "--out", str(base / stem)]) == 0
         for name in INVARIANTS_FILES:
@@ -832,6 +830,18 @@ def test_untwist_report_values():
     assert report["psi"]["(0,1)"] == [0.125, 1]
     assert report["constancy_defect"] <= 1e-6
     assert report["generator_independence"] <= 2e-8 + 1e-6
+
+
+def test_heisenberg_untwist_report_values():
+    """The planted psi comes back exactly on the non-abelian model, the centre
+    mapping to zero."""
+    with open(os.path.join(GOLDEN, "heisenberg_untwist_report.json"), "r") as fh:
+        report = json.load(fh)
+    assert report["ok"] is True
+    assert report["psi"]["(1,0,0)"] == [0.75, -0.5]
+    assert report["psi"]["(0,1,0)"] == [0.25, 0.125]
+    assert report["psi"]["(1,1,0)"] == report["psi"]["(1,1,1)"] == [1, -0.375]
+    assert report["constancy_defect"] == report["generator_independence"] == 0
 
 
 def test_reporting_dumps_is_json():
