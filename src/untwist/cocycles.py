@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 from .groups import Group, InputError, WordMetric, json_int, linear_fit, parse_group
 from .shifts import Configuration, glue
-from .targets import TargetError, TargetGroup, target_from_description
+from .targets import (FiniteGroup, RealVector, TargetError, TargetGroup, Torus, json_float,
+                      target_from_description)
 
 
 class CocycleError(InputError):
@@ -150,9 +151,11 @@ class CocycleSpec:
             for lab, bm in self.maps.items())
         self._background_config = Configuration(group, self.alphabet, background, {})
         self._plan_cache = {}
-        self._read_cache = {}
         self._anchor_cache = {}
         self._holder_cache = {}
+        self._truncation_cache = {}  # (g, epsilon, agreement) -> (n, tail, reach)
+        # (g, sign) -> (reads, index, next back); (g, sign, background) -> B
+        self._orbit_cache = {}
 
     def background_config(self) -> Configuration:
         return self._background_config
@@ -219,15 +222,6 @@ class CocycleSpec:
         """Cocycle value at g along the canonical geodesic word."""
         return self._read(self._plan(g), x)
 
-    def _read_set(self, g):
-        """(W_g, radius): the cells evaluate(g, .) reads, and their largest length."""
-        found = self._read_cache.get(g)
-        if found is None:
-            cells = frozenset(c for _, cs in self._plan(g) for c in cs)
-            radius = max(map(self.group.exact_length, cells), default=0)
-            found = self._read_cache[g] = (cells, radius)
-        return found
-
 
 def _check_epsilon(epsilon: float) -> None:
     if not 0.0 < epsilon < math.inf:  # NaN fails both comparisons
@@ -289,65 +283,23 @@ def partial_product(spec: CocycleSpec, g, x: Configuration, y: Configuration,
     if n < 1:
         raise CocycleError("partial products need n >= 1")
     group, target = spec.group, spec.target
-    mul, tmul = group.mul, target.mul
-    at_x, at_y = x.symbol_at, y.symbol_at
-    plan = spec._plan(g)
     # Factor j is c(g, step^j . x) with step = g for '+' and g^-1 for '-';
     # it reads x on back . c for each plan cell c, where back = step^-j.
-    # x and y are read at the same points; where they show the same symbols
-    # the map's value is the same, so y's lookup is x's.
     if sign == "+":
-        back, back_step, count, invert = group.identity, group.inv(g), n, True
+        back, back_step, count = group.identity, group.inv(g), n
     elif sign == "-":
-        back, back_step, count, invert = g, g, n - 1, False
+        back, back_step, count = g, g, n - 1
     else:
         raise CocycleError("sign must be '+' or '-'")
     px = py = target.identity
     for _ in range(count):
-        fx = fy = target.identity
-        for bm, cells in plan:
-            points = [mul(back, c) for c in cells]
-            read_x = tuple(map(at_x, points))
-            read_y = tuple(map(at_y, points))
-            vx = bm.lookup(read_x)
-            fx = tmul(fx, vx)
-            fy = tmul(fy, vx if read_y == read_x else bm.lookup(read_y))
-        back = mul(back, back_step)
-        if invert:
+        plan = [(bm, [group.mul(back, c) for c in cells]) for bm, cells in spec._plan(g)]
+        fx, fy = spec._read(plan, x), spec._read(plan, y)
+        if sign == "+":
             fx, fy = target.inv(fx), target.inv(fy)
-        px = tmul(px, fx)
-        py = tmul(py, fy)
-    return tmul(px, target.inv(py))
-
-
-def _differing_factor_count(spec: CocycleSpec, g, differing, bound, n: int,
-                            sign: str) -> int:
-    """Least m <= n such that the x and y factors agree at every j >= m.
-
-    Factor j reads x on step^-j . W_g (step = g for '+', g^-1 for '-'), so it
-    can differ only while step^j . D meets W_g.  Since l(step^j d) >=
-    bound.value(j) - l(d) and value is non-decreasing, a cell d stops
-    mattering at the first j with bound.value(j) > l(d) + radius(W_g); the
-    count stops once no cell is left.
-    """
-    group = spec.group
-    read, radius = spec._read_set(g)
-    mul, length = group.mul, group.exact_length
-    step = g if sign == "+" else group.inv(g)
-    points = sorted(differing, key=length, reverse=True)
-    horizons = [length(p) + radius for p in points]  # non-increasing
-    count = 0
-    for j in range(n):
-        value = bound.value(j)
-        while points and horizons[len(points) - 1] < value:
-            points.pop()
-        if not points:
-            break
-        if j:
-            points = [mul(step, p) for p in points]
-        if not read.isdisjoint(points):
-            count = j + 1
-    return count
+        px, py = target.mul(px, fx), target.mul(py, fy)
+        back = group.mul(back, back_step)
+    return target.mul(px, target.inv(py))
 
 
 def holonomy(spec: CocycleSpec, g, x: Configuration, y: Configuration,
@@ -359,40 +311,84 @@ def holonomy(spec: CocycleSpec, g, x: Configuration, y: Configuration,
     targets with epsilon < 1/2 therefore receive the exact limit.
 
     The value is the truncation at the certificate's n_used, evaluated only up
-    to the last factor where x and y can differ: the later factor pairs are
-    equal, so their product cancels exactly.
+    to the last factor that reads a cell where x and y differ: the later
+    factor pairs are equal, so their product cancels exactly.
     """
     _check_epsilon(epsilon)
     if g == spec.group.identity:
         raise CocycleError("holonomy needs an infinite-order anchor")
+    if sign not in ("+", "-"):
+        raise CocycleError("sign must be '+' or '-'")
     bound, fmt, described = spec._anchor(g)
+    target = spec.target
     if x == y:
-        cert = HolonomyCertificate(fmt, sign, 0, 0.0, 0, 0.0, spec.rate,
-                                   described, epsilon)
-        return spec.target.identity, cert
+        return target.identity, HolonomyCertificate(fmt, sign, 0, 0.0, 0, 0.0, spec.rate,
+                                                    described, epsilon)
     differing = x.differing_cells(y)
     # Configurations check their cells when built, so no read checks them.
     agreement = max(map(spec.group.exact_length, differing))
     C_g, r = spec.holder_constants(g)
-    if C_g == 0.0:
-        value = partial_product(spec, g, x, y, 1, sign)
-        cert = HolonomyCertificate(fmt, sign, 1, 0.0, agreement, 0.0, r,
-                                   described, epsilon)
-        return value, cert
-    c_prime = C_g * _inverse_power(r, agreement + 1, f"agreement radius {agreement}")
-    n = 1
-    while c_prime * bound.tail(r, n) >= epsilon:
-        n *= 2
-        if n > 1_000_000:
-            raise CocycleError(
-                "tail cannot be certified below epsilon within the factor budget"
-            )
-    tail = c_prime * bound.tail(r, n)
-    count = _differing_factor_count(spec, g, differing, bound, n, sign)
-    value = partial_product(spec, g, x, y, max(1, count), sign)
-    cert = HolonomyCertificate(fmt, sign, n, tail, agreement, C_g, r,
-                               described, epsilon)
-    return value, cert
+    key = g, epsilon, agreement
+    if key not in spec._truncation_cache:
+        # C_g = 0 (maps of zero range diameter): n = 1 with tail 0, whatever
+        # the agreement radius, so rate^-(agreement+1) is not taken.
+        c_prime = C_g and C_g * _inverse_power(r, agreement + 1,
+                                               f"agreement radius {agreement}")
+        n = 1
+        while c_prime * bound.tail(r, n) >= epsilon:
+            n *= 2
+            if n > 1_000_000:
+                raise CocycleError(
+                    "tail cannot be certified below epsilon within the factor budget"
+                )
+        # Factor j reads d only if step^j . d lies in the read set W_g, where
+        # l(step^j . d) >= bound.value(j) - l(d).  value is non-decreasing, so
+        # from the first j with value(j) > agreement + radius(W_g) on, no
+        # factor reads a differing cell: the index need not reach further.
+        horizon = agreement + max(spec.group.exact_length(c)
+                                  for _, cs in spec._plan(g) for c in cs)
+        reach = 0
+        while reach < n and bound.value(reach) <= horizon:
+            reach += 1
+        spec._truncation_cache[key] = n, c_prime * bound.tail(r, n), reach
+    n, tail, reach = spec._truncation_cache[key]
+    # The orbit read index of (g, sign), grown on demand: reads[j] is the read
+    # plan of factor j, on the cells step^-j . c, and index maps each cell
+    # read so far to the factors that read it.  The touched factors, those
+    # that read a differing cell, are then |D| lookups.
+    reads, index, back = spec._orbit_cache.get((g, sign)) or ([], {}, spec.group.identity)
+    mul = spec.group.mul
+    for j in range(len(reads), reach):
+        reads.append(tuple((bm, tuple(mul(back, c) for c in cs))
+                           for bm, cs in spec._plan(g)))
+        for _, cs in reads[j]:
+            for c in cs:
+                index.setdefault(c, []).append(j)
+        back = mul(back, spec.group.inv(g) if sign == "+" else g)
+    spec._orbit_cache[g, sign] = reads, index, back
+    touched = {j for d in differing for j in index.get(d, ()) if j < n}
+
+    def factor(j, z):
+        f = spec._read(reads[j], z)
+        return target.inv(f) if sign == "+" else f
+
+    # An untouched factor reads the same symbols on x and y, so y's is x's.
+    # An all-background y gives one factor B at every j, the background being
+    # shift-invariant, and so does an untouched x.  (A target element that is
+    # None only costs the shortcut.)
+    B = None
+    if not y.support:
+        b_key = g, sign, y.background
+        if b_key not in spec._orbit_cache:
+            spec._orbit_cache[b_key] = factor(0, y)
+        B = spec._orbit_cache[b_key]
+    px = py = target.identity
+    for j in range(sign == "-", max(touched, default=0) + 1):
+        fx = factor(j, x) if B is None or j in touched else B
+        fy = fx if j not in touched else factor(j, y) if B is None else B
+        px, py = target.mul(px, fx), target.mul(py, fy)
+    return target.mul(px, target.inv(py)), HolonomyCertificate(
+        fmt, sign, n, tail, agreement, C_g, r, described, epsilon)
 
 
 def holonomy_identity_check(spec: CocycleSpec, g, triples,
@@ -691,8 +687,6 @@ def weighted_potential(group: Group, metric: WordMetric, target: TargetGroup,
     take integer weights modulo the order.  The declared diameter bound is
     the symbol span times the total weight mass (capped for tori).
     """
-    from .targets import FiniteGroup, RealVector, Torus
-
     cells = canonical_cells(metric, window)
     alphabet = tuple(alphabet)
     span = max(alphabet) - min(alphabet)
@@ -703,17 +697,14 @@ def weighted_potential(group: Group, metric: WordMetric, target: TargetGroup,
             if len(vec) != dim:
                 raise CocycleError(f"weight at {group.format_elem(c)} has wrong dim")
 
+        finish = target.wrap if isinstance(target, Torus) else tuple
+
         def fn(pattern):
             total = [0.0] * dim
-            for i, c in enumerate(cells):
-                vec = w.get(c)
-                if vec is None:
-                    continue
-                for k in range(dim):
-                    total[k] += pattern[i] * vec[k]
-            if isinstance(target, Torus):
-                return target.wrap(total)
-            return tuple(total)
+            for s, c in zip(pattern, cells):
+                for k, v in enumerate(w.get(c, ())):
+                    total[k] += s * v
+            return finish(total)
 
         mass = sum(math.sqrt(sum(v * v for v in vec)) for vec in w.values())
         diameter = span * mass
@@ -724,13 +715,7 @@ def weighted_potential(group: Group, metric: WordMetric, target: TargetGroup,
         n = len(target.elements)
 
         def fn(pattern):
-            total = 0
-            for i, c in enumerate(cells):
-                coeff = w.get(c)
-                if coeff is None:
-                    continue
-                total += pattern[i] * coeff
-            return total % n
+            return sum(s * w[c] for s, c in zip(pattern, cells) if c in w) % n
 
         return BlockMap(target, cells, window, fn=fn, diameter_bound=1.0)
     raise CocycleError(f"no weighted potential for target {target.name}")
@@ -776,4 +761,4 @@ def cocycle_spec_from_jsonable(obj, group: Group | None = None) -> CocycleSpec:
         maps[entry["label"]] = BlockMap(target, cells, json_int(entry["window"], "window"),
                                         table=table)
     return CocycleSpec(group, target, tuple(obj["alphabet"]), obj["background"],
-                       maps, float(obj["rate"]))
+                       maps, json_float(obj["rate"], "rate"))

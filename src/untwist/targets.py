@@ -19,6 +19,14 @@ class TargetError(InputError):
     """Invalid target-group element or inconsistent table."""
 
 
+def json_float(value, key: str) -> float:
+    """A JSON number read as a float; a string, a boolean or any other
+    non-number is refused, naming its key."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"key {key!r} needs a number, got {value!r}")
+
+
 class TargetGroup(ABC):
     name: str = "?"
     is_discrete: bool = False
@@ -83,7 +91,7 @@ class RealVector(TargetGroup):
                               f"numbers, got {a!r}")
 
     def from_jsonable_elem(self, obj):
-        return tuple(float(v) for v in obj)
+        return tuple(json_float(v, "table") for v in obj)
 
     def describe(self):
         return {"kind": "real_vector", "dim": self.dim}
@@ -132,7 +140,7 @@ class Torus(TargetGroup):
         return tuple(_unit(float(v)) for v in values)
 
     def from_jsonable_elem(self, obj):
-        return self.wrap(obj)
+        return self.wrap([json_float(v, "table") for v in obj])
 
     def describe(self):
         return {"kind": "torus", "dim": self.dim}

@@ -366,6 +366,28 @@ def test_wrongly_typed_input_value_exits_2(tmp_path, capsys, command, edit):
     assert not os.path.exists(out)
 
 
+def _strings_for_table_values(payload):
+    for entry in payload["generators"]:
+        for row in entry["table"]:
+            row[1] = [str(v) for v in row[1]]
+
+
+@pytest.mark.parametrize("edit, key", [
+    (_strings_for_table_values, "table"),
+    (lambda p: p.update(rate="0.5"), "rate"),
+    (lambda p: p.update(rate=True), "rate"),
+], ids=["table", "rate", "rate-bool"])
+def test_spec_value_that_is_no_json_number_exits_2_naming_the_key(tmp_path, capsys,
+                                                                   edit, key):
+    spec = _edited_spec(tmp_path, edit)
+    out = tmp_path / "report.json"
+    assert main(["cocycle", "untwist", "--group", "z^2", "--spec", str(spec),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: bad value: key {key!r} needs a number")
+    assert not out.exists()
+
+
 def test_fractional_count_in_a_task_exits_2_naming_the_key(tmp_path, capsys):
     spec = _edited_task(tmp_path, lambda t: t.update(R=2.9))
     argv = ["subshift", "glue", "--group", "z^2", "--spec", str(spec),
@@ -386,7 +408,7 @@ def _set_table_values(value):
     return edit
 
 
-@pytest.mark.parametrize("value", [["nan", "nan"], [0.5, -0.25, 1.0], [0.5]],
+@pytest.mark.parametrize("value", [[math.nan, math.nan], [0.5, -0.25, 1.0], [0.5]],
                          ids=["nan", "three-components", "one-component"])
 def test_cocycle_bad_table_value_exits_2_naming_the_file(tmp_path, capsys, value):
     spec = _edited_spec(tmp_path, _set_table_values(value))

@@ -35,8 +35,8 @@ from untwist import (
     specification_decay,
     weighted_potential,
 )
-from untwist.cocycles import _differing_factor_count, canonical_cells
-from untwist.groups import DirectProduct, FreeGroup, InfiniteCyclic
+from untwist.cocycles import canonical_cells
+from untwist.groups import DirectProduct, FreeGroup, InfiniteCyclic, parse_group
 from untwist.sampling import random_configuration
 from untwist.targets import TargetError
 
@@ -378,10 +378,10 @@ def test_holonomy_distorted_anchor_with_positive_constants():
 
 
 # -- finite-window cut-off ------------------------------------------------------------
-# holonomy evaluates its truncation only up to the last factor where x and y
-# can differ; partial_product at the certificate's n_used is the full
-# truncation and stays the independent route.  Dyadic and cyclic targets make
-# the two routes equal exactly.
+# holonomy evaluates its truncation only up to the last factor that reads a
+# cell where x and y differ, and reads y only on such factors; partial_product
+# at the certificate's n_used is the full truncation and stays the independent
+# route.  Dyadic and cyclic targets make the two routes equal exactly.
 
 HEIS = DiscreteHeisenberg()
 HEIS_METRIC = WordMetric(HEIS)
@@ -418,39 +418,53 @@ def test_holonomy_equals_the_full_truncation(make_spec, anchor, epsilon, pairs):
             assert value == full
 
 
-def full_walk_factor_count(spec, g, differing, n, sign):
-    """Least m <= n such that step^j . D misses W_g at every j >= m, by
-    moving every differing cell through all n steps."""
-    read, _ = spec._read_set(g)
+def touched_by_index(spec, g, sign, differing, n):
+    """The factors below n that the orbit read index says read a differing
+    cell, checked against the read plans it holds."""
+    reads, index, _ = spec._orbit_cache[g, sign]
+    touched = {j for d in differing for j in index.get(d, ()) if j < n}
+    assert touched == {j for j, plan in enumerate(reads[:n])
+                       if not differing.isdisjoint(c for _, cells in plan for c in cells)}
+    return touched
+
+
+def full_walk_touched(spec, g, differing, n, sign):
+    """The j < n with step^j . D meeting the read set W_g, by moving every
+    differing cell through all n steps."""
+    read = {c for _, cells in spec._plan(g) for c in cells}
     step = g if sign == "+" else spec.group.inv(g)
-    count, points = 0, list(differing)
+    touched, points = set(), list(differing)
     for j in range(n):
         if not read.isdisjoint(points):
-            count = j + 1
+            touched.add(j)
         points = [spec.group.mul(step, p) for p in points]
-    return count
+    return touched
 
 
 @pytest.mark.parametrize("make_spec, anchor, epsilon, pairs",
                          [case[1:] for case in CUT_OFF_CASES],
                          ids=[case[0] for case in CUT_OFF_CASES])
 def test_horizon_count_equals_the_full_walk(make_spec, anchor, epsilon, pairs):
-    """Each differing cell leaves the count at its own horizon
-    l(d) + radius(W_g); the count still equals the full walk's."""
+    """holonomy grows the orbit index to the horizon l(D) + radius(W_g) and no
+    further; the factors the index finds touched are the full walk's."""
     spec = make_spec()
-    bound = spec.group.compression_lower_bound(anchor)
     rng = random.Random(33)
-    counts = set()
+    cut_off = set()
     for _ in range(3 * pairs):
         x, y = random_homoclinic_pair(spec.group, WordMetric(spec.group), A, rng,
                                       max_radius=5)
         differing = x.differing_cells(y)
         for sign in "+-":
-            n = holonomy(spec, anchor, x, y, epsilon, sign)[1].n_used
-            count = _differing_factor_count(spec, anchor, differing, bound, n, sign)
-            assert count == full_walk_factor_count(spec, anchor, differing, n, sign)
-            counts.add(0 < count < n)
-    assert True in counts
+            spec._orbit_cache.clear()
+            cert = holonomy(spec, anchor, x, y, epsilon, sign)[1]
+            n = cert.n_used
+            reads = spec._orbit_cache[anchor, sign][0]
+            reach = spec._truncation_cache[anchor, epsilon, cert.agreement_radius][2]
+            assert len(reads) == reach <= n
+            touched = touched_by_index(spec, anchor, sign, differing, n)
+            assert touched == full_walk_touched(spec, anchor, differing, n, sign)
+            cut_off.add(bool(touched) and max(touched) + 1 < n)
+    assert True in cut_off
 
 
 def test_heisenberg_centre_cut_off_runs_under_a_sqrt_bound():
@@ -599,22 +613,30 @@ def record_lookups(monkeypatch, spec):
     return looked_up
 
 
-def factors_looked_up(spec, g, x, y, sign, looked_up):
-    """Number of leading factors whose lookups make up looked_up, checked
-    against the translate chain: per factor and plan entry, x's pattern,
-    then y's only where it differs from x's."""
+def plan_patterns(spec, g, x):
+    """read_patterns in plan order, the order a factor looks them up in."""
+    return read_patterns(spec, g, x)[::-1]
+
+
+def chain_lookups(spec, g, x, y, n, sign, rule):
+    """The patterns looked up over the factors below n, by the translate
+    chain.  Rule "pair" (partial_product): per factor, x's patterns then
+    y's.  Rule "touched" (holonomy): the same where they differ, x's alone
+    where they agree; against a background y, whose factor B is cached, only
+    x's and only where they differ."""
     step = g if sign == "+" else spec.group.inv(g)
     cx, cy = (x, y) if sign == "+" else (x.translate(step), y.translate(step))
-    expected, factors = [], 0
-    while len(expected) < len(looked_up):
-        reads = zip(reversed(read_patterns(spec, g, cx)),
-                    reversed(read_patterns(spec, g, cy)))
-        for read_x, read_y in reads:
-            expected += [read_x] if read_y == read_x else [read_x, read_y]
-        factors += 1
+    expected = []
+    for _ in range(n if sign == "+" else n - 1):
+        read_x, read_y = plan_patterns(spec, g, cx), plan_patterns(spec, g, cy)
+        if rule == "pair":
+            expected += read_x + read_y
+        elif read_x != read_y:
+            expected += read_x + (read_y if y.support else [])
+        elif y.support:
+            expected += read_x
         cx, cy = cx.translate(step), cy.translate(step)
-    assert looked_up == expected
-    return factors
+    return expected
 
 
 def test_holonomy_evaluates_no_factor_past_the_last_that_can_differ(monkeypatch):
@@ -623,22 +645,32 @@ def test_holonomy_evaluates_no_factor_past_the_last_that_can_differ(monkeypatch)
     potential = weighted_potential(Z2, METRIC, target, 0, {(0, 0): (0.375, -0.5)}, A)
     spec = coboundary_cocycle(Z2, target, {"x1+": (0.25, 0.125), "x2+": (-0.75, 1.0)},
                               potential, A, metric=METRIC)
+    background = spec.background_config()
     looked_up = record_lookups(monkeypatch, spec)
     rng = random.Random(32)
-    background = spec.background_config()
-    saved = evaluated = 0
+    # The background factor B is read once per anchor and sign, on first use.
+    for g, sign in itertools.product(((1, 0), (0, 1)), "+-"):
+        looked_up.clear()
+        holonomy(spec, g, Configuration(Z2, A, 0, {(0, 0): 1}), background, EPS, sign)
+        assert looked_up[:len(spec._plan(g))] == [(0,) * 5] * len(spec._plan(g))
+    saved = evaluated = skipped = 0
     for _ in range(12):
         x, y = random_homoclinic_pair(Z2, METRIC, A, rng)
         for g, other in (((1, 0), background), ((0, 1), y)):
             for sign in "+-":
                 looked_up.clear()
-                _, cert = holonomy(spec, g, x, other, EPS, sign)
-                factors = factors_looked_up(spec, g, x, other, sign, list(looked_up))
+                value, cert = holonomy(spec, g, x, other, EPS, sign)
                 last = last_differing_factor(spec, g, x, other, cert.n_used, sign)
-                assert factors <= max(1, last + 1)
+                factors = max(1, last + 1)
+                assert looked_up == chain_lookups(spec, g, x, other, factors, sign,
+                                                  "touched")
                 saved += cert.n_used - factors
                 evaluated += factors
-    assert saved > 0 and evaluated > 0
+                if other is background:  # factors read as B
+                    skipped += (factors - (sign == "-")
+                                - len(looked_up) // len(spec._plan(g)))
+                assert value == partial_product(spec, g, x, other, cert.n_used, sign)
+    assert saved > 0 and evaluated > 0 and skipped > 0
 
 
 def position_sensitive_table(target, cells, values):
@@ -682,22 +714,74 @@ def test_y_is_looked_up_only_where_its_read_differs(monkeypatch, make_spec):
         x = Configuration(Z2, A, 0, {**y.support, **{c: 1 - y.symbol_at(c)
                                                      for c in flips}})
         for g in ((1, 0), (1, 1)):
+            entries = len(spec._plan(g))
             for sign in "+-":
                 looked_up.clear()
                 value, cert = holonomy(spec, g, x, y, EPS, sign)
-                factors = factors_looked_up(spec, g, x, y, sign, list(looked_up))
+                factors = max(1, last_differing_factor(spec, g, x, y, cert.n_used,
+                                                       sign) + 1)
                 assert factors <= cert.n_used
-                reads = factors * len(spec.group.geodesic_word(g))
+                assert looked_up == chain_lookups(spec, g, x, y, factors, sign,
+                                                  "touched")
+                reads = (factors if sign == "+" else factors - 1) * entries
                 y_lookups += len(looked_up) - reads
                 y_reuses += 2 * reads - len(looked_up)
                 assert value == chain_partial_product(spec, g, x, y, cert.n_used, sign)
                 for n in (1, 2, 7, 13):
                     looked_up.clear()
                     product = partial_product(spec, g, x, y, n, sign)
-                    factors = factors_looked_up(spec, g, x, y, sign, list(looked_up))
-                    assert factors == (n if sign == "+" else n - 1)
+                    assert looked_up == chain_lookups(spec, g, x, y, n, sign, "pair")
+                    assert len(looked_up) == 2 * entries * (n if sign == "+" else n - 1)
                     assert product == chain_partial_product(spec, g, x, y, n, sign)
     assert y_lookups > 0 and y_reuses > 0
+
+
+ROUTE_GROUPS = ["z", "z^2", "z^2+diag", "heisenberg", "free:2", "prod(z,free:2)"]
+ROUTE_TARGETS = [
+    # Dyadic values keep every product exact, whatever the grouping.
+    ("real_vector", lambda: (RealVector(2), [(k / 8, (3 - k) / 4) for k in range(7)])),
+    ("sym3", lambda: (SYM3, list(SYM3.elements))),
+]
+
+
+@pytest.mark.parametrize("make_target", [case[1] for case in ROUTE_TARGETS],
+                         ids=[case[0] for case in ROUTE_TARGETS])
+@pytest.mark.parametrize("name", ROUTE_GROUPS)
+def test_holonomy_equals_partial_product_on_every_model(name, make_target):
+    """Position-sensitive window-1 maps (not cocycles; evaluation only), so a
+    factor read on the wrong cells or skipped wrongly changes the value."""
+    group = parse_group(name)
+    metric = WordMetric(group)
+    target, values = make_target()
+    cells = canonical_cells(metric, 1)
+    maps = {label: position_sensitive_table(target, cells, values[k:] + values[:k])
+            for k, (label, _) in enumerate(group.gens)}
+    spec = CocycleSpec(group, target, A, 0, maps)
+    background = spec.background_config()
+    gens = [group.gen(label) for label in group.positive_labels]
+    anchors = [gens[0], group.mul(gens[0], gens[-1])]
+    rng = random.Random(44)
+    pairs = [random_homoclinic_pair(group, metric, A, rng, max_radius=3)
+             for _ in range(4)]
+    pairs += [(x, background) for x, _ in pairs[:2]] + [(background, y) for _, y in pairs[:2]]
+    cut_off = 0
+    for g in anchors:
+        for x, y in pairs:
+            for sign in "+-":
+                value, cert = holonomy(spec, g, x, y, EPS, sign)
+                assert value == partial_product(spec, g, x, y, cert.n_used, sign)
+                touched = touched_by_index(spec, g, sign, x.differing_cells(y),
+                                           cert.n_used)
+                cut_off += bool(touched) and max(touched) + 1 < cert.n_used
+    assert cut_off > 0
+
+
+def test_holonomy_refuses_an_unknown_sign():
+    spec = coboundary_spec()
+    x = Configuration(Z2, A, 0, {(0, 0): 1})
+    for y in (spec.background_config(), Configuration(Z2, A, 0, {(1, 0): 1})):
+        with pytest.raises(CocycleError, match="sign must be"):
+            holonomy(spec, (1, 0), x, y, EPS, "*")
 
 
 # -- specification decay -------------------------------------------------------------

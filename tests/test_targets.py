@@ -132,3 +132,13 @@ def test_cyclic_description_is_decided_by_type_not_name():
     z4 = cyclic_group(4)
     assert z4.describe() == {"kind": "cyclic", "n": 4}
     assert target_from_description(z4.describe()).mul(1, 1) == 2
+
+
+@pytest.mark.parametrize("target, read", [(RealVector(2), (0.25, 1.0)),
+                                          (Torus(2), (0.25, 0.0))],
+                         ids=["real_vector", "torus"])
+def test_table_values_must_be_json_numbers(target, read):
+    assert target.from_jsonable_elem([0.25, 1]) == read
+    for bad in (["0.25", 0.5], [0.25, True], [None, 0.5]):
+        with pytest.raises(ValueError, match="key 'table' needs a number"):
+            target.from_jsonable_elem(bad)
