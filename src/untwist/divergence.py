@@ -23,13 +23,7 @@ import math
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .groups import (
-    FreeGroup,
-    Group,
-    GroupError,
-    IntegerLattice,
-    linear_fit,
-)
+from .groups import Group, GroupError, linear_fit
 
 FINITE = "finite"
 WINDOW_DISCONNECTED = "window_disconnected"
@@ -71,13 +65,12 @@ class PathSearchResult(NamedTuple):
 
 def _certified_disconnection(query: DivergenceQuery) -> bool:
     """True when removing the forbidden set provably disconnects the group:
-    the Cayley graphs of z and free:r are trees, so every path from a to b
-    passes through each vertex of their geodesic."""
+    on a Cayley tree (z and free:r) every path from a to b passes through
+    each vertex of their geodesic."""
     group, c_inv = query.group, query.group.inv(query.c)
-    tree = isinstance(group, FreeGroup) or (isinstance(group, IntegerLattice)
-                                            and group.dimension == 1)
-    return tree and any(group.exact_length(group.mul(c_inv, h)) < query.forbidden_radius
-                        for h in geodesic_points(group, query.a, query.b))
+    return group.cayley_tree and any(
+        group.exact_length(group.mul(c_inv, h)) < query.forbidden_radius
+        for h in geodesic_points(group, query.a, query.b))
 
 
 def avoidant_shortest_path(query: DivergenceQuery) -> PathSearchResult:

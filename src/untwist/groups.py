@@ -167,6 +167,9 @@ class Group(ABC):
     name: str = "?"
     ends: str = "one"  # "one" | "two" | "infinitely_many"
     subexponential_divergence: bool = False
+    # Every path between two elements passes through each vertex of their
+    # geodesic: the Cayley graph is a tree, doubled edges aside.
+    cayley_tree: bool = False
 
     @abstractmethod
     def mul(self, a, b):
@@ -193,10 +196,17 @@ class Group(ABC):
     def parse_elem(self, s: str):
         ...
 
-    @abstractmethod
     def compression_lower_bound(self, g) -> LengthLowerBound:
         """Certified lower bound for the compression of <g>; g must have
         infinite order (all built-ins are torsion-free, so g != identity)."""
+        self.validate(g)
+        if g == self.identity:
+            raise GroupError("identity has no infinite-order power data")
+        return self._compression_bound(g)
+
+    @abstractmethod
+    def _compression_bound(self, g) -> LengthLowerBound:
+        """The bound for a valid g other than the identity."""
 
     @abstractmethod
     def exact_length(self, a) -> int:
@@ -209,7 +219,13 @@ class Group(ABC):
         or from the sphere S(radius) when sphere is true."""
 
     def defining_relation_word_pairs(self):
-        """Pairs of generator words with equal products (cocycle sanity checks)."""
+        """Pairs of generator words with equal products (cocycle sanity
+        checks): s*s^-1 = e for every generator s, then _relations()."""
+        inverses = [([lab, self.inverse_label(lab)], []) for lab, _ in self.gens]
+        return inverses + self._relations()
+
+    def _relations(self):
+        """The model's relations besides s*s^-1 = e."""
         return []
 
     def gen(self, label: str):
@@ -291,6 +307,19 @@ def _as_int_tuple(a, d):
     return a
 
 
+def _parse_int_tuple(s: str, d: int):
+    """The integer d-tuple in s, written v1,...,vd, in parentheses or not;
+    no coordinate may be empty."""
+    s = s.strip()
+    parts = (s[1:-1] if s.startswith("(") and s.endswith(")") else s).split(",")
+    if len(parts) != d:
+        raise GroupError(f"expected {d} coordinates in {s!r}")
+    try:
+        return tuple(int(p) for p in parts)
+    except ValueError:
+        raise GroupError(f"cannot parse {s!r} as {d} integers") from None
+
+
 def _split_top_level(body: str, sep: str):
     """(head, tail) around the first sep outside parentheses, or None."""
     depth = 0
@@ -333,6 +362,7 @@ class IntegerLattice(Group):
         self.name = f"z^{dimension}" + ("+diag" if diagonal else "")
         self.ends = "two" if dimension == 1 else "one"
         self.subexponential_divergence = dimension >= 2
+        self.cayley_tree = dimension == 1
         gens = []
         for i in range(dimension):
             e = tuple(1 if j == i else 0 for j in range(dimension))
@@ -382,20 +412,7 @@ class IntegerLattice(Group):
         return "(" + ",".join(str(v) for v in a) + ")"
 
     def parse_elem(self, s):
-        s = s.strip()
-        if self.dimension == 1:
-            try:
-                return (int(s),)
-            except ValueError:
-                raise GroupError(f"cannot parse {s!r} as an integer") from None
-        body = s[1:-1] if s.startswith("(") and s.endswith(")") else s
-        parts = [p for p in body.split(",") if p.strip() != ""]
-        if len(parts) != self.dimension:
-            raise GroupError(f"expected {self.dimension} coordinates in {s!r}")
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:
-            raise GroupError(f"cannot parse {s!r} as an integer vector") from None
+        return _parse_int_tuple(s, self.dimension)
 
     def exact_length(self, a):
         if not self.diagonal:
@@ -414,25 +431,15 @@ class IntegerLattice(Group):
         return _rejection_draw(self, radius, sphere,
                                lambda: tuple([randrange(span) - radius for _ in coords]))
 
-    def compression_lower_bound(self, g):
-        self.validate(g)
-        if g == self.identity:
-            raise GroupError("identity has no infinite-order power data")
+    def _compression_bound(self, g):
         if not self.diagonal:
             return LinearBound(sum(abs(v) for v in g))
         # Each generator moves every coordinate by at most 1.
         return LinearBound(max(abs(v) for v in g))
 
-    def defining_relation_word_pairs(self):
-        pairs = []
-        labels = [lab for lab, _ in self.gens]
-        for lab in labels:
-            pairs.append(([lab, self.inverse_label(lab)], []))
+    def _relations(self):
         pos = self.positive_labels
-        for i in range(len(pos)):
-            for j in range(i + 1, len(pos)):
-                pairs.append(([pos[i], pos[j]], [pos[j], pos[i]]))
-        return pairs
+        return [([s, t], [t, s]) for i, s in enumerate(pos) for t in pos[i + 1:]]
 
 
 class InfiniteCyclic(IntegerLattice):
@@ -484,20 +491,10 @@ class DiscreteHeisenberg(Group):
         return "(" + ",".join(str(v) for v in a) + ")"
 
     def parse_elem(self, s):
-        s = s.strip()
         shorthand = {"a": (1, 0, 0), "b": (0, 1, 0), "z": (0, 0, 1),
                      "A": (-1, 0, 0), "B": (0, -1, 0), "Z": (0, 0, -1),
                      "e": (0, 0, 0)}
-        if s in shorthand:
-            return shorthand[s]
-        body = s[1:-1] if s.startswith("(") and s.endswith(")") else s
-        parts = body.split(",")
-        if len(parts) != 3:
-            raise GroupError(f"expected a triple or one of a/b/z, got {s!r}")
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:
-            raise GroupError(f"cannot parse {s!r} as a Heisenberg triple") from None
+        return shorthand.get(s.strip()) or _parse_int_tuple(s, 3)
 
     def exact_length(self, a):
         """Blachère's closed form (Word distance on the discrete Heisenberg
@@ -527,24 +524,18 @@ class DiscreteHeisenberg(Group):
         return _rejection_draw(self, radius, sphere, lambda: (
             randrange(2 * r + 1) - r, randrange(2 * r + 1) - r, randrange(2 * r2 + 1) - r2))
 
-    def compression_lower_bound(self, g):
-        self.validate(g)
-        x, y, z = g
+    def _compression_bound(self, g):
+        x, y, _ = g
         if (x, y) != (0, 0):
             # Every generator changes |x| or |y| by at most one.
             return LinearBound(max(abs(x), abs(y)))
-        if z != 0:
-            # Central powers: a word for (0,0,m) is a closed lattice loop of
-            # enclosed area m, so its length is at least 4*sqrt(|m|).
-            return SqrtBound(1)
-        raise GroupError("identity has no infinite-order power data")
+        # Central powers: a word for (0,0,m) is a closed lattice loop of
+        # enclosed area m, so its length is at least 4*sqrt(|m|).
+        return SqrtBound(1)
 
-    def defining_relation_word_pairs(self):
+    def _relations(self):
         zw = ["a", "b", "A", "B"]  # evaluates to the central element (0,0,1)
-        pairs = [(["a", "A"], []), (["b", "B"], [])]
-        pairs.append((["a"] + zw, zw + ["a"]))
-        pairs.append((["b"] + zw, zw + ["b"]))
-        return pairs
+        return [(["a"] + zw, zw + ["a"]), (["b"] + zw, zw + ["b"])]
 
 
 class FreeGroup(Group):
@@ -552,6 +543,7 @@ class FreeGroup(Group):
     signed letter indices (1-based; negative = inverse)."""
 
     identity = ()
+    cayley_tree = True
 
     def __init__(self, rank: int):
         if not 1 <= rank <= 26:
@@ -642,18 +634,12 @@ class FreeGroup(Group):
             word.append(self.gens[j][1][0])
         return tuple(word)
 
-    def compression_lower_bound(self, g):
-        self.validate(g)
-        if not g:
-            raise GroupError("identity has no infinite-order power data")
+    def _compression_bound(self, g):
         # Cyclically reduced core length grows linearly under powers.
         core = list(g)
         while len(core) >= 2 and core[0] == -core[-1]:
             core = core[1:-1]
         return LinearBound(max(1, len(core)))
-
-    def defining_relation_word_pairs(self):
-        return [([lab, self.inverse_label(lab)], []) for lab, _ in self.gens]
 
 
 class DirectProduct(Group):
@@ -712,30 +698,17 @@ class DirectProduct(Group):
         return _rejection_draw(self, radius, sphere, lambda: (
             self.left.draw(radius, rng), self.right.draw(radius, rng)))
 
-    def compression_lower_bound(self, g):
-        self.validate(g)
-        parts = []
-        if g[0] != self.left.identity:
-            parts.append(self.left.compression_lower_bound(g[0]))
-        if g[1] != self.right.identity:
-            parts.append(self.right.compression_lower_bound(g[1]))
-        if not parts:
-            raise GroupError("identity has no infinite-order power data")
-        if len(parts) == 1:
-            return parts[0]
-        return SumBound(parts)
+    def _compression_bound(self, g):
+        parts = [f._compression_bound(h) for f, h in zip((self.left, self.right), g)
+                 if h != f.identity]
+        return parts[0] if len(parts) == 1 else SumBound(parts)
 
-    def defining_relation_word_pairs(self):
-        pairs = []
-        for lab, _ in self.gens:
-            pairs.append(([lab, self.inverse_label(lab)], []))
-        for ll in self.left.positive_labels:
-            for rl in self.right.positive_labels:
-                pairs.append(([f"l:{ll}", f"r:{rl}"], [f"r:{rl}", f"l:{ll}"]))
-        for w1, w2 in self.left.defining_relation_word_pairs():
-            pairs.append(([f"l:{lab}" for lab in w1], [f"l:{lab}" for lab in w2]))
-        for w1, w2 in self.right.defining_relation_word_pairs():
-            pairs.append(([f"r:{lab}" for lab in w1], [f"r:{lab}" for lab in w2]))
+    def _relations(self):
+        pairs = [([f"l:{s}", f"r:{t}"], [f"r:{t}", f"l:{s}"])
+                 for s in self.left.positive_labels for t in self.right.positive_labels]
+        for side, factor in (("l", self.left), ("r", self.right)):
+            pairs += [tuple([f"{side}:{lab}" for lab in w] for w in pair)
+                      for pair in factor._relations()]
         return pairs
 
 

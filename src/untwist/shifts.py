@@ -105,7 +105,12 @@ class Configuration:
 
     @classmethod
     def from_jsonable(cls, group: Group, obj) -> "Configuration":
-        support = {group.parse_elem(cell): sym for cell, sym in obj["support"]}
+        support = {}
+        for cell, sym in obj["support"]:
+            cell = group.parse_elem(cell)
+            if cell in support:
+                raise ContractError(f"cell {group.format_elem(cell)} is listed twice")
+            support[cell] = sym
         return cls(group, tuple(obj["alphabet"]), obj["background"], support)
 
 

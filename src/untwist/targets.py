@@ -12,7 +12,7 @@ import math
 from abc import ABC, abstractmethod
 from operator import add, neg
 
-from .groups import InputError
+from .groups import InputError, json_int
 
 
 class TargetError(InputError):
@@ -243,11 +243,11 @@ def bi_invariance_defect(target: TargetGroup, rng, trials: int = 100) -> float:
 def target_from_description(obj) -> TargetGroup:
     kind = obj.get("kind")
     if kind == "real_vector":
-        return RealVector(int(obj["dim"]))
+        return RealVector(json_int(obj["dim"], "dim"))
     if kind == "torus":
-        return Torus(int(obj["dim"]))
+        return Torus(json_int(obj["dim"], "dim"))
     if kind == "cyclic":
-        return cyclic_group(int(obj["n"]))
+        return cyclic_group(json_int(obj["n"], "n"))
     if kind == "finite":
         table = {(a, b): c for a, b, c in obj["table"]}
         return FiniteGroup(obj["elements"], table, obj["identity"],

@@ -372,19 +372,24 @@ def _strings_for_table_values(payload):
             row[1] = [str(v) for v in row[1]]
 
 
-@pytest.mark.parametrize("edit, key", [
-    (_strings_for_table_values, "table"),
-    (lambda p: p.update(rate="0.5"), "rate"),
-    (lambda p: p.update(rate=True), "rate"),
-], ids=["table", "rate", "rate-bool"])
+@pytest.mark.parametrize("edit, key, need", [
+    (_strings_for_table_values, "table", "a number"),
+    (lambda p: p.update(rate="0.5"), "rate", "a number"),
+    (lambda p: p.update(rate=True), "rate", "a number"),
+    (lambda p: p["target"].update(dim=2.7), "dim", "an integral number"),
+    (lambda p: p["target"].update(dim="2"), "dim", "an integral number"),
+    (lambda p: p["target"].update(dim=True), "dim", "an integral number"),
+    (lambda p: p.update(target={"kind": "cyclic", "n": "3"}), "n", "an integral number"),
+], ids=["table", "rate", "rate-bool", "dim-fraction", "dim-string", "dim-bool",
+        "n-string"])
 def test_spec_value_that_is_no_json_number_exits_2_naming_the_key(tmp_path, capsys,
-                                                                   edit, key):
+                                                                   edit, key, need):
     spec = _edited_spec(tmp_path, edit)
     out = tmp_path / "report.json"
     assert main(["cocycle", "untwist", "--group", "z^2", "--spec", str(spec),
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {spec}: bad value: key {key!r} needs a number")
+    assert err.startswith(f"error: {spec}: bad value: key {key!r} needs {need}")
     assert not out.exists()
 
 
@@ -445,6 +450,30 @@ def test_bad_element_in_task_keeps_group_error_message(tmp_path, capsys):
     assert main(["subshift", "glue", "--group", "z^2", "--spec", str(spec),
                  "--out", str(tmp_path / "out.json")]) == 2
     assert capsys.readouterr().err == "error: expected 2 coordinates in '(1,0,0)'\n"
+
+
+@pytest.mark.parametrize("element", ["(1,,2)", ",1,2", "(1,2,)"])
+def test_element_with_an_empty_coordinate_exits_2(tmp_path, capsys, element):
+    out = tmp_path / "out"
+    assert main(["invariants", "--group", "z^2", "--element", element, "--radius", "4",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: expected 2 coordinates in {element!r}\n"
+    assert not out.exists()
+
+
+def test_task_listing_a_cell_twice_exits_2_naming_it(tmp_path, capsys):
+    with open(os.path.join(GOLDEN, "glue_z2_task.json"), "r", encoding="utf-8") as fh:
+        task = json.load(fh)
+    assert ["(-11,4)", 1] in task["x"]["support"]
+    task["x"]["support"].append(["(-11, 4)", 0])
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps(task))
+    out = tmp_path / "out.json"
+    assert main(["subshift", "glue", "--group", "z^2", "--spec", str(path),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cell (-11,4) is listed twice\n" and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("error", [

@@ -232,6 +232,65 @@ def test_compression_lower_bound_never_decreases(group):
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
+# -- what Group does for every model ------------------------------------------
+
+TEMPLATE_MODELS = MODELS + [parse_group("prod(z,heisenberg)"), parse_group("prod(free:2,z)"),
+                            parse_group("prod(prod(z,heisenberg),z^2+diag)")]
+
+
+@pytest.mark.parametrize("group", TEMPLATE_MODELS, ids=lambda g: g.name)
+def test_relation_list_holds_every_inverse_pair_once_and_each_pair_holds(group):
+    pairs = [(tuple(w1), tuple(w2)) for w1, w2 in group.defining_relation_word_pairs()]
+    for label, _ in group.gens:
+        assert ((label, group.inverse_label(label)), ()) in pairs
+    assert len(set(pairs)) == len(pairs)
+    for w1, w2 in pairs:
+        assert group.eval_word(w1) == group.eval_word(w2)
+
+
+@pytest.mark.parametrize("group", TEMPLATE_MODELS, ids=lambda g: g.name)
+def test_compression_lower_bound_refuses_the_identity_and_invalid_elements(group):
+    with pytest.raises(GroupError, match="identity has no infinite-order power data"):
+        group.compression_lower_bound(group.identity)
+    with pytest.raises(GroupError):
+        group.compression_lower_bound("ab")
+
+
+def test_product_bound_validates_each_factor_once(monkeypatch):
+    group = parse_group("prod(z,heisenberg)")
+    calls = []
+    for factor in (group.left, group.right):
+        def counting(a, validate=factor.validate):
+            calls.append(a)
+            validate(a)
+        monkeypatch.setattr(factor, "validate", counting)
+    assert group.compression_lower_bound(((2,), (0, 0, 1))).describe() == (
+        "sum(linear(slope=2),sqrt(scale=1))")
+    assert calls == [(2,), (0, 0, 1)]
+
+
+@pytest.mark.parametrize("text", ["(1,,2)", ",1,2", "(1,2,)", "(1,2", "()", "(1;2)"])
+def test_lattice_refuses_a_tuple_with_an_empty_or_bad_coordinate(text):
+    with pytest.raises(GroupError):
+        parse_group("z^2").parse_elem(text)
+
+
+def test_tuple_syntax_allows_spaces_and_plain_integers():
+    assert parse_group("z^2").parse_elem(" ( -11, 4 ) ") == (-11, 4)
+    assert parse_group("z").parse_elem("-3") == (-3,)
+    assert parse_group("heisenberg").parse_elem("(1, -2, 3)") == (1, -2, 3)
+    with pytest.raises(GroupError, match="expected 3 coordinates"):
+        parse_group("heisenberg").parse_elem("(1,2)")
+
+
+@pytest.mark.parametrize("desc, tree", [
+    ("z", True), ("z^1+diag", True), ("free:2", True), ("free:1", True),
+    ("z^2", False), ("heisenberg", False), ("prod(z,z)", False),
+])
+def test_cayley_tree_marks_the_models_whose_geodesics_separate(desc, tree):
+    assert parse_group(desc).cayley_tree is tree
+
+
 def test_resource_limit_reports_last_radius():
     with pytest.raises(ResourceLimit) as info:
         enumerate_ball(IntegerLattice(2), 50, max_elements=40)

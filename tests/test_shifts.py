@@ -54,6 +54,15 @@ def test_symbols_validated():
         Configuration(Z2, A, 9, {})
 
 
+def test_a_cell_listed_twice_is_refused():
+    obj = {"alphabet": [0, 1], "background": 0,
+           "support": [["(-11,4)", 1], ["(2,0)", 1], ["(-11, 4)", 0]]}
+    with pytest.raises(ContractError, match=re.escape("cell (-11,4) is listed twice")):
+        Configuration.from_jsonable(Z2, obj)
+    obj["support"].pop()
+    assert Configuration.from_jsonable(Z2, obj).support == {(-11, 4): 1, (2, 0): 1}
+
+
 def test_shift_by_identity_and_background_fixed():
     x = cfg({(0, 0): 1, (3, -1): 1})
     assert x.translate((0, 0)) == x

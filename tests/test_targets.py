@@ -142,3 +142,18 @@ def test_table_values_must_be_json_numbers(target, read):
     for bad in (["0.25", 0.5], [0.25, True], [None, 0.5]):
         with pytest.raises(ValueError, match="key 'table' needs a number"):
             target.from_jsonable_elem(bad)
+
+
+@pytest.mark.parametrize("description, key", [
+    ({"kind": "real_vector", "dim": 2.7}, "dim"),
+    ({"kind": "real_vector", "dim": "2"}, "dim"),
+    ({"kind": "torus", "dim": True}, "dim"),
+    ({"kind": "cyclic", "n": "3"}, "n"),
+    ({"kind": "cyclic", "n": 3.5}, "n"),
+], ids=["dim-fraction", "dim-string", "dim-bool", "n-string", "n-fraction"])
+def test_target_dimensions_and_orders_must_be_integers(description, key):
+    with pytest.raises(ValueError, match=f"key '{key}' needs an integral number"):
+        target_from_description(description)
+    # An integral float is an integral number.
+    integral = dict(description, **{key: 2.0})
+    assert target_from_description(integral).describe() == dict(description, **{key: 2})
