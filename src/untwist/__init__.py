@@ -21,8 +21,7 @@ _HOMES = {
         "parse_group",
     ),
     "invariants": (
-        "CompressionProfile", "build_profile", "conjugation_compression_check",
-        "sdt_partial_sum",
+        "CompressionProfile", "build_profile", "sdt_partial_sum",
     ),
     "divergence": (
         "avoidant_shortest_path", "classify_growth", "div_function", "div_pair",
@@ -34,17 +33,15 @@ _HOMES = {
         "homoclinic_agreement_radius", "membership_check",
     ),
     "targets": (
-        "FiniteGroup", "RealVector", "TargetGroup", "Torus",
-        "bi_invariance_defect", "cyclic_group",
+        "FiniteGroup", "RealVector", "TargetGroup", "Torus", "cyclic_group",
     ),
     "cocycles": (
         "BlockMap", "CocycleError", "CocycleSpec", "HolonomyCertificate",
         "TransferTable", "VerificationError", "coboundary_cocycle",
         "cocycle_spec_from_jsonable", "cocycle_spec_to_jsonable",
-        "extract_homomorphism", "generator_independence", "holder_modulus",
-        "holonomy", "holonomy_identity_check", "homomorphism_cocycle",
-        "partial_product", "plus_minus_agree", "relation_consistency",
-        "specification_decay", "weighted_potential",
+        "extract_homomorphism", "generator_independence", "holonomy",
+        "homomorphism_cocycle", "partial_product", "relation_consistency",
+        "weighted_potential",
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

@@ -14,8 +14,8 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .groups import Group, InputError, WordMetric, json_int, linear_fit, parse_group
-from .shifts import Configuration, glue
+from .groups import Group, InputError, WordMetric, json_int, parse_group
+from .shifts import Configuration
 from .targets import (FiniteGroup, RealVector, TargetError, TargetGroup, Torus, json_float,
                       target_from_description)
 
@@ -391,29 +391,6 @@ def holonomy(spec: CocycleSpec, g, x: Configuration, y: Configuration,
         fmt, sign, n, tail, agreement, C_g, r, described, epsilon)
 
 
-def holonomy_identity_check(spec: CocycleSpec, g, triples,
-                            epsilon: float = 1e-8) -> float:
-    """Largest composition defect d(h(x,y)h(y,z), h(x,z)) over the triples."""
-    target = spec.target
-    worst = 0.0
-    for x, y, z in triples:
-        hxy, _ = holonomy(spec, g, x, y, epsilon)
-        hyz, _ = holonomy(spec, g, y, z, epsilon)
-        hxz, _ = holonomy(spec, g, x, z, epsilon)
-        worst = max(worst, target.dist(target.mul(hxy, hyz), hxz))
-    return worst
-
-
-def plus_minus_agree(spec: CocycleSpec, g, pairs, epsilon: float = 1e-8) -> float:
-    """Largest distance between forward and backward holonomies."""
-    worst = 0.0
-    for x, y in pairs:
-        plus, _ = holonomy(spec, g, x, y, epsilon, sign="+")
-        minus, _ = holonomy(spec, g, x, y, epsilon, sign="-")
-        worst = max(worst, spec.target.dist(plus, minus))
-    return worst
-
-
 def generator_independence(spec: CocycleSpec, g, h, pairs,
                            epsilon: float = 1e-8) -> float:
     """Largest distance between holonomies computed through two anchors.
@@ -433,55 +410,6 @@ def generator_independence(spec: CocycleSpec, g, h, pairs,
         via_h, _ = holonomy(spec, h, x, y, epsilon)
         worst = max(worst, spec.target.dist(via_g, via_h))
     return worst
-
-
-class DecayRow(NamedTuple):
-    R: int
-    n_spec: int
-    observed: float
-    via_witness: float
-    bound: float
-    pairs: int
-
-
-def specification_decay(spec: CocycleSpec, params_by_R: dict,
-                        pairs_by_R: dict, epsilon: float = 1e-8):
-    """Holonomy decay against the agreement radius.
-
-    For pairs agreeing on the gluing ball of each R, both the direct
-    holonomy distance to the identity and the glued-witness decomposition
-    must stay below 2 * C_g * r**R * sum_j r**floor(rho(j)/4), where g is
-    the anchor of that R's cone data.
-    """
-    target = spec.target
-    rows = []
-    for R in sorted(params_by_R):
-        params = params_by_R[R]
-        if params.group is not spec.group:
-            raise CocycleError(f"cone data for R = {R} is over {params.group.name}, "
-                               f"not the spec's group {spec.group.name}")
-        g = params.anchor
-        C_g, r = spec.holder_constants(g)
-        profile = params.profile
-        series = sum(r ** profile.quarter_floor(j)
-                     for j in range(0, profile.j_max + 1))
-        series += profile.lower_bound.tail(r ** 0.25, profile.j_max + 1) / r
-        bound = 2.0 * C_g * (r ** R) * series
-        observed = 0.0
-        witness = 0.0
-        pairs = pairs_by_R[R]
-        for x, xp in pairs:
-            direct, _ = holonomy(spec, g, x, xp, epsilon)
-            observed = max(observed, target.dist(direct, target.identity))
-            y = glue(x, xp, params).y
-            minus_part, _ = holonomy(spec, g, x, y, epsilon, sign="-")
-            plus_part, _ = holonomy(spec, g, y, xp, epsilon, sign="+")
-            witness = max(witness,
-                          target.dist(minus_part, target.identity)
-                          + target.dist(plus_part, target.identity))
-        rows.append(DecayRow(R, params.specification_ball_radius(), observed,
-                             witness, bound, len(pairs)))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -569,56 +497,6 @@ def extract_homomorphism(spec: CocycleSpec, anchor, elements, samples,
             report=report,
         )
     return report
-
-
-class HolderModulusRow(NamedTuple):
-    agreement_radius: int
-    max_distance: float
-    pairs: int
-
-
-class HolderModulusReport(NamedTuple):
-    rows: tuple
-    fitted_rate: float
-    fitted_scale: float
-    zero_floor: float
-
-
-def holder_modulus(transfer: TransferTable, pairs_by_N: dict) -> HolderModulusReport:
-    """Geometric-decay fit for the transfer map.
-
-    Refuses anchors without a certified linear compression lower bound: for
-    those the transfer map is only guaranteed continuous, and a geometric
-    modulus cannot be claimed.
-    """
-    spec = transfer.spec
-    bound = spec.group.compression_lower_bound(transfer.anchor)
-    if bound.linear_slope() is None:
-        raise CocycleError(
-            f"anchor {spec.group.format_elem(transfer.anchor)} has no certified "
-            "linear compression bound; refusing a geometric-modulus fit"
-        )
-    target = spec.target
-    zero_floor = 2.0 * transfer.epsilon
-    rows = []
-    for N in sorted(pairs_by_N):
-        worst = 0.0
-        pairs = pairs_by_N[N]
-        for x, y in pairs:
-            bx, _ = transfer.value(x)
-            by, _ = transfer.value(y)
-            worst = max(worst, target.dist(bx, by))
-        rows.append(HolderModulusRow(N, worst, len(pairs)))
-    points = [(row.agreement_radius, math.log(row.max_distance))
-              for row in rows if row.max_distance > zero_floor]
-    if len(points) >= 2:
-        slope, intercept = linear_fit([p[0] for p in points], [p[1] for p in points])
-        rate = math.exp(slope)
-        scale = math.exp(intercept)
-    else:
-        rate = 0.0
-        scale = math.exp(points[0][1]) if points else 0.0
-    return HolderModulusReport(tuple(rows), rate, scale, zero_floor)
 
 
 # ---------------------------------------------------------------------------

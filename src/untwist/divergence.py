@@ -23,7 +23,7 @@ import math
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .groups import Group, GroupError, linear_fit
+from .groups import Group, GroupError
 
 FINITE = "finite"
 WINDOW_DISCONNECTED = "window_disconnected"
@@ -298,6 +298,17 @@ class GrowthFit(NamedTuple):
     degree: float            # least-squares slope of log(value) against log(n)
     subexp_statistic: float  # max over n of log(value)/n
     points_used: int
+
+
+def linear_fit(xs, ys):
+    """(slope, intercept) of the least-squares line through the points, by
+    the arithmetic of statistics.linear_regression on Python 3.10 and 3.11:
+    every sum is an fsum, so the fit is the same bits on every version."""
+    n = len(xs)
+    xbar, ybar = math.fsum(xs) / n, math.fsum(ys) / n
+    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    slope = sxy / math.fsum((x - xbar) * (x - xbar) for x in xs)
+    return slope, ybar - slope * xbar
 
 
 def classify_growth(ns, values) -> GrowthFit:

@@ -844,16 +844,3 @@ class WordMetric:
 
     def ball(self, radius: int) -> BallTable:
         return self.table(radius)
-
-
-def linear_fit(xs, ys):
-    """(slope, intercept) of the least-squares line through the points, by
-    the arithmetic of statistics.linear_regression on Python 3.10 and 3.11:
-    every sum is an fsum, so the fit is the same bits on every version.
-    Its users, divergence.classify_growth and cocycles.holder_modulus, both
-    import this module already, so the fit lives here, not in its own."""
-    n = len(xs)
-    xbar, ybar = math.fsum(xs) / n, math.fsum(ys) / n
-    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    slope = sxy / math.fsum((x - xbar) * (x - xbar) for x in xs)
-    return slope, ybar - slope * xbar

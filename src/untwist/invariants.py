@@ -180,38 +180,3 @@ def sdt_partial_sum(profile: CompressionProfile, r: float, terms: int) -> Summab
     tail = profile.lower_bound.tail(r, terms + 1)
     return SummabilityReport(r=r, terms=terms, partial_sum=partial,
                              tail_bound=tail)
-
-
-class ConjugationCheck(NamedTuple):
-    """Compression comparison between g and t*g*t^-1.
-
-    Certified inequality: compression_conj(n) >= compression(n) - 2*l(t);
-    slack(n) is the left side minus the right side, exact on the shared range.
-    """
-
-    t_length: int
-    js: tuple
-    slacks: tuple
-    min_slack: int
-
-    @property
-    def holds(self) -> bool:
-        return self.min_slack >= 0
-
-
-def conjugation_compression_check(group: Group, g, t,
-                                  radius: int) -> ConjugationCheck:
-    prof_g = build_profile(group, g, radius)
-    group.validate(t)
-    conj = group.mul(group.mul(t, g), group.inv(t))
-    prof_c = build_profile(group, conj, radius)
-    t_length = group.exact_length(t)
-    top = min(prof_g.j_max, prof_c.j_max)
-    if top < 1:
-        raise OutOfRange("radius too small for a shared exact range")
-    js = tuple(range(1, top + 1))
-    slacks = tuple(
-        prof_c.compression(n) - (prof_g.compression(n) - 2 * t_length) for n in js
-    )
-    return ConjugationCheck(t_length=t_length, js=js, slacks=slacks,
-                            min_slack=min(slacks))

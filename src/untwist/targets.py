@@ -45,10 +45,6 @@ class TargetGroup(ABC):
         ...
 
     @abstractmethod
-    def random_element(self, rng):
-        ...
-
-    @abstractmethod
     def validate(self, a) -> None:
         ...
 
@@ -80,9 +76,6 @@ class RealVector(TargetGroup):
 
     def dist(self, a, b):
         return math.dist(a, b)
-
-    def random_element(self, rng):
-        return tuple(rng.uniform(-1.0, 1.0) for _ in range(self.dim))
 
     def validate(self, a):
         if not (isinstance(a, tuple) and len(a) == self.dim
@@ -127,9 +120,6 @@ class Torus(TargetGroup):
             d = min(d, 1.0 - d)
             total += d * d
         return math.sqrt(total)
-
-    def random_element(self, rng):
-        return tuple(rng.random() for _ in range(self.dim))
 
     def validate(self, a):
         if not (isinstance(a, tuple) and len(a) == self.dim
@@ -189,9 +179,6 @@ class FiniteGroup(TargetGroup):
     def dist(self, a, b):
         return 0.0 if a == b else 1.0
 
-    def random_element(self, rng):
-        return self.elements[rng.randrange(len(self.elements))]
-
     def validate(self, a):
         if a not in self._inverses:
             raise TargetError(f"element {a!r} is not in the group")
@@ -224,20 +211,6 @@ def cyclic_group(n: int) -> CyclicGroup:
     elements = list(range(n))
     table = {(a, b): (a + b) % n for a in elements for b in elements}
     return CyclicGroup(elements, table, 0, name=f"cyclic({n})")
-
-
-def bi_invariance_defect(target: TargetGroup, rng, trials: int = 100) -> float:
-    """Largest violation of d(ab, ac) = d(b, c) = d(ba, ca) over random triples."""
-    worst = 0.0
-    for _ in range(trials):
-        a = target.random_element(rng)
-        b = target.random_element(rng)
-        c = target.random_element(rng)
-        base = target.dist(b, c)
-        left = target.dist(target.mul(a, b), target.mul(a, c))
-        right = target.dist(target.mul(b, a), target.mul(c, a))
-        worst = max(worst, abs(left - base), abs(right - base))
-    return worst
 
 
 def target_from_description(obj) -> TargetGroup:

@@ -581,7 +581,8 @@ def test_readers_that_list_no_ball_build_no_word_metric(monkeypatch):
     import os
 
     from untwist import (Configuration, build_profile, cocycle_spec_from_jsonable,
-                         conjugation_compression_check, div_function, holonomy)
+                         div_function, holonomy)
+    from paper_checks import conjugation_compression_check
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("a reader that lists no ball built a WordMetric")
@@ -592,7 +593,7 @@ def test_readers_that_list_no_ball_build_no_word_metric(monkeypatch):
     assert div_function(FreeGroup(2), 12)[-1].value == math.inf
     heis = DiscreteHeisenberg()
     assert build_profile(heis, (0, 0, 1), 8).compression(4) == 8
-    assert conjugation_compression_check(heis, (1, 0, 0), (0, 1, 0), 8).holds
+    assert min(conjugation_compression_check(heis, (1, 0, 0), (0, 1, 0), 8)[1]) >= 0
     path = os.path.join(os.path.dirname(__file__), "golden", "coboundary_w0.json")
     with open(path, encoding="utf-8") as fh:
         spec = cocycle_spec_from_jsonable(json.load(fh))
@@ -609,7 +610,7 @@ def test_linear_fit_is_statistics_linear_regression(seed):
     import statistics
     import sys
 
-    from untwist.groups import linear_fit
+    from untwist.divergence import linear_fit
 
     rng = random.Random(seed)
     n = rng.randint(2, 40)
