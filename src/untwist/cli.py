@@ -24,6 +24,7 @@ from .groups import (
     ResourceLimit,
     WordMetric,
     enumerate_ball,
+    json_float,
     json_int,
     parse_group,
 )
@@ -228,8 +229,8 @@ def cmd_subshift(args) -> int:
             radius_R = json_int(spec_obj["R"], "R")
             x_prime = Configuration.from_jsonable(group, spec_obj["x_prime"])
             s_prime, t_prime = default_specification_constants(shift, metric)
-            s_prime = float(spec_obj.get("s_prime", s_prime))
-            t_prime = float(spec_obj.get("t_prime", t_prime))
+            s_prime = json_float(spec_obj.get("s_prime", s_prime), "s_prime")
+            t_prime = json_float(spec_obj.get("t_prime", t_prime), "t_prime")
             max_query_length = json_int(spec_obj.get("max_query_length", 64),
                                         "max_query_length")
     config = _echo(args, ("group", "spec", "mode"))

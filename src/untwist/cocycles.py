@@ -14,9 +14,9 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .groups import Group, InputError, WordMetric, json_int, parse_group
+from .groups import Group, InputError, WordMetric, json_float, json_int, parse_group
 from .shifts import Configuration
-from .targets import (FiniteGroup, RealVector, TargetError, TargetGroup, Torus, json_float,
+from .targets import (FiniteGroup, RealVector, TargetError, TargetGroup, Torus,
                       target_from_description)
 
 
@@ -143,6 +143,26 @@ class CocycleSpec:
                         f"block map for generator {lab!r}: cell "
                         f"{group.format_elem(c)} has length {length}, "
                         f"outside its window {bm.window}")
+        # A table lists every pattern over the alphabet once.  Its keys are
+        # distinct, so once each is a pattern of the right length over the
+        # alphabet, the count decides it; a missing pattern is then among the
+        # first len(table) + 1 patterns of the product.
+        symbols = tuple(dict.fromkeys(self.alphabet))
+        known = set(symbols)
+        for lab, bm in self.maps.items():
+            if bm.table is None:
+                continue
+            width = len(bm.cells)
+            for pattern in bm.table:
+                if len(pattern) != width or not known.issuperset(pattern):
+                    raise CocycleError(
+                        f"block map for generator {lab!r}: pattern {list(pattern)} is "
+                        f"not {width} symbols of the alphabet {list(symbols)}")
+            if len(bm.table) < len(symbols) ** width:
+                missing = next(p for p in itertools.product(symbols, repeat=width)
+                               if p not in bm.table)
+                raise CocycleError(f"block map for generator {lab!r}: pattern "
+                                   f"{list(missing)} has no value")
         # Continuity constants: a window-w map moves by at most its range
         # diameter, and agreement on B(n >= w) pins it, so D * r^-w works.
         self.holder_constant = max(
@@ -635,7 +655,12 @@ def cocycle_spec_from_jsonable(obj, group: Group | None = None) -> CocycleSpec:
     maps = {}
     for entry in obj["generators"]:
         cells = tuple(group.parse_elem(c) for c in entry["cells"])
-        table = {tuple(p): target.from_jsonable_elem(v) for p, v in entry["table"]}
+        table = {}
+        for p, v in entry["table"]:
+            if (pattern := tuple(p)) in table:
+                raise CocycleError(f"block map for generator {entry['label']!r}: "
+                                   f"pattern {p} is listed twice")
+            table[pattern] = target.from_jsonable_elem(v)
         maps[entry["label"]] = BlockMap(target, cells, json_int(entry["window"], "window"),
                                         table=table)
     return CocycleSpec(group, target, tuple(obj["alphabet"]), obj["background"],

@@ -34,6 +34,17 @@ def json_int(value, key: str) -> int:
     raise ValueError(f"key {key!r} needs an integral number, got {value!r}")
 
 
+def json_float(value, key: str) -> float:
+    """A finite JSON number read as a float; a string, a boolean or any other
+    non-number is refused, naming its key, and so are the NaN and Infinity
+    that json.load reads."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"key {key!r} needs a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"key {key!r} needs a finite number, got {value!r}")
+    return float(value)
+
+
 class OutOfRange(LookupError):
     """Requested value lies outside the certified exact range of a table."""
 

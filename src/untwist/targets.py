@@ -12,19 +12,11 @@ import math
 from abc import ABC, abstractmethod
 from operator import add, neg
 
-from .groups import InputError, json_int
+from .groups import InputError, json_float, json_int
 
 
 class TargetError(InputError):
     """Invalid target-group element or inconsistent table."""
-
-
-def json_float(value, key: str) -> float:
-    """A JSON number read as a float; a string, a boolean or any other
-    non-number is refused, naming its key."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"key {key!r} needs a number, got {value!r}")
 
 
 class TargetGroup(ABC):

@@ -413,16 +413,98 @@ def _set_table_values(value):
     return edit
 
 
-@pytest.mark.parametrize("value", [[math.nan, math.nan], [0.5, -0.25, 1.0], [0.5]],
-                         ids=["nan", "three-components", "one-component"])
-def test_cocycle_bad_table_value_exits_2_naming_the_file(tmp_path, capsys, value):
+WRONG_SIZE = ("table value for pattern [0, 0, 0, 0, 0]: expected a length-2 tuple "
+              "of finite numbers")
+
+
+@pytest.mark.parametrize("value, message", [
+    ([math.nan, math.nan], "bad value: key 'table' needs a finite number, got nan"),
+    ([0.5, -0.25, 1.0], WRONG_SIZE),
+    ([0.5], WRONG_SIZE),
+], ids=["nan", "three-components", "one-component"])
+def test_cocycle_bad_table_value_exits_2_naming_the_file(tmp_path, capsys, value, message):
     spec = _edited_spec(tmp_path, _set_table_values(value))
     out = tmp_path / "report.json"
     assert main(["cocycle", "untwist", "--group", "z^2", "--spec", str(spec),
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {spec}: table value for pattern [0, 0, 0, 0, 0]")
-    assert "length-2 tuple of finite numbers" in err and "Traceback" not in err
+    assert err.startswith(f"error: {spec}: {message}") and "Traceback" not in err
+    assert not out.exists()
+
+
+def _into_torus(payload):
+    payload["target"] = {"kind": "torus", "dim": 2}
+
+
+@pytest.mark.parametrize("value, shown", [(math.nan, "nan"), (math.inf, "inf"),
+                                          (-math.inf, "-inf")],
+                         ids=["nan", "inf", "minus-inf"])
+def test_cocycle_non_finite_torus_value_exits_2_naming_the_key(tmp_path, capsys,
+                                                               value, shown):
+    # A torus wraps its coordinates mod 1, which would turn NaN into 0.0.
+    out = tmp_path / "report.json"
+    argv = ["cocycle", "untwist", "--group", "z^2", "--samples", "4", "--out", str(out)]
+
+    def edit(payload):
+        _into_torus(payload)
+        payload["generators"][0]["table"][0][1] = [value, 0.5]
+
+    spec = _edited_spec(tmp_path, edit)
+    assert main(argv + ["--spec", str(spec)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {spec}: bad value: key 'table' needs a finite number, got {shown}\n")
+    assert not out.exists()
+    # The golden coboundary, wrapped mod 1, is a torus coboundary.
+    spec = _edited_spec(tmp_path, _into_torus)
+    assert main(argv + ["--spec", str(spec)]) == 0
+
+
+def _drop_all_ones_rows(payload):
+    for entry in payload["generators"]:
+        assert entry["table"][-1][0] == [1, 1, 1, 1, 1]
+        del entry["table"][-1]
+
+
+def _set_last_pattern(pattern):
+    def edit(payload):
+        payload["generators"][0]["table"][-1][0] = pattern
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p["generators"][0]["table"].append(p["generators"][0]["table"][0]),
+     "pattern [0, 0, 0, 0, 0] is listed twice"),
+    (_drop_all_ones_rows, "pattern [1, 1, 1, 1, 1] has no value"),
+    (_set_last_pattern([1, 1, 1, 1, 2]),
+     "pattern [1, 1, 1, 1, 2] is not 5 symbols of the alphabet [0, 1]"),
+    (_set_last_pattern([1, 1, 1, 1]),
+     "pattern [1, 1, 1, 1] is not 5 symbols of the alphabet [0, 1]"),
+], ids=["duplicate", "missing", "foreign-symbol", "short"])
+def test_cocycle_table_that_misses_or_repeats_a_pattern_exits_2_naming_it(
+        tmp_path, capsys, edit, message):
+    spec = _edited_spec(tmp_path, edit)
+    out = tmp_path / "report.json"
+    assert main(["cocycle", "untwist", "--group", "z^2", "--spec", str(spec),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {spec}: block map for generator 'x1+': {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, need", [
+    ("s_prime", "2", "a number"),
+    ("t_prime", "0", "a number"),
+    ("s_prime", True, "a number"),
+    ("t_prime", math.nan, "a finite number"),
+], ids=["s_prime-string", "t_prime-string", "s_prime-bool", "t_prime-nan"])
+def test_glue_constant_that_is_no_finite_number_exits_2_naming_it(tmp_path, capsys,
+                                                                  key, value, need):
+    spec = _edited_task(tmp_path, lambda t: t.update({key: value}))
+    out = tmp_path / "out.json"
+    assert main(["subshift", "glue", "--group", "z^2", "--spec", str(spec),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {spec}: bad value: key {key!r} needs {need}, got {value!r}\n")
     assert not out.exists()
 
 

@@ -321,6 +321,13 @@ def test_plus_minus_identical_pair_exact():
     assert plus_minus_agree(spec, (1, 0), [(x, x)], EPS) == 0.0
 
 
+def test_spec_refuses_a_table_that_misses_a_pattern():
+    # One cell over the alphabet (0, 1) has two patterns; the table lists one.
+    bm = BlockMap(R1, ((0, 0),), 0, table={(0,): (1.0,)})
+    with pytest.raises(CocycleError, match=r"generator 'x1\+': pattern \[1\] has no value"):
+        CocycleSpec(Z2, R1, A, 0, {lab: bm for lab, _ in Z2.gens})
+
+
 def test_generator_independence_refuses_many_ends():
     free = FreeGroup(2)
     spec = homomorphism_cocycle(free, R1, {"a": (1.0,), "b": (0.0,)}, A)
