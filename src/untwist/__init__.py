@@ -6,7 +6,10 @@ each runs on first use (`importlib.util.LazyLoader`), so a run loads only the
 code it calls, while code that patches the modules after `import untwist`
 still finds them all.  Each public name below is read from its module when
 asked for (PEP 562), so `from untwist import X` runs the module that defines
-X, with what that one uses.
+X, with what that one uses.  The paper's checks that no command runs
+(holonomy composition and forward/backward agreement, decay against the
+gluing radius, the transfer map's modulus, conjugation, bi-invariance) are
+test helpers, in `tests/paper_checks.py`.
 """
 
 import importlib.machinery
