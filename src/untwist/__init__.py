@@ -18,10 +18,11 @@ import sys
 
 _HOMES = {
     "groups": (
-        "BallTable", "DirectProduct", "DiscreteHeisenberg", "FreeGroup",
-        "GroupError", "InfiniteCyclic", "InputError", "IntegerLattice",
-        "OutOfRange", "ResourceLimit", "WordMetric", "enumerate_ball",
-        "parse_group",
+        "BallTable", "GroupError", "InfiniteCyclic", "InputError", "IntegerLattice",
+        "OutOfRange", "ResourceLimit", "WordMetric", "enumerate_ball", "parse_group",
+    ),
+    "models": (
+        "DirectProduct", "DiscreteHeisenberg", "FreeGroup", "SqrtBound",
     ),
     "invariants": (
         "CompressionProfile", "build_profile", "sdt_partial_sum",
@@ -40,11 +41,13 @@ _HOMES = {
     ),
     "cocycles": (
         "BlockMap", "CocycleError", "CocycleSpec", "HolonomyCertificate",
-        "TransferTable", "VerificationError", "coboundary_cocycle",
-        "cocycle_spec_from_jsonable", "cocycle_spec_to_jsonable",
+        "TransferTable", "VerificationError", "cocycle_spec_from_jsonable",
         "extract_homomorphism", "generator_independence", "holonomy",
-        "homomorphism_cocycle", "partial_product", "relation_consistency",
-        "weighted_potential",
+        "partial_product", "relation_consistency",
+    ),
+    "plants": (
+        "canonical_cells", "coboundary_cocycle", "cocycle_spec_to_jsonable",
+        "homomorphism_cocycle", "weighted_potential",
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

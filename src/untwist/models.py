@@ -1,0 +1,345 @@
+"""The group models besides the integer lattices: the discrete Heisenberg
+group, free groups and direct products, with the sublinear and summed
+compression bounds that only they need.
+
+`groups.parse_group` imports this module only for the descriptors it builds,
+so a run over a lattice never loads it.
+"""
+
+from __future__ import annotations
+
+import math
+
+from .groups import (Group, GroupError, LengthLowerBound, LinearBound, _TAIL_SAFETY,
+                     _as_int_tuple, _parse_int_tuple, _rejection_draw)
+
+
+class SqrtBound(LengthLowerBound):
+    """value(j) = scale * ceil(sqrt(j)); summable but sublinear."""
+
+    def __init__(self, scale: int = 1):
+        if scale < 1:
+            raise GroupError("sqrt length bound needs scale >= 1")
+        self.scale = scale
+
+    def value(self, j):
+        if j <= 0:
+            return 0
+        return self.scale * (math.isqrt(j - 1) + 1)
+
+    def tail(self, r, n):
+        if n <= 0:
+            return 1.0 + self.tail(r, 1)
+        q = r ** self.scale
+        k0 = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+        # indices n..k0^2 share the value scale*k0, then blocks of 2k-1.
+        total = (k0 * k0 - n + 1) * q ** k0
+        m = k0 + 1
+        geo = q ** m / (1.0 - q)
+        kgeo = q ** m * (m - (m - 1) * q) / (1.0 - q) ** 2
+        return (total + 2.0 * kgeo - geo) * _TAIL_SAFETY
+
+    def describe(self):
+        return f"sqrt(scale={self.scale})"
+
+
+class SumBound(LengthLowerBound):
+    """Sum of component bounds (used by direct products)."""
+
+    def __init__(self, parts):
+        if not parts:
+            raise GroupError("sum bound needs at least one part")
+        self.parts = tuple(parts)
+
+    def value(self, j):
+        return sum(p.value(j) for p in self.parts)
+
+    def tail(self, r, n):
+        # r**value(j) <= r**part.value(j) for each part, so any part's tail works.
+        return min(p.tail(r, n) for p in self.parts)
+
+    def linear_slope(self):
+        slopes = [p.linear_slope() for p in self.parts]
+        slopes = [s for s in slopes if s is not None]
+        if not slopes:
+            return None
+        return sum(slopes)
+
+    def describe(self):
+        return "sum(" + ",".join(p.describe() for p in self.parts) + ")"
+
+
+def _split_top_level(body: str, sep: str):
+    """(head, tail) around the first sep outside parentheses, or None."""
+    depth = 0
+    for i, ch in enumerate(body):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == sep and depth == 0:
+            return body[:i], body[i + 1:]
+    return None
+
+
+
+class DiscreteHeisenberg(Group):
+    """Integer Heisenberg group, triples under
+    (x,y,z)*(x',y',z') = (x+x', y+y', z+z'+x*y')."""
+
+    name = "heisenberg"
+    ends = "one"
+    subexponential_divergence = True
+
+    identity = (0, 0, 0)
+    gens = (
+        ("a", (1, 0, 0)),
+        ("A", (-1, 0, 0)),
+        ("b", (0, 1, 0)),
+        ("B", (0, -1, 0)),
+    )
+
+    def mul(self, a, b):
+        try:
+            (x, y, z), (X, Y, Z) = a, b
+            return (x + X, y + Y, z + Z + x * Y)
+        except (TypeError, ValueError):
+            raise GroupError("element does not belong to the Heisenberg model") from None
+
+    def _steps(self, g):
+        x, y, z = g
+        return [(x + 1, y, z), (x - 1, y, z), (x, y + 1, z + x), (x, y - 1, z - x)]
+
+    def inv(self, a):
+        try:
+            x, y, z = a
+            return (-x, -y, -z + x * y)
+        except (TypeError, ValueError):
+            raise GroupError("element does not belong to the Heisenberg model") from None
+
+    def validate(self, a):
+        _as_int_tuple(a, 3)
+
+    def format_elem(self, a):
+        return "(" + ",".join(str(v) for v in a) + ")"
+
+    def parse_elem(self, s):
+        shorthand = {"a": (1, 0, 0), "b": (0, 1, 0), "z": (0, 0, 1),
+                     "A": (-1, 0, 0), "B": (0, -1, 0), "Z": (0, 0, -1),
+                     "e": (0, 0, 0)}
+        return shorthand.get(s.strip()) or _parse_int_tuple(s, 3)
+
+    def exact_length(self, a):
+        """Blachère's closed form (Word distance on the discrete Heisenberg
+        group, Colloq. Math. 95, 2003).  A word is a lattice path from 0 to
+        (x, y) with signed area z; symmetries reduce to 0 <= x <= y, z >= 0.
+        Monotone paths, of length x + y, reach every area up to x*y; a larger
+        area costs a box of width h >= y and height ceil(z/h) around it."""
+        x, y, z = a
+        if x < 0:  # a <-> A
+            x, z = -x, -z
+        if y < 0:  # b <-> B
+            y, z = -y, -z
+        if z < 0:  # g -> rot_pi(g^-1), which keeps the length
+            z = x * y - z
+        if x > y:  # a <-> b composed with the line above
+            x, y = y, x
+        if z <= x * y:
+            return x + y
+        h = max(y, math.isqrt(z - 1) + 1)  # max(y, ceil(sqrt(z)))
+        return 2 * (h - (-z // h)) - x - y
+
+    def draw(self, radius, rng, sphere=False):
+        # Box rejection: |x|, |y| <= r and |z| <= r^2 on B(r), since a word of
+        # length at most r moves x and y by at most r, and its k-th letter,
+        # when a b-letter, moves z by the current x, of size at most k - 1 < r.
+        r, r2, randrange = radius, radius * radius, rng.randrange
+        return _rejection_draw(self, radius, sphere, lambda: (
+            randrange(2 * r + 1) - r, randrange(2 * r + 1) - r, randrange(2 * r2 + 1) - r2))
+
+    def _compression_bound(self, g):
+        x, y, _ = g
+        if (x, y) != (0, 0):
+            # Every generator changes |x| or |y| by at most one.
+            return LinearBound(max(abs(x), abs(y)))
+        # Central powers: a word for (0,0,m) is a closed lattice loop of
+        # enclosed area m, so its length is at least 4*sqrt(|m|).
+        return SqrtBound(1)
+
+    def _relations(self):
+        zw = ["a", "b", "A", "B"]  # evaluates to the central element (0,0,1)
+        return [(["a"] + zw, zw + ["a"]), (["b"] + zw, zw + ["b"])]
+
+
+class FreeGroup(Group):
+    """Free group on `rank` letters; elements are freely reduced tuples of
+    signed letter indices (1-based; negative = inverse)."""
+
+    identity = ()
+    cayley_tree = True
+
+    def __init__(self, rank: int):
+        if not 1 <= rank <= 26:
+            raise GroupError("free group rank must be between 1 and 26")
+        self.rank = rank
+        self.name = f"free:{rank}"
+        self.ends = "two" if rank == 1 else "infinitely_many"
+        self.subexponential_divergence = False
+        gens = []
+        for i in range(rank):
+            gens.append((chr(ord("a") + i), (i + 1,)))
+            gens.append((chr(ord("A") + i), (-(i + 1),)))
+        self.gens = tuple(gens)
+
+    def mul(self, a, b):
+        try:
+            word = list(a)
+            for letter in b:
+                if word and word[-1] == -letter:
+                    word.pop()
+                else:
+                    word.append(letter)
+        except TypeError:
+            raise GroupError("element does not belong to this free-group model") from None
+        return tuple(word)
+
+    def inv(self, a):
+        try:
+            return tuple(-x for x in reversed(a))
+        except TypeError:
+            raise GroupError("element does not belong to this free-group model") from None
+
+    def validate(self, a):
+        if not isinstance(a, tuple):
+            raise GroupError(f"expected a reduced word tuple, got {a!r}")
+        for x in a:
+            if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
+                raise GroupError(f"letter {x!r} is not valid for rank {self.rank}")
+        for u, v in zip(a, a[1:]):
+            if u == -v:
+                raise GroupError(f"word {a!r} is not freely reduced")
+
+    def format_elem(self, a):
+        if not a:
+            return "e"
+        return "".join(
+            chr(ord("a") + x - 1) if x > 0 else chr(ord("A") - x - 1) for x in a
+        )
+
+    def parse_elem(self, s):
+        s = s.strip()
+        if s in ("", "e"):
+            return ()
+        word = ()
+        for ch in s:
+            if "a" <= ch <= "z":
+                letter = ord(ch) - ord("a") + 1
+            elif "A" <= ch <= "Z":
+                letter = -(ord(ch) - ord("A") + 1)
+            else:
+                raise GroupError(f"bad letter {ch!r} in free-group word {s!r}")
+            if abs(letter) > self.rank:
+                raise GroupError(f"letter {ch!r} exceeds rank {self.rank}")
+            word = self.mul(word, (letter,))
+        return word
+
+    def exact_length(self, a):
+        return len(a)
+
+    def draw(self, radius, rng, sphere=False):
+        """Exact, by one randrange.  A reduced word's first letter is any of
+        the m = 2r letters and each later one any of the m - 1 that do not
+        cancel it, so |S(k)| = m(m-1)^(k-1).  A uniform index into B(radius)
+        picks k with weight |S(k)|, and its mixed-radix digits the letters."""
+        m = 2 * self.rank
+        sizes = [1] + [m * (m - 1) ** (k - 1) for k in range(1, radius + 1)]
+        i = rng.randrange(sizes[radius] if sphere else sum(sizes))
+        k = radius if sphere else 0
+        while i >= sizes[k]:
+            i -= sizes[k]
+            k += 1
+        word, j = [], None
+        for _ in range(k):
+            # gens lists each letter next to its inverse, so j ^ 1 is the one
+            # a later letter skips: the m - 1 digits count on from it.
+            i, d = divmod(i, m if j is None else m - 1)
+            j = d if j is None else ((j ^ 1) + 1 + d) % m
+            word.append(self.gens[j][1][0])
+        return tuple(word)
+
+    def _compression_bound(self, g):
+        # Cyclically reduced core length grows linearly under powers.
+        core = list(g)
+        while len(core) >= 2 and core[0] == -core[-1]:
+            core = core[1:-1]
+        return LinearBound(max(1, len(core)))
+
+
+class DirectProduct(Group):
+    """Direct product with the union generating set, so word length is the
+    sum of the factor lengths."""
+
+    def __init__(self, left: Group, right: Group):
+        self.left = left
+        self.right = right
+        self.name = f"prod({left.name},{right.name})"
+        # Both factors are infinite, so the product is one-ended and wide.
+        self.ends = "one"
+        self.subexponential_divergence = True
+        gens = [(f"l:{lab}", (g, right.identity)) for lab, g in left.gens]
+        gens += [(f"r:{lab}", (left.identity, g)) for lab, g in right.gens]
+        self.gens = tuple(gens)
+        self.identity = (left.identity, right.identity)
+
+    def mul(self, a, b):
+        try:
+            (al, ar), (bl, br) = a, b
+        except (TypeError, ValueError):
+            raise GroupError("element does not belong to this product model") from None
+        return (self.left.mul(al, bl), self.right.mul(ar, br))
+
+    def inv(self, a):
+        try:
+            al, ar = a
+        except (TypeError, ValueError):
+            raise GroupError("element does not belong to this product model") from None
+        return (self.left.inv(al), self.right.inv(ar))
+
+    def validate(self, a):
+        if not (isinstance(a, tuple) and len(a) == 2):
+            raise GroupError(f"expected a component pair, got {a!r}")
+        self.left.validate(a[0])
+        self.right.validate(a[1])
+
+    def format_elem(self, a):
+        return f"({self.left.format_elem(a[0])}|{self.right.format_elem(a[1])})"
+
+    def parse_elem(self, s):
+        s = s.strip()
+        if not (s.startswith("(") and s.endswith(")")):
+            raise GroupError(f"expected (left|right), got {s!r}")
+        halves = _split_top_level(s[1:-1], "|")
+        if halves is None:
+            raise GroupError(f"no top-level '|' separator in {s!r}")
+        return (self.left.parse_elem(halves[0]), self.right.parse_elem(halves[1]))
+
+    def exact_length(self, a):
+        return self.left.exact_length(a[0]) + self.right.exact_length(a[1])
+
+    def draw(self, radius, rng, sphere=False):
+        # Lengths add, so B(radius) lies in B_left(radius) x B_right(radius).
+        return _rejection_draw(self, radius, sphere, lambda: (
+            self.left.draw(radius, rng), self.right.draw(radius, rng)))
+
+    def _compression_bound(self, g):
+        parts = [f._compression_bound(h) for f, h in zip((self.left, self.right), g)
+                 if h != f.identity]
+        return parts[0] if len(parts) == 1 else SumBound(parts)
+
+    def _relations(self):
+        pairs = [([f"l:{s}", f"r:{t}"], [f"r:{t}", f"l:{s}"])
+                 for s in self.left.positive_labels for t in self.right.positive_labels]
+        for side, factor in (("l", self.left), ("r", self.right)):
+            pairs += [tuple([f"{side}:{lab}" for lab in w] for w in pair)
+                      for pair in factor._relations()]
+        return pairs

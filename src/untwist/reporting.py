@@ -4,7 +4,6 @@ significant digits so artifacts are byte-stable across runs."""
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -51,6 +50,8 @@ def config_line(config: dict) -> str:
 
 
 def render_csv(fieldnames, rows, config: dict | None = None) -> str:
+    import csv  # here, so that commands writing only JSON never load it
+
     buf = io.StringIO()
     if config is not None:
         buf.write(config_line(config) + "\n")

@@ -119,7 +119,12 @@ class Torus(TargetGroup):
             raise TargetError(f"expected a length-{self.dim} tuple in [0,1), got {a!r}")
 
     def wrap(self, values):
-        return tuple(_unit(float(v)) for v in values)
+        """values mod 1; a NaN or infinite value has no class mod 1."""
+        values = tuple(map(float, values))
+        if not all(map(math.isfinite, values)):
+            raise TargetError(f"cannot wrap the non-finite values {values!r} onto "
+                              f"{self.name}")
+        return tuple(map(_unit, values))
 
     def from_jsonable_elem(self, obj):
         return self.wrap([json_float(v, "table") for v in obj])

@@ -63,10 +63,10 @@ def write_coboundary_spec(path, group_name, phi, weight):
         RealVector,
         WordMetric,
         coboundary_cocycle,
+        cocycle_spec_to_jsonable,
         parse_group,
         weighted_potential,
     )
-    from untwist.cocycles import cocycle_spec_to_jsonable
     from untwist.reporting import dumps
 
     group = parse_group(group_name)

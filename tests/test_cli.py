@@ -228,8 +228,8 @@ def _z_specs(tmp_path, window=None):
     """A weighted coboundary spec and a homomorphism spec over z, as files;
     a given window replaces every generator's declared one."""
     from untwist import (InfiniteCyclic, RealVector, WordMetric, coboundary_cocycle,
-                         homomorphism_cocycle, weighted_potential)
-    from untwist.cocycles import cocycle_spec_to_jsonable
+                         cocycle_spec_to_jsonable, homomorphism_cocycle,
+                         weighted_potential)
 
     z, r1 = InfiniteCyclic(), RealVector(1)
     metric = WordMetric(z)
@@ -299,8 +299,8 @@ def test_cocycle_bad_setting_exits_2_naming_it(tmp_path, capsys, flags, message)
 def test_cocycle_untwist_over_the_background_alone(tmp_path, capsys, extra):
     # The shift over {0} has one point, the background configuration, so
     # every sample is that point.
-    from untwist import IntegerLattice, RealVector, homomorphism_cocycle
-    from untwist.cocycles import cocycle_spec_to_jsonable
+    from untwist import (IntegerLattice, RealVector, cocycle_spec_to_jsonable,
+                         homomorphism_cocycle)
 
     spec = homomorphism_cocycle(IntegerLattice(2), RealVector(1),
                                 {"x1+": (0.5,), "x2+": (0.25,)}, (0,))
@@ -509,8 +509,8 @@ def test_glue_constant_that_is_no_finite_number_exits_2_naming_it(tmp_path, caps
 
 
 def test_cocycle_spec_over_another_group_exits_2_naming_both(tmp_path, capsys):
-    from untwist import RealVector, homomorphism_cocycle, parse_group
-    from untwist.cocycles import cocycle_spec_to_jsonable
+    from untwist import (RealVector, cocycle_spec_to_jsonable, homomorphism_cocycle,
+                         parse_group)
 
     spec_path = tmp_path / "spec.json"
     group = parse_group("z^2+diag")
@@ -691,8 +691,8 @@ def test_max_elements_defaults_to_the_metric_budget(tmp_path, capsys):
 
 
 def test_cocycle_untwist_honours_max_elements(tmp_path, capsys):
-    from untwist import DiscreteHeisenberg, RealVector, homomorphism_cocycle
-    from untwist.cocycles import cocycle_spec_to_jsonable
+    from untwist import (DiscreteHeisenberg, RealVector, cocycle_spec_to_jsonable,
+                         homomorphism_cocycle)
 
     spec = homomorphism_cocycle(DiscreteHeisenberg(), RealVector(2),
                                 {"a": (1.0, 0.0), "b": (0.0, 1.0)}, (0, 1))
@@ -863,7 +863,8 @@ def test_subshift_glue_loads_no_cocycle_target_or_divergence_module(tmp_path):
     assert code == 0
     assert {"untwist.shifts", "untwist.invariants"} <= modules
     assert not modules & {"untwist.cocycles", "untwist.targets", "untwist.divergence",
-                          "untwist.sampling", *STDLIB_NEVER}
+                          "untwist.sampling", "untwist.models", "untwist.plants", "csv",
+                          *STDLIB_NEVER}
 
 
 def test_cocycle_untwist_loads_no_divergence_module(tmp_path):
@@ -872,7 +873,23 @@ def test_cocycle_untwist_loads_no_divergence_module(tmp_path):
          "--spec", os.path.join(ROOT, SPEC_RELPATH),
          "--samples", "4", "--out", str(tmp_path / "report.json")])
     assert code == 0
-    assert not modules & {"untwist.divergence", "untwist.invariants", *STDLIB_NEVER}
+    assert not modules & {"untwist.divergence", "untwist.invariants", "untwist.models",
+                          "untwist.plants", "csv", *STDLIB_NEVER}
+
+
+@pytest.mark.parametrize("argv, models", [
+    (["ball", "--group", "z^2", "--radius", "2", "--out", "ball.csv"], False),
+    (["invariants", "--group", "heisenberg", "--element", "z", "--radius", "4",
+      "--out", "inv"], True),
+    (["divergence", "--group", "heisenberg", "--nmax", "3", "--seed", "1",
+      "--out", "div"], True),
+], ids=["ball-z2", "invariants-heisenberg", "divergence-heisenberg"])
+def test_models_load_only_off_the_lattices_and_plants_never(tmp_path, argv, models):
+    out = str(tmp_path / argv[-1])
+    code, modules = loaded_modules([*argv[:-1], out])
+    assert code == 0
+    assert ("untwist.models" in modules) == models
+    assert "untwist.plants" not in modules
 
 
 def test_layer_function_patched_after_import_is_called(tmp_path):

@@ -10,8 +10,11 @@ from untwist import (
     CocycleSpec,
     ConeParams,
     Configuration,
+    DirectProduct,
     DiscreteHeisenberg,
     FiniteGroup,
+    FreeGroup,
+    InfiniteCyclic,
     IntegerLattice,
     RealVector,
     Torus,
@@ -19,6 +22,7 @@ from untwist import (
     VerificationError,
     WordMetric,
     background_configuration,
+    canonical_cells,
     coboundary_cocycle,
     cocycle_spec_from_jsonable,
     cocycle_spec_to_jsonable,
@@ -27,12 +31,11 @@ from untwist import (
     generator_independence,
     holonomy,
     homomorphism_cocycle,
+    parse_group,
     partial_product,
     relation_consistency,
     weighted_potential,
 )
-from untwist.cocycles import canonical_cells
-from untwist.groups import DirectProduct, FreeGroup, InfiniteCyclic, parse_group
 from untwist.sampling import random_configuration
 from untwist.targets import TargetError
 

@@ -304,7 +304,7 @@ def test_sdt_rejects_bad_base():
 
 
 def test_sqrt_tail_closed_form_dominates_brute_force():
-    from untwist.groups import SqrtBound
+    from untwist import SqrtBound
 
     bound = SqrtBound(1)
     for r in (0.5, 0.3):

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from untwist import FiniteGroup, RealVector, Torus, cyclic_group
+from untwist import (FiniteGroup, IntegerLattice, RealVector, Torus, WordMetric,
+                     coboundary_cocycle, cyclic_group, weighted_potential)
 from untwist.targets import TargetError, target_from_description
 
 from paper_checks import bi_invariance_defect, random_element
@@ -68,6 +69,22 @@ def test_torus_keeps_coordinates_below_one():
     t = Torus(1)
     for a in (t.inv((1e-20,)), t.wrap((-1e-20,))):
         t.validate(a)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_torus_wrap_refuses_non_finite_values(value):
+    with pytest.raises(TargetError, match="non-finite"):
+        Torus(2).wrap((0.25, value))
+
+
+def test_weighted_potential_refuses_a_nan_torus_weight():
+    z2, target = IntegerLattice(2), Torus(1)
+    potential = weighted_potential(z2, WordMetric(z2), target, 0,
+                                   {(0, 0): (math.nan,)}, (0, 1))
+    with pytest.raises(TargetError, match="non-finite"):
+        potential.tabulated((0, 1))
+    with pytest.raises(TargetError, match="non-finite"):
+        coboundary_cocycle(z2, target, {"x1+": (0.25,), "x2+": (0.5,)}, potential, (0, 1))
 
 
 @pytest.mark.parametrize("target, value", [
