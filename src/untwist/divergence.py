@@ -14,7 +14,9 @@ gives every point h of a geodesic from a to b
 So when l(a) + l(b) + k <= 2*window and d(c,a) + d(c,b) - k >= 2r, every
 geodesic stays inside the window and off the forbidden ball, and the
 avoidant distance is exactly k: avoidant_distance answers so, and searches
-only where this fails.
+only where this fails.  Nor does an obstacle need one when a path that an
+earlier search of its pair returned stays off its forbidden ball: div_pair
+skips it, since its answer cannot beat the best so far.
 """
 
 from __future__ import annotations
@@ -45,10 +47,16 @@ def make_query(group: Group, a, b, c, window_radius: int) -> DivergenceQuery:
         group.validate(x)
     if c == a or c == b:
         raise GroupError("obstacle must differ from both endpoints")
-    c_inv = group.inv(c)
-    d = min(group.exact_length(group.mul(c_inv, x)) for x in (a, b))
-    radius = max(0, d // 2 - 2)
-    return DivergenceQuery(group, a, b, c, window_radius, radius)
+    return _read_obstacle(group, a, b, c, window_radius)[0]
+
+
+def _read_obstacle(group: Group, a, b, c, window_radius: int):
+    """The query of a valid obstacle c other than the valid a and b, and the
+    reads (c^-1, d(c,a), d(c,b)) its radius took, for avoidant_distance."""
+    length, mul, c_inv = group.exact_length, group.mul, group.inv(c)
+    ca, cb = length(mul(c_inv, a)), length(mul(c_inv, b))
+    radius = max(0, min(ca, cb) // 2 - 2)
+    return DivergenceQuery(group, a, b, c, window_radius, radius), (c_inv, ca, cb)
 
 
 class PathSearchResult(NamedTuple):
@@ -93,18 +101,14 @@ def avoidant_shortest_path(query: DivergenceQuery) -> PathSearchResult:
     radius = query.forbidden_radius
     mul = group.mul
     c_inv = group.inv(query.c)
-
-    def forbidden(h):
-        return length(mul(c_inv, h)) < radius
-
     a, b = query.a, query.b
-    if forbidden(a) or forbidden(b):
+    if min(length(mul(c_inv, a)), length(mul(c_inv, b))) < radius:
         raise GroupError("endpoint inside the forbidden ball; radius formula violated")
     if _certified_disconnection(query):
         return PathSearchResult(INFINITE)
 
     b_inv = group.inv(b)
-    gens = [s for _, s in group.gens]
+    steps = group._steps
     dist = {a: 0}
     parent = {}
     heap = [(length(mul(b_inv, a)), 0, a)]
@@ -120,11 +124,10 @@ def avoidant_shortest_path(query: DivergenceQuery) -> PathSearchResult:
             path.reverse()
             return PathSearchResult(FINITE, d, tuple(path))
         d += 1
-        for s in gens:
-            h = mul(g, s)
+        for h in steps(g):
             if dist.get(h, d + 1) <= d:
                 continue  # already reached at least as cheaply
-            if length(h) > window or forbidden(h):
+            if length(h) > window or length(mul(c_inv, h)) < radius:
                 continue
             dist[h] = d
             parent[h] = g
@@ -132,23 +135,43 @@ def avoidant_shortest_path(query: DivergenceQuery) -> PathSearchResult:
     return PathSearchResult(WINDOW_DISCONNECTED)
 
 
-def avoidant_distance(query: DivergenceQuery, k: int | None = None) -> PathSearchResult:
-    """The outcome and length of avoidant_shortest_path, without its path,
-    and without a search where the triangle inequality already gives them.
+def avoidant_distance(query: DivergenceQuery, k: int | None = None, reads=None,
+                      paths=()) -> PathSearchResult | None:
+    """The outcome and length of avoidant_shortest_path, without a search
+    where the triangle inequality gives them or a known path bounds them.
 
     k is d(a,b), passed by a caller that found l(a) + l(b) + k <= 2*window
     for the pair, as div_pair does once per pair: every geodesic from a to
     b then stays inside the window.  When also d(c,a) + d(c,b) - k >= 2r,
     every geodesic stays off the forbidden ball, so the answer is k, FINITE.
+
+    paths are paths from a to b inside the window, each no longer than the
+    caller's best answer.  When one stays off the forbidden ball, c's answer
+    is at most that best, and neither WINDOW_DISCONNECTED nor INFINITE (on a
+    Cayley tree every path passes through each geodesic vertex), so None is
+    returned without a search.  reads is (c^-1, d(c,a), d(c,b)) as
+    _read_obstacle gives them; without it they are read here.
     A query the search would refuse (c outside the window) goes to it.
     """
-    group, window, radius = query.group, query.window_radius, query.forbidden_radius
-    if k is not None:
-        length, mul, c_inv = group.exact_length, group.mul, group.inv(query.c)
-        if (length(mul(c_inv, query.a)) + length(mul(c_inv, query.b)) - k >= 2 * radius
-                and length(query.c) <= window):
+    group, a, b, c, window, radius = query
+    if group.exact_length(c) <= window:
+        c_inv, ca, cb = reads or _read_obstacle(group, a, b, c, window)[1]
+        if k is not None and ca + cb - k >= 2 * radius:
             return PathSearchResult(FINITE, k)
+        if any(_stays_off(group, path, c_inv, ca, cb, radius) for path in paths):
+            return None
     return avoidant_shortest_path(query)
+
+
+def _stays_off(group: Group, path, c_inv, ca: int, cb: int, radius: int) -> bool:
+    """True when no vertex h of the path from a to b has l(c^-1 h) < radius.
+
+    The vertex at index i has d(c,h) >= d(c,a) - i and d(c,h) >= d(c,b) -
+    (|P| - i), so only those strictly between the indices d(c,a) - radius
+    and |P| - d(c,b) + radius are read."""
+    length, mul = group.exact_length, group.mul
+    end = max(0, len(path) - 1 - cb + radius)
+    return all(length(mul(c_inv, h)) >= radius for h in path[ca - radius + 1:end])
 
 
 class PairDivergence(NamedTuple):
@@ -165,8 +188,12 @@ def div_pair(group: Group, a, b, obstacles, window_radius: int) -> PairDivergenc
     """Maximise the avoidant distance over the sampled obstacle set.
 
     k = d(a,b) and the window clause l(a) + l(b) + k <= 2*window of
-    avoidant_distance are read once for the pair."""
-    for x in (a, b):  # read below, before make_query checks them
+    avoidant_distance are read once for the pair, and each obstacle is
+    validated and read once.  The paths the searches return are kept: each
+    is no longer than best, so an obstacle one of them stays off can change
+    neither the value nor the first witness, and avoidant_distance skips
+    its search."""
+    for x in (a, b):
         group.validate(x)
     length = group.exact_length
     k = length(group.mul(group.inv(a), b))
@@ -174,15 +201,23 @@ def div_pair(group: Group, a, b, obstacles, window_radius: int) -> PairDivergenc
         k = None
     best = -1
     witness = None
+    paths = []
     for c in obstacles:
         if c == a or c == b:
             continue
-        query = make_query(group, a, b, c, window_radius)
-        result = avoidant_distance(query, k)
+        group.validate(c)
+        query, reads = _read_obstacle(group, a, b, c, window_radius)
+        result = avoidant_distance(query, k, reads, paths)
+        if result is None:
+            continue  # a kept path bounds the answer by best
         if result.outcome == INFINITE:
             return PairDivergence(a, b, math.inf, c, window_radius)
         if result.outcome == WINDOW_DISCONNECTED:
             continue
+        if result.path is not None:
+            # Newest first: it went round the obstacle met last, and the
+            # geodesic obstacles come in order along the geodesic.
+            paths.insert(0, result.path)
         if result.length > best:
             best = result.length
             witness = c

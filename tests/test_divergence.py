@@ -189,6 +189,17 @@ def test_obstacle_outside_the_window_is_refused():
         avoidant_distance(q, k=1)
 
 
+def test_an_obstacle_outside_the_window_is_refused_though_a_path_stays_off_it():
+    # The window clause fails for this pair (6 + 6 + 12 > 2 * 11), so the
+    # certificate is not tried; the search for (0, 0) keeps a path of
+    # length 14 with |y| <= 1, which stays off the radius-7 ball of
+    # (0, 12).  That obstacle lies outside the window all the same.
+    a, b = (-6, 0), (6, 0)
+    assert div_pair(Z2, a, b, [(0, 0)], 11).value == 14
+    with pytest.raises(GroupError, match="inside the window"):
+        div_pair(Z2, a, b, [(0, 0), (0, 12)], 11)
+
+
 def test_window_monotonicity():
     lengths = []
     for window in (10, 12, 20, 40):
@@ -276,16 +287,20 @@ def test_div_pair_axis_values_in_band():
         assert pair.witness_c is not None
 
 
-def recording_answers(monkeypatch):
+def recording_answers(monkeypatch, skip=True):
     """The list of (query, k, result) that avoidant_distance fills from now
-    on, one per answered query, certified or searched."""
+    on, one per answered query, certified or searched.  A query a kept path
+    bounds gets no answer and is left out; with skip false no path is
+    passed on, so every query is answered."""
     import untwist.divergence as divergence
 
     answer, seen = divergence.avoidant_distance, []
 
-    def recording(query, k=None):
-        seen.append((query, k, answer(query, k)))
-        return seen[-1][2]
+    def recording(query, k=None, reads=None, paths=()):
+        result = answer(query, k, reads, paths if skip else ())
+        if result is not None:
+            seen.append((query, k, result))
+        return result
 
     monkeypatch.setattr(divergence, "avoidant_distance", recording)
     return seen
@@ -371,9 +386,10 @@ def test_certified_answers_match_the_oracle(monkeypatch, group):
     # Seeded pairs, most of them near the window's edge, with obstacles
     # from the window ball, answered through div_pair.  The certificate
     # answers exactly when both clauses hold on oracle lengths, and every
-    # answer is the oracle's.
+    # answer is the oracle's.  The kept-path skip is off, so every query is
+    # answered and each certificate decision is checked.
     lengths, mul, inv, oracle = oracle_geometry(group)
-    seen = recording_answers(monkeypatch)
+    seen = recording_answers(monkeypatch, skip=False)
     rng = random.Random(131)
     for _ in range(40):
         window = rng.randint(3, 8)
@@ -406,6 +422,54 @@ def test_certified_answers_match_the_oracle(monkeypatch, group):
         assert routes[False, True, False]
 
 
+def skipped_queries(monkeypatch, group, n_max, **kwargs):
+    """(query, best) for every obstacle that a kept path lets one
+    div_function run skip, best being its pair's best answer at the skip."""
+    import untwist.divergence as divergence
+
+    answer, pair = divergence.avoidant_distance, divergence.div_pair
+    bests, skipped = [], []
+
+    def recording(query, *args):
+        result = answer(query, *args)
+        if result is None:
+            skipped.append((query, bests[-1]))
+        elif result.outcome == FINITE:
+            bests[-1] = max(bests[-1], result.length)
+        return result
+
+    def each_pair(*args):
+        bests.append(-1)
+        return pair(*args)
+
+    monkeypatch.setattr(divergence, "avoidant_distance", recording)
+    monkeypatch.setattr(divergence, "div_pair", each_pair)
+    div_function(group, n_max, **kwargs)
+    monkeypatch.undo()
+    return skipped
+
+
+@pytest.mark.parametrize("group, n_max, window_factor, skips", [
+    (Z2, 20, 4, True), (IntegerLattice(2, diagonal=True), 16, 4, True),
+    (DiscreteHeisenberg(), 16, 4, True), (DiscreteHeisenberg(), 16, 2, True),
+    (FreeGroup(2), 8, 1, False)],
+    ids=["z^2", "z^2+diag", "heisenberg-4", "heisenberg-2", "free:2"])
+def test_skipped_obstacles_are_bounded_by_the_best_answer(monkeypatch, group, n_max,
+                                                          window_factor, skips):
+    # A skipped obstacle's own search finds a path no longer than the best
+    # answer its pair had when the skip was made, so the skip changed
+    # neither the value nor the witness.  Skips are not required on free:2:
+    # its geodesic obstacles come first, and one that bites ends the pair as
+    # certified infinite.
+    skipped = skipped_queries(monkeypatch, group, n_max, window_factor=window_factor,
+                              seed=121)
+    if skips:
+        assert skipped
+    for query, best in skipped:
+        result = avoidant_shortest_path(query)
+        assert result.outcome == FINITE and result.length <= best, query
+
+
 @pytest.mark.parametrize("group, n_max, window_factor", [
     (Z, 14, 4), (Z2, 16, 4), (IntegerLattice(2, diagonal=True), 12, 4),
     (DiscreteHeisenberg(), 12, 2), (FreeGroup(2), 8, 1)],
@@ -415,30 +479,32 @@ def test_rows_match_search_only_rows(monkeypatch, group, n_max, window_factor):
 
     kwargs = dict(window_factor=window_factor, seed=131)
     rows = div_function(group, n_max, **kwargs)
+    # The search-only route answers every obstacle by a search: neither the
+    # certificate nor the kept-path skip of avoidant_distance runs.
     search = divergence.avoidant_shortest_path
     monkeypatch.setattr(divergence, "avoidant_distance",
-                        lambda query, k=None: search(query))
+                        lambda query, *rest: search(query))
     assert div_function(group, n_max, **kwargs) == rows
 
 
 def test_search_takes_a_tenth_of_the_breadth_first_steps():
     # A breadth-first search over this query takes 4,704 generator steps
-    # g*s before it reaches b; the avoidant path has length 26.
+    # g*s before it reaches b; the avoidant path has length 26.  The search
+    # lists a vertex's neighbours through _steps, one step per generator.
     group = IntegerLattice(2)
     query = make_query(group, (-10, 0), (10, 0), (0, 0), 40)
-    gens = {s for _, s in group.gens}
     steps = []
-    product = group.mul
+    listing = group._steps
 
-    def counting(a, b):
-        if b in gens:
-            steps.append(a)
-        return product(a, b)
+    def counting(g):
+        neighbours = listing(g)
+        steps.extend(neighbours)
+        return neighbours
 
-    group.mul = counting
+    group._steps = counting
     result = avoidant_shortest_path(query)
     assert result.length == 26
-    assert len(steps) < 4704 / 10
+    assert 0 < len(steps) < 4704 / 10
 
 
 def test_geodesic_points_cover_segment():
