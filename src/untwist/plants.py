@@ -96,6 +96,8 @@ def weighted_potential(group: Group, metric: WordMetric, target: TargetGroup,
         for c, vec in w.items():
             if len(vec) != dim:
                 raise CocycleError(f"weight at {group.format_elem(c)} has wrong dim")
+            if not all(map(math.isfinite, vec)):
+                raise CocycleError(f"weight at {group.format_elem(c)} is non-finite: {vec!r}")
 
         finish = target.wrap if isinstance(target, Torus) else tuple
 

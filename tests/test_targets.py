@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from untwist import (FiniteGroup, IntegerLattice, RealVector, Torus, WordMetric,
-                     coboundary_cocycle, cyclic_group, weighted_potential)
+from untwist import (CocycleError, FiniteGroup, IntegerLattice, RealVector, Torus,
+                     WordMetric, cyclic_group, weighted_potential)
 from untwist.targets import TargetError, target_from_description
 
 from paper_checks import bi_invariance_defect, random_element
@@ -77,14 +77,17 @@ def test_torus_wrap_refuses_non_finite_values(value):
         Torus(2).wrap((0.25, value))
 
 
-def test_weighted_potential_refuses_a_nan_torus_weight():
-    z2, target = IntegerLattice(2), Torus(1)
-    potential = weighted_potential(z2, WordMetric(z2), target, 0,
-                                   {(0, 0): (math.nan,)}, (0, 1))
-    with pytest.raises(TargetError, match="non-finite"):
-        potential.tabulated((0, 1))
-    with pytest.raises(TargetError, match="non-finite"):
-        coboundary_cocycle(z2, target, {"x1+": (0.25,), "x2+": (0.5,)}, potential, (0, 1))
+@pytest.mark.parametrize("target", [RealVector(1), Torus(1)], ids=["real", "torus"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_weighted_potential_refuses_non_finite_weights(target, value):
+    # Refused where the weight enters, naming its cell: a function-backed
+    # map (2^25 patterns at window 2) never validates a value, and a NaN
+    # weight would make the diameter bound and every holonomy NaN.
+    z2 = IntegerLattice(2)
+    for window in (1, 2):
+        with pytest.raises(CocycleError, match=r"weight at \(1,0\) is non-finite"):
+            weighted_potential(z2, WordMetric(z2), target, window,
+                               {(0, 0): (0.5,), (1, 0): (value,)}, (0, 1))
 
 
 @pytest.mark.parametrize("target, value", [
