@@ -1,15 +1,19 @@
 """Exact word-metric geometry of finitely generated groups and certified
 cocycle untwisting over full shifts.
 
-`import untwist` puts every submodule in `sys.modules` but runs none of them:
-each runs on first use (`importlib.util.LazyLoader`), so a run loads only the
-code it calls, while code that patches the modules after `import untwist`
-still finds them all.  Each public name below is read from its module when
-asked for (PEP 562), so `from untwist import X` runs the module that defines
-X, with what that one uses.  The paper's checks that no command runs
-(holonomy composition and forward/backward agreement, decay against the
-gluing radius, the transfer map's modulus, conjugation, bi-invariance) are
-test helpers, in `tests/paper_checks.py`.
+`import untwist` puts every submodule but `cli` and the command modules in
+`sys.modules` but runs none of them: each runs on first use
+(`importlib.util.LazyLoader`), so a run loads only the code it calls, while
+code that patches the modules after `import untwist` still finds them all.
+Each public name below is read from its module when asked for (PEP 562), so
+`from untwist import X` runs the module that defines X, with what that one
+uses.  `untwist.cli` parses and dispatches; each subcommand is `run(args)` in
+`untwist.commands.<subcommand>`, imported only when it runs.  The paper's
+checks that no command runs (holonomy composition and forward/backward
+agreement, decay against the gluing radius, the transfer map's modulus,
+conjugation, bi-invariance) are test helpers, in `tests/paper_checks.py`,
+and the plain truncated holonomy product the tests hold `holonomy` to is
+`partial_product` in `tests/oracles.py`.
 """
 
 import importlib.machinery
@@ -31,10 +35,13 @@ _HOMES = {
         "avoidant_shortest_path", "classify_growth", "div_function", "div_pair",
         "make_query",
     ),
+    "configurations": (
+        "Configuration", "ContractError", "background_configuration",
+        "homoclinic_agreement_radius",
+    ),
     "shifts": (
-        "ConeParams", "Configuration", "ContractError", "FullShift", "GoldenMean",
-        "background_configuration", "default_specification_constants", "glue",
-        "homoclinic_agreement_radius", "membership_check",
+        "ConeParams", "FullShift", "GoldenMean", "default_specification_constants",
+        "glue", "membership_check",
     ),
     "targets": (
         "FiniteGroup", "RealVector", "TargetGroup", "Torus", "cyclic_group",
@@ -43,7 +50,7 @@ _HOMES = {
         "BlockMap", "CocycleError", "CocycleSpec", "HolonomyCertificate",
         "TransferTable", "VerificationError", "cocycle_spec_from_jsonable",
         "extract_homomorphism", "generator_independence", "holonomy",
-        "partial_product", "relation_consistency",
+        "relation_consistency",
     ),
     "plants": (
         "canonical_cells", "coboundary_cocycle", "cocycle_spec_to_jsonable",
@@ -64,7 +71,8 @@ def _lazy_submodule(name):
     return module
 
 
-# Not cli: `python -m untwist.cli` runs it as __main__.
+# Not cli: `python -m untwist.cli` runs it as __main__.  Not the commands:
+# cli imports only the one it dispatches to.
 for _name in (*_HOMES, "reporting", "sampling"):
     globals()[_name] = _lazy_submodule(_name)
 

@@ -15,7 +15,7 @@ import math
 from typing import NamedTuple
 
 from .groups import Group, InputError, json_float, json_int, parse_group
-from .shifts import Configuration
+from .configurations import Configuration
 from .targets import TargetError, TargetGroup, target_from_description
 
 
@@ -280,35 +280,6 @@ class HolonomyCertificate(NamedTuple):
 
     def to_jsonable(self):
         return self._asdict()
-
-
-def partial_product(spec: CocycleSpec, g, x: Configuration, y: Configuration,
-                    n: int, sign: str = "+"):
-    """Truncated holonomy comparison of the forward (or backward) orbits.
-
-    The '+' product multiplies the inverted values along g^j for j = 0..n-1;
-    the '-' product multiplies plain values along g^-j for j = 1..n-1.
-    """
-    if n < 1:
-        raise CocycleError("partial products need n >= 1")
-    group, target = spec.group, spec.target
-    # Factor j is c(g, step^j . x) with step = g for '+' and g^-1 for '-';
-    # it reads x on back . c for each plan cell c, where back = step^-j.
-    if sign == "+":
-        back, back_step, count = group.identity, group.inv(g), n
-    elif sign == "-":
-        back, back_step, count = g, g, n - 1
-    else:
-        raise CocycleError("sign must be '+' or '-'")
-    px = py = target.identity
-    for _ in range(count):
-        plan = [(bm, [group.mul(back, c) for c in cells]) for bm, cells in spec._plan(g)]
-        fx, fy = spec._read(plan, x), spec._read(plan, y)
-        if sign == "+":
-            fx, fy = target.inv(fx), target.inv(fy)
-        px, py = target.mul(px, fx), target.mul(py, fy)
-        back = group.mul(back, back_step)
-    return target.mul(px, target.inv(py))
 
 
 def holonomy(spec: CocycleSpec, g, x: Configuration, y: Configuration,

@@ -1,12 +1,58 @@
 """Deterministic artifact emission: CSV with an echoed-config comment line,
 and JSON rendered by a small writer that prints every float with 17
-significant digits so artifacts are byte-stable across runs."""
+significant digits so artifacts are byte-stable across runs.  Also the
+commands' file plumbing: reading a JSON input, whose bad content is bad
+input, echoing the settings into the artifacts, and making the output
+directory."""
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
+import os
+
+from .groups import InputError
+
+
+def load_json(path):
+    """The JSON value in path; a file that is not UTF-8 JSON text is bad input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: not JSON: {exc}") from None
+
+
+@contextlib.contextmanager
+def decoding(path):
+    """Yield the JSON object in path; a key the block misses, or a value of the
+    wrong type, is bad input.  The package's own errors keep their messages."""
+    obj = load_json(path)
+    try:
+        yield obj
+    except InputError:
+        raise
+    except KeyError as exc:
+        raise InputError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: bad value: {exc}") from None
+
+
+def echo(args, fields):
+    """The config an artifact echoes: the command and the named settings."""
+    config = {"command": args.command}
+    for name in fields:
+        config[name] = getattr(args, name)
+    return config
+
+
+def ensure_dir(path):
+    os.makedirs(path, exist_ok=True)
+    return path
 
 
 def fmt_float(value) -> str:

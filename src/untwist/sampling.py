@@ -7,7 +7,7 @@ so identically seeded runs reproduce byte-identical experiment artifacts.
 from __future__ import annotations
 
 from .groups import Group, InputError
-from .shifts import Configuration
+from .configurations import Configuration
 
 
 def random_configuration(group: Group, cells, alphabet, rng, n_cells: int = 4,

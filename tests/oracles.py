@@ -1,6 +1,8 @@
 """Independent brute-force oracles used to freeze and re-verify expected
 values.  Deliberately written against raw tuples, with no imports from the
-package, so they stay an independent second route."""
+package, so they stay an independent second route.  `partial_product` takes a
+cocycle spec and reads it only through its generator read plans, factor by
+factor, with none of the holonomy's cut-offs, indexes or caches."""
 
 from collections import deque
 
@@ -238,3 +240,31 @@ def golden_mean_member(support, families, mul, inv):
     return not any(all(mul(g, f) in support for f in family)
                    for g in golden_mean_centres(support, families, mul, inv)
                    for family in families)
+
+
+def partial_product(spec, g, x, y, n, sign="+"):
+    """Truncated holonomy comparison of the forward (or backward) orbits.
+
+    The '+' product multiplies the inverted values along g^j for j = 0..n-1;
+    the '-' product multiplies plain values along g^-j for j = 1..n-1.
+    """
+    if n < 1:
+        raise ValueError("partial products need n >= 1")
+    group, target = spec.group, spec.target
+    # Factor j is c(g, step^j . x) with step = g for '+' and g^-1 for '-';
+    # it reads x on back . c for each plan cell c, where back = step^-j.
+    if sign == "+":
+        back, back_step, count = group.identity, group.inv(g), n
+    elif sign == "-":
+        back, back_step, count = g, g, n - 1
+    else:
+        raise ValueError("sign must be '+' or '-'")
+    px = py = target.identity
+    for _ in range(count):
+        plan = [(bm, [group.mul(back, c) for c in cells]) for bm, cells in spec._plan(g)]
+        fx, fy = spec._read(plan, x), spec._read(plan, y)
+        if sign == "+":
+            fx, fy = target.inv(fx), target.inv(fy)
+        px, py = target.mul(px, fx), target.mul(py, fy)
+        back = group.mul(back, back_step)
+    return target.mul(px, target.inv(py))

@@ -29,7 +29,6 @@ from untwist import (
     holonomy,
     make_query,
     membership_check,
-    partial_product,
     relation_consistency,
     weighted_potential,
 )
@@ -40,6 +39,7 @@ from untwist.sampling import random_configuration
 
 from corrupted import corrupted_spec
 from homoclinic import cell_pool, pair_agreeing_on_ball, random_homoclinic_pair
+from oracles import partial_product
 from paper_checks import (conjugation_compression_check, holder_modulus,
                           holonomy_identity_check, plus_minus_agree, specification_decay)
 

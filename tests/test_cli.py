@@ -559,7 +559,7 @@ def test_task_listing_a_cell_twice_exits_2_naming_it(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("error", [
-    "untwist.groups.GroupError", "untwist.shifts.ContractError",
+    "untwist.groups.GroupError", "untwist.configurations.ContractError",
     "untwist.cocycles.CocycleError", "untwist.targets.TargetError",
     "untwist.cli.InputError",
 ])
@@ -568,7 +568,9 @@ def test_each_bad_input_error_exits_2_through_one_base(tmp_path, capsys, monkeyp
     import importlib
 
     import untwist.cli as cli
+    import untwist.commands.ball as ball
     from untwist.groups import InputError
+    from untwist.reporting import decoding
 
     module, name = error.rsplit(".", 1)
     cls = getattr(importlib.import_module(module), name)
@@ -577,14 +579,14 @@ def test_each_bad_input_error_exits_2_through_one_base(tmp_path, capsys, monkeyp
     def raising(args):
         raise cls("the bad input")
 
-    monkeypatch.setattr(cli, "cmd_ball", raising)
+    monkeypatch.setattr(ball, "run", raising)
     assert cli.main(["ball", "--group", "z", "--radius", "1",
                      "--out", str(tmp_path / "b.csv")]) == 2
     assert capsys.readouterr().err == "error: the bad input\n"
     path = tmp_path / "task.json"
     path.write_text("{}")
     with pytest.raises(cls, match="^the bad input$"):
-        with cli._decoding(path):
+        with decoding(path):
             raise cls("the bad input")
 
 
@@ -851,7 +853,7 @@ def test_divergence_loads_only_its_modules(tmp_path):
     assert "growth" in json.loads((out / "report.json").read_text())  # the fit ran
     assert {m for m in modules if m.startswith("untwist")} == {
         "untwist", "untwist.cli", "untwist.groups", "untwist.divergence",
-        "untwist.reporting"}
+        "untwist.reporting", "untwist.commands", "untwist.commands.divergence"}
     assert not modules & STDLIB_NEVER
 
 
@@ -861,7 +863,7 @@ def test_subshift_glue_loads_no_cocycle_target_or_divergence_module(tmp_path):
     code, modules = loaded_modules(["subshift", "glue", "--group", "z^2", "--spec",
                                     str(task), "--out", str(tmp_path / "glue.json")])
     assert code == 0
-    assert {"untwist.shifts", "untwist.invariants"} <= modules
+    assert {"untwist.configurations", "untwist.shifts", "untwist.invariants"} <= modules
     assert not modules & {"untwist.cocycles", "untwist.targets", "untwist.divergence",
                           "untwist.sampling", "untwist.models", "untwist.plants", "csv",
                           *STDLIB_NEVER}
@@ -873,8 +875,9 @@ def test_cocycle_untwist_loads_no_divergence_module(tmp_path):
          "--spec", os.path.join(ROOT, SPEC_RELPATH),
          "--samples", "4", "--out", str(tmp_path / "report.json")])
     assert code == 0
-    assert not modules & {"untwist.divergence", "untwist.invariants", "untwist.models",
-                          "untwist.plants", "csv", *STDLIB_NEVER}
+    assert "untwist.configurations" in modules
+    assert not modules & {"untwist.divergence", "untwist.invariants", "untwist.shifts",
+                          "untwist.models", "untwist.plants", "csv", *STDLIB_NEVER}
 
 
 @pytest.mark.parametrize("argv, models", [
@@ -890,6 +893,34 @@ def test_models_load_only_off_the_lattices_and_plants_never(tmp_path, argv, mode
     assert code == 0
     assert ("untwist.models" in modules) == models
     assert "untwist.plants" not in modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["ball", "--group", "z^2", "--radius", "2", "--out", "ball.csv"],
+    ["invariants", "--group", "z^2", "--element", "(1,0)", "--radius", "4",
+     "--out", "inv"],
+    ["divergence", "--group", "z^2", "--nmax", "4", "--out", "div"],
+    ["subshift", "glue", "--group", "z^2", "--spec", "task.json", "--out", "glue.json"],
+    ["cocycle", "untwist", "--group", "z^2", "--spec", os.path.join(ROOT, SPEC_RELPATH),
+     "--samples", "4", "--out", "report.json"],
+], ids=lambda argv: argv[0])
+def test_run_as_main_loads_cli_once_and_one_command(tmp_path, monkeypatch, argv):
+    """`python -m untwist.cli` runs cli.py as __main__ (through runpy, as here);
+    a module that imported untwist.cli would compile and run it a second time.
+    After the run, cli is not in sys.modules, and of the command modules only
+    the dispatched one is."""
+    (tmp_path / "task.json").write_text(json.dumps(GLUE_TASK))
+    monkeypatch.chdir(tmp_path)
+    script = ("import json, runpy, sys\n"
+              "try:\n"
+              "    runpy.run_module('untwist.cli', run_name='__main__', alter_sys=True)\n"
+              "except SystemExit as exc:\n"
+              "    print(json.dumps([exc.code, sorted(sys.modules)]))\n")
+    code, modules = json.loads(run_fresh(script, argv))
+    assert code == 0
+    assert "untwist" in modules and "untwist.cli" not in modules
+    assert [m for m in modules if m.startswith("untwist.commands.")] == [
+        f"untwist.commands.{argv[0]}"]
 
 
 def test_layer_function_patched_after_import_is_called(tmp_path):

@@ -32,7 +32,6 @@ from untwist import (
     holonomy,
     homomorphism_cocycle,
     parse_group,
-    partial_product,
     relation_consistency,
     weighted_potential,
 )
@@ -42,6 +41,7 @@ from untwist.targets import TargetError
 from corrupted import corrupted_spec
 from homoclinic import (cell_pool, pair_agreeing_on_ball, random_homoclinic_pair,
                         random_homoclinic_triple)
+from oracles import partial_product
 from paper_checks import (holder_modulus, holonomy_identity_check, plus_minus_agree,
                           specification_decay)
 from test_targets import symmetric_group_3
