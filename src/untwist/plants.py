@@ -88,6 +88,11 @@ def weighted_potential(group: Group, metric: WordMetric, target: TargetGroup,
     the symbol span times the total weight mass (capped for tori).
     """
     cells = canonical_cells(metric, window)
+    inside = set(cells)
+    for c, vec in weights.items():
+        if vec is not None and c not in inside:
+            raise CocycleError(f"weight at {group.format_elem(c)} lies outside "
+                               f"the window {window}")
     alphabet = tuple(alphabet)
     span = max(alphabet) - min(alphabet)
     w = {c: weights.get(c) for c in cells if weights.get(c) is not None}

@@ -90,6 +90,24 @@ def test_weighted_potential_refuses_non_finite_weights(target, value):
                                {(0, 0): (0.5,), (1, 0): (value,)}, (0, 1))
 
 
+@pytest.mark.parametrize("target, near, far", [
+    (RealVector(1), (0.5,), (7.0,)), (Torus(1), (0.5,), (7.0,)), (cyclic_group(5), 1, 3),
+], ids=["real", "torus", "cyclic"])
+def test_weighted_potential_refuses_a_weight_outside_the_window(target, near, far):
+    # A weight on a cell the window's ball misses used to be dropped, so the
+    # potential and its diameter bound silently ignored it.
+    z2 = IntegerLattice(2)
+    with pytest.raises(CocycleError, match=r"weight at \(1,0\) lies outside the window 0"):
+        weighted_potential(z2, WordMetric(z2), target, 0,
+                           {(0, 0): near, (1, 0): far}, (0, 1))
+    with pytest.raises(CocycleError, match=r"weight at \(2,-1\) lies outside the window 2"):
+        weighted_potential(z2, WordMetric(z2), target, 2,
+                           {(1, 0): near, (2, -1): far}, (0, 1))
+    inside = weighted_potential(z2, WordMetric(z2), target, 1,
+                                {(0, 0): near, (1, 0): far}, (0, 1))
+    assert inside.diameter_bound > 0
+
+
 @pytest.mark.parametrize("target, value", [
     (RealVector(2), (math.nan, 0.0)),
     (RealVector(2), (0.0, math.inf)),
