@@ -46,6 +46,9 @@ class BlockMap:
                  fn=None, diameter_bound: float | None = None):
         if (table is None) == (fn is None):
             raise CocycleError("exactly one of table/fn must be given")
+        if diameter_bound is not None and not 0.0 <= diameter_bound < math.inf:
+            raise CocycleError("diameter_bound must be finite and >= 0, "
+                               f"got {diameter_bound}")
         self.target = target
         self.cells = tuple(cells)
         self.window = window

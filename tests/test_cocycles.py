@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -1061,6 +1062,21 @@ def test_table_values_are_validated_where_the_table_enters():
         BlockMap(R1, [(0, 0)], 0, table={(0,): (0.0, 1.0), (1,): (0.0,)})
     with pytest.raises(TargetError, match=r"pattern \[0\].*7"):
         BlockMap(cyclic_group(5), [(0, 0)], 0, table={(0,): 7})
+
+
+@pytest.mark.parametrize("bound", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_block_map_refuses_a_negative_or_non_finite_diameter_bound(bound):
+    # The bound scales every continuity constant and so every tail bound: at
+    # -1.0, function-backed maps on z^2 gave holonomy a certificate with a
+    # negative tail bound.
+    with pytest.raises(CocycleError, match=rf"diameter_bound must be finite and >= 0, "
+                                           rf"got {re.escape(str(bound))}"):
+        BlockMap(R1, [(0, 0)], 0, fn=lambda pattern: (0.0,), diameter_bound=bound)
+    with pytest.raises(CocycleError, match="diameter_bound"):
+        BlockMap(R1, [(0, 0)], 0, table={(0,): (0.0,), (1,): (0.0,)},
+                 diameter_bound=bound)
+    assert BlockMap(R1, [(0, 0)], 0, fn=lambda pattern: (0.0,),
+                    diameter_bound=0.0).diameter_bound == 0.0
 
 
 def test_spec_refuses_maps_for_labels_the_group_lacks():
