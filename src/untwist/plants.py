@@ -120,6 +120,9 @@ def weighted_potential(group: Group, metric: WordMetric, target: TargetGroup,
         return BlockMap(target, cells, window, fn=fn, diameter_bound=diameter)
     if isinstance(target, FiniteGroup):
         n = len(target.elements)
+        for c, v in w.items():
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise CocycleError(f"weight at {group.format_elem(c)} is not an integer: {v!r}")
 
         def fn(pattern):
             return sum(s * w[c] for s, c in zip(pattern, cells) if c in w) % n

@@ -90,6 +90,18 @@ def test_weighted_potential_refuses_non_finite_weights(target, value):
                                {(0, 0): (0.5,), (1, 0): (value,)}, (0, 1))
 
 
+@pytest.mark.parametrize("value", [0.5, 2.0, True, "1", (1,)], ids=repr)
+def test_weighted_potential_refuses_a_non_integer_finite_weight(value):
+    # Cyclic targets take integer weights modulo the order; a weight of 0.5
+    # used to build a potential whose values are not group elements, which
+    # failed later with a TargetError naming neither the weight nor its cell.
+    z2 = IntegerLattice(2)
+    with pytest.raises(CocycleError, match=r"weight at \(0,0\) is not an integer"):
+        weighted_potential(z2, WordMetric(z2), cyclic_group(5), 0, {(0, 0): value}, (0, 1))
+    assert weighted_potential(z2, WordMetric(z2), cyclic_group(5), 0, {(0, 0): 7},
+                              (0, 1)).lookup((1,)) == 2
+
+
 @pytest.mark.parametrize("target, near, far", [
     (RealVector(1), (0.5,), (7.0,)), (Torus(1), (0.5,), (7.0,)), (cyclic_group(5), 1, 3),
 ], ids=["real", "torus", "cyclic"])
