@@ -73,7 +73,7 @@ def _lazy_submodule(name):
 
 # Not cli: `python -m untwist.cli` runs it as __main__.  Not the commands:
 # cli imports only the one it dispatches to.
-for _name in (*_HOMES, "reporting", "sampling"):
+for _name in (*_HOMES, "draws", "reporting", "sampling"):
     globals()[_name] = _lazy_submodule(_name)
 
 

@@ -14,8 +14,9 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .groups import Group, InputError, json_float, json_int, parse_group
+from .groups import Group, InputError, parse_group
 from .configurations import Configuration
+from .reporting import json_float, json_int
 from .targets import TargetError, TargetGroup, target_from_description
 
 

@@ -4,8 +4,8 @@ configuration's membership in a subshift."""
 from __future__ import annotations
 
 from ..configurations import Configuration, ContractError
-from ..groups import InputError, WordMetric, json_float, json_int, parse_group
-from ..reporting import decoding, echo, write_json
+from ..groups import InputError, WordMetric, parse_group
+from ..reporting import decoding, echo, json_float, json_int, write_json
 from ..shifts import (ConeParams, FullShift, GoldenMean, default_specification_constants,
                       glue, membership_check)
 

@@ -9,15 +9,18 @@ compression of powers of its elements, and structural metadata.
 This module holds the core every run loads: the `Group` template, the integer
 lattices, `parse_group`, ball enumeration and the word metric.  The other
 models live in `models`, which `parse_group` imports only for their
-descriptors.
+descriptors, and the exact draws of the models that count their spheres in
+`draws`, which runs at the first such draw.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from itertools import takewhile
+from math import comb
 from operator import add
+
+from . import draws
 
 
 class InputError(ValueError):
@@ -27,27 +30,6 @@ class InputError(ValueError):
 
 class GroupError(InputError):
     """Structurally invalid element or unsupported operation for a model."""
-
-
-def json_int(value, key: str) -> int:
-    """A JSON number read as an integer; a fraction, a non-finite number, a
-    boolean or a non-number is refused, naming its key."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"key {key!r} needs an integral number, got {value!r}")
-
-
-def json_float(value, key: str) -> float:
-    """A finite JSON number read as a float; a string, a boolean or any other
-    non-number is refused, naming its key, and so are the NaN and Infinity
-    that json.load reads."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"key {key!r} needs a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"key {key!r} needs a finite number, got {value!r}")
-    return float(value)
 
 
 class OutOfRange(LookupError):
@@ -174,10 +156,18 @@ class Group(ABC):
         """Closed-form word length of a normal form, unchecked: callers
         validate elements that come from outside the package."""
 
-    @abstractmethod
+    def sphere_size(self, k: int) -> int | None:
+        """|S(k)| where the model counts its spheres, else None.  A model
+        that counts also defines _sphere_element(k, i), the i-th element of
+        S(k) for 0 <= i < |S(k)| in an order of its own."""
+        return None
+
     def draw(self, radius: int, rng, sphere: bool = False):
         """A uniform draw, by the random.Random rng, from the ball B(radius),
-        or from the sphere S(radius) when sphere is true."""
+        or from the sphere S(radius) when sphere is true.  Exact, through
+        draws.counted_draw, where the model counts its spheres; a model
+        that does not count overrides this with a rejection draw."""
+        return draws.counted_draw(self, radius, rng, sphere)
 
     def defining_relation_word_pairs(self):
         """Pairs of generator words with equal products (cocycle sanity
@@ -282,7 +272,8 @@ def _parse_int_tuple(s: str, d: int):
 
 
 # Tries per rejection draw.  A ball can fill a tiny share of the set drawn
-# from (about 1/d! of its box on z^d), and the draw must still end.
+# from (S(1) of z^12+diag holds 26 of the 3^12 points of its box), and the
+# draw must still end.
 DRAW_TRIES = 1_000_000
 
 
@@ -372,7 +363,21 @@ class IntegerLattice(Group):
         hi = max(0, max(a))
         return min(abs(k) + sum(abs(v - k) for v in a) for k in range(lo, hi + 1))
 
+    def sphere_size(self, n):
+        # k nonzero coordinates: their signs, their positions and a
+        # composition of n into k positive parts.
+        if self.diagonal:
+            return None
+        d = self.dimension
+        return sum(2 ** k * comb(d, k) * comb(n - 1, k - 1)
+                   for k in range(1, min(d, n) + 1)) if n else 1
+
+    def _sphere_element(self, n, i):
+        return draws.lattice_sphere_element(self.dimension, n, i)
+
     def draw(self, radius, rng, sphere=False):
+        if not self.diagonal:
+            return super().draw(radius, rng, sphere)
         # Box rejection: each generator, a diagonal one too, moves each
         # coordinate by at most 1, so B(radius) lies in [-radius, radius]^d.
         span, randrange, coords = 2 * radius + 1, rng.randrange, range(self.dimension)

@@ -150,10 +150,12 @@ class DiscreteHeisenberg(Group):
         return 2 * (h - (-z // h)) - x - y
 
     def draw(self, radius, rng, sphere=False):
-        # Box rejection: |x|, |y| <= r and |z| <= r^2 on B(r), since a word of
-        # length at most r moves x and y by at most r, and its k-th letter,
-        # when a b-letter, moves z by the current x, of size at most k - 1 < r.
-        r, r2, randrange = radius, radius * radius, rng.randrange
+        # Box rejection: |x|, |y| <= r and |z| <= floor(r^2/4) on B(r).  A
+        # word of length at most r has p a-letters and q b-letters with
+        # p + q <= r.  Each b-letter moves z by the current x, and |x| <= p,
+        # so |z| <= pq <= floor(r^2/4); a^p b^q with p = floor(r/2) and
+        # q = ceil(r/2) attains it, at (p, q, pq).
+        r, r2, randrange = radius, radius * radius // 4, rng.randrange
         return _rejection_draw(self, radius, sphere, lambda: (
             randrange(2 * r + 1) - r, randrange(2 * r + 1) - r, randrange(2 * r2 + 1) - r2))
 
@@ -246,19 +248,15 @@ class FreeGroup(Group):
     def exact_length(self, a):
         return len(a)
 
-    def draw(self, radius, rng, sphere=False):
-        """Exact, by one randrange.  A reduced word's first letter is any of
-        the m = 2r letters and each later one any of the m - 1 that do not
-        cancel it, so |S(k)| = m(m-1)^(k-1).  A uniform index into B(radius)
-        picks k with weight |S(k)|, and its mixed-radix digits the letters."""
+    def sphere_size(self, k):
+        # A reduced word's first letter is any of the m = 2r letters and
+        # each later one any of the m - 1 that do not cancel it.
         m = 2 * self.rank
-        sizes = [1] + [m * (m - 1) ** (k - 1) for k in range(1, radius + 1)]
-        i = rng.randrange(sizes[radius] if sphere else sum(sizes))
-        k = radius if sphere else 0
-        while i >= sizes[k]:
-            i -= sizes[k]
-            k += 1
-        word, j = [], None
+        return m * (m - 1) ** (k - 1) if k else 1
+
+    def _sphere_element(self, k, i):
+        """The mixed-radix digits of i pick the letters."""
+        m, word, j = 2 * self.rank, [], None
         for _ in range(k):
             # gens lists each letter next to its inverse, so j ^ 1 is the one
             # a later letter skips: the m - 1 digits count on from it.
@@ -326,7 +324,26 @@ class DirectProduct(Group):
     def exact_length(self, a):
         return self.left.exact_length(a[0]) + self.right.exact_length(a[1])
 
+    def sphere_size(self, n):
+        # Lengths add: S(n) is the union over i of S_left(i) x S_right(n - i).
+        left, right = self.left.sphere_size, self.right.sphere_size
+        if left(0) is None or right(0) is None:
+            return None
+        return sum(left(i) * right(n - i) for i in range(n + 1))
+
+    def _sphere_element(self, n, i):
+        for j in range(n + 1):
+            right = self.right.sphere_size(n - j)
+            size = self.left.sphere_size(j) * right
+            if i < size:
+                i, i_right = divmod(i, right)
+                return (self.left._sphere_element(j, i),
+                        self.right._sphere_element(n - j, i_right))
+            i -= size
+
     def draw(self, radius, rng, sphere=False):
+        if self.sphere_size(0) is not None:
+            return super().draw(radius, rng, sphere)
         # Lengths add, so B(radius) lies in B_left(radius) x B_right(radius).
         return _rejection_draw(self, radius, sphere, lambda: (
             self.left.draw(radius, rng), self.right.draw(radius, rng)))

@@ -27,6 +27,27 @@ def load_json(path):
         raise InputError(f"{path}: not JSON: {exc}") from None
 
 
+def json_int(value, key: str) -> int:
+    """A JSON number read as an integer; a fraction, a non-finite number, a
+    boolean or a non-number is refused, naming its key."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"key {key!r} needs an integral number, got {value!r}")
+
+
+def json_float(value, key: str) -> float:
+    """A finite JSON number read as a float; a string, a boolean or any other
+    non-number is refused, naming its key, and so are the NaN and Infinity
+    that json.load reads."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"key {key!r} needs a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"key {key!r} needs a finite number, got {value!r}")
+    return float(value)
+
+
 @contextlib.contextmanager
 def decoding(path):
     """Yield the JSON object in path; a key the block misses, or a value of the

@@ -12,7 +12,8 @@ import math
 from abc import ABC, abstractmethod
 from operator import add, neg
 
-from .groups import InputError, json_float, json_int
+from .groups import InputError
+from .reporting import json_float, json_int
 
 
 class TargetError(InputError):

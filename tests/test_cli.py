@@ -852,7 +852,7 @@ def test_divergence_loads_only_its_modules(tmp_path):
     assert code == 0
     assert "growth" in json.loads((out / "report.json").read_text())  # the fit ran
     assert {m for m in modules if m.startswith("untwist")} == {
-        "untwist", "untwist.cli", "untwist.groups", "untwist.divergence",
+        "untwist", "untwist.cli", "untwist.groups", "untwist.divergence", "untwist.draws",
         "untwist.reporting", "untwist.commands", "untwist.commands.divergence"}
     assert not modules & STDLIB_NEVER
 
@@ -865,8 +865,8 @@ def test_subshift_glue_loads_no_cocycle_target_or_divergence_module(tmp_path):
     assert code == 0
     assert {"untwist.configurations", "untwist.shifts", "untwist.invariants"} <= modules
     assert not modules & {"untwist.cocycles", "untwist.targets", "untwist.divergence",
-                          "untwist.sampling", "untwist.models", "untwist.plants", "csv",
-                          *STDLIB_NEVER}
+                          "untwist.draws", "untwist.sampling", "untwist.models",
+                          "untwist.plants", "csv", *STDLIB_NEVER}
 
 
 def test_cocycle_untwist_loads_no_divergence_module(tmp_path):
@@ -876,8 +876,9 @@ def test_cocycle_untwist_loads_no_divergence_module(tmp_path):
          "--samples", "4", "--out", str(tmp_path / "report.json")])
     assert code == 0
     assert "untwist.configurations" in modules
-    assert not modules & {"untwist.divergence", "untwist.invariants", "untwist.shifts",
-                          "untwist.models", "untwist.plants", "csv", *STDLIB_NEVER}
+    assert not modules & {"untwist.divergence", "untwist.draws", "untwist.invariants",
+                          "untwist.shifts", "untwist.models", "untwist.plants", "csv",
+                          *STDLIB_NEVER}
 
 
 @pytest.mark.parametrize("argv, models", [

@@ -227,14 +227,16 @@ def test_div_pair_refuses_a_malformed_endpoint():
 @pytest.mark.parametrize("a, b", [((0, 0), (1, 0)), ((3, -2), (0, 0)),
                                   ((5, 5), (0, 1)), ((2, 2), (2, 2))])
 def test_obstacle_samples_match_a_pool_without_the_endpoints(a, b):
-    # z^2 has a ball box: each sample is the first point of [-6, 6]^2 drawn
-    # that lies in B(6) and is neither endpoint.
+    # Each sample is the first draw from B(6), on the same seeded stream,
+    # that is neither endpoint; the draws themselves are checked against the
+    # raw ball in test_groups.
     obstacles = default_obstacles(Z2, a, b, 6, random.Random(3), 40)
     rng = random.Random(3)
     samples = []
     while len(samples) < 40:
-        g = (rng.randint(-6, 6), rng.randint(-6, 6))
-        if abs(g[0]) + abs(g[1]) <= 6 and g not in (a, b):
+        g = Z2.draw(6, rng)
+        assert abs(g[0]) + abs(g[1]) <= 6
+        if g not in (a, b):
             samples.append(g)
     geodesic = [p for p in geodesic_points(Z2, a, b) if p not in (a, b)]
     assert obstacles == list(dict.fromkeys(geodesic + samples))
@@ -252,16 +254,16 @@ def test_obstacle_draws_cover_the_window_ball_but_the_endpoints(group, a, b):
 @pytest.mark.parametrize("a, b", [((0, 0, 0), (1, 0, 0)), ((2, -1, 3), (0, 0, 0)),
                                   ((1, 1, 1), (1, 1, 1))])
 def test_heisenberg_obstacle_samples_match_an_independent_box_rejection(a, b):
-    # Each sample is the first point of [-4, 4]^2 x [-16, 16] drawn, one
-    # coordinate at a time, that the raw BFS puts in B(4) and is neither
-    # endpoint.
+    # Each sample is the first point of [-4, 4]^3 drawn, one coordinate at a
+    # time, that the raw BFS puts in B(4) and is neither endpoint: |z| <= 4
+    # = floor(4^2/4) on B(4).
     group = DiscreteHeisenberg()
     obstacles = default_obstacles(group, a, b, 4, random.Random(3), 40)
     ball = heisenberg_lengths(4)
     rng = random.Random(3)
     samples = []
     while len(samples) < 40:
-        g = (rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-16, 16))
+        g = (rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4))
         if g in ball and g not in (a, b):
             samples.append(g)
     geodesic = [p for p in geodesic_points(group, a, b) if p not in (a, b)]
@@ -580,8 +582,8 @@ def test_box_draws_are_uniform_on_a_small_ball():
                          ids=["z^2", "heisenberg", "prod(z,z)"])
 def test_random_pairs_halve_draws_that_cover_the_sphere(group):
     # a^-1 b is the drawn element; the sphere of radius 3 has 12 elements on
-    # z^2 and prod(z,z), and 36 on the Heisenberg group.  prod(z,z) rejects
-    # over pairs of factor draws.
+    # z^2 and prod(z,z), and 36 on the Heisenberg group.  prod(z,z) splits
+    # the radius by its factors' sphere counts.
     if group is Z2:
         sphere = {g for g in l1_ball(3) if l1_length(g) == 3}
         quotient = lambda a, b: (b[0] - a[0], b[1] - a[1])
@@ -649,7 +651,7 @@ def test_divergence_exits_2_when_a_draw_reaches_the_cap(tmp_path, monkeypatch, c
     from untwist.cli import main
 
     monkeypatch.setattr(groups, "DRAW_TRIES", 10)
-    assert main(["divergence", "--group", "z^12", "--nmax", "2",
+    assert main(["divergence", "--group", "z^12+diag", "--nmax", "2",
                  "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "z^12" in err and "10 tries" in err

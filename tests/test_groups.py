@@ -16,7 +16,8 @@ from untwist import (
     parse_group,
 )
 
-from oracles import bfs_tree_words, heisenberg_lengths, heisenberg_mul, l1_ball_size
+from oracles import (bfs_tree_words, free_mul, heisenberg_lengths, heisenberg_mul,
+                     l1_ball_size)
 
 MODELS = [
     IntegerLattice(2),
@@ -361,9 +362,10 @@ BOXED = [g for g in MODELS if isinstance(g, (IntegerLattice, DiscreteHeisenberg)
 @pytest.mark.parametrize("group", BOXED, ids=lambda g: g.name)
 @pytest.mark.parametrize("radius", range(7))
 def test_ball_box_holds_the_raw_ball_and_the_sampler_accepts_exactly_it(group, radius):
-    # Lattices and the Heisenberg group draw by box rejection: a box that
+    # z^d+diag and the Heisenberg group draw by box rejection: a box that
     # missed part of B(radius), or an acceptance other than the closed
-    # form's, would make the draws differ from the raw ball.  The raw ball
+    # form's, would make the draws differ from the raw ball.  Plain lattices
+    # unrank their spheres, and a miscount would do the same.  The raw ball
     # comes from BFS over raw tuples: lattices add coordinates, and the
     # Heisenberg ball is the oracle's.
     if isinstance(group, DiscreteHeisenberg):
@@ -380,17 +382,46 @@ def test_ball_box_holds_the_raw_ball_and_the_sampler_accepts_exactly_it(group, r
                                    parse_group("prod(heisenberg,z^2+diag)")],
                          ids=lambda g: g.name)
 def test_draws_cover_exactly_the_raw_ball_and_sphere(group, radius):
-    # Free groups draw exactly and products reject over factor draws.
+    # Free groups and prod(z,free:2) count their spheres and draw exactly;
+    # prod(heisenberg,z^2+diag) rejects over pairs of factor draws.
     assert_draws_cover(group, radius, enumerate_ball(group, radius).lengths)
+
+
+def coordinate_sum(p, q):
+    return tuple(u + v for u, v in zip(p, q))
+
+
+def free_reduction_in_each_factor(p, q):
+    return free_mul(p[0], q[0]), free_mul(p[1], q[1])
+
+
+@pytest.mark.parametrize("group, radius, mul", [
+    *[(IntegerLattice(10), r, coordinate_sum) for r in range(3)],
+    *[(parse_group("prod(free:2,free:2)"), r, free_reduction_in_each_factor)
+      for r in range(4)],
+], ids=lambda v: getattr(v, "name", None))
+def test_counted_draws_cover_exactly_the_raw_ball_and_sphere(group, radius, mul):
+    # Both count their spheres and draw exactly; the raw ball is BFS over
+    # raw tuples.
+    lengths = {g: len(word) for g, word in
+               bfs_tree_words(group.identity, group.gens, mul, radius).items()}
+    assert_draws_cover(group, radius, lengths)
 
 
 @pytest.mark.parametrize("group, radius, sphere, chi2_999", [
     (FreeGroup(2), 3, True, 66.62),
     (parse_group("prod(z,free:2)"), 2, False, 56.89),
-], ids=["free:2-S(3)", "prod(z,free:2)-B(2)"])
+    (IntegerLattice(3), 2, False, 51.18),
+    (IntegerLattice(10), 2, True, 266.39),
+    (parse_group("prod(free:2,free:2)"), 2, False, 84.04),
+    (DiscreteHeisenberg(), 3, True, 66.62),
+], ids=["free:2-S(3)", "prod(z,free:2)-B(2)", "z^3-B(2)", "z^10-S(2)",
+        "prod(free:2,free:2)-B(2)", "heisenberg-S(3)"])
 def test_draws_are_uniform_on_small_balls_and_spheres(group, radius, sphere, chi2_999):
     # chi2_999 is the 0.999 quantile of chi-square with |target| - 1 degrees
-    # of freedom: S(3) has 36 elements and B(2) 29.
+    # of freedom: S(3) has 36 elements on free:2 and on the Heisenberg
+    # group, B(2) 29 on prod(z,free:2), 25 on z^3 and 49 on
+    # prod(free:2,free:2), and S(2) 200 on z^10.
     rng = random.Random(11)
     target = {g for g, k in enumerate_ball(group, radius).lengths.items()
               if k == radius or not sphere}
@@ -405,11 +436,23 @@ def test_rejection_draws_stop_at_the_cap(monkeypatch):
     import untwist.groups as groups
 
     monkeypatch.setattr(groups, "DRAW_TRIES", 10)
-    # S(1) holds 24 of the 3^12 points of z^12's box [-1, 1]^12.
+    # S(1) holds 26 of the 3^12 points of z^12+diag's box [-1, 1]^12.
     with pytest.raises(GroupError) as info:
-        IntegerLattice(12).draw(1, random.Random(0), sphere=True)
+        IntegerLattice(12, diagonal=True).draw(1, random.Random(0), sphere=True)
     message = str(info.value)
     assert "z^12" in message and "radius 1" in message and "10 tries" in message
+
+
+@pytest.mark.parametrize("radius", range(9))
+def test_heisenberg_draw_box_holds_the_raw_ball_and_is_tight(radius):
+    # A word of length <= r has p a-letters and q b-letters, p + q <= r, and
+    # moves z by at most pq <= floor(r^2/4); (floor(r/2), ceil(r/2), pq)
+    # attains it.
+    ball = heisenberg_lengths(radius)
+    assert max(abs(z) for _, _, z in ball) == radius * radius // 4
+    assert all(abs(x) + abs(y) <= radius for x, y, _ in ball)
+    p, q = radius // 2, radius - radius // 2
+    assert ball[(p, q, p * q)] == radius
 
 
 # -- the closed-form Heisenberg length ----------------------------------------
