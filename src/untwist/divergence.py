@@ -52,11 +52,12 @@ def make_query(group: Group, a, b, c, window_radius: int) -> DivergenceQuery:
 
 def _read_obstacle(group: Group, a, b, c, window_radius: int):
     """The query of a valid obstacle c other than the valid a and b, and the
-    reads (c^-1, d(c,a), d(c,b)) its radius took, for avoidant_distance."""
-    length, mul, c_inv = group.exact_length, group.mul, group.inv(c)
-    ca, cb = length(mul(c_inv, a)), length(mul(c_inv, b))
+    reads (h -> d(c,h), d(c,a), d(c,b)) its radius took, for
+    avoidant_distance."""
+    to_c = group.distance_from(c)
+    ca, cb = to_c(a), to_c(b)
     radius = max(0, min(ca, cb) // 2 - 2)
-    return DivergenceQuery(group, a, b, c, window_radius, radius), (c_inv, ca, cb)
+    return DivergenceQuery(group, a, b, c, window_radius, radius), (to_c, ca, cb)
 
 
 class PathSearchResult(NamedTuple):
@@ -71,47 +72,48 @@ class PathSearchResult(NamedTuple):
         return math.inf
 
 
-def _certified_disconnection(query: DivergenceQuery) -> bool:
+def _certified_disconnection(query: DivergenceQuery, to_c) -> bool:
     """True when removing the forbidden set provably disconnects the group:
     on a Cayley tree (z and free:r) every path from a to b passes through
-    each vertex of their geodesic."""
-    group, c_inv = query.group, query.group.inv(query.c)
+    each vertex of their geodesic.  to_c is h -> d(c,h)."""
+    group = query.group
     return group.cayley_tree and any(
-        group.exact_length(group.mul(c_inv, h)) < query.forbidden_radius
-        for h in geodesic_points(group, query.a, query.b))
+        to_c(h) < query.forbidden_radius for h in geodesic_points(group, query.a, query.b))
 
 
 def avoidant_shortest_path(query: DivergenceQuery) -> PathSearchResult:
     """Exact shortest path from a to b inside the window, off the obstacle.
 
     Every length is the model's closed form: h is inside the window iff
-    l(h) <= window and forbidden iff l(c^-1 h) < r.  The search is A*
-    towards b under the heuristic l(b^-1 h): at most l and moved by at most
-    1 per generator step, so admissible and consistent, and the first time
-    b leaves the heap its distance is the breadth-first one.  A certified
-    disconnection comes first: on free:r a failed search lists the window.
+    l(h) <= window and forbidden iff d(c,h) < r.  The search is A* towards b
+    under the heuristic d(b,h): at most the remaining length and moved by at
+    most 1 per generator step, so admissible and consistent, and the first
+    time b leaves the heap its distance is the breadth-first one.  A vertex
+    reached at tentative distance d has l(h) <= l(a) + d and d(c,h) >=
+    d(c,a) - d, so l(h) is read only once d > window - l(a), and d(c,h)
+    only once d > d(c,a) - r: below those neither test can fail.  A
+    certified disconnection comes first: on free:r a failed search lists
+    the window.
     """
-    group = query.group
-    window = query.window_radius
+    group, a, b, c, window, radius = query
     length = group.exact_length
-    for x in (query.a, query.b, query.c):
+    for x in (a, b, c):
         if length(x) > window:
             raise GroupError("query points must lie inside the window ball")
 
-    radius = query.forbidden_radius
-    mul = group.mul
-    c_inv = group.inv(query.c)
-    a, b = query.a, query.b
-    if min(length(mul(c_inv, a)), length(mul(c_inv, b))) < radius:
+    to_c = group.distance_from(c)
+    ca = to_c(a)
+    if min(ca, to_c(b)) < radius:
         raise GroupError("endpoint inside the forbidden ball; radius formula violated")
-    if _certified_disconnection(query):
+    if _certified_disconnection(query, to_c):
         return PathSearchResult(INFINITE)
 
-    b_inv = group.inv(b)
+    inside, clear = window - length(a), ca - radius
+    to_b = group.distance_from(b)
     steps = group._steps
     dist = {a: 0}
     parent = {}
-    heap = [(length(mul(b_inv, a)), 0, a)]
+    heap = [(to_b(a), 0, a)]
     while heap:
         _, neg_d, g = heappop(heap)
         d = -neg_d
@@ -124,14 +126,16 @@ def avoidant_shortest_path(query: DivergenceQuery) -> PathSearchResult:
             path.reverse()
             return PathSearchResult(FINITE, d, tuple(path))
         d += 1
+        read_window, read_obstacle = d > inside, d > clear
         for h in steps(g):
             if dist.get(h, d + 1) <= d:
                 continue  # already reached at least as cheaply
-            if length(h) > window or length(mul(c_inv, h)) < radius:
+            if (read_window and length(h) > window
+                    or read_obstacle and to_c(h) < radius):
                 continue
             dist[h] = d
             parent[h] = g
-            heappush(heap, (d + length(mul(b_inv, h)), -d, h))
+            heappush(heap, (d + to_b(h), -d, h))
     return PathSearchResult(WINDOW_DISCONNECTED)
 
 
@@ -149,29 +153,29 @@ def avoidant_distance(query: DivergenceQuery, k: int | None = None, reads=None,
     caller's best answer.  When one stays off the forbidden ball, c's answer
     is at most that best, and neither WINDOW_DISCONNECTED nor INFINITE (on a
     Cayley tree every path passes through each geodesic vertex), so None is
-    returned without a search.  reads is (c^-1, d(c,a), d(c,b)) as
+    returned without a search.  reads is (h -> d(c,h), d(c,a), d(c,b)) as
     _read_obstacle gives them; without it they are read here.
     A query the search would refuse (c outside the window) goes to it.
     """
     group, a, b, c, window, radius = query
     if group.exact_length(c) <= window:
-        c_inv, ca, cb = reads or _read_obstacle(group, a, b, c, window)[1]
+        to_c, ca, cb = reads or _read_obstacle(group, a, b, c, window)[1]
         if k is not None and ca + cb - k >= 2 * radius:
             return PathSearchResult(FINITE, k)
-        if any(_stays_off(group, path, c_inv, ca, cb, radius) for path in paths):
+        if any(_stays_off(path, to_c, ca, cb, radius) for path in paths):
             return None
     return avoidant_shortest_path(query)
 
 
-def _stays_off(group: Group, path, c_inv, ca: int, cb: int, radius: int) -> bool:
-    """True when no vertex h of the path from a to b has l(c^-1 h) < radius.
+def _stays_off(path, to_c, ca: int, cb: int, radius: int) -> bool:
+    """True when no vertex h of the path from a to b has d(c,h) < radius,
+    to_c being h -> d(c,h).
 
     The vertex at index i has d(c,h) >= d(c,a) - i and d(c,h) >= d(c,b) -
     (|P| - i), so only those strictly between the indices d(c,a) - radius
     and |P| - d(c,b) + radius are read."""
-    length, mul = group.exact_length, group.mul
     end = max(0, len(path) - 1 - cb + radius)
-    return all(length(mul(c_inv, h)) >= radius for h in path[ca - radius + 1:end])
+    return all(to_c(h) >= radius for h in path[ca - radius + 1:end])
 
 
 class PairDivergence(NamedTuple):
@@ -196,7 +200,7 @@ def div_pair(group: Group, a, b, obstacles, window_radius: int) -> PairDivergenc
     for x in (a, b):
         group.validate(x)
     length = group.exact_length
-    k = length(group.mul(group.inv(a), b))
+    k = group.distance_from(a)(b)
     if length(a) + length(b) + k > 2 * window_radius:
         k = None
     best = -1

@@ -18,7 +18,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from itertools import takewhile
 from math import comb
-from operator import add
+from operator import add, sub
 
 from . import draws
 
@@ -155,6 +155,12 @@ class Group(ABC):
     def exact_length(self, a) -> int:
         """Closed-form word length of a normal form, unchecked: callers
         validate elements that come from outside the package."""
+
+    def distance_from(self, u):
+        """The map h -> d(u,h) = l(u^-1 h) of a valid u, for many reads from
+        one point.  A model may read it without building u^-1 h."""
+        length, mul, u_inv = self.exact_length, self.mul, self.inv(u)
+        return lambda h: length(mul(u_inv, h))
 
     def sphere_size(self, k: int) -> int | None:
         """|S(k)| where the model counts its spheres, else None.  A model
@@ -362,6 +368,19 @@ class IntegerLattice(Group):
         lo = min(0, min(a))
         hi = max(0, max(a))
         return min(abs(k) + sum(abs(v - k) for v in a) for k in range(lo, hi + 1))
+
+    def distance_from(self, u):
+        if self.diagonal:
+            return super().distance_from(u)
+        # The l1 distance, read coordinate by coordinate.
+        if self.dimension == 2:
+            x, y = u
+
+            def distance(h):
+                X, Y = h
+                return abs(X - x) + abs(Y - y)
+            return distance
+        return lambda h: sum(map(abs, map(sub, h, u)))
 
     def sphere_size(self, n):
         # k nonzero coordinates: their signs, their positions and a

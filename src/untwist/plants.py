@@ -12,7 +12,7 @@ import math
 
 from .cocycles import BlockMap, CocycleError, CocycleSpec
 from .groups import Group, WordMetric
-from .targets import FiniteGroup, RealVector, TargetGroup, Torus
+from .targets import CyclicGroup, RealVector, TargetGroup, Torus
 
 
 def canonical_cells(metric: WordMetric, window: int):
@@ -84,8 +84,10 @@ def weighted_potential(group: Group, metric: WordMetric, target: TargetGroup,
     """Linear symbol-weighted potential b(x) = sum_cell x_cell * w_cell.
 
     Real targets sum componentwise; tori reduce modulo one; cyclic targets
-    take integer weights modulo the order.  The declared diameter bound is
-    the symbol span times the total weight mass (capped for tori).
+    take integer weights modulo the order.  Other finite targets are
+    refused: the sum of integer weights is no element of a table group.
+    The declared diameter bound is the symbol span times the total weight
+    mass (capped for tori).
     """
     cells = canonical_cells(metric, window)
     inside = set(cells)
@@ -118,7 +120,7 @@ def weighted_potential(group: Group, metric: WordMetric, target: TargetGroup,
         if isinstance(target, Torus):
             diameter = min(diameter, math.sqrt(dim) / 2.0)
         return BlockMap(target, cells, window, fn=fn, diameter_bound=diameter)
-    if isinstance(target, FiniteGroup):
+    if isinstance(target, CyclicGroup):
         n = len(target.elements)
         for c, v in w.items():
             if isinstance(v, bool) or not isinstance(v, int):
@@ -128,7 +130,8 @@ def weighted_potential(group: Group, metric: WordMetric, target: TargetGroup,
             return sum(s * w[c] for s, c in zip(pattern, cells) if c in w) % n
 
         return BlockMap(target, cells, window, fn=fn, diameter_bound=1.0)
-    raise CocycleError(f"no weighted potential for target {target.name}")
+    raise CocycleError(f"no weighted potential for target {target.name}: weights sum "
+                       f"only in real vectors, tori and cyclic groups")
 
 
 def cocycle_spec_to_jsonable(spec: CocycleSpec) -> dict:

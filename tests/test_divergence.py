@@ -509,6 +509,74 @@ def test_search_takes_a_tenth_of_the_breadth_first_steps():
     assert 0 < len(steps) < 4704 / 10
 
 
+@pytest.mark.parametrize("window", [40, 12])
+def test_search_reads_window_and_obstacle_only_where_they_can_bind(monkeypatch, window):
+    # The query above: l(a) = d(c,a) = 10 and r = 3.  A vertex at tentative
+    # distance d has l(h) <= 10 + d, inside the window while d <= window -
+    # 10, and d(c,h) >= 10 - d, off the forbidden ball while d <= 7, so the
+    # search reads neither there.  It pops what a search reading both at
+    # every vertex pops: 256 generator steps, at either window.
+    import untwist.divergence as divergence
+
+    group = IntegerLattice(2)
+    a, b, c = (-10, 0), (10, 0), (0, 0)
+    query = make_query(group, a, b, c, window)
+    assert query.forbidden_radius == 3
+    depth = 0
+    pop = divergence.heappop
+
+    def popping(heap):
+        nonlocal depth
+        entry = pop(heap)
+        depth = 1 - entry[1]  # the tentative distance of the popped g's steps
+        return entry
+
+    length, distance_from, listing = group.exact_length, group.distance_from, group._steps
+    windows, obstacles, steps = [], [], []
+
+    def reading(u):
+        read = distance_from(u)
+        return (lambda h: obstacles.append((depth, h)) or read(h)) if u == c else read
+
+    def counting(g):
+        neighbours = listing(g)
+        steps.extend(neighbours)
+        return neighbours
+
+    monkeypatch.setattr(divergence, "heappop", popping)
+    monkeypatch.setattr(group, "exact_length",
+                        lambda h: windows.append((depth, h)) or length(h))
+    monkeypatch.setattr(group, "distance_from", reading)
+    monkeypatch.setattr(group, "_steps", counting)
+    result = avoidant_shortest_path(query)
+    assert result.length == 26
+    assert len(steps) == 256
+    assert {h for d, h in windows if d == 0} == {a, b, c}  # the entry checks
+    loop = [d for d, _ in windows if d]
+    if window == 40:
+        assert not loop  # 26 <= 40 - 10
+    else:
+        assert loop and min(loop) > window - 10
+    assert obstacles[:2] == [(0, a), (0, b)]  # the entry check of the radius
+    assert obstacles[2:] and min(d for d, _ in obstacles[2:]) > 7
+
+
+def test_every_searched_z2_query_at_nmax_20_matches_grid_oracle(monkeypatch):
+    # At nmax 12 only pairs with n >= 11 search; at nmax 20 most searches
+    # pass the depth d(c,a) - r from which the obstacle reads start.
+    seen = recorded_queries(monkeypatch, Z2, 20, seed=121)
+    searched = [(q, result) for q, result in seen if not certified(result)]
+    assert len(searched) > 40
+    mid = 0
+    for q, result in searched:
+        expected = grid_avoidant_length(q.a, q.b, q.c, q.forbidden_radius,
+                                        q.window_radius)
+        assert oracle_outcome(result) == expected, q
+        clear = l1_length(z2_mul((-q.c[0], -q.c[1]), q.a)) - q.forbidden_radius
+        mid += expected is not None and 0 <= clear < expected
+    assert mid > len(searched) // 2
+
+
 def test_geodesic_points_cover_segment():
     pts = geodesic_points(Z2, (-3, 0), (3, 0))
     assert pts[0] == (-3, 0) and pts[-1] == (3, 0)

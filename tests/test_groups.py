@@ -209,6 +209,20 @@ def test_unchecked_product_equals_checked(group):
         assert group._steps(g) == [group.mul(g, s) for _, s in group.gens]
 
 
+@pytest.mark.parametrize("group", MODELS + [parse_group("prod(z,heisenberg)")],
+                         ids=lambda g: g.name)
+def test_distance_from_equals_the_product_route(group):
+    # distance_from(u) is the read of d(u,h) that the divergence search
+    # makes at each vertex; a model's own fast read must equal l(u^-1 h).
+    ball = list(enumerate_ball(group, 3).lengths)
+    rng = random.Random(5)
+    far = [random_element(group, rng, steps=20) for _ in range(10)]
+    for u in ball + far:
+        distance = group.distance_from(u)
+        for h in ball + far:
+            assert distance(h) == group.exact_length(group.mul(group.inv(u), h)), (u, h)
+
+
 @pytest.mark.parametrize("group", MODELS, ids=lambda g: g.name)
 def test_length_lower_bound_is_a_consistent_heuristic(group):
     # The search's heuristic is the closed-form length.

@@ -102,6 +102,22 @@ def test_weighted_potential_refuses_a_non_integer_finite_weight(value):
                               (0, 1)).lookup((1,)) == 2
 
 
+def test_weighted_potential_refuses_a_finite_target_that_is_not_cyclic():
+    # The weights used to be added as integers modulo the order: on the
+    # two-element table the potential's value at symbol 1 was the integer 1,
+    # no element, and on the Klein table 1*1 came out as 2, Z/4's law.
+    z2 = IntegerLattice(2)
+    two = FiniteGroup(["e", "a"], {(x, y): "e" if x == y else "a"
+                                   for x in "ea" for y in "ea"}, "e", name="two")
+    klein = FiniteGroup(range(4), {(x, y): x ^ y for x in range(4) for y in range(4)},
+                        0, name="klein")
+    for target in (two, klein):
+        with pytest.raises(CocycleError, match=f"target {target.name}:"):
+            weighted_potential(z2, WordMetric(z2), target, 0, {(0, 0): 1}, (0, 1))
+    assert weighted_potential(z2, WordMetric(z2), cyclic_group(5), 0, {(0, 0): 1},
+                              (0, 1)).lookup((1,)) == 1
+
+
 @pytest.mark.parametrize("target, near, far", [
     (RealVector(1), (0.5,), (7.0,)), (Torus(1), (0.5,), (7.0,)), (cyclic_group(5), 1, 3),
 ], ids=["real", "torus", "cyclic"])
