@@ -42,12 +42,21 @@ class DivergenceQuery(NamedTuple):
 
 
 def make_query(group: Group, a, b, c, window_radius: int) -> DivergenceQuery:
-    """Compute the obstacle radius max(0, floor(d(c,{a,b})/2) - 2) exactly."""
+    """Compute the obstacle radius max(0, floor(d(c,{a,b})/2) - 2) exactly,
+    once a, b and c pass the check that the search then trusts."""
     for x in (a, b, c):
-        group.validate(x)
+        _windowed_length(group, x, window_radius)
     if c == a or c == b:
         raise GroupError("obstacle must differ from both endpoints")
     return _read_obstacle(group, a, b, c, window_radius)[0]
+
+
+def _windowed_length(group: Group, x, window_radius: int) -> int:
+    """l(x) of a valid x inside the window; anything else is refused."""
+    group.validate(x)
+    if (length := group.exact_length(x)) > window_radius:
+        raise GroupError("query points must lie inside the window ball")
+    return length
 
 
 def _read_obstacle(group: Group, a, b, c, window_radius: int):
@@ -93,18 +102,12 @@ def avoidant_shortest_path(query: DivergenceQuery) -> PathSearchResult:
     d(c,a) - d, so l(h) is read only once d > window - l(a), and d(c,h)
     only once d > d(c,a) - r: below those neither test can fail.  A
     certified disconnection comes first: on free:r a failed search lists
-    the window.
+    the window.  The query is trusted: make_query and div_pair checked it.
     """
     group, a, b, c, window, radius = query
     length = group.exact_length
-    for x in (a, b, c):
-        if length(x) > window:
-            raise GroupError("query points must lie inside the window ball")
-
     to_c = group.distance_from(c)
     ca = to_c(a)
-    if min(ca, to_c(b)) < radius:
-        raise GroupError("endpoint inside the forbidden ball; radius formula violated")
     if _certified_disconnection(query, to_c):
         return PathSearchResult(INFINITE)
 
@@ -139,31 +142,29 @@ def avoidant_shortest_path(query: DivergenceQuery) -> PathSearchResult:
     return PathSearchResult(WINDOW_DISCONNECTED)
 
 
-def avoidant_distance(query: DivergenceQuery, k: int | None = None, reads=None,
-                      paths=()) -> PathSearchResult | None:
+def avoidant_distance(query: DivergenceQuery, k: int | None, reads,
+                      paths) -> PathSearchResult | None:
     """The outcome and length of avoidant_shortest_path, without a search
     where the triangle inequality gives them or a known path bounds them.
 
-    k is d(a,b), passed by a caller that found l(a) + l(b) + k <= 2*window
-    for the pair, as div_pair does once per pair: every geodesic from a to
-    b then stays inside the window.  When also d(c,a) + d(c,b) - k >= 2r,
-    every geodesic stays off the forbidden ball, so the answer is k, FINITE.
+    k is d(a,b), or None where l(a) + l(b) + k > 2*window; div_pair reads
+    the clause once per pair.  Where it holds, every geodesic from a to b
+    stays inside the window; when also d(c,a) + d(c,b) - k >= 2r, every
+    geodesic stays off the forbidden ball, so the answer is k, FINITE.
 
     paths are paths from a to b inside the window, each no longer than the
     caller's best answer.  When one stays off the forbidden ball, c's answer
     is at most that best, and neither WINDOW_DISCONNECTED nor INFINITE (on a
     Cayley tree every path passes through each geodesic vertex), so None is
     returned without a search.  reads is (h -> d(c,h), d(c,a), d(c,b)) as
-    _read_obstacle gives them; without it they are read here.
-    A query the search would refuse (c outside the window) goes to it.
+    _read_obstacle gives them.
     """
-    group, a, b, c, window, radius = query
-    if group.exact_length(c) <= window:
-        to_c, ca, cb = reads or _read_obstacle(group, a, b, c, window)[1]
-        if k is not None and ca + cb - k >= 2 * radius:
-            return PathSearchResult(FINITE, k)
-        if any(_stays_off(path, to_c, ca, cb, radius) for path in paths):
-            return None
+    to_c, ca, cb = reads
+    radius = query.forbidden_radius
+    if k is not None and ca + cb - k >= 2 * radius:
+        return PathSearchResult(FINITE, k)
+    if any(_stays_off(path, to_c, ca, cb, radius) for path in paths):
+        return None
     return avoidant_shortest_path(query)
 
 
@@ -191,17 +192,15 @@ class PairDivergence(NamedTuple):
 def div_pair(group: Group, a, b, obstacles, window_radius: int) -> PairDivergence:
     """Maximise the avoidant distance over the sampled obstacle set.
 
+    Each point is checked once, as make_query checks it, and read once;
     k = d(a,b) and the window clause l(a) + l(b) + k <= 2*window of
-    avoidant_distance are read once for the pair, and each obstacle is
-    validated and read once.  The paths the searches return are kept: each
-    is no longer than best, so an obstacle one of them stays off can change
-    neither the value nor the first witness, and avoidant_distance skips
-    its search."""
-    for x in (a, b):
-        group.validate(x)
-    length = group.exact_length
+    avoidant_distance are read once for the pair.  The paths the searches
+    return are kept: each is no longer than best, so an obstacle one of
+    them stays off can change neither the value nor the first witness, and
+    avoidant_distance skips its search."""
+    la, lb = (_windowed_length(group, x, window_radius) for x in (a, b))
     k = group.distance_from(a)(b)
-    if length(a) + length(b) + k > 2 * window_radius:
+    if la + lb + k > 2 * window_radius:
         k = None
     best = -1
     witness = None
@@ -209,7 +208,7 @@ def div_pair(group: Group, a, b, obstacles, window_radius: int) -> PairDivergenc
     for c in obstacles:
         if c == a or c == b:
             continue
-        group.validate(c)
+        _windowed_length(group, c, window_radius)
         query, reads = _read_obstacle(group, a, b, c, window_radius)
         result = avoidant_distance(query, k, reads, paths)
         if result is None:
@@ -302,17 +301,13 @@ def div_function(group: Group, n_max: int, *, window_factor: int = 4,
                 best_row = DivergenceRow(n, pair.value, a, b, pair.witness_c,
                                          window_radius)
         if best_so_far is not None and best_so_far.value > best_row.value:
-            best_row = DivergenceRow(n, best_so_far.value, best_so_far.witness_a,
-                                     best_so_far.witness_b, best_so_far.witness_c,
-                                     window_radius)
+            best_row = best_so_far._replace(n=n, window_radius=window_radius)
         best_so_far = best_row
         rows.append(best_row)
         if best_row.value == math.inf:
             # Later rows can only repeat the certified-infinite witness.
             for m in range(n + 1, n_max + 1):
-                rows.append(DivergenceRow(m, math.inf, best_row.witness_a,
-                                          best_row.witness_b, best_row.witness_c,
-                                          window_factor * m))
+                rows.append(best_row._replace(n=m, window_radius=window_factor * m))
             break
     return rows
 

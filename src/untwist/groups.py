@@ -165,7 +165,7 @@ class Group(ABC):
     def sphere_size(self, k: int) -> int | None:
         """|S(k)| where the model counts its spheres, else None.  A model
         that counts also defines _sphere_element(k, i), the i-th element of
-        S(k) for 0 <= i < |S(k)| in an order of its own."""
+        S(k) for 0 <= i < |S(k)| in an order of its own, once S(k) is counted."""
         return None
 
     def draw(self, radius: int, rng, sphere: bool = False):
@@ -364,10 +364,10 @@ class IntegerLattice(Group):
             if self.dimension == 2:
                 return abs(a[0]) + abs(a[1])
             return sum(abs(v) for v in a)
-        # One diagonal pair: k net diagonal steps plus axis corrections.
-        lo = min(0, min(a))
-        hi = max(0, max(a))
-        return min(abs(k) + sum(abs(v - k) for v in a) for k in range(lo, hi + 1))
+        # t net diagonal steps cost sum |b_i - t| over b = (0, *a), least at a median.
+        b = sorted((0, *a))
+        t = b[(len(b) - 1) // 2]
+        return sum(abs(v - t) for v in b)
 
     def distance_from(self, u):
         if self.diagonal:

@@ -288,6 +288,12 @@ class DirectProduct(Group):
         gens += [(f"r:{lab}", (left.identity, g)) for lab, g in right.gens]
         self.gens = tuple(gens)
         self.identity = (left.identity, right.identity)
+        # |S(k)| of the left factor, the right one and the product, for k up
+        # to the largest radius counted so far; None where a factor does not
+        # count.  Each count is read once, so a nested product draws in time
+        # polynomial in the radius.
+        counting = None not in (left.sphere_size(0), right.sphere_size(0))
+        self._spheres = ([], [], []) if counting else None
 
     def mul(self, a, b):
         try:
@@ -326,23 +332,28 @@ class DirectProduct(Group):
 
     def sphere_size(self, n):
         # Lengths add: S(n) is the union over i of S_left(i) x S_right(n - i).
-        left, right = self.left.sphere_size, self.right.sphere_size
-        if left(0) is None or right(0) is None:
+        if self._spheres is None:
             return None
-        return sum(left(i) * right(n - i) for i in range(n + 1))
+        lefts, rights, spheres = self._spheres
+        while len(spheres) <= n:
+            m = len(spheres)
+            lefts.append(self.left.sphere_size(m))
+            rights.append(self.right.sphere_size(m))
+            spheres.append(sum(lefts[i] * rights[m - i] for i in range(m + 1)))
+        return spheres[n]
 
     def _sphere_element(self, n, i):
+        lefts, rights, _ = self._spheres
         for j in range(n + 1):
-            right = self.right.sphere_size(n - j)
-            size = self.left.sphere_size(j) * right
+            size = lefts[j] * rights[n - j]
             if i < size:
-                i, i_right = divmod(i, right)
+                i, i_right = divmod(i, rights[n - j])
                 return (self.left._sphere_element(j, i),
                         self.right._sphere_element(n - j, i_right))
             i -= size
 
     def draw(self, radius, rng, sphere=False):
-        if self.sphere_size(0) is not None:
+        if self._spheres is not None:
             return super().draw(radius, rng, sphere)
         # Lengths add, so B(radius) lies in B_left(radius) x B_right(radius).
         return _rejection_draw(self, radius, sphere, lambda: (

@@ -121,13 +121,12 @@ def weighted_potential(group: Group, metric: WordMetric, target: TargetGroup,
             diameter = min(diameter, math.sqrt(dim) / 2.0)
         return BlockMap(target, cells, window, fn=fn, diameter_bound=diameter)
     if isinstance(target, CyclicGroup):
-        n = len(target.elements)
         for c, v in w.items():
             if isinstance(v, bool) or not isinstance(v, int):
                 raise CocycleError(f"weight at {group.format_elem(c)} is not an integer: {v!r}")
 
         def fn(pattern):
-            return sum(s * w[c] for s, c in zip(pattern, cells) if c in w) % n
+            return sum(s * w[c] for s, c in zip(pattern, cells) if c in w) % target.n
 
         return BlockMap(target, cells, window, fn=fn, diameter_bound=1.0)
     raise CocycleError(f"no weighted potential for target {target.name}: weights sum "

@@ -165,12 +165,12 @@ class ConeParams:
         Walks a^(-+j) k against thresholds tabulated up to profile.j_max, but
         not one step at a time: from a miss at step j it jumps, by one left
         multiplication with a stored power, to the first piece whose horizon
-        the point can still reach, and stops once no piece is left.  k is
-        validated once; the walk's points are trusted products."""
+        the point can still reach, and stops once no piece is left.  k must
+        be valid, as a Configuration's cells are: nothing here checks it."""
         if sign not in ("+", "-"):
             raise ContractError("sign must be '+' or '-'")
         powers = self._powers[sign]
-        d = self.metric.length(k)
+        d = self.group.exact_length(k)
         reach = 4 * (d + self.R)
         n = bisect_right(self._stops, reach)
         mul, length = self.group.mul, self.group.exact_length

@@ -196,19 +196,37 @@ class FiniteGroup(TargetGroup):
 
 
 class CyclicGroup(FiniteGroup):
-    """Integers modulo n, as built by cyclic_group; described by its order."""
+    """Integers modulo n, as built by cyclic_group, computed modulo n: no
+    table is listed, whatever the order.  Described by its order."""
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise TargetError("cyclic order must be >= 1")
+        self.n = n
+        self.elements = range(n)
+        self.identity = 0
+        self.name = f"cyclic({n})"
+
+    def mul(self, a, b):
+        return (a + b) % self.n
+
+    def inv(self, a):
+        return -a % self.n
+
+    def validate(self, a):
+        if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < self.n:
+            raise TargetError(f"element {a!r} is not in the group")
+
+    def from_jsonable_elem(self, obj):
+        return json_int(obj, "table")
 
     def describe(self):
-        return {"kind": "cyclic", "n": len(self.elements)}
+        return {"kind": "cyclic", "n": self.n}
 
 
 def cyclic_group(n: int) -> CyclicGroup:
     """Integers modulo n with the discrete metric."""
-    if n < 1:
-        raise TargetError("cyclic order must be >= 1")
-    elements = list(range(n))
-    table = {(a, b): (a + b) % n for a in elements for b in elements}
-    return CyclicGroup(elements, table, 0, name=f"cyclic({n})")
+    return CyclicGroup(n)
 
 
 def target_from_description(obj) -> TargetGroup:

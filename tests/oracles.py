@@ -123,6 +123,13 @@ def l1_ball_size(dimension_2_radius):
     return 2 * n * n + 2 * n + 1
 
 
+def diagonal_lattice_length(a):
+    """Word length on z^d+diag: the least cost of t net diagonal steps plus
+    axis corrections, |t| + sum |a_i - t|, over every t between 0 and a."""
+    lo, hi = min(0, *a), max(0, *a)
+    return min(abs(t) + sum(abs(v - t) for v in a) for t in range(lo, hi + 1))
+
+
 def z2_mul(p, q):
     return (p[0] + q[0], p[1] + q[1])
 

@@ -188,6 +188,34 @@ def test_glue_task_without_anchor_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "'anchor'" in err and str(spec) in err
 
 
+def test_a_cyclic_target_of_order_a_million_untwists_in_bounded_memory(tmp_path):
+    # A table of the n^2 products would hold 10^12 entries here; sums
+    # modulo n list none, so the run stays small.
+    from untwist import (WordMetric, coboundary_cocycle, cocycle_spec_to_jsonable,
+                         cyclic_group, parse_group, weighted_potential)
+
+    group, n = parse_group("z^2"), 10**6
+    metric, target = WordMetric(group), cyclic_group(n)
+    potential = weighted_potential(group, metric, target, 0, {group.identity: 3}, (0, 1))
+    spec = coboundary_cocycle(group, target, {"x1+": 2, "x2+": n - 1}, potential, (0, 1),
+                              metric=metric)
+    path = tmp_path / "spec.json"
+    path.write_text(dumps(cocycle_spec_to_jsonable(spec)) + "\n")
+    path_env = os.pathsep.join(p for p in (os.path.join(ROOT, "src"),
+                                           os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "untwist.cli", "cocycle", "untwist", "--group", "z^2",
+         "--spec", str(path), "--seed", "7", "--samples", "20",
+         "--out", str(tmp_path / "report.json")],
+        env=dict(os.environ, PYTHONPATH=path_env),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped here
+    assert child.returncode == 0 and usage.ru_maxrss / 1024 < 100
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["psi"]["(1,0)"] == 2 and report["psi"]["(0,1)"] == n - 1
+
+
 def _edited_spec(tmp_path, edit):
     with open(os.path.join(ROOT, SPEC_RELPATH), "r", encoding="utf-8") as fh:
         payload = json.load(fh)

@@ -26,7 +26,6 @@ from untwist.divergence import (
     WINDOW_DISCONNECTED,
     DivergenceQuery,
     _random_pair,
-    avoidant_distance,
     avoidant_shortest_path,
     default_obstacles,
     geodesic_points,
@@ -179,14 +178,20 @@ def test_heisenberg_avoidant_paths_match_oracle(window):
 
 
 def test_obstacle_outside_the_window_is_refused():
-    # Both clauses of the certificate hold here, with k = d(a,b) = 1, but
-    # the obstacle lies outside the window, so avoidant_distance refuses it
-    # as the search does.
-    q = DivergenceQuery(Z2, (0, 0), (1, 0), (11, 0), 10, 3)
-    with pytest.raises(GroupError):
-        avoidant_shortest_path(q)
-    with pytest.raises(GroupError):
-        avoidant_distance(q, k=1)
+    # Both clauses of the certificate would hold here, with k = d(a,b) = 1,
+    # but the obstacle lies outside the window, so the query is refused
+    # where it is made: the search trusts what make_query builds.
+    with pytest.raises(GroupError, match="query points must lie inside the window ball"):
+        make_query(Z2, (0, 0), (1, 0), (11, 0), 10)
+
+
+@pytest.mark.parametrize("outside", ["a", "b", "c"])
+def test_make_query_refuses_any_point_outside_the_window(outside):
+    points = {"a": (-3, 0), "b": (3, 0), "c": (0, 2)}
+    assert make_query(Z2, window_radius=10, **points).forbidden_radius == 0
+    points[outside] = (6, -5)  # of length 11
+    with pytest.raises(GroupError, match="query points must lie inside the window ball"):
+        make_query(Z2, window_radius=10, **points)
 
 
 def test_an_obstacle_outside_the_window_is_refused_though_a_path_stays_off_it():
@@ -298,7 +303,7 @@ def recording_answers(monkeypatch, skip=True):
 
     answer, seen = divergence.avoidant_distance, []
 
-    def recording(query, k=None, reads=None, paths=()):
+    def recording(query, k, reads, paths):
         result = answer(query, k, reads, paths if skip else ())
         if result is not None:
             seen.append((query, k, result))
@@ -551,14 +556,15 @@ def test_search_reads_window_and_obstacle_only_where_they_can_bind(monkeypatch, 
     result = avoidant_shortest_path(query)
     assert result.length == 26
     assert len(steps) == 256
-    assert {h for d, h in windows if d == 0} == {a, b, c}  # the entry checks
+    # On entry the search reads l(a) and d(c,a) alone: it trusts the query.
+    assert [h for d, h in windows if d == 0] == [a]
     loop = [d for d, _ in windows if d]
     if window == 40:
         assert not loop  # 26 <= 40 - 10
     else:
         assert loop and min(loop) > window - 10
-    assert obstacles[:2] == [(0, a), (0, b)]  # the entry check of the radius
-    assert obstacles[2:] and min(d for d, _ in obstacles[2:]) > 7
+    assert obstacles[:1] == [(0, a)]
+    assert obstacles[1:] and min(d for d, _ in obstacles[1:]) > 7
 
 
 def test_every_searched_z2_query_at_nmax_20_matches_grid_oracle(monkeypatch):

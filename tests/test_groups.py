@@ -16,8 +16,8 @@ from untwist import (
     parse_group,
 )
 
-from oracles import (bfs_tree_words, free_mul, heisenberg_lengths, heisenberg_mul,
-                     l1_ball_size)
+from oracles import (bfs_tree_words, diagonal_lattice_length, free_mul, heisenberg_lengths,
+                     heisenberg_mul, l1_ball_size)
 
 MODELS = [
     IntegerLattice(2),
@@ -161,6 +161,15 @@ def test_diagonal_lattice_exact_length():
     table = enumerate_ball(group, 6)
     for g, length in table.lengths.items():
         assert length == group.exact_length(g)
+
+
+def test_diagonal_lattice_length_is_the_least_shift_cost():
+    # The median route against every shift between 0 and a, d = 1..10.
+    rng = random.Random(17)
+    for _ in range(3000):
+        d = rng.randint(1, 10)
+        a = tuple(rng.randint(-40, 40) for _ in range(d))
+        assert IntegerLattice(d, diagonal=True).exact_length(a) == diagonal_lattice_length(a)
 
 
 @pytest.mark.parametrize("group", MODELS + [FreeGroup(3),
@@ -393,12 +402,33 @@ def test_ball_box_holds_the_raw_ball_and_the_sampler_accepts_exactly_it(group, r
 
 @pytest.mark.parametrize("radius", range(4))
 @pytest.mark.parametrize("group", [FreeGroup(2), FreeGroup(3), parse_group("prod(z,free:2)"),
+                                   parse_group("prod(prod(z,free:2),z)"),
                                    parse_group("prod(heisenberg,z^2+diag)")],
                          ids=lambda g: g.name)
 def test_draws_cover_exactly_the_raw_ball_and_sphere(group, radius):
-    # Free groups and prod(z,free:2) count their spheres and draw exactly;
-    # prod(heisenberg,z^2+diag) rejects over pairs of factor draws.
+    # Free groups and products of them with z count their spheres and draw
+    # exactly; prod(heisenberg,z^2+diag) rejects over pairs of factor draws.
     assert_draws_cover(group, radius, enumerate_ball(group, radius).lengths)
+
+
+def test_nested_product_draws_read_each_sphere_count_once(monkeypatch):
+    # Each of the 7 models of a 3-deep product reads a count of S(k) once
+    # for each k <= R (the draw counts B(R) and S(R) by them), and once more
+    # when built.  Recounting the factors' spheres at every call and
+    # every draw instead reads O(R^4) of them per draw.
+    reads = []
+    for cls in (IntegerLattice, DirectProduct):
+        count = cls.sphere_size
+        monkeypatch.setattr(cls, "sphere_size",
+                            lambda self, n, count=count: reads.append(n) or count(self, n))
+    group = parse_group("prod(prod(prod(z,z),z),z)")
+    rng = random.Random(3)
+    radius = 80
+    for _ in range(20):
+        assert group.exact_length(group.draw(radius, rng)) <= radius
+        assert group.exact_length(group.draw(radius, rng, sphere=True)) == radius
+    assert max(reads) == radius
+    assert len(reads) <= 7 * (radius + 2)
 
 
 def coordinate_sum(p, q):

@@ -1,5 +1,8 @@
+import json
+import os
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -21,6 +24,7 @@ from untwist import (
     membership_check,
     parse_group,
 )
+from untwist.cli import main
 from untwist.invariants import build_profile
 from untwist.sampling import random_configuration
 
@@ -460,6 +464,29 @@ def test_glue_asks_each_cone_once_per_support_cell(monkeypatch):
         calls.clear()
         glue(x, xp, params)
         assert len(calls) <= 2 * len(set(x.support) | set(xp.support))
+
+
+def test_golden_glue_validates_each_cell_once_per_configuration(tmp_path, monkeypatch):
+    # Configuration validates its cells as it is built; the cone walk trusts
+    # them.  The anchor and the family cells are read from the task besides,
+    # so they are left out.
+    path = os.path.join(os.path.dirname(__file__), "golden", "glue_z2_task.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        task = json.load(fh)
+    validated = Counter()
+    validate = IntegerLattice.validate
+    monkeypatch.setattr(IntegerLattice, "validate",
+                        lambda self, a: validated.update([a]) or validate(self, a))
+    assert main(["subshift", "glue", "--group", "z^2", "--spec", path,
+                 "--out", str(tmp_path / "glue.json")]) == 0
+    listed = Counter(Z2.parse_elem(cell) for name in ("x", "x_prime")
+                     for cell, _ in task[name]["support"])
+    read_besides = {Z2.parse_elem(task["anchor"])} | {
+        Z2.parse_elem(f) for family in task["subshift"]["families"] for f in family}
+    assert len(listed) > 50 and set(listed) - read_besides
+    for cell, count in listed.items():
+        if cell not in read_besides:
+            assert validated[cell] == count, cell
 
 
 def test_glue_refuses_inputs_from_other_groups_or_shift_spaces():

@@ -165,6 +165,29 @@ def test_cyclic_structure():
     assert c5.dist(1, 1) == 0.0 and c5.dist(1, 2) == 1.0
 
 
+def test_cyclic_groups_of_any_order_compute_modulo_n():
+    # No table of n^2 products is listed, so a huge order builds at once.
+    n = 10**12
+    big = cyclic_group(n)
+    assert big.mul(n - 1, 2) == 1 and big.inv(1) == n - 1 and big.inv(0) == 0
+    assert big.dist(n - 1, n - 1) == 0.0 and big.dist(0, n - 1) == 1.0
+    assert big.describe() == {"kind": "cyclic", "n": n}
+    assert 0 <= random_element(big, random.Random(3)) < n
+    big.validate(n - 1)
+    for outside in (n, -1, 2.0, True, "1"):
+        with pytest.raises(TargetError, match="is not in the group"):
+            big.validate(outside)
+
+
+def test_cyclic_table_values_are_json_integers():
+    c5 = cyclic_group(5)
+    assert c5.from_jsonable_elem(3) == 3
+    assert type(c5.from_jsonable_elem(2.0)) is int and c5.from_jsonable_elem(2.0) == 2
+    for bad in (True, 2.5, "2", None):
+        with pytest.raises(ValueError, match="key 'table' needs an integral number"):
+            c5.from_jsonable_elem(bad)
+
+
 def test_finite_group_table_validation():
     with pytest.raises(TargetError):
         FiniteGroup([0, 1], {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}, 0)
