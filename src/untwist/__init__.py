@@ -22,8 +22,8 @@ import sys
 
 _HOMES = {
     "groups": (
-        "BallTable", "GroupError", "InfiniteCyclic", "InputError", "IntegerLattice",
-        "OutOfRange", "ResourceLimit", "WordMetric", "enumerate_ball", "parse_group",
+        "GroupError", "InfiniteCyclic", "InputError", "IntegerLattice", "OutOfRange",
+        "ResourceLimit", "WordMetric", "enumerate_ball", "parse_group",
     ),
     "models": (
         "DirectProduct", "DiscreteHeisenberg", "FreeGroup", "SqrtBound",

@@ -162,16 +162,13 @@ class CocycleSpec:
             0.0 if not bm.diameter_bound else bm.diameter_bound * _inverse_power(
                 rate, bm.window, f"block map for generator {lab!r}: window {bm.window}")
             for lab, bm in self.maps.items())
-        self._background_config = Configuration(group, self.alphabet, background, {})
+        self.background_config = Configuration(group, self.alphabet, background, {})
         self._plan_cache = {}
         self._anchor_cache = {}
         self._holder_cache = {}
         self._truncation_cache = {}  # (g, epsilon, agreement) -> (n, tail, reach)
         # (g, sign) -> (reads, index, next back); (g, sign, background) -> B
         self._orbit_cache = {}
-
-    def background_config(self) -> Configuration:
-        return self._background_config
 
     def holder_constants(self, g):
         """(C_g, r) with d(c(g,x), c(g,y)) <= C_g * r**n for agreement on B(n)."""
@@ -192,9 +189,12 @@ class CocycleSpec:
 
     def _anchor(self, g):
         """(bound, name, bound text) of an anchor: its certified compression
-        lower bound, its formatted element and the bound's description."""
+        lower bound, its formatted element and the bound's description.  An
+        invalid g or the identity is refused."""
         found = self._anchor_cache.get(g)
         if found is None:
+            if g == self.group.identity:
+                raise CocycleError("holonomy needs an infinite-order anchor")
             bound = self.group.compression_lower_bound(g)
             found = self._anchor_cache[g] = (bound, self.group.format_elem(g),
                                              bound.describe())
@@ -299,11 +299,9 @@ def holonomy(spec: CocycleSpec, g, x: Configuration, y: Configuration,
     factor pairs are equal, so their product cancels exactly.
     """
     _check_epsilon(epsilon)
-    if g == spec.group.identity:
-        raise CocycleError("holonomy needs an infinite-order anchor")
+    bound, fmt, described = spec._anchor(g)
     if sign not in ("+", "-"):
         raise CocycleError("sign must be '+' or '-'")
-    bound, fmt, described = spec._anchor(g)
     target = spec.target
     if x == y:
         return target.identity, HolonomyCertificate(fmt, sign, 0, 0.0, 0, 0.0, spec.rate,
@@ -401,22 +399,23 @@ def generator_independence(spec: CocycleSpec, g, h, pairs,
 # ---------------------------------------------------------------------------
 
 class TransferTable:
-    """Memoised transfer map built from holonomies against the background."""
+    """Memoised transfer map built from holonomies against the background.
+    The anchor and epsilon are checked here, as holonomy checks them."""
 
     def __init__(self, spec: CocycleSpec, anchor, epsilon: float = 1e-8):
         _check_epsilon(epsilon)
-        spec.group.validate(anchor)
+        spec._anchor(anchor)
         self.spec = spec
         self.anchor = anchor
         self.epsilon = epsilon
-        self.base = spec.background_config()
         self.cache = {}
 
     def value(self, x: Configuration):
         """(b(x), certificate); normalised so the background maps to e."""
         if x in self.cache:
             return self.cache[x]
-        result = holonomy(self.spec, self.anchor, x, self.base, self.epsilon)
+        result = holonomy(self.spec, self.anchor, x, self.spec.background_config,
+                          self.epsilon)
         self.cache[x] = result
         return result
 
@@ -435,10 +434,9 @@ class UntwistReport(NamedTuple):
                 and self.homomorphism_defect <= 2 * self.tolerance)
 
 
-def extract_homomorphism(spec: CocycleSpec, anchor, elements, samples,
-                         epsilon: float = 1e-8, tolerance: float = 1e-6,
-                         transfer: TransferTable | None = None) -> UntwistReport:
-    """Untwist the cocycle through the transfer map and read off psi.
+def extract_homomorphism(transfer: TransferTable, elements, samples,
+                         tolerance: float = 1e-6) -> UntwistReport:
+    """Untwist the transfer map's cocycle through it and read off psi.
 
     psi(g) is the first sample's value of b(gx)^-1 c(g,x) b(x); the constancy
     defect measures its dependence on the sample, the homomorphism defect its
@@ -446,8 +444,8 @@ def extract_homomorphism(spec: CocycleSpec, anchor, elements, samples,
     """
     if not tolerance >= 0.0:  # NaN fails it too
         raise CocycleError(f"tolerance must be >= 0, got {tolerance}")
+    spec = transfer.spec
     group, target = spec.group, spec.target
-    transfer = transfer or TransferTable(spec, anchor, epsilon)
     samples = list(samples)
     if not samples:
         raise CocycleError("need at least one sample configuration")
@@ -472,7 +470,7 @@ def extract_homomorphism(spec: CocycleSpec, anchor, elements, samples,
                 psi[product] = psi_at(product, samples[0])
             hom_defect = max(hom_defect,
                              target.dist(target.mul(psi[g], psi[h]), psi[product]))
-    report = UntwistReport(psi, constancy, hom_defect, tolerance, epsilon,
+    report = UntwistReport(psi, constancy, hom_defect, tolerance, transfer.epsilon,
                            len(samples))
     if constancy > tolerance:
         raise VerificationError(

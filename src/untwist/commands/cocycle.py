@@ -46,8 +46,7 @@ def run(args) -> int:
     failed = relation_defect > args.tol
     try:
         transfer = TransferTable(spec, anchors[0], args.epsilon)
-        untwist = extract_homomorphism(spec, anchors[0], elements, samples,
-                                       args.epsilon, args.tol, transfer)
+        untwist = extract_homomorphism(transfer, elements, samples, args.tol)
         report["psi"] = {
             group.format_elem(g): spec.target.to_jsonable_elem(v)
             for g, v in sorted(untwist.psi.items(),

@@ -74,12 +74,6 @@ class PathSearchResult(NamedTuple):
     length: int | None = None
     path: tuple | None = None    # vertex path witness for finite outcomes
 
-    @property
-    def value(self) -> float:
-        if self.outcome == FINITE:
-            return float(self.length)
-        return math.inf
-
 
 def _certified_disconnection(query: DivergenceQuery, to_c) -> bool:
     """True when removing the forbidden set provably disconnects the group:

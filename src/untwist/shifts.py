@@ -97,7 +97,7 @@ class ConeParams:
     """
 
     def __init__(self, profile: CompressionProfile, radius_R: int,
-                 s_prime: float, t_prime: float, metric: WordMetric):
+                 s_prime: float, t_prime: float):
         if radius_R < 0:
             raise ContractError("cone radius parameter must be >= 0")
         if not (1.0 <= s_prime < math.inf and 0.0 <= t_prime < math.inf):
@@ -109,8 +109,7 @@ class ConeParams:
         self.profile = profile
         self.s_prime = s_prime
         self.t_prime = t_prime
-        self.metric = metric
-        self.anchor_length = self.metric.length(anchor)
+        self.anchor_length = group.exact_length(anchor)  # the profile checked it
         # Walk data for j = 0..j_max: piece j has radius _radii[j], and a walk
         # from k reaches it only while _stops[j] = 3*L(j) <= 4*(l(k) + R).
         # L is non-decreasing, so bisecting _stops counts the pieces a walk
@@ -133,27 +132,25 @@ class ConeParams:
     def create(cls, group: Group, anchor, radius_R: int,
                s_prime: float = 1.0, t_prime: float = 0.0,
                metric: WordMetric | None = None,
-               max_query_length: int = 64,
-               profile_radius: int | None = None) -> "ConeParams":
+               max_query_length: int = 64) -> "ConeParams":
         """Build cone data with a profile sized for queries up to the given
-        word length (exact compressions are needed along the whole cone)."""
+        word length (exact compressions are needed along the whole cone).
+
+        The anchor's certified bound must be linear, or no profile radius
+        covers the queries; ConeParams(build_profile(...), ...) takes any
+        anchor.  metric is not read: the anchor's bound checks the anchor."""
         from .invariants import build_profile
 
-        metric = metric or WordMetric(group)
         bound = group.compression_lower_bound(anchor)
-        anchor_length = metric.length(anchor)
-        if profile_radius is None:
-            slope = bound.linear_slope()
-            if slope is None:
-                raise ContractError(
-                    "anchor without a linear certified bound needs an explicit "
-                    "profile_radius to truncate cone searches"
-                )
-            deepest = (4 * (max_query_length + radius_R)) // (3 * slope) + 2
-            profile_radius = max(4 * radius_R + 2 * anchor_length,
-                                 anchor_length * deepest, 4)
-        profile = build_profile(group, anchor, profile_radius)
-        return cls(profile, radius_R, s_prime, t_prime, metric)
+        slope = bound.linear_slope()
+        if slope is None:
+            raise ContractError(f"anchor {group.format_elem(anchor)} has no linear "
+                                "certified bound, which a cone needs")
+        anchor_length = group.exact_length(anchor)
+        deepest = (4 * (max_query_length + radius_R)) // (3 * slope) + 2
+        profile = build_profile(group, anchor, max(4 * radius_R + 2 * anchor_length,
+                                                   anchor_length * deepest, 4))
+        return cls(profile, radius_R, s_prime, t_prime)
 
     def piece_radius(self, j: int) -> int:
         """floor(rho(j)/4) + R for the j-th cone piece."""
@@ -229,7 +226,7 @@ def glue(x: Configuration, x_prime: Configuration, params: ConeParams) -> GlueRe
         except OutOfRange as exc:
             raise OutOfRange(
                 f"cone query at {group.format_elem(cell)} of word length "
-                f"{params.metric.length(cell)}: {exc}; raise max_query_length"
+                f"{group.exact_length(cell)}: {exc}; raise max_query_length"
             ) from None
     bad = [c for c in plus & minus if x.symbol_at(c) != x_prime.symbol_at(c)]
     if bad:

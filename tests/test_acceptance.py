@@ -241,7 +241,7 @@ def test_criterion_6_certificate_soundness():
 def untwist_case(target, phi, weights, window, samples, tolerance):
     spec, _ = planted_coboundary(target, phi, weights, window)
     elements = [Z2.gen(lab) for lab in Z2.positive_labels]
-    report = extract_homomorphism(spec, (1, 0), elements, samples, EPS,
+    report = extract_homomorphism(TransferTable(spec, (1, 0), EPS), elements, samples,
                                   tolerance)
     return spec, report, elements
 

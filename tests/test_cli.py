@@ -188,6 +188,22 @@ def test_glue_task_without_anchor_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "'anchor'" in err and str(spec) in err
 
 
+def test_glue_on_a_central_heisenberg_anchor_exits_2_naming_it(tmp_path, capsys):
+    # z has no linear certified bound, so no profile covers its cone's queries.
+    with open(os.path.join(GOLDEN, "glue_heisenberg_task.json"), "r", encoding="utf-8") as fh:
+        task = json.load(fh)
+    task["anchor"] = "z"
+    spec = tmp_path / "task.json"
+    spec.write_text(json.dumps(task))
+    out = tmp_path / "glue.json"
+    assert main(["subshift", "glue", "--group", "heisenberg", "--spec", str(spec),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: ") and "(0,0,1)" in err
+    assert "profile_radius" not in err
+    assert not out.exists()
+
+
 def test_a_cyclic_target_of_order_a_million_untwists_in_bounded_memory(tmp_path):
     # A table of the n^2 products would hold 10^12 entries here; sums
     # modulo n list none, so the run stays small.

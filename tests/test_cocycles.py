@@ -16,6 +16,7 @@ from untwist import (
     FiniteGroup,
     FreeGroup,
     InfiniteCyclic,
+    InputError,
     IntegerLattice,
     RealVector,
     Torus,
@@ -481,9 +482,9 @@ def test_heisenberg_centre_cut_off_runs_under_a_sqrt_bound():
     bound = HEIS.compression_lower_bound((0, 0, 1))
     assert bound.describe() == "sqrt(scale=1)"
     x = Configuration(HEIS, A, 0, {(1, 0, 0): 1, (0, 1, 2): 1})
-    value, cert = holonomy(spec, (0, 0, 1), x, spec.background_config(), 0.25)
+    value, cert = holonomy(spec, (0, 0, 1), x, spec.background_config, 0.25)
     assert cert.n_used > 64
-    assert value == partial_product(spec, (0, 0, 1), x, spec.background_config(),
+    assert value == partial_product(spec, (0, 0, 1), x, spec.background_config,
                                     cert.n_used, "+")
 
 
@@ -654,7 +655,7 @@ def test_holonomy_evaluates_no_factor_past_the_last_that_can_differ(monkeypatch)
     potential = weighted_potential(Z2, METRIC, target, 0, {(0, 0): (0.375, -0.5)}, A)
     spec = coboundary_cocycle(Z2, target, {"x1+": (0.25, 0.125), "x2+": (-0.75, 1.0)},
                               potential, A, metric=METRIC)
-    background = spec.background_config()
+    background = spec.background_config
     looked_up = record_lookups(monkeypatch, spec)
     rng = random.Random(32)
     # The background factor B is read once per anchor and sign, on first use.
@@ -766,7 +767,7 @@ def test_holonomy_equals_partial_product_on_every_model(name, make_target):
     maps = {label: position_sensitive_table(target, cells, values[k:] + values[:k])
             for k, (label, _) in enumerate(group.gens)}
     spec = CocycleSpec(group, target, A, 0, maps)
-    background = spec.background_config()
+    background = spec.background_config
     gens = [group.gen(label) for label in group.positive_labels]
     anchors = [gens[0], group.mul(gens[0], gens[-1])]
     rng = random.Random(44)
@@ -788,7 +789,7 @@ def test_holonomy_equals_partial_product_on_every_model(name, make_target):
 def test_holonomy_refuses_an_unknown_sign():
     spec = coboundary_spec()
     x = Configuration(Z2, A, 0, {(0, 0): 1})
-    for y in (spec.background_config(), Configuration(Z2, A, 0, {(1, 0): 1})):
+    for y in (spec.background_config, Configuration(Z2, A, 0, {(1, 0): 1})):
         with pytest.raises(CocycleError, match="sign must be"):
             holonomy(spec, (1, 0), x, y, EPS, "*")
 
@@ -853,7 +854,7 @@ def test_specification_decay_takes_each_anchor_from_its_cone_data():
 def test_transfer_background_is_identity():
     spec = coboundary_spec()
     table = TransferTable(spec, (1, 0), EPS)
-    value, cert = table.value(spec.background_config())
+    value, cert = table.value(spec.background_config)
     assert value == R1.identity and cert.tail_bound == 0.0
 
 
@@ -875,6 +876,18 @@ def test_transfer_homomorphism_trivial():
     for x in sample_configs(rng, 5):
         value, _ = table.value(x)
         assert value == R1.identity
+
+
+def test_transfer_table_refuses_where_built_an_anchor_holonomy_refuses():
+    spec = coboundary_spec()
+    x = Configuration(Z2, A, 0, {(0, 0): 1})
+    for anchor in ((0, 0), (1, 0, 0), (1.5, 0)):  # the identity, then invalid elements
+        with pytest.raises(InputError) as refused:
+            holonomy(spec, anchor, x, spec.background_config, EPS)
+        with pytest.raises(type(refused.value), match=re.escape(str(refused.value))):
+            TransferTable(spec, anchor, EPS)
+    with pytest.raises(CocycleError, match="holonomy needs an infinite-order anchor"):
+        TransferTable(spec, Z2.identity, EPS)
 
 
 def test_transfer_cache_is_stable():
@@ -903,8 +916,8 @@ def test_roundtrip_real_vector():
     spec = coboundary_cocycle(Z2, target, phi, potential, A, metric=METRIC)
     rng = random.Random(19)
     samples = sample_configs(rng, 12)
-    report = extract_homomorphism(spec, (1, 0), untwist_elements(), samples,
-                                  EPS, 1e-6)
+    report = extract_homomorphism(TransferTable(spec, (1, 0), EPS), untwist_elements(),
+                                  samples, 1e-6)
     for g in untwist_elements():
         expected = tuple(g[0] * a + g[1] * b
                          for a, b in zip(phi["x1+"], phi["x2+"]))
@@ -922,8 +935,8 @@ def test_roundtrip_torus():
     spec = coboundary_cocycle(Z2, target, phi, potential, A, metric=METRIC)
     rng = random.Random(20)
     samples = sample_configs(rng, 10)
-    report = extract_homomorphism(spec, (1, 0), untwist_elements(), samples,
-                                  EPS, 1e-6)
+    report = extract_homomorphism(TransferTable(spec, (1, 0), EPS), untwist_elements(),
+                                  samples, 1e-6)
     assert target.dist(report.psi[(1, 0)], (0.3,)) <= 1e-6
     assert target.dist(report.psi[(0, 1)], (0.7,)) <= 1e-6
     assert report.ok
@@ -937,8 +950,8 @@ def test_roundtrip_cyclic_exact():
     spec = coboundary_cocycle(Z2, target, phi, potential, A, metric=METRIC)
     rng = random.Random(21)
     samples = sample_configs(rng, 10)
-    report = extract_homomorphism(spec, (1, 0), untwist_elements(), samples,
-                                  EPS, 0.25)
+    report = extract_homomorphism(TransferTable(spec, (1, 0), EPS), untwist_elements(),
+                                  samples, 0.25)
     assert report.psi[(1, 0)] == 2
     assert report.psi[(0, 1)] == 3
     assert report.constancy_defect == 0.0
@@ -948,8 +961,8 @@ def test_roundtrip_cyclic_exact():
 def test_roundtrip_plain_homomorphism_exact():
     spec = hom_spec()
     rng = random.Random(26)
-    report = extract_homomorphism(spec, (1, 0), untwist_elements(),
-                                  sample_configs(rng, 8), EPS, 1e-6)
+    report = extract_homomorphism(TransferTable(spec, (1, 0), EPS), untwist_elements(),
+                                  sample_configs(rng, 8), 1e-6)
     assert report.psi[(1, 0)] == PHI_R1["x1+"]
     assert report.psi[(0, 1)] == PHI_R1["x2+"]
     assert report.constancy_defect == 0.0
@@ -963,8 +976,8 @@ def test_corrupted_spec_fails_verification():
                Configuration(Z2, A, 0, {(3, 1): 1})]
     assert relation_consistency(spec, samples) > 0.0
     with pytest.raises(VerificationError):
-        extract_homomorphism(spec, (1, 0), untwist_elements(), samples,
-                             EPS, 1e-6)
+        extract_homomorphism(TransferTable(spec, (1, 0), EPS), untwist_elements(),
+                             samples, 1e-6)
 
 
 # -- transfer-map modulus -------------------------------------------------------------

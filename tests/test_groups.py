@@ -685,7 +685,7 @@ def test_readers_that_list_no_ball_build_no_word_metric(monkeypatch):
     with open(path, encoding="utf-8") as fh:
         spec = cocycle_spec_from_jsonable(json.load(fh))
     x = Configuration(spec.group, spec.alphabet, spec.background, {(0, 0): 1})
-    _, cert = holonomy(spec, (1, 0), x, spec.background_config())
+    _, cert = holonomy(spec, (1, 0), x, spec.background_config)
     assert cert.tail_bound < cert.epsilon
 
 

@@ -184,11 +184,11 @@ def test_spec_ball_radius_full_shift():
         assert params.specification_ball_radius() == 6 * R
 
 
-def test_heisenberg_cone_needs_profile_radius():
+def test_heisenberg_central_cone_needs_an_explicit_profile():
     heis = DiscreteHeisenberg()
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match=r"anchor \(0,0,1\) has no linear certified"):
         ConeParams.create(heis, (0, 0, 1), 1)  # central anchor: no linear bound
-    params = ConeParams.create(heis, (0, 0, 1), 0, profile_radius=10)
+    params = ConeParams(build_profile(heis, (0, 0, 1), 10), 0, 1.0, 0.0)
     assert params.cone_contains((0, 0, 0), "+")
 
 
@@ -372,7 +372,7 @@ def test_cone_queries_grow_no_table_past_create(group, region):
 
 def test_cone_reads_group_and_anchor_from_its_profile():
     profile = build_profile(Z2, (3, 0), 40)
-    params = ConeParams(profile, 2, 1.0, 0.0, METRIC)
+    params = ConeParams(profile, 2, 1.0, 0.0)
     assert params.group is Z2 and params.anchor == (3, 0)
     assert params.cone_contains((5, 0), "+")
 
