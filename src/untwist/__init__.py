@@ -22,7 +22,7 @@ import sys
 
 _HOMES = {
     "groups": (
-        "GroupError", "InfiniteCyclic", "InputError", "IntegerLattice", "OutOfRange",
+        "GroupError", "InputError", "IntegerLattice", "OutOfRange",
         "ResourceLimit", "WordMetric", "enumerate_ball", "parse_group",
     ),
     "models": (
@@ -36,15 +36,14 @@ _HOMES = {
         "make_query",
     ),
     "configurations": (
-        "Configuration", "ContractError", "background_configuration",
-        "homoclinic_agreement_radius",
+        "Configuration", "ContractError", "homoclinic_agreement_radius",
     ),
     "shifts": (
         "ConeParams", "FullShift", "GoldenMean", "default_specification_constants",
         "glue", "membership_check",
     ),
     "targets": (
-        "FiniteGroup", "RealVector", "TargetGroup", "Torus", "cyclic_group",
+        "CyclicGroup", "FiniteGroup", "RealVector", "TargetGroup", "Torus",
     ),
     "cocycles": (
         "BlockMap", "CocycleError", "CocycleSpec", "HolonomyCertificate",

@@ -282,9 +282,6 @@ class HolonomyCertificate(NamedTuple):
     lower_bound: str
     epsilon: float
 
-    def to_jsonable(self):
-        return self._asdict()
-
 
 def holonomy(spec: CocycleSpec, g, x: Configuration, y: Configuration,
              epsilon: float = 1e-8, sign: str = "+"):

@@ -57,7 +57,7 @@ def run(args) -> int:
         report["ok"] = untwist.ok
         failed = failed or not untwist.ok
         sample_cert = transfer.value(samples[0])[1]
-        report["example_certificate"] = sample_cert.to_jsonable()
+        report["example_certificate"] = sample_cert._asdict()
     except VerificationError as exc:
         report["ok"] = False
         report["error"] = str(exc)

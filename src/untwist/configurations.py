@@ -109,10 +109,6 @@ class Configuration:
         return cls(group, tuple(obj["alphabet"]), obj["background"], support)
 
 
-def background_configuration(group: Group, alphabet, background=0) -> Configuration:
-    return Configuration(group, alphabet, background, {})
-
-
 def homoclinic_agreement_radius(x: Configuration, y: Configuration) -> int:
     """Least N with x = y outside the ball of radius N (0 when equal).
     Configurations check their cells when built, so no read checks them."""

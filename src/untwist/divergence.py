@@ -174,7 +174,13 @@ def _stays_off(path, to_c, ca: int, cb: int, radius: int) -> bool:
 
 
 class PairDivergence(NamedTuple):
-    """Best sampled divergence of a pair; a lower bound for the supremum."""
+    """Best sampled divergence of a pair over its obstacles.
+
+    A finite value is the avoidant distance in the window's graph,
+    B(window_radius).  That is an upper bound for the group's own avoidant
+    distance of the triple (a, b, witness_c), and can exceed it when the
+    short detour leaves the window, so it is not yet a certified lower
+    bound for Div(n)."""
 
     a: tuple
     b: tuple

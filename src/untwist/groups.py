@@ -297,14 +297,16 @@ def _rejection_draw(group: Group, radius: int, sphere: bool, propose):
 
 class IntegerLattice(Group):
     """Z^d with the standard basis generators, optionally augmented by the
-    all-ones diagonal pair (a second generating set for sensitivity checks)."""
+    all-ones diagonal pair (a second generating set for sensitivity checks).
+    Z itself is Z^1 without the diagonal, named z."""
 
     def __init__(self, dimension: int, diagonal: bool = False):
         if dimension < 1:
             raise GroupError("lattice dimension must be >= 1")
         self.dimension = dimension
         self.diagonal = diagonal
-        self.name = f"z^{dimension}" + ("+diag" if diagonal else "")
+        self.name = ("z" if dimension == 1 and not diagonal
+                     else f"z^{dimension}" + ("+diag" if diagonal else ""))
         self.ends = "two" if dimension == 1 else "one"
         self.subexponential_divergence = dimension >= 2
         self.cayley_tree = dimension == 1
@@ -414,23 +416,15 @@ class IntegerLattice(Group):
         return [([s, t], [t, s]) for i, s in enumerate(pos) for t in pos[i + 1:]]
 
 
-class InfiniteCyclic(IntegerLattice):
-    """Z with generators +-1 (two ends)."""
-
-    def __init__(self):
-        super().__init__(1)
-        self.name = "z"
-
-
 def parse_group(descriptor: str) -> Group:
     """Build a group model from a descriptor string.
 
     Supported forms: ``z``, ``z^d``, ``z^d+diag``, ``heisenberg``,
-    ``free:r``, ``prod(desc,desc)``.
+    ``free:r``, ``prod(desc,desc)``.  ``z`` and ``z^1`` are one model.
     """
     s = descriptor.strip().lower()
     if s == "z":
-        return InfiniteCyclic()
+        return IntegerLattice(1)
     if s == "heisenberg":
         from .models import DiscreteHeisenberg
         return DiscreteHeisenberg()
@@ -485,10 +479,6 @@ class BallTable:
 
     def __len__(self):
         return len(self.lengths)
-
-    def length(self, g) -> int | None:
-        """Exact word length, or None when g is outside the table."""
-        return self.lengths.get(g)
 
     def within(self, radius):
         """Elements of length <= radius in BFS order; stops at the first longer one."""

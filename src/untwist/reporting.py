@@ -8,7 +8,6 @@ directory."""
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import math
 import os
@@ -112,26 +111,16 @@ def dumps(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def config_line(config: dict) -> str:
-    return "# config = " + json.dumps(config, sort_keys=True, default=str)
-
-
-def render_csv(fieldnames, rows, config: dict | None = None) -> str:
+def write_csv(path, fieldnames, rows, config: dict | None = None) -> None:
     import csv  # here, so that commands writing only JSON never load it
 
-    buf = io.StringIO()
-    if config is not None:
-        buf.write(config_line(config) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([fmt_float(v) for v in row])
-    return buf.getvalue()
-
-
-def write_csv(path, fieldnames, rows, config: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_csv(fieldnames, rows, config))
+        if config is not None:
+            fh.write("# config = " + json.dumps(config, sort_keys=True, default=str) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fieldnames)
+        for row in rows:
+            writer.writerow([fmt_float(v) for v in row])
 
 
 def write_json(path, payload: dict) -> None:

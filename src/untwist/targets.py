@@ -196,7 +196,7 @@ class FiniteGroup(TargetGroup):
 
 
 class CyclicGroup(FiniteGroup):
-    """Integers modulo n, as built by cyclic_group, computed modulo n: no
+    """Integers modulo n with the discrete metric, computed modulo n: no
     table is listed, whatever the order.  Described by its order."""
 
     def __init__(self, n: int):
@@ -224,11 +224,6 @@ class CyclicGroup(FiniteGroup):
         return {"kind": "cyclic", "n": self.n}
 
 
-def cyclic_group(n: int) -> CyclicGroup:
-    """Integers modulo n with the discrete metric."""
-    return CyclicGroup(n)
-
-
 def target_from_description(obj) -> TargetGroup:
     kind = obj.get("kind")
     if kind == "real_vector":
@@ -236,7 +231,7 @@ def target_from_description(obj) -> TargetGroup:
     if kind == "torus":
         return Torus(json_int(obj["dim"], "dim"))
     if kind == "cyclic":
-        return cyclic_group(json_int(obj["n"], "n"))
+        return CyclicGroup(json_int(obj["n"], "n"))
     if kind == "finite":
         table = {(a, b): c for a, b, c in obj["table"]}
         return FiniteGroup(obj["elements"], table, obj["identity"],

@@ -207,11 +207,11 @@ def test_glue_on_a_central_heisenberg_anchor_exits_2_naming_it(tmp_path, capsys)
 def test_a_cyclic_target_of_order_a_million_untwists_in_bounded_memory(tmp_path):
     # A table of the n^2 products would hold 10^12 entries here; sums
     # modulo n list none, so the run stays small.
-    from untwist import (WordMetric, coboundary_cocycle, cocycle_spec_to_jsonable,
-                         cyclic_group, parse_group, weighted_potential)
+    from untwist import (CyclicGroup, WordMetric, coboundary_cocycle,
+                         cocycle_spec_to_jsonable, parse_group, weighted_potential)
 
     group, n = parse_group("z^2"), 10**6
-    metric, target = WordMetric(group), cyclic_group(n)
+    metric, target = WordMetric(group), CyclicGroup(n)
     potential = weighted_potential(group, metric, target, 0, {group.identity: 3}, (0, 1))
     spec = coboundary_cocycle(group, target, {"x1+": 2, "x2+": n - 1}, potential, (0, 1),
                               metric=metric)
@@ -271,11 +271,11 @@ def test_cocycle_unknown_target_exits_2(tmp_path, capsys):
 def _z_specs(tmp_path, window=None):
     """A weighted coboundary spec and a homomorphism spec over z, as files;
     a given window replaces every generator's declared one."""
-    from untwist import (InfiniteCyclic, RealVector, WordMetric, coboundary_cocycle,
+    from untwist import (IntegerLattice, RealVector, WordMetric, coboundary_cocycle,
                          cocycle_spec_to_jsonable, homomorphism_cocycle,
                          weighted_potential)
 
-    z, r1 = InfiniteCyclic(), RealVector(1)
+    z, r1 = IntegerLattice(1), RealVector(1)
     metric = WordMetric(z)
     potential = weighted_potential(z, metric, r1, 0, {(0,): (0.25,)}, (0, 1))
     specs = {
@@ -318,6 +318,19 @@ def test_cocycle_window_past_float_range_exits_2(tmp_path, capsys):
     assert not out.exists()
     # A zero-diameter map keeps its constant at 0 whatever its window.
     assert main(args + ["--spec", str(specs["homomorphism"])]) == 0
+
+
+def test_a_spec_over_z_untwists_under_z1_as_under_z(tmp_path):
+    # z and z^1 are one model, so a spec saved over z is a spec over z^1.
+    spec = _z_specs(tmp_path)["homomorphism"]
+    reports = {}
+    for group in ("z", "z^1"):
+        out = tmp_path / f"{group}.json"
+        assert main(["cocycle", "untwist", "--group", group, "--spec", str(spec),
+                     "--samples", "4", "--out", str(out)]) == 0
+        reports[group] = json.loads(out.read_text())
+        assert reports[group]["config"].pop("group") == group
+    assert reports["z^1"] == reports["z"]
 
 
 @pytest.mark.parametrize("flags, message", [

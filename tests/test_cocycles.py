@@ -11,11 +11,11 @@ from untwist import (
     CocycleSpec,
     ConeParams,
     Configuration,
+    CyclicGroup,
     DirectProduct,
     DiscreteHeisenberg,
     FiniteGroup,
     FreeGroup,
-    InfiniteCyclic,
     InputError,
     IntegerLattice,
     RealVector,
@@ -23,12 +23,10 @@ from untwist import (
     TransferTable,
     VerificationError,
     WordMetric,
-    background_configuration,
     canonical_cells,
     coboundary_cocycle,
     cocycle_spec_from_jsonable,
     cocycle_spec_to_jsonable,
-    cyclic_group,
     extract_homomorphism,
     generator_independence,
     holonomy,
@@ -149,7 +147,7 @@ def test_relation_consistency_coboundary_small():
 
 def test_relation_consistency_flags_corruption():
     spec = corrupted_spec(coboundary_spec(), "x1+", 0, (9.0,))
-    samples = [background_configuration(Z2, A)]
+    samples = [Configuration(Z2, A, 0, {})]
     assert relation_consistency(spec, samples) > 0.1
 
 
@@ -167,7 +165,7 @@ def test_holder_constants_scaling():
 
 def test_holder_constants_of_an_anchor_past_float_range():
     # 0.5 ** -1099 overflows a float.
-    z = InfiniteCyclic()
+    z = IntegerLattice(1)
     metric = WordMetric(z)
     x = Configuration(z, A, 0, {(0,): 1})
     y = Configuration(z, A, 0, {})
@@ -336,7 +334,7 @@ def test_spec_refuses_a_table_that_misses_a_pattern():
 def test_generator_independence_refuses_many_ends():
     free = FreeGroup(2)
     spec = homomorphism_cocycle(free, R1, {"a": (1.0,), "b": (0.0,)}, A)
-    x = background_configuration(free, A)
+    x = Configuration(free, A, 0, {})
     with pytest.raises(CocycleError):
         generator_independence(spec, free.parse_elem("a"), free.parse_elem("b"),
                                [(x, x)], EPS)
@@ -346,16 +344,14 @@ def test_holonomy_accepts_heisenberg_center():
     heis = DiscreteHeisenberg()
     spec = homomorphism_cocycle(heis, R1, {"a": (0.25,), "b": (-0.5,)}, A)
     x = Configuration(heis, A, 0, {(0, 0, 1): 1})
-    xbar = background_configuration(heis, A)
+    xbar = Configuration(heis, A, 0, {})
     value, cert = holonomy(spec, (0, 0, 1), x, xbar, EPS)
     assert value == R1.identity
     assert cert.tail_bound < EPS
 
 
 def test_holonomy_on_product_group_mixed_anchor():
-    from untwist import DirectProduct, InfiniteCyclic
-
-    prod = DirectProduct(InfiniteCyclic(), InfiniteCyclic())
+    prod = DirectProduct(IntegerLattice(1), IntegerLattice(1))
     metric = WordMetric(prod)
     e = prod.identity
     weights = {e: (0.5,), (((1,), (0,))): (0.125,)}
@@ -364,7 +360,7 @@ def test_holonomy_on_product_group_mixed_anchor():
     spec = coboundary_cocycle(prod, R1, values, potential, A, metric=metric)
     anchor = ((1,), (1,))  # both components move: summed lower bound
     x = Configuration(prod, A, 0, {e: 1})
-    xbar = background_configuration(prod, A)
+    xbar = Configuration(prod, A, 0, {})
     value, cert = holonomy(spec, anchor, x, xbar, EPS)
     expected = potential.value(xbar)[0] - potential.value(x)[0]
     assert abs(value[0] - expected) <= cert.tail_bound + EPS
@@ -380,7 +376,7 @@ def test_holonomy_distorted_anchor_with_positive_constants():
     spec = coboundary_cocycle(heis, R1, {"a": (0.0,), "b": (0.0,)}, potential,
                               A, metric=metric)
     x = Configuration(heis, A, 0, {(0, 0, 0): 1})
-    xbar = background_configuration(heis, A)
+    xbar = Configuration(heis, A, 0, {})
     value, cert = holonomy(spec, (0, 0, 1), x, xbar, 1e-3)
     expected = potential.value(xbar)[0] - potential.value(x)[0]
     assert abs(value[0] - expected) <= 2e-3
@@ -398,7 +394,7 @@ HEIS_METRIC = WordMetric(HEIS)
 
 
 def heisenberg_cyclic_spec():
-    target = cyclic_group(5)
+    target = CyclicGroup(5)
     weights = {(0, 0, 0): 1, (1, 0, 0): 2, (0, 1, 0): 3}
     potential = weighted_potential(HEIS, HEIS_METRIC, target, 1, weights, A)
     return coboundary_cocycle(HEIS, target, {"a": 2, "b": 4}, potential, A,
@@ -522,7 +518,7 @@ def chain_partial_product(spec, g, x, y, n, sign):
 def position_sensitive_spec(group, metric):
     """Window-1 maps into Z/7 that weight every cell differently, so a read
     of the wrong cell changes the value (not a cocycle; evaluation only)."""
-    target = cyclic_group(7)
+    target = CyclicGroup(7)
     cells = canonical_cells(metric, 1)
     maps = {}
     for k, (label, _) in enumerate(group.gens):
@@ -533,7 +529,7 @@ def position_sensitive_spec(group, metric):
     return CocycleSpec(group, target, A, 0, maps)
 
 
-OFFSET_GROUPS = [Z2, HEIS, DirectProduct(InfiniteCyclic(), FreeGroup(2))]
+OFFSET_GROUPS = [Z2, HEIS, DirectProduct(IntegerLattice(1), FreeGroup(2))]
 
 
 @pytest.mark.parametrize("group", OFFSET_GROUPS, ids=lambda g: g.name)
@@ -943,7 +939,7 @@ def test_roundtrip_torus():
 
 
 def test_roundtrip_cyclic_exact():
-    target = cyclic_group(5)
+    target = CyclicGroup(5)
     phi = {"x1+": 2, "x2+": 3}
     weights = {(0, 0): 1, (1, 0): 3, (0, 1): 2}
     potential = weighted_potential(Z2, METRIC, target, 1, weights, A)
@@ -971,7 +967,7 @@ def test_roundtrip_plain_homomorphism_exact():
 
 def test_corrupted_spec_fails_verification():
     spec = corrupted_spec(coboundary_spec(), "x1+", 0, (7.0,))
-    samples = [background_configuration(Z2, A),
+    samples = [Configuration(Z2, A, 0, {}),
                Configuration(Z2, A, 0, {(0, 0): 1}),
                Configuration(Z2, A, 0, {(3, 1): 1})]
     assert relation_consistency(spec, samples) > 0.0
@@ -1042,7 +1038,7 @@ def test_spec_json_roundtrip():
 
 
 def test_spec_json_roundtrip_discrete():
-    target = cyclic_group(5)
+    target = CyclicGroup(5)
     weights = {(0, 0): 1, (1, 0): 2}
     potential = weighted_potential(Z2, METRIC, target, 1, weights, A)
     spec = coboundary_cocycle(Z2, target, {"x1+": 2, "x2+": 3}, potential, A,
@@ -1058,7 +1054,7 @@ def test_spec_json_roundtrip_keeps_a_klein_target_named_cyclic():
                         0, name="cyclic(4)")
     spec = homomorphism_cocycle(Z2, klein, {"x1+": 1, "x2+": 2}, A)
     rebuilt = cocycle_spec_from_jsonable(cocycle_spec_to_jsonable(spec))
-    x = background_configuration(Z2, A)
+    x = Configuration(Z2, A, 0, {})
     assert spec.evaluate((2, 0), x) == rebuilt.evaluate((2, 0), x) == 0  # 1 * 1 in Z/2 x Z/2
     assert rebuilt.evaluate((1, 1), x) == 3
 
@@ -1074,7 +1070,7 @@ def test_table_values_are_validated_where_the_table_enters():
     with pytest.raises(TargetError, match=r"pattern \[0\].*length-1"):
         BlockMap(R1, [(0, 0)], 0, table={(0,): (0.0, 1.0), (1,): (0.0,)})
     with pytest.raises(TargetError, match=r"pattern \[0\].*7"):
-        BlockMap(cyclic_group(5), [(0, 0)], 0, table={(0,): 7})
+        BlockMap(CyclicGroup(5), [(0, 0)], 0, table={(0,): 7})
 
 
 @pytest.mark.parametrize("bound", [-1.0, -1e-300, math.nan, math.inf, -math.inf])

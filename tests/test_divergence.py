@@ -12,7 +12,6 @@ from untwist import (
     DiscreteHeisenberg,
     FreeGroup,
     GroupError,
-    InfiniteCyclic,
     IntegerLattice,
     classify_growth,
     div_function,
@@ -37,7 +36,7 @@ from oracles import (grid_avoidant_length, heisenberg_avoidant_length, heisenber
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 Z2 = IntegerLattice(2)
-Z = InfiniteCyclic()
+Z = IntegerLattice(1)
 ZZ = parse_group("prod(z,z)")
 
 

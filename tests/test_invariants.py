@@ -5,7 +5,6 @@ import pytest
 from untwist import (
     DiscreteHeisenberg,
     GroupError,
-    InfiniteCyclic,
     IntegerLattice,
     OutOfRange,
     WordMetric,
@@ -19,7 +18,7 @@ from paper_checks import conjugation_compression_check
 
 Z2 = IntegerLattice(2)
 HEIS = DiscreteHeisenberg()
-Z = InfiniteCyclic()
+Z = IntegerLattice(1)
 
 
 # -- power length tables -------------------------------------------------------

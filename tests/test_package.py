@@ -17,7 +17,10 @@ def test_every_exported_name_is_the_object_of_its_home_module():
 
 
 def test_unknown_package_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        untwist.no_such_name
-    with pytest.raises(ImportError):
-        from untwist import no_such_name  # noqa: F401
+    # Z has one model, IntegerLattice(1), and no name is an alias of another.
+    for name in ("no_such_name", "InfiniteCyclic", "cyclic_group",
+                 "background_configuration"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(untwist, name)
+        with pytest.raises(ImportError):
+            exec(f"from untwist import {name}", {})

@@ -8,8 +8,8 @@ values well away from zero on it.
 
 import random
 
-from untwist import (ConeParams, DiscreteHeisenberg, IntegerLattice, RealVector, Torus,
-                     TransferTable, WordMetric, coboundary_cocycle, cyclic_group,
+from untwist import (ConeParams, CyclicGroup, DiscreteHeisenberg, IntegerLattice, RealVector,
+                     Torus, TransferTable, WordMetric, coboundary_cocycle,
                      weighted_potential)
 
 from corrupted import corrupted_spec
@@ -67,5 +67,5 @@ def test_group_checks_reproduce_their_pinned_values():
     assert conjugation_compression_check(DiscreteHeisenberg(), (1, 0, 0), (0, 1, 0), 8) == (
         1, (4, 4, 4, 4, 4, 4))
     for target, defect in ((RealVector(1), 0.0), (Torus(2), 2.220446049250313e-16),
-                           (cyclic_group(5), 0.0)):
+                           (CyclicGroup(5), 0.0)):
         assert bi_invariance_defect(target, random.Random(17), trials=40) == defect

@@ -17,7 +17,6 @@ from untwist import (
     IntegerLattice,
     OutOfRange,
     WordMetric,
-    background_configuration,
     default_specification_constants,
     glue,
     homoclinic_agreement_radius,
@@ -70,7 +69,7 @@ def test_a_cell_listed_twice_is_refused():
 def test_shift_by_identity_and_background_fixed():
     x = cfg({(0, 0): 1, (3, -1): 1})
     assert x.translate((0, 0)) == x
-    xbar = background_configuration(Z2, A)
+    xbar = Configuration(Z2, A, 0, {})
     assert xbar.translate((5, 7)) == xbar
 
 
@@ -396,7 +395,7 @@ def test_glue_identical_inputs():
 
 def test_glue_backgrounds():
     params = make_params(2)
-    xbar = background_configuration(Z2, A)
+    xbar = Configuration(Z2, A, 0, {})
     assert glue(xbar, xbar, params).y == xbar
 
 
@@ -532,7 +531,7 @@ def test_full_shift_always_member():
 
 
 def test_background_always_member():
-    assert membership_check(background_configuration(Z2, A), GM)
+    assert membership_check(Configuration(Z2, A, 0, {}), GM)
 
 
 def test_adjacent_ones_rejected():

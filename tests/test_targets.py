@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from untwist import (CocycleError, FiniteGroup, IntegerLattice, RealVector, Torus,
-                     WordMetric, cyclic_group, weighted_potential)
+from untwist import (CocycleError, CyclicGroup, FiniteGroup, IntegerLattice, RealVector,
+                     Torus, WordMetric, weighted_potential)
 from untwist.targets import TargetError, target_from_description
 
 from paper_checks import bi_invariance_defect, random_element
@@ -22,7 +22,7 @@ def symmetric_group_3():
     return FiniteGroup(elements, table, (0, 1, 2), name="sym3")
 
 
-TARGETS = [RealVector(1), RealVector(2), Torus(1), Torus(2), cyclic_group(5),
+TARGETS = [RealVector(1), RealVector(2), Torus(1), Torus(2), CyclicGroup(5),
            symmetric_group_3()]
 
 
@@ -97,8 +97,8 @@ def test_weighted_potential_refuses_a_non_integer_finite_weight(value):
     # failed later with a TargetError naming neither the weight nor its cell.
     z2 = IntegerLattice(2)
     with pytest.raises(CocycleError, match=r"weight at \(0,0\) is not an integer"):
-        weighted_potential(z2, WordMetric(z2), cyclic_group(5), 0, {(0, 0): value}, (0, 1))
-    assert weighted_potential(z2, WordMetric(z2), cyclic_group(5), 0, {(0, 0): 7},
+        weighted_potential(z2, WordMetric(z2), CyclicGroup(5), 0, {(0, 0): value}, (0, 1))
+    assert weighted_potential(z2, WordMetric(z2), CyclicGroup(5), 0, {(0, 0): 7},
                               (0, 1)).lookup((1,)) == 2
 
 
@@ -114,12 +114,12 @@ def test_weighted_potential_refuses_a_finite_target_that_is_not_cyclic():
     for target in (two, klein):
         with pytest.raises(CocycleError, match=f"target {target.name}:"):
             weighted_potential(z2, WordMetric(z2), target, 0, {(0, 0): 1}, (0, 1))
-    assert weighted_potential(z2, WordMetric(z2), cyclic_group(5), 0, {(0, 0): 1},
+    assert weighted_potential(z2, WordMetric(z2), CyclicGroup(5), 0, {(0, 0): 1},
                               (0, 1)).lookup((1,)) == 1
 
 
 @pytest.mark.parametrize("target, near, far", [
-    (RealVector(1), (0.5,), (7.0,)), (Torus(1), (0.5,), (7.0,)), (cyclic_group(5), 1, 3),
+    (RealVector(1), (0.5,), (7.0,)), (Torus(1), (0.5,), (7.0,)), (CyclicGroup(5), 1, 3),
 ], ids=["real", "torus", "cyclic"])
 def test_weighted_potential_refuses_a_weight_outside_the_window(target, near, far):
     # A weight on a cell the window's ball misses used to be dropped, so the
@@ -144,7 +144,7 @@ def test_weighted_potential_refuses_a_weight_outside_the_window(target, near, fa
     (RealVector(2), (0.5, "x")),
     (Torus(2), (math.nan, 0.0)),
     (Torus(2), (0.5,)),
-    (cyclic_group(5), 7),
+    (CyclicGroup(5), 7),
 ], ids=["nan", "inf", "three-components", "one-component", "string", "torus-nan",
         "torus-one-component", "cyclic-outside"])
 def test_validate_refuses_non_finite_or_misdimensioned_values(target, value):
@@ -155,11 +155,11 @@ def test_validate_refuses_non_finite_or_misdimensioned_values(target, value):
 def test_validate_accepts_finite_values_of_the_right_dimension():
     RealVector(2).validate((1, -2.5))
     Torus(2).validate((0.0, 0.75))
-    cyclic_group(5).validate(4)
+    CyclicGroup(5).validate(4)
 
 
 def test_cyclic_structure():
-    c5 = cyclic_group(5)
+    c5 = CyclicGroup(5)
     assert c5.mul(3, 4) == 2
     assert c5.inv(2) == 3
     assert c5.dist(1, 1) == 0.0 and c5.dist(1, 2) == 1.0
@@ -168,7 +168,7 @@ def test_cyclic_structure():
 def test_cyclic_groups_of_any_order_compute_modulo_n():
     # No table of n^2 products is listed, so a huge order builds at once.
     n = 10**12
-    big = cyclic_group(n)
+    big = CyclicGroup(n)
     assert big.mul(n - 1, 2) == 1 and big.inv(1) == n - 1 and big.inv(0) == 0
     assert big.dist(n - 1, n - 1) == 0.0 and big.dist(0, n - 1) == 1.0
     assert big.describe() == {"kind": "cyclic", "n": n}
@@ -180,7 +180,7 @@ def test_cyclic_groups_of_any_order_compute_modulo_n():
 
 
 def test_cyclic_table_values_are_json_integers():
-    c5 = cyclic_group(5)
+    c5 = CyclicGroup(5)
     assert c5.from_jsonable_elem(3) == 3
     assert type(c5.from_jsonable_elem(2.0)) is int and c5.from_jsonable_elem(2.0) == 2
     for bad in (True, 2.5, "2", None):
@@ -194,7 +194,7 @@ def test_finite_group_table_validation():
 
 
 def test_description_roundtrip():
-    for target in (RealVector(3), Torus(2), cyclic_group(7), symmetric_group_3()):
+    for target in (RealVector(3), Torus(2), CyclicGroup(7), symmetric_group_3()):
         rebuilt = target_from_description(target.describe())
         rng = random.Random(1)
         for _ in range(20):
@@ -214,7 +214,7 @@ def test_cyclic_description_is_decided_by_type_not_name():
     assert rebuilt.mul(1, 1) == 0
     assert all(rebuilt.mul(a, b) == klein.mul(a, b)
                for a in klein.elements for b in klein.elements)
-    z4 = cyclic_group(4)
+    z4 = CyclicGroup(4)
     assert z4.describe() == {"kind": "cyclic", "n": 4}
     assert target_from_description(z4.describe()).mul(1, 1) == 2
 
