@@ -36,7 +36,7 @@ _HOMES = {
         "make_query",
     ),
     "configurations": (
-        "Configuration", "ContractError", "homoclinic_agreement_radius",
+        "Configuration", "ContractError",
     ),
     "shifts": (
         "ConeParams", "FullShift", "GoldenMean", "default_specification_constants",

@@ -422,8 +422,6 @@ class UntwistReport(NamedTuple):
     constancy_defect: float
     homomorphism_defect: float
     tolerance: float
-    epsilon: float
-    samples: int
 
     @property
     def ok(self) -> bool:
@@ -467,8 +465,7 @@ def extract_homomorphism(transfer: TransferTable, elements, samples,
                 psi[product] = psi_at(product, samples[0])
             hom_defect = max(hom_defect,
                              target.dist(target.mul(psi[g], psi[h]), psi[product]))
-    report = UntwistReport(psi, constancy, hom_defect, tolerance, transfer.epsilon,
-                           len(samples))
+    report = UntwistReport(psi, constancy, hom_defect, tolerance)
     if constancy > tolerance:
         raise VerificationError(
             f"transfer quotient is not constant: defect {constancy} exceeds "

@@ -47,7 +47,7 @@ def run(args) -> int:
     }
     if summary is not None:
         report["sdt"] = {
-            "r": summary.r, "T": summary.terms,
+            "r": args.sdt_base, "T": args.sdt_terms,
             "partial": summary.partial_sum, "tail_bound": summary.tail_bound,
             "total_upper_bound": summary.total_upper_bound,
         }

@@ -1,6 +1,6 @@
 """Finitely supported configurations over a group: the points of a full
 shift that differ from a constant background symbol on finitely many cells,
-the shift action on them, and their homoclinic agreement radius.
+the shift action on them, and the cells where two of them differ.
 
 Configurations are finite-support differences from a constant background
 symbol; that is the only homoclinic class represented here, and it is all
@@ -107,9 +107,3 @@ class Configuration:
                 raise ContractError(f"cell {group.format_elem(cell)} is listed twice")
             support[cell] = sym
         return cls(group, tuple(obj["alphabet"]), obj["background"], support)
-
-
-def homoclinic_agreement_radius(x: Configuration, y: Configuration) -> int:
-    """Least N with x = y outside the ball of radius N (0 when equal).
-    Configurations check their cells when built, so no read checks them."""
-    return max(map(x.group.exact_length, x.differing_cells(y)), default=0)

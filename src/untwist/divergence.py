@@ -182,11 +182,8 @@ class PairDivergence(NamedTuple):
     short detour leaves the window, so it is not yet a certified lower
     bound for Div(n)."""
 
-    a: tuple
-    b: tuple
     value: float                 # math.inf when certified infinite
     witness_c: tuple | None
-    window_radius: int
 
 
 def div_pair(group: Group, a, b, obstacles, window_radius: int) -> PairDivergence:
@@ -214,7 +211,7 @@ def div_pair(group: Group, a, b, obstacles, window_radius: int) -> PairDivergenc
         if result is None:
             continue  # a kept path bounds the answer by best
         if result.outcome == INFINITE:
-            return PairDivergence(a, b, math.inf, c, window_radius)
+            return PairDivergence(math.inf, c)
         if result.outcome == WINDOW_DISCONNECTED:
             continue
         if result.path is not None:
@@ -226,7 +223,7 @@ def div_pair(group: Group, a, b, obstacles, window_radius: int) -> PairDivergenc
             witness = c
     if witness is None:
         raise GroupError("no usable obstacle produced a finite search")
-    return PairDivergence(a, b, float(best), witness, window_radius)
+    return PairDivergence(float(best), witness)
 
 
 def geodesic_points(group: Group, a, b):

@@ -158,8 +158,6 @@ class SummabilityReport(NamedTuple):
     a certified upper bound for it.
     """
 
-    r: float
-    terms: int
     partial_sum: float
     tail_bound: float
 
@@ -178,5 +176,4 @@ def sdt_partial_sum(profile: CompressionProfile, r: float, terms: int) -> Summab
         exponent = profile.compression(i) if i <= profile.j_max else profile.lower_bound.value(i)
         partial += r ** exponent
     tail = profile.lower_bound.tail(r, terms + 1)
-    return SummabilityReport(r=r, terms=terms, partial_sum=partial,
-                             tail_bound=tail)
+    return SummabilityReport(partial_sum=partial, tail_bound=tail)

@@ -111,12 +111,11 @@ def dumps(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def write_csv(path, fieldnames, rows, config: dict | None = None) -> None:
+def write_csv(path, fieldnames, rows, config: dict) -> None:
     import csv  # here, so that commands writing only JSON never load it
 
     with open(path, "w", encoding="utf-8") as fh:
-        if config is not None:
-            fh.write("# config = " + json.dumps(config, sort_keys=True, default=str) + "\n")
+        fh.write("# config = " + json.dumps(config, sort_keys=True, default=str) + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fieldnames)
         for row in rows:

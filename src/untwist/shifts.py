@@ -10,7 +10,7 @@ from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, NamedTuple
 
 from .configurations import Configuration, ContractError
-from .groups import Group, OutOfRange, WordMetric
+from .groups import DEFAULT_METRIC_BUDGET, Group, OutOfRange, WordMetric
 
 if TYPE_CHECKING:  # run-time use is in ConeParams.create alone
     from .invariants import CompressionProfile
@@ -138,7 +138,9 @@ class ConeParams:
 
         The anchor's certified bound must be linear, or no profile radius
         covers the queries; ConeParams(build_profile(...), ...) takes any
-        anchor.  metric is not read: the anchor's bound checks the anchor."""
+        anchor.  metric is not read: the anchor's bound checks the anchor.
+        The profile lists one value per unit of its radius, so a radius past
+        the default element budget is refused before any is listed."""
         from .invariants import build_profile
 
         bound = group.compression_lower_bound(anchor)
@@ -148,9 +150,13 @@ class ConeParams:
                                 "certified bound, which a cone needs")
         anchor_length = group.exact_length(anchor)
         deepest = (4 * (max_query_length + radius_R)) // (3 * slope) + 2
-        profile = build_profile(group, anchor, max(4 * radius_R + 2 * anchor_length,
-                                                   anchor_length * deepest, 4))
-        return cls(profile, radius_R, s_prime, t_prime)
+        radius = max(4 * radius_R + 2 * anchor_length, anchor_length * deepest, 4)
+        if radius > DEFAULT_METRIC_BUDGET:
+            raise ContractError(
+                f"R = {radius_R} and max_query_length = {max_query_length} need a "
+                f"compression profile of radius {radius}, past the budget of "
+                f"{DEFAULT_METRIC_BUDGET} elements")
+        return cls(build_profile(group, anchor, radius), radius_R, s_prime, t_prime)
 
     def piece_radius(self, j: int) -> int:
         """floor(rho(j)/4) + R for the j-th cone piece."""
@@ -198,7 +204,6 @@ class ConeParams:
 
 class GlueResult(NamedTuple):
     y: Configuration
-    n_spec: int
     plus_agrees: bool   # y matches x on the whole + cone
     minus_agrees: bool  # y matches x' on the whole - cone
 
@@ -248,4 +253,4 @@ def glue(x: Configuration, x_prime: Configuration, params: ConeParams) -> GlueRe
             "glued configuration fails a cone agreement check; "
             "the specification constants s', t' are too small"
         )
-    return GlueResult(y, params.specification_ball_radius(), plus_ok, minus_ok)
+    return GlueResult(y, plus_ok, minus_ok)

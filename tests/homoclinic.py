@@ -1,6 +1,6 @@
 """Seeded homoclinic pairs and triples, used only by the tests, drawn
 through the configuration sampler of `untwist.sampling` from the cell pools
-listed here."""
+listed here, and the agreement radius of a pair, read from the supports."""
 
 from untwist import Configuration
 from untwist.sampling import random_configuration
@@ -55,3 +55,12 @@ def random_homoclinic_triple(group, metric, alphabet, rng,
         return random_configuration(group, cells, alphabet, rng, n_cells, background)
 
     return make(), make(), make()
+
+
+def homoclinic_agreement_radius(x, y) -> int:
+    """Least N with x = y outside the ball of radius N (0 when equal): the
+    largest word length of a cell of either support where the symbols
+    differ.  The oracle `holonomy`'s certificate is held to."""
+    cells = x.support.keys() | y.support.keys()
+    return max((x.group.exact_length(c) for c in cells
+                if x.symbol_at(c) != y.symbol_at(c)), default=0)

@@ -10,6 +10,8 @@ import pytest
 from untwist.cli import main
 from untwist.reporting import dumps
 
+from peak_rss import run_child
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 GOLDEN = os.path.join(HERE, "golden")
@@ -57,6 +59,30 @@ def test_invariants_artifacts_and_exit(tmp_path):
     assert os.path.exists(out / "compression.csv")
     assert os.path.exists(out / "distortion.csv")
     assert os.path.exists(out / "translation.csv")
+
+
+# On z^2 with the axis element at radius 8, compression(i) = i and
+# distortion(x) = x; one value is corrupted, and the checks it breaks read
+# false.  Between them the cases reach each branch that sets a check false.
+@pytest.mark.parametrize("method, at, value, failing", [
+    ("compression", 3, 4, {"power_bounds", "inverse_sandwich", "additivity"}),
+    ("compression", 3, 2, {"inverse_sandwich", "additivity"}),
+    ("distortion", 3, 4, {"inverse_sandwich", "additivity"}),
+    ("distortion", 3, 2, {"power_bounds", "inverse_sandwich", "additivity"}),
+], ids=["rho-up", "rho-down", "delta-up", "delta-down"])
+def test_invariants_exits_1_when_a_profile_check_fails(tmp_path, monkeypatch, method, at,
+                                                       value, failing):
+    from untwist.invariants import CompressionProfile
+
+    exact = getattr(CompressionProfile, method)
+    monkeypatch.setattr(CompressionProfile, method,
+                        lambda self, x: value if x == at else exact(self, x))
+    out = tmp_path / "inv"
+    assert main(["invariants", "--group", "z^2", "--element", "(1,0)",
+                 "--radius", "8", "--out", str(out)]) == 1
+    checks = json.loads(read(out / "report.json"))["checks"]
+    assert {name for name, ok in checks.items() if not ok} == failing
+    assert set(checks) == {"power_bounds", "inverse_sandwich", "additivity"}
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -217,17 +243,10 @@ def test_a_cyclic_target_of_order_a_million_untwists_in_bounded_memory(tmp_path)
                               metric=metric)
     path = tmp_path / "spec.json"
     path.write_text(dumps(cocycle_spec_to_jsonable(spec)) + "\n")
-    path_env = os.pathsep.join(p for p in (os.path.join(ROOT, "src"),
-                                           os.environ.get("PYTHONPATH")) if p)
-    child = subprocess.Popen(
-        [sys.executable, "-m", "untwist.cli", "cocycle", "untwist", "--group", "z^2",
-         "--spec", str(path), "--seed", "7", "--samples", "20",
-         "--out", str(tmp_path / "report.json")],
-        env=dict(os.environ, PYTHONPATH=path_env),
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)  # reaped here
-    assert child.returncode == 0 and usage.ru_maxrss / 1024 < 100
+    run = run_child(["-m", "untwist.cli", "cocycle", "untwist", "--group", "z^2",
+                     "--spec", str(path), "--seed", "7", "--samples", "20",
+                     "--out", str(tmp_path / "report.json")])
+    assert run.exit_code == 0 and run.peak_mb < 100
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["psi"]["(1,0)"] == 2 and report["psi"]["(0,1)"] == n - 1
 
@@ -563,6 +582,23 @@ def test_glue_constant_that_is_no_finite_number_exits_2_naming_it(tmp_path, caps
     assert capsys.readouterr().err == (
         f"error: {spec}: bad value: key {key!r} needs {need}, got {value!r}\n")
     assert not out.exists()
+
+
+def test_glue_task_with_a_huge_R_exits_2_naming_it(tmp_path):
+    # R = 10^9 asks for a profile of radius 4 * 10^9, one value per unit of
+    # it; the radius is refused past the element budget before any is listed.
+    with open(os.path.join(GOLDEN, "glue_z2_task.json"), "r", encoding="utf-8") as fh:
+        task = json.load(fh)
+    task["R"] = 10**9
+    spec = tmp_path / "task.json"
+    spec.write_text(json.dumps(task))
+    out = tmp_path / "out.json"
+    run = run_child(["-m", "untwist.cli", "subshift", "glue", "--group", "z^2",
+                     "--spec", str(spec), "--out", str(out)], timeout=5)
+    assert run.exit_code == 2 and run.peak_mb < 100 and not out.exists()
+    assert run.stderr == (
+        f"error: {spec}: R = 1000000000 and max_query_length = 24 need a compression "
+        "profile of radius 4000000002, past the budget of 5000000 elements\n")
 
 
 def test_cocycle_spec_over_another_group_exits_2_naming_both(tmp_path, capsys):

@@ -1,9 +1,6 @@
 import csv
 import math
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
 
 import pytest
@@ -33,8 +30,8 @@ from untwist.groups import enumerate_ball
 
 from oracles import (grid_avoidant_length, heisenberg_avoidant_length, heisenberg_inv,
                      heisenberg_lengths, heisenberg_mul, l1_ball, l1_length, z2_mul)
+from peak_rss import run_child
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 Z2 = IntegerLattice(2)
 Z = IntegerLattice(1)
 ZZ = parse_group("prod(z,z)")
@@ -142,6 +139,54 @@ def test_window_disconnected_without_certificate():
     q = make_query(Z2, (-12, 0), (12, 0), (0, 0), 12)
     result = avoidant_shortest_path(q)
     assert result.outcome in (FINITE, WINDOW_DISCONNECTED)
+
+
+@pytest.mark.parametrize("group, oracle, a, b, radius, cut, length", [
+    (Z2, grid_avoidant_length, (-3, 0), (3, 0), 3, 3, 12),
+    (DiscreteHeisenberg(), heisenberg_avoidant_length, (-3, 0, 0), (3, 0, 0), 3, 4, 10)],
+    ids=["z^2", "heisenberg"])
+def test_a_window_cut_by_the_obstacle_is_disconnected(group, oracle, a, b, radius, cut,
+                                                       length):
+    # Around the identity's forbidden ball of radius 3, a window up to cut
+    # leaves no path from a to b; one step wider leaves a detour.  Neither
+    # group is a Cayley tree, so nothing certifies an infinite answer.
+    c = group.identity
+    for window in range(radius, cut + 2):
+        result = avoidant_shortest_path(DivergenceQuery(group, a, b, c, window, radius))
+        expected = oracle(a, b, c, radius, window)
+        if window <= cut:
+            assert result == (WINDOW_DISCONNECTED, None, None) and expected is None
+        else:
+            assert (result.outcome, result.length) == (FINITE, length) == (FINITE, expected)
+
+
+def disconnecting(monkeypatch, cut_off):
+    """Patch the search to answer WINDOW_DISCONNECTED for the obstacles in
+    cut_off: the radius rule of div_pair gives no such query on the models."""
+    import untwist.divergence as divergence
+
+    search = divergence.avoidant_shortest_path
+
+    def patched(query):
+        if query.c in cut_off:
+            return divergence.PathSearchResult(WINDOW_DISCONNECTED)
+        return search(query)
+
+    monkeypatch.setattr(divergence, "avoidant_shortest_path", patched)
+
+
+def test_div_pair_skips_a_disconnected_obstacle(monkeypatch):
+    # Both obstacles need a search: l(a) + l(b) + d(a,b) = 24 > 2 * window.
+    a, b, obstacles = (-6, 0), (6, 0), [(0, 0), (0, 1)]
+    assert div_pair(Z2, a, b, obstacles, 6) == (14.0, (0, 0))
+    disconnecting(monkeypatch, {(0, 0)})
+    assert div_pair(Z2, a, b, obstacles, 6) == (12.0, (0, 1))
+
+
+def test_div_pair_refuses_when_every_obstacle_is_disconnected(monkeypatch):
+    disconnecting(monkeypatch, {(0, 0), (0, 1)})
+    with pytest.raises(GroupError, match="no usable obstacle produced a finite search"):
+        div_pair(Z2, (-6, 0), (6, 0), [(0, 0), (0, 1)], 6)
 
 
 def test_obstacle_monotonicity():
@@ -697,26 +742,12 @@ def test_heisenberg_nmax_24_runs_within_a_one_element_budget(tmp_path):
         assert heisenberg_avoidant_length(a, b, c, max(0, d // 2 - 2), window) == value
 
 
-def peak_rss_of_divergence(argv):
-    """(exit code, peak RSS in MB) of a divergence run in a fresh interpreter."""
-    path = os.pathsep.join(p for p in (os.path.join(ROOT, "src"),
-                                       os.environ.get("PYTHONPATH")) if p)
-    child = subprocess.Popen([sys.executable, "-m", "untwist.cli", "divergence", *argv],
-                             env=dict(os.environ, PYTHONPATH=path),
-                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
-    # Reaped here, so Popen must be told, or its __del__ warns that the child
-    # is still running.
-    child.returncode = os.waitstatus_to_exitcode(status)
-    return child.returncode, usage.ru_maxrss / 1024
-
-
 @pytest.mark.parametrize("group", ["prod(z,heisenberg)", "prod(free:2,z)"])
 def test_product_divergence_runs_in_bounded_memory(tmp_path, group):
     # Listing the window ball B(32) took prod(z,heisenberg) to 1.24 GB.
-    code, peak_mb = peak_rss_of_divergence(["--group", group, "--nmax", "8",
-                                            "--seed", "7", "--out", str(tmp_path)])
-    assert code == 0 and peak_mb < 100
+    run = run_child(["-m", "untwist.cli", "divergence", "--group", group, "--nmax", "8",
+                     "--seed", "7", "--out", str(tmp_path)])
+    assert run.exit_code == 0 and run.peak_mb < 100
 
 
 def test_divergence_exits_2_when_a_draw_reaches_the_cap(tmp_path, monkeypatch, capsys):

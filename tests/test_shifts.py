@@ -18,8 +18,10 @@ from untwist import (
     OutOfRange,
     WordMetric,
     default_specification_constants,
+    RealVector,
     glue,
-    homoclinic_agreement_radius,
+    holonomy,
+    homomorphism_cocycle,
     membership_check,
     parse_group,
 )
@@ -27,7 +29,8 @@ from untwist.cli import main
 from untwist.invariants import build_profile
 from untwist.sampling import random_configuration
 
-from homoclinic import cell_pool, pair_agreeing_on_ball
+from homoclinic import (cell_pool, homoclinic_agreement_radius, pair_agreeing_on_ball,
+                        random_homoclinic_pair)
 from oracles import (ball_lengths, cone_cells, cone_walk, free_ball, free_inv, free_mul,
                      golden_mean_member, heisenberg_inv, heisenberg_lengths, heisenberg_mul,
                      l1_ball, l1_length, z2_inv, z2_mul)
@@ -95,6 +98,23 @@ def test_homoclinic_radius_differing_symbols_on_shared_cell():
     x = Configuration(Z2, A3, 0, {(1, 1): 1})
     y = Configuration(Z2, A3, 0, {(1, 1): 2})
     assert homoclinic_agreement_radius(x, y) == 2
+
+
+@pytest.mark.parametrize("descriptor", ["z^2", "heisenberg"])
+def test_holonomy_certificate_agreement_radius_is_the_oracle(descriptor):
+    # holonomy reads the radius inline from the differing cells.
+    group = parse_group(descriptor)
+    metric = WordMetric(group)
+    phi = {label: (0.25 * (k + 1),) for k, label in enumerate(group.positive_labels)}
+    spec = homomorphism_cocycle(group, RealVector(1), phi, A)
+    anchor = group.gen(group.positive_labels[0])
+    rng = random.Random(31)
+    pairs = [random_homoclinic_pair(group, metric, A, rng, radius, 2)
+             for radius in range(1, 7) for _ in range(2)]
+    pairs.append((pairs[0][0], pairs[0][0]))
+    for x, y in pairs:
+        cert = holonomy(spec, anchor, x, y)[1]
+        assert cert.agreement_radius == homoclinic_agreement_radius(x, y)
 
 
 @pytest.mark.parametrize("descriptor", ["z^2", "heisenberg", "free:2"])
@@ -189,6 +209,19 @@ def test_heisenberg_central_cone_needs_an_explicit_profile():
         ConeParams.create(heis, (0, 0, 1), 1)  # central anchor: no linear bound
     params = ConeParams(build_profile(heis, (0, 0, 1), 10), 0, 1.0, 0.0)
     assert params.cone_contains((0, 0, 0), "+")
+
+
+def test_cone_profile_radius_past_the_element_budget_is_refused(monkeypatch):
+    import untwist.shifts as shifts
+
+    # Axis anchor, R = 4, queries to 64: the profile radius is
+    # max(4R + 2, (4 * (64 + R)) // 3 + 2, 4) = 92.
+    monkeypatch.setattr(shifts, "DEFAULT_METRIC_BUDGET", 92)
+    assert make_params(4).profile.radius == 92
+    monkeypatch.setattr(shifts, "DEFAULT_METRIC_BUDGET", 91)
+    with pytest.raises(ContractError, match="^R = 4 and max_query_length = 64 need a "
+                       "compression profile of radius 92, past the budget of 91 elements$"):
+        make_params(4)
 
 
 def z2_cone_oracle(region, anchor, sign, R):
