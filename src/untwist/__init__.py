@@ -25,8 +25,11 @@ _HOMES = {
         "GroupError", "InputError", "IntegerLattice", "OutOfRange",
         "ResourceLimit", "WordMetric", "enumerate_ball", "parse_group",
     ),
+    "heisenberg": (
+        "DiscreteHeisenberg", "SqrtBound",
+    ),
     "models": (
-        "DirectProduct", "DiscreteHeisenberg", "FreeGroup", "SqrtBound",
+        "DirectProduct", "FreeGroup",
     ),
     "invariants": (
         "CompressionProfile", "build_profile", "sdt_partial_sum",

@@ -7,17 +7,18 @@ uniform draws from its balls and spheres, a certified lower bound for the
 compression of powers of its elements, and structural metadata.
 
 This module holds the core every run loads: the `Group` template, the integer
-lattices, `parse_group`, ball enumeration and the word metric.  The other
-models live in `models`, which `parse_group` imports only for their
-descriptors, and the exact draws of the models that count their spheres in
-`draws`, which runs at the first such draw.
+lattices, `parse_group`, ball enumeration and the word metric.  Each other
+model family has its own module, which `parse_group` imports only in the
+branch of its descriptors (`heisenberg` for the Heisenberg group, `models`
+for free groups and products), and the exact draws of the models that count
+their spheres are in `draws`, which runs at the first such draw.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import takewhile
-from math import comb
+from math import comb, isqrt
 from operator import add, sub
 
 from . import draws
@@ -303,6 +304,14 @@ class IntegerLattice(Group):
     def __init__(self, dimension: int, diagonal: bool = False):
         if dimension < 1:
             raise GroupError("lattice dimension must be >= 1")
+        # The 2d generators hold d coordinates each, so building them costs
+        # 2d^2 values: keep that within the default element budget.
+        if 2 * dimension * dimension > DEFAULT_METRIC_BUDGET:
+            raise GroupError(
+                f"lattice dimension {dimension} needs 2*d^2 = "
+                f"{2 * dimension * dimension} generator coordinates, past the budget "
+                f"of {DEFAULT_METRIC_BUDGET}; the largest accepted dimension is "
+                f"{isqrt(DEFAULT_METRIC_BUDGET // 2)}")
         self.dimension = dimension
         self.diagonal = diagonal
         self.name = ("z" if dimension == 1 and not diagonal
@@ -426,7 +435,7 @@ def parse_group(descriptor: str) -> Group:
     if s == "z":
         return IntegerLattice(1)
     if s == "heisenberg":
-        from .models import DiscreteHeisenberg
+        from .heisenberg import DiscreteHeisenberg
         return DiscreteHeisenberg()
     if s.startswith("free:"):
         try:

@@ -2,9 +2,14 @@
 values.  Deliberately written against raw tuples, with no imports from the
 package, so they stay an independent second route.  `partial_product` takes a
 cocycle spec and reads it only through its generator read plans, factor by
-factor, with none of the holonomy's cut-offs, indexes or caches."""
+factor, with none of the holonomy's cut-offs, indexes or caches.
+`build_parser` is the CLI's argparse parser as it was before the CLI read its
+own option tables, the second route for that parser."""
 
+import argparse
 from collections import deque
+
+DEFAULT_METRIC_BUDGET = 5_000_000  # groups.DEFAULT_METRIC_BUDGET, restated
 
 
 def heisenberg_mul(p, q):
@@ -275,3 +280,59 @@ def partial_product(spec, g, x, y, n, sign="+"):
         px, py = target.mul(px, fx), target.mul(py, fy)
         back = group.mul(back, back_step)
     return target.mul(px, target.inv(py))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="untwist",
+        description="Exact word-metric invariants and cocycle untwisting "
+                    "experiments on finitely generated groups.",
+    )
+    parser.add_argument("--config", help="JSON file whose keys override flags")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, seeded=False, budgeted=False):
+        p.add_argument("--group", required=True)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
+        if budgeted:
+            p.add_argument("--max-elements", type=int, default=DEFAULT_METRIC_BUDGET,
+                           dest="max_elements",
+                           help="element budget of the ball this subcommand lists")
+        p.add_argument("--out", required=True)
+        p.set_defaults(subparser=p)
+
+    p = sub.add_parser("ball", help="export a ball table as CSV")
+    common(p, budgeted=True)
+    p.add_argument("--radius", type=int, required=True)
+
+    p = sub.add_parser("invariants",
+                       help="power lengths, compression, distortion, translation")
+    common(p)
+    p.add_argument("--element", required=True)
+    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--sdt-base", type=float, default=None, dest="sdt_base")
+    p.add_argument("--sdt-terms", type=int, default=32, dest="sdt_terms")
+
+    p = sub.add_parser("divergence", help="sampled divergence function")
+    common(p, seeded=True)
+    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--window-factor", type=int, default=4, dest="window_factor")
+    p.add_argument("--sample-budget", type=int, default=10, dest="sample_budget")
+    p.add_argument("--pairs-per-n", type=int, default=2, dest="pairs_per_n")
+
+    p = sub.add_parser("subshift", help="glue or membership-check configurations")
+    p.add_argument("mode", choices=["glue", "check"])
+    common(p, seeded=True)  # --seed is read by nothing; perfbench/workloads.py passes it
+    p.add_argument("--spec", required=True, help="JSON task description")
+
+    p = sub.add_parser("cocycle", help="untwist a cocycle specification")
+    p.add_argument("mode", choices=["untwist"])
+    common(p, seeded=True, budgeted=True)
+    p.add_argument("--spec", required=True, help="cocycle spec JSON")
+    p.add_argument("--epsilon", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--sample-radius", type=int, default=6, dest="sample_radius")
+    p.add_argument("--sample-cells", type=int, default=4, dest="sample_cells")
+    return parser

@@ -601,6 +601,18 @@ def test_glue_task_with_a_huge_R_exits_2_naming_it(tmp_path):
         "profile of radius 4000000002, past the budget of 5000000 elements\n")
 
 
+def test_lattice_of_a_huge_dimension_exits_2_naming_it(tmp_path):
+    # z^d builds 2d generators of d coordinates each; d = 2000 took 75 MB
+    # before the dimension was bounded by the element budget.
+    out = tmp_path / "div"
+    run = run_child(["-m", "untwist.cli", "divergence", "--group", "z^2000", "--nmax", "2",
+                     "--out", str(out)], timeout=10)
+    assert run.exit_code == 2 and run.peak_mb < 30 and not out.exists()
+    assert run.stderr == (
+        "error: lattice dimension 2000 needs 2*d^2 = 8000000 generator coordinates, "
+        "past the budget of 5000000; the largest accepted dimension is 1581\n")
+
+
 def test_cocycle_spec_over_another_group_exits_2_naming_both(tmp_path, capsys):
     from untwist import (RealVector, cocycle_spec_to_jsonable, homomorphism_cocycle,
                          parse_group)
@@ -935,7 +947,7 @@ def loaded_modules(argv):
     return code, set(modules)
 
 
-STDLIB_NEVER = {"dataclasses", "statistics"}
+STDLIB_NEVER = {"argparse", "dataclasses", "gettext", "locale", "statistics"}
 
 
 def test_divergence_loads_only_its_modules(tmp_path):
@@ -975,18 +987,23 @@ def test_cocycle_untwist_loads_no_divergence_module(tmp_path):
 
 
 @pytest.mark.parametrize("argv, models", [
-    (["ball", "--group", "z^2", "--radius", "2", "--out", "ball.csv"], False),
+    (["ball", "--group", "z^2", "--radius", "2", "--out", "ball.csv"], set()),
     (["invariants", "--group", "heisenberg", "--element", "z", "--radius", "4",
-      "--out", "inv"], True),
+      "--out", "inv"], {"untwist.heisenberg"}),
     (["divergence", "--group", "heisenberg", "--nmax", "3", "--seed", "1",
-      "--out", "div"], True),
-], ids=["ball-z2", "invariants-heisenberg", "divergence-heisenberg"])
+      "--out", "div"], {"untwist.heisenberg"}),
+    (["divergence", "--group", "prod(z,free:2)", "--nmax", "3", "--seed", "1",
+      "--out", "div"], {"untwist.models"}),
+], ids=["ball-z2", "invariants-heisenberg", "divergence-heisenberg",
+        "divergence-prod-z-free2"])
 def test_models_load_only_off_the_lattices_and_plants_never(tmp_path, argv, models):
+    """Each model family's module is loaded only by runs over that family."""
     out = str(tmp_path / argv[-1])
     code, modules = loaded_modules([*argv[:-1], out])
     assert code == 0
-    assert ("untwist.models" in modules) == models
+    assert modules & {"untwist.heisenberg", "untwist.models"} == models
     assert "untwist.plants" not in modules
+    assert not modules & STDLIB_NEVER
 
 
 @pytest.mark.parametrize("argv", [

@@ -570,6 +570,8 @@ def test_descriptor_roundtrip(desc):
     ("free:27", "between 1 and 26"), ("free:0", "between 1 and 26"),
     ("free:x", "bad free-group rank"), ("z^0", "must be >= 1"),
     ("z^0+diag", "must be >= 1"), ("z^x", "bad lattice dimension"),
+    ("z^1582", "dimension 1582 .* largest accepted dimension is 1581$"),
+    ("z^1582+diag", "dimension 1582 .* largest accepted dimension is 1581$"),
 ])
 def test_descriptor_errors_name_the_bad_value(desc, message):
     with pytest.raises(GroupError, match=message):
