@@ -22,8 +22,11 @@ import sys
 
 _HOMES = {
     "groups": (
-        "GroupError", "InputError", "IntegerLattice", "OutOfRange",
-        "ResourceLimit", "WordMetric", "enumerate_ball", "parse_group",
+        "GroupError", "InputError", "OutOfRange", "ResourceLimit", "WordMetric",
+        "enumerate_ball", "parse_group",
+    ),
+    "lattice": (
+        "IntegerLattice",
     ),
     "heisenberg": (
         "DiscreteHeisenberg", "SqrtBound",

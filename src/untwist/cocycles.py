@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .groups import Group, InputError, parse_group
 from .configurations import Configuration
@@ -271,16 +271,9 @@ def relation_consistency(spec: CocycleSpec, samples, element_pairs=()) -> float:
 # Holonomy limits with certified tails
 # ---------------------------------------------------------------------------
 
-class HolonomyCertificate(NamedTuple):
-    anchor: str
-    sign: str
-    n_used: int
-    tail_bound: float
-    agreement_radius: int
-    holder_constant: float
-    rate: float
-    lower_bound: str
-    epsilon: float
+HolonomyCertificate = namedtuple(
+    "HolonomyCertificate", "anchor sign n_used tail_bound agreement_radius "
+    "holder_constant rate lower_bound epsilon")
 
 
 def holonomy(spec: CocycleSpec, g, x: Configuration, y: Configuration,
@@ -417,11 +410,11 @@ class TransferTable:
         return result
 
 
-class UntwistReport(NamedTuple):
-    psi: dict                  # element -> extracted homomorphism value
-    constancy_defect: float
-    homomorphism_defect: float
-    tolerance: float
+class UntwistReport(namedtuple("UntwistReport", "psi constancy_defect "
+                                           "homomorphism_defect tolerance")):
+    """psi maps each element to its extracted homomorphism value."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -22,8 +22,7 @@ skips it, since its answer cannot beat the best so far.
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
-from typing import NamedTuple
+from collections import namedtuple
 
 from .groups import Group, GroupError
 
@@ -32,13 +31,8 @@ WINDOW_DISCONNECTED = "window_disconnected"
 INFINITE = "infinite"
 
 
-class DivergenceQuery(NamedTuple):
-    group: Group
-    a: tuple
-    b: tuple
-    c: tuple
-    window_radius: int
-    forbidden_radius: int
+DivergenceQuery = namedtuple("DivergenceQuery",
+                             "group a b c window_radius forbidden_radius")
 
 
 def make_query(group: Group, a, b, c, window_radius: int) -> DivergenceQuery:
@@ -69,10 +63,10 @@ def _read_obstacle(group: Group, a, b, c, window_radius: int):
     return DivergenceQuery(group, a, b, c, window_radius, radius), (to_c, ca, cb)
 
 
-class PathSearchResult(NamedTuple):
-    outcome: str                 # FINITE | WINDOW_DISCONNECTED | INFINITE
-    length: int | None = None
-    path: tuple | None = None    # vertex path witness for finite outcomes
+# outcome is FINITE, WINDOW_DISCONNECTED or INFINITE; a finite outcome
+# carries its length and, from a search, its vertex path as a witness.
+PathSearchResult = namedtuple("PathSearchResult", "outcome length path",
+                              defaults=(None, None))
 
 
 def _certified_disconnection(query: DivergenceQuery, to_c) -> bool:
@@ -98,6 +92,9 @@ def avoidant_shortest_path(query: DivergenceQuery) -> PathSearchResult:
     certified disconnection comes first: on free:r a failed search lists
     the window.  The query is trusted: make_query and div_pair checked it.
     """
+    # Here, so that a run the certificate answers throughout never loads heapq.
+    from heapq import heappop, heappush
+
     group, a, b, c, window, radius = query
     length = group.exact_length
     to_c = group.distance_from(c)
@@ -173,17 +170,16 @@ def _stays_off(path, to_c, ca: int, cb: int, radius: int) -> bool:
     return all(to_c(h) >= radius for h in path[ca - radius + 1:end])
 
 
-class PairDivergence(NamedTuple):
+class PairDivergence(namedtuple("PairDivergence", "value witness_c")):
     """Best sampled divergence of a pair over its obstacles.
 
     A finite value is the avoidant distance in the window's graph,
     B(window_radius).  That is an upper bound for the group's own avoidant
     distance of the triple (a, b, witness_c), and can exceed it when the
     short detour leaves the window, so it is not yet a certified lower
-    bound for Div(n)."""
+    bound for Div(n).  The value is math.inf when certified infinite."""
 
-    value: float                 # math.inf when certified infinite
-    witness_c: tuple | None
+    __slots__ = ()
 
 
 def div_pair(group: Group, a, b, obstacles, window_radius: int) -> PairDivergence:
@@ -256,13 +252,8 @@ def default_obstacles(group: Group, a, b, window_radius: int, rng,
     return list(dict.fromkeys(obstacles))
 
 
-class DivergenceRow(NamedTuple):
-    n: int
-    value: float
-    witness_a: tuple
-    witness_b: tuple
-    witness_c: tuple | None
-    window_radius: int
+DivergenceRow = namedtuple("DivergenceRow",
+                           "n value witness_a witness_b witness_c window_radius")
 
 
 def div_function(group: Group, n_max: int, *, window_factor: int = 4,
@@ -323,12 +314,13 @@ def _random_pair(group: Group, n: int, rng):
     return group.inv(group.eval_word(word[:mid])), group.eval_word(word[mid:])
 
 
-class GrowthFit(NamedTuple):
-    """Descriptive log-log fit of a divergence sequence; no asymptotic claim."""
+class GrowthFit(namedtuple("GrowthFit", "degree subexp_statistic points_used")):
+    """Descriptive log-log fit of a divergence sequence; no asymptotic claim.
 
-    degree: float            # least-squares slope of log(value) against log(n)
-    subexp_statistic: float  # max over n of log(value)/n
-    points_used: int
+    degree is the least-squares slope of log(value) against log(n), and
+    subexp_statistic the max over n of log(value)/n."""
+
+    __slots__ = ()
 
 
 def linear_fit(xs, ys):

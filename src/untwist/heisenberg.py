@@ -42,6 +42,26 @@ class SqrtBound(LengthLowerBound):
         return f"sqrt(scale={self.scale})"
 
 
+def _word_length(x, y, z):
+    """l((x, y, z)) by Blachère's closed form (Word distance on the discrete
+    Heisenberg group, Colloq. Math. 95, 2003).  A word is a lattice path from
+    0 to (x, y) with signed area z; symmetries reduce to 0 <= x <= y, z >= 0.
+    Monotone paths, of length x + y, reach every area up to x*y; a larger
+    area costs a box of width h >= y and height ceil(z/h) around it."""
+    if x < 0:  # a <-> A
+        x, z = -x, -z
+    if y < 0:  # b <-> B
+        y, z = -y, -z
+    if z < 0:  # g -> rot_pi(g^-1), which keeps the length
+        z = x * y - z
+    if x > y:  # a <-> b composed with the line above
+        x, y = y, x
+    if z <= x * y:
+        return x + y
+    h = max(y, math.isqrt(z - 1) + 1)  # max(y, ceil(sqrt(z)))
+    return 2 * (h - (-z // h)) - x - y
+
+
 class DiscreteHeisenberg(Group):
     """Integer Heisenberg group, triples under
     (x,y,z)*(x',y',z') = (x+x', y+y', z+z'+x*y')."""
@@ -89,24 +109,16 @@ class DiscreteHeisenberg(Group):
         return shorthand.get(s.strip()) or _parse_int_tuple(s, 3)
 
     def exact_length(self, a):
-        """Blachère's closed form (Word distance on the discrete Heisenberg
-        group, Colloq. Math. 95, 2003).  A word is a lattice path from 0 to
-        (x, y) with signed area z; symmetries reduce to 0 <= x <= y, z >= 0.
-        Monotone paths, of length x + y, reach every area up to x*y; a larger
-        area costs a box of width h >= y and height ceil(z/h) around it."""
-        x, y, z = a
-        if x < 0:  # a <-> A
-            x, z = -x, -z
-        if y < 0:  # b <-> B
-            y, z = -y, -z
-        if z < 0:  # g -> rot_pi(g^-1), which keeps the length
-            z = x * y - z
-        if x > y:  # a <-> b composed with the line above
-            x, y = y, x
-        if z <= x * y:
-            return x + y
-        h = max(y, math.isqrt(z - 1) + 1)  # max(y, ceil(sqrt(z)))
-        return 2 * (h - (-z // h)) - x - y
+        return _word_length(*a)
+
+    def distance_from(self, u):
+        # u^-1 h = (x - u_x, y - u_y, z - u_z + u_x*(u_y - y)), formed inline.
+        ux, uy, uz = u
+
+        def distance(h):
+            x, y, z = h
+            return _word_length(x - ux, y - uy, z - uz + ux * (uy - y))
+        return distance
 
     def draw(self, radius, rng, sphere=False):
         # Box rejection: |x|, |y| <= r and |z| <= floor(r^2/4) on B(r).  A

@@ -10,20 +10,21 @@ definitions: distortion is constant on [n, n+1), compression on (n-1, n].
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import accumulate
-from typing import NamedTuple
 
 from .groups import Group, GroupError, OutOfRange
 
 
-class TranslationData(NamedTuple):
-    """Certified upper-bound data for the translation number of g."""
+class TranslationData(namedtuple("TranslationData", "terms running_min best_upper_bound "
+                                               "lower_bound undistorted_witness")):
+    """Certified upper-bound data for the translation number of g.
 
-    terms: tuple            # (n, l(g^n), l(g^n)/n) for recorded powers
-    running_min: tuple      # non-increasing sequence of certified upper bounds
-    best_upper_bound: float
-    lower_bound: float | None      # positive slope when declared linear
-    undistorted_witness: bool
+    terms holds (n, l(g^n), l(g^n)/n) for the recorded powers, running_min
+    the non-increasing sequence of certified upper bounds, and lower_bound
+    the positive slope when the bound is declared linear, else None."""
+
+    __slots__ = ()
 
 
 class CompressionProfile:
@@ -150,7 +151,7 @@ def build_profile(group: Group, g, radius: int) -> CompressionProfile:
     return CompressionProfile(group, g, radius)
 
 
-class SummabilityReport(NamedTuple):
+class SummabilityReport(namedtuple("SummabilityReport", "partial_sum tail_bound")):
     """Partial sum of r**compression(i) with a rigorous closed-form tail.
 
     Terms beyond the exact range use the certified lower bound, so both the
@@ -158,8 +159,7 @@ class SummabilityReport(NamedTuple):
     a certified upper bound for it.
     """
 
-    partial_sum: float
-    tail_bound: float
+    __slots__ = ()
 
     @property
     def total_upper_bound(self) -> float:

@@ -7,11 +7,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
 
 from .configurations import Configuration, ContractError
 from .groups import DEFAULT_METRIC_BUDGET, Group, OutOfRange, WordMetric
 
+# Type checkers read a TYPE_CHECKING of the module's own as true, as they
+# read typing's; this one keeps `typing` out of the run.
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # run-time use is in ConeParams.create alone
     from .invariants import CompressionProfile
 
@@ -202,10 +205,9 @@ class ConeParams:
                          + 2 * self.R + self.t_prime)
 
 
-class GlueResult(NamedTuple):
-    y: Configuration
-    plus_agrees: bool   # y matches x on the whole + cone
-    minus_agrees: bool  # y matches x' on the whole - cone
+# plus_agrees: y matches x on the whole + cone; minus_agrees: y matches x'
+# on the whole - cone.
+GlueResult = namedtuple("GlueResult", "y plus_agrees minus_agrees")
 
 
 def glue(x: Configuration, x_prime: Configuration, params: ConeParams) -> GlueResult:

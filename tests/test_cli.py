@@ -924,17 +924,18 @@ def test_untwist_corrupted_spec_exits_1(tmp_path, monkeypatch):
 
 # -- the modules each subcommand loads -----------------------------------------
 
-def run_fresh(script, argv):
-    """The last stdout line of script, run with argv in a fresh interpreter."""
+def run_fresh(script, argv, flags=()):
+    """The last stdout line of script, run with argv in a fresh interpreter
+    started with the given interpreter flags."""
     path = os.pathsep.join(p for p in (os.path.join(ROOT, "src"),
                                        os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+    done = subprocess.run([sys.executable, *flags, "-c", script, *argv], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path),
                           timeout=120, check=True)
     return done.stdout.splitlines()[-1]
 
 
-def loaded_modules(argv):
+def loaded_modules(argv, flags=()):
     """(exit code, modules whose code ran) after cli.main(argv) in a fresh
     interpreter.  A lazy submodule keeps its own module class until first use."""
     script = ("import json, sys, types\n"
@@ -943,7 +944,7 @@ def loaded_modules(argv):
               "ran = [name for name, module in sys.modules.items()\n"
               "       if type(module) is types.ModuleType]\n"
               "print(json.dumps([code, sorted(ran)]))\n")
-    code, modules = json.loads(run_fresh(script, argv))
+    code, modules = json.loads(run_fresh(script, argv, flags))
     return code, set(modules)
 
 
@@ -957,9 +958,38 @@ def test_divergence_loads_only_its_modules(tmp_path):
     assert code == 0
     assert "growth" in json.loads((out / "report.json").read_text())  # the fit ran
     assert {m for m in modules if m.startswith("untwist")} == {
-        "untwist", "untwist.cli", "untwist.groups", "untwist.divergence", "untwist.draws",
-        "untwist.reporting", "untwist.commands", "untwist.commands.divergence"}
+        "untwist", "untwist.cli", "untwist.groups", "untwist.lattice", "untwist.divergence",
+        "untwist.draws", "untwist.reporting", "untwist.commands",
+        "untwist.commands.divergence"}
     assert not modules & STDLIB_NEVER
+
+
+@pytest.mark.parametrize("group, nmax, searches", [
+    ("heisenberg", "3", False), ("z^2", "12", True),
+], ids=["heisenberg-no-search", "z2-searches"])
+def test_divergence_imports_heapq_only_to_search(tmp_path, group, nmax, searches):
+    """The certificate answers every query of heisenberg --nmax 3, so that
+    run makes no search and never imports heapq; z^2 --nmax 12 searches."""
+    code, modules = loaded_modules(["divergence", "--group", group, "--nmax", nmax,
+                                    "--seed", "1", "--out", str(tmp_path / "div")])
+    assert code == 0
+    assert ("heapq" in modules) is searches
+
+
+@pytest.mark.parametrize("argv", [
+    ["divergence", "--group", "heisenberg", "--nmax", "7", "--seed", "1", "--out", "div"],
+    ["subshift", "glue", "--group", "z^2", "--spec", "task.json", "--out", "glue.json"],
+    ["cocycle", "untwist", "--group", "z^2", "--spec", os.path.join(ROOT, SPEC_RELPATH),
+     "--samples", "4", "--out", "report.json"],
+], ids=lambda argv: argv[0])
+def test_no_run_imports_typing(tmp_path, monkeypatch, argv):
+    """The records are plain namedtuples, and shifts reads no TYPE_CHECKING
+    from typing.  Under -S, so that no site hook loads typing first."""
+    (tmp_path / "task.json").write_text(json.dumps(GLUE_TASK))
+    monkeypatch.chdir(tmp_path)
+    code, modules = loaded_modules(argv, flags=("-S",))
+    assert code == 0
+    assert "typing" not in modules
 
 
 def test_subshift_glue_loads_no_cocycle_target_or_divergence_module(tmp_path):
@@ -987,13 +1017,13 @@ def test_cocycle_untwist_loads_no_divergence_module(tmp_path):
 
 
 @pytest.mark.parametrize("argv, models", [
-    (["ball", "--group", "z^2", "--radius", "2", "--out", "ball.csv"], set()),
+    (["ball", "--group", "z^2", "--radius", "2", "--out", "ball.csv"], {"untwist.lattice"}),
     (["invariants", "--group", "heisenberg", "--element", "z", "--radius", "4",
       "--out", "inv"], {"untwist.heisenberg"}),
     (["divergence", "--group", "heisenberg", "--nmax", "3", "--seed", "1",
       "--out", "div"], {"untwist.heisenberg"}),
     (["divergence", "--group", "prod(z,free:2)", "--nmax", "3", "--seed", "1",
-      "--out", "div"], {"untwist.models"}),
+      "--out", "div"], {"untwist.lattice", "untwist.models"}),
 ], ids=["ball-z2", "invariants-heisenberg", "divergence-heisenberg",
         "divergence-prod-z-free2"])
 def test_models_load_only_off_the_lattices_and_plants_never(tmp_path, argv, models):
@@ -1001,7 +1031,7 @@ def test_models_load_only_off_the_lattices_and_plants_never(tmp_path, argv, mode
     out = str(tmp_path / argv[-1])
     code, modules = loaded_modules([*argv[:-1], out])
     assert code == 0
-    assert modules & {"untwist.heisenberg", "untwist.models"} == models
+    assert modules & {"untwist.lattice", "untwist.heisenberg", "untwist.models"} == models
     assert "untwist.plants" not in modules
     assert not modules & STDLIB_NEVER
 

@@ -564,15 +564,16 @@ def test_search_reads_window_and_obstacle_only_where_they_can_bind(monkeypatch, 
     # distance d has l(h) <= 10 + d, inside the window while d <= window -
     # 10, and d(c,h) >= 10 - d, off the forbidden ball while d <= 7, so the
     # search reads neither there.  It pops what a search reading both at
-    # every vertex pops: 256 generator steps, at either window.
-    import untwist.divergence as divergence
+    # every vertex pops: 256 generator steps, at either window.  The search
+    # imports heappop from heapq when it starts, so the patch is read there.
+    import heapq
 
     group = IntegerLattice(2)
     a, b, c = (-10, 0), (10, 0), (0, 0)
     query = make_query(group, a, b, c, window)
     assert query.forbidden_radius == 3
     depth = 0
-    pop = divergence.heappop
+    pop = heapq.heappop
 
     def popping(heap):
         nonlocal depth
@@ -592,7 +593,7 @@ def test_search_reads_window_and_obstacle_only_where_they_can_bind(monkeypatch, 
         steps.extend(neighbours)
         return neighbours
 
-    monkeypatch.setattr(divergence, "heappop", popping)
+    monkeypatch.setattr(heapq, "heappop", popping)
     monkeypatch.setattr(group, "exact_length",
                         lambda h: windows.append((depth, h)) or length(h))
     monkeypatch.setattr(group, "distance_from", reading)
